@@ -4,7 +4,10 @@ resolutions, and Tor, plus a small script language and CLI."""
 
 from __future__ import annotations
 
+from types import ModuleType
 from typing import Iterable, Sequence, Union
+
+_NOT_EXPORTED = set(globals())
 
 from .poly import (
     AlgebraError,
@@ -72,8 +75,6 @@ from .flatness import (
 )
 from .script import ScriptReport, parse_script, pretty_script, run_script
 
-__all__ = [name for name in dir() if not name.startswith("_")]
-
 
 def ring(
     variables: Union[str, Sequence[str]],
@@ -102,3 +103,12 @@ def poly(text: Union[str, Polynomial], R: PresentedRing) -> Polynomial:
 def ideal(R: PresentedRing, *gens: Union[str, Polynomial]) -> IdealHandle:
     """Convenience constructor: ideal(R, "x - u", "z - u*v")."""
     return IdealHandle(R, [poly(g, R) for g in gens])
+
+
+__all__ = sorted(
+    name
+    for name, value in globals().items()
+    if not name.startswith("_")
+    and name not in _NOT_EXPORTED
+    and not isinstance(value, ModuleType)
+)

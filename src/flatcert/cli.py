@@ -20,9 +20,9 @@ from importlib import resources
 
 from .groebner import IdealHandle
 from .homology import tor
-from .parse import ParseError, TokenStream, tokenize
+from .parse import ParseError
 from .poly import AlgebraError, ArgumentError, GREVLEX, LEX
-from .script import ScriptReport, _module_arg, _tor_arg, execute_text
+from .script import execute_text, resolve_tor_argument
 
 # (bundled script, ((check id, expected verdict), ...)) in report order
 REPRO_CHECKS: tuple[tuple[str, tuple[tuple[str, str], ...]], ...] = (
@@ -111,15 +111,6 @@ def _read_script(path: str) -> str:
         return handle.read()
 
 
-def _parse_cli_tor_arg(text: str):
-    ts = TokenStream(tokenize(text))
-    arg = _tor_arg(ts)
-    tail = ts.peek()
-    if tail.kind != "eof":
-        raise ParseError(f"unexpected {tail.text!r}", tail.line, tail.col)
-    return arg
-
-
 def _emit(text: str, quiet: bool) -> None:
     if not quiet:
         print(text)
@@ -189,18 +180,15 @@ def _cmd_gb(args: argparse.Namespace) -> int:
 
 def _cmd_tor(args: argparse.Namespace) -> int:
     try:
-        left_arg = _parse_cli_tor_arg(args.left)
-        right_arg = _parse_cli_tor_arg(args.right)
-    except ParseError as exc:
-        print(str(exc), file=sys.stderr)
-        return 2
-    try:
         _, env = _script_env(args.script, args.order)
-        left = _module_arg(env, left_arg, 0)
-        right = _module_arg(env, right_arg, 0)
+        left = resolve_tor_argument(args.left, env)
+        right = resolve_tor_argument(args.right, env)
         report = tor(args.index, left, right)
     except OSError as exc:
         print(f"cannot read {args.script}: {exc}", file=sys.stderr)
+        return 2
+    except ParseError as exc:
+        print(str(exc), file=sys.stderr)
         return 2
     except AlgebraError as exc:
         print(str(exc), file=sys.stderr)

@@ -35,32 +35,24 @@ def tensor_with_renaming(
     bvars = B.signature.variables
     clash = set(avars) & set(bvars)
     used = set(avars) | set(bvars)
-    names: list[str] = []
-    rename_a: dict[str, str] = {}
-    rename_b: dict[str, str] = {}
-    for v in avars:
-        w = v
-        if v in clash:
-            w = f"{v}1"
-            k = 0
-            while w in used:
-                k += 1
-                w = f"{v}1_{k}"
-        used.add(w)
-        rename_a[v] = w
-        names.append(w)
-    for v in bvars:
-        w = v
-        if v in clash:
-            w = f"{v}2"
-            k = 0
-            while w in used:
-                k += 1
-                w = f"{v}2_{k}"
-        used.add(w)
-        rename_b[v] = w
-        names.append(w)
-    sig = RingSignature(tuple(names))
+
+    def rename(variables: Sequence[str], suffix: str) -> dict[str, str]:
+        out: dict[str, str] = {}
+        for v in variables:
+            w = v
+            if v in clash:
+                w = f"{v}{suffix}"
+                k = 0
+                while w in used:
+                    k += 1
+                    w = f"{v}{suffix}_{k}"
+            used.add(w)
+            out[v] = w
+        return out
+
+    rename_a = rename(avars, "1")
+    rename_b = rename(bvars, "2")
+    sig = RingSignature(tuple(rename_a.values()) + tuple(rename_b.values()))
     defining = [transplant(p, sig, rename_a) for p in A.defining]
     defining += [transplant(p, sig, rename_b) for p in B.defining]
     return PresentedRing(sig, defining), rename_a, rename_b

@@ -1,15 +1,16 @@
-"""Buchberger engine: multivariate division, reduced Groebner bases, ideal
+"""Ideals: multivariate division, reduced Groebner bases, ideal
 membership, variable elimination, and ring-map kernels.
 
-All computations over a quotient ring happen in the ambient polynomial
-ring with the defining generators adjoined; outputs are deterministic
-(selection by minimal lcm degree, ties by generator index, bases sorted
-by decreasing leading monomial).
+Groebner bases of ideals come from the module engine in `modules`, run
+at rank 1 (a polynomial is the vector {(0, m): c}); `divide` stays here as
+the quotient-tracking division.  All computations over a quotient ring
+happen in the ambient polynomial ring with the defining generators
+adjoined; outputs are deterministic (selection by minimal lcm degree,
+ties by generator index, bases sorted by decreasing leading monomial).
 """
 
 from __future__ import annotations
 
-import heapq
 from typing import Iterable, Sequence
 
 from .poly import (
@@ -22,12 +23,18 @@ from .poly import (
     PresentedRing,
     RingSignature,
     fresh_name,
-    mono_degree,
     mono_divides,
     mono_lcm,
     mono_mul,
     mono_quotient,
     transplant,
+)
+from .modules import (
+    VecPoly,
+    _entries_from_vp,
+    _module_buchberger,
+    _reduced_module_basis,
+    _vp_from_entries,
 )
 
 
@@ -93,84 +100,39 @@ def spolynomial(f: Polynomial, g: Polynomial) -> Polynomial:
     )
 
 
+def _rank1(
+    generators: Iterable[Polynomial],
+) -> tuple[RingSignature | None, list[VecPoly]]:
+    """The nonzero generators as rank-1 module vectors {(0, m): c}.
+
+    The module engine does not compare signatures, so mixing them is
+    rejected here."""
+    polys = [g for g in generators if not g.is_zero()]
+    sig = polys[0].sig if polys else None
+    if any(g.sig != sig for g in polys):
+        raise DimensionError("polynomials over different signatures")
+    return sig, [_vp_from_entries((g,)) for g in polys]
+
+
 def buchberger(generators: Iterable[Polynomial]) -> list[Polynomial]:
-    """A (not yet reduced) monic Groebner basis, deterministically built.
-
-    Pair selection is the normal strategy (minimal lcm degree first, ties
-    by index); Buchberger's coprimality and chain criteria prune pairs.
-    """
-    G = [g.monic() for g in generators if not g.is_zero()]
-    if not G:
+    """A (not yet reduced) monic Groebner basis, deterministically built by
+    the module engine at rank 1: the normal strategy (minimal lcm degree
+    first, ties by index) with the coprimality and chain criteria."""
+    sig, vps = _rank1(generators)
+    if sig is None:
         return []
-    sig = G[0].sig
-    lead = [g.leading_monomial() for g in G]
-    heap: list[tuple[int, int, int]] = []
-    pending: set[tuple[int, int]] = set()
-
-    def push(i: int, j: int) -> None:
-        lcm = mono_lcm(lead[i], lead[j])
-        heapq.heappush(heap, (mono_degree(lcm), i, j))
-        pending.add((i, j))
-
-    for j in range(len(G)):
-        for i in range(j):
-            push(i, j)
-    while heap:
-        _, i, j = heapq.heappop(heap)
-        if (i, j) not in pending:
-            continue
-        pending.discard((i, j))
-        lcm = mono_lcm(lead[i], lead[j])
-        if lcm == mono_mul(lead[i], lead[j]):
-            continue  # coprime leading monomials
-        skip = False
-        for k in range(len(G)):
-            if k in (i, j) or not mono_divides(lead[k], lcm):
-                continue
-            if (min(i, k), max(i, k)) not in pending and (
-                min(j, k),
-                max(j, k),
-            ) not in pending:
-                skip = True
-                break
-        if skip:
-            continue
-        _, r = divide(spolynomial(G[i], G[j]), G)
-        if not r.is_zero():
-            G.append(r.monic())
-            lead.append(r.leading_monomial())
-            new = len(G) - 1
-            for k in range(new):
-                push(k, new)
-    return G
+    basis, _, _ = _module_buchberger(vps, sig, 1)
+    return [_entries_from_vp(vp, sig, 1)[0] for vp in basis]
 
 
 def reduced_basis(generators: Iterable[Polynomial]) -> tuple[Polynomial, ...]:
     """The unique reduced Groebner basis, sorted by decreasing leading
     monomial: monic elements, no term divisible by another leading term."""
-    G = buchberger(generators)
-    if not G:
+    sig, vps = _rank1(generators)
+    if sig is None:
         return ()
-    key = G[0].sig.key()
-    kept: list[Polynomial] = []
-    for g in sorted(G, key=lambda p: key(p.leading_monomial())):
-        lm = g.leading_monomial()
-        if not any(mono_divides(k.leading_monomial(), lm) for k in kept):
-            kept.append(g)
-    changed = True
-    while changed:
-        changed = False
-        for idx in range(len(kept)):
-            others = kept[:idx] + kept[idx + 1 :]
-            if not others:
-                continue
-            _, r = divide(kept[idx], others)
-            r = r.monic()
-            if r != kept[idx]:
-                kept[idx] = r
-                changed = True
-    kept.sort(key=lambda p: key(p.leading_monomial()), reverse=True)
-    return tuple(kept)
+    reduced = _reduced_module_basis(vps, sig, 1)
+    return tuple(_entries_from_vp(vp, sig, 1)[0] for vp in reduced)
 
 
 class IdealHandle:

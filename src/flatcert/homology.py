@@ -191,12 +191,19 @@ def koszul(sequence: Sequence[Polynomial], ring: PresentedRing) -> ChainComplex:
 
 
 def homology_witnesses(
-    complex_: ChainComplex, i: int
+    complex_: ChainComplex, i: int, relations: Sequence[Sequence[Entries]] = ()
 ) -> tuple[bool, list[ModuleElement]]:
     """Whether homology at position i vanishes, with witness generators
-    (kernel generators surviving reduction modulo the image) otherwise."""
+    (kernel generators surviving reduction modulo the image) otherwise.
+
+    `relations`, when given, holds one list of relation columns per
+    position k, and F_k is read as F_k modulo their span: the kernel at i
+    is taken relative to relations[i-1], and relations[i] join the image.
+    """
     if not 0 <= i <= complex_.length:
         raise ArgumentError(f"no homology position {i}")
+    if relations and len(relations) != len(complex_.ranks):
+        raise DimensionError("one list of relations per position is required")
     ring = complex_.ring
     rank_i = complex_.ranks[i]
     if rank_i == 0:
@@ -204,10 +211,14 @@ def homology_witnesses(
     if i == 0:
         ker = _standard_basis(ring, rank_i)
     else:
-        ker = kernel_generators(complex_.differential(i))
+        ker = kernel_generators(
+            complex_.differential(i), relations[i - 1] if relations else ()
+        )
     image_cols: list[Entries] = []
     if i + 1 <= complex_.length:
         image_cols.extend(complex_.differential(i + 1).columns)
+    if relations:
+        image_cols.extend(relations[i])
     basis = MembershipBasis(ring, rank_i, image_cols)
     witnesses = []
     for v in ker:
@@ -265,15 +276,9 @@ def tor(i: int, M: ModuleLike, N: ModuleLike) -> TorReport:
         raise ArgumentError("modules over different rings")
     ring = mod.ring
     res = free_resolution(mod, i + 1)
-    top = len(res.differentials)
-
-    def rank(k: int) -> int:
-        return res.ranks[k] if k <= top else 0
-
-    s = other.rank
-    rank_i = rank(i)
-    if rank_i == 0 or s == 0:
+    if i > res.length:
         return TorReport(i, True, ())
+    s = other.rank
     zero = ring.zero()
     n_rels = other.relations.columns
 
@@ -287,8 +292,7 @@ def tor(i: int, M: ModuleLike, N: ModuleLike) -> TorReport:
                 cols.append(tuple(col))
         return cols
 
-    def tensored(k: int) -> PolyMatrix:
-        d = res.differential(k)
+    def tensored(d: PolyMatrix) -> PolyMatrix:
         cols = []
         for col in d.columns:
             for t in range(s):
@@ -299,20 +303,12 @@ def tor(i: int, M: ModuleLike, N: ModuleLike) -> TorReport:
                 cols.append(tuple(big))
         return PolyMatrix(ring, d.nrows * s, cols)
 
-    if i == 0 or rank(i - 1) == 0:
-        ker = _standard_basis(ring, rank_i * s)
-    else:
-        ker = kernel_generators(
-            tensored(i), extra_relations=level_relations(rank(i - 1))
-        )
-    image_cols: list[Entries] = []
-    if i + 1 <= top:
-        image_cols.extend(tensored(i + 1).columns)
-    image_cols.extend(level_relations(rank_i))
-    basis = MembershipBasis(ring, rank_i * s, image_cols)
-    witnesses = []
-    for v in ker:
-        nf = basis.normal_form(v)
-        if any(not e.is_zero() for e in nf):
-            witnesses.append(ModuleElement(ring, nf))
-    return TorReport(i, not witnesses, tuple(witnesses))
+    complex_ = ChainComplex(
+        ring,
+        tuple(r * s for r in res.ranks),
+        tuple(tensored(d) for d in res.differentials),
+        res.complete,
+    )
+    relations = [level_relations(r) for r in res.ranks]
+    zero_tor, witnesses = homology_witnesses(complex_, i, relations)
+    return TorReport(i, zero_tor, tuple(witnesses))

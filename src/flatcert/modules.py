@@ -1,12 +1,14 @@
 """Vectors of polynomials, module Groebner bases, and syzygies.
 
-Module terms are (position, monomial) pairs compared position-over-term:
-a lower position index dominates, ties are broken by the ring's monomial
-order.  Syzygies are computed by Schreyer-style tracked elimination: each
-input column is augmented with a unit tracker in a trailing block of
-positions, relation columns (defining generators of a quotient ring, and
-any caller-supplied relations) enter untracked, and basis elements whose
-terms all lie in the tracker block project onto syzygy generators.
+This is the package's one Buchberger engine: `groebner` runs ideals
+through it at rank 1.  Module terms are (position, monomial) pairs
+compared position-over-term: a lower position index dominates, ties are
+broken by the ring's monomial order.  Syzygies are computed by
+Schreyer-style tracked elimination: each input column is augmented with a
+unit tracker in a trailing block of positions, relation columns (defining
+generators of a quotient ring, and any caller-supplied relations) enter
+untracked, and basis elements whose terms all lie in the tracker block
+project onto syzygy generators.
 """
 
 from __future__ import annotations

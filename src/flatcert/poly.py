@@ -446,7 +446,12 @@ class PresentedRing:
     def __eq__(self, other) -> bool:
         if not isinstance(other, PresentedRing):
             return NotImplemented
-        return self.signature == other.signature and self.defining == other.defining
+        if self.signature != other.signature:
+            return False
+        return (
+            self.defining == other.defining
+            or self.defining_basis() == other.defining_basis()
+        )
 
     __hash__ = None
 

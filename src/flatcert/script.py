@@ -469,6 +469,17 @@ def _module_arg(env: dict, arg: TorArg, line: int):
     return obj
 
 
+def resolve_tor_argument(text: str, env: dict):
+    """The ideal or module that a standalone Tor argument (a name, or
+    free(RING, n)) denotes in the environment of an executed script."""
+    ts = TokenStream(tokenize(text))
+    arg = _tor_arg(ts)
+    tail = ts.peek()
+    if tail.kind != "eof":
+        raise ParseError(f"unexpected {tail.text!r}", tail.line, tail.col)
+    return _module_arg(env, arg, 0)
+
+
 class Interpreter:
     def __init__(self, default_order: str = GREVLEX):
         self.default_order = default_order

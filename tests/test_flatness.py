@@ -36,6 +36,14 @@ def test_tensor_with_clash():
     assert T.signature.variables == ("x", "y1", "y2", "z")
 
 
+def test_tensor_clash_suffix_collision():
+    # y1 is taken in A, so A's clashing y becomes y1_1
+    T, ra, rb = tensor_with_renaming(fc.ring("y,y1"), fc.ring("y"))
+    assert ra == {"y": "y1_1", "y1": "y1"}
+    assert rb == {"y": "y2"}
+    assert T.signature.variables == ("y1_1", "y1", "y2")
+
+
 def test_tensor_carries_defining_ideals():
     A = fc.ring("x,y,z", defining=("x*y - z^2",))
     B = fc.ring("u,v")

@@ -286,3 +286,9 @@ def test_reduced_basis_is_sorted_descending(qq_xyz):
         basis = reduced_basis(gens)
         leads = [key(g.leading_monomial()) for g in basis]
         assert leads == sorted(leads, reverse=True)
+
+
+def test_reduced_basis_rejects_mixed_signatures(qq_xy):
+    lex = fc.ring("x,y", order="lex")
+    with pytest.raises(fc.DimensionError):
+        reduced_basis([fc.poly("x + y", qq_xy), fc.poly("x", lex)])

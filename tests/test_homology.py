@@ -141,6 +141,17 @@ def test_chain_complex_validation(qq_xy):
         ChainComplex(qq_xy, (1, 2), (d1,), complete=True)
 
 
+def test_homology_witnesses_relative_to_relations(qq_xy):
+    # R --x--> R is exact at 1; modulo (x) in both places it is not
+    x = fc.poly("x", qq_xy)
+    c = ChainComplex(qq_xy, (1, 1), (PolyMatrix(qq_xy, 1, [(x,)]),), True)
+    assert homology_witnesses(c, 1) == (True, [])
+    zero, witnesses = homology_witnesses(c, 1, [[(x,)], [(x,)]])
+    assert not zero and [str(w) for w in witnesses] == ["(1)"]
+    with pytest.raises(fc.DimensionError):
+        homology_witnesses(c, 1, [[(x,)]])
+
+
 def test_tor_index_zero_is_tensor(qq_xy):
     # Tor_0(R/(x), R/(y)) = R/(x,y): nonzero with witness 1
     a = _cyclic(qq_xy, "x")
@@ -225,3 +236,10 @@ def test_tor_accepts_ideals_and_submodules(cone_ring):
     assert not report.is_zero
     # ideal in the other slot exercises resolution of the second argument
     assert not tor(1, K, J).is_zero
+
+
+def test_tor_across_reordered_ring_presentations():
+    R = fc.ring("x,y,z", defining=("x*y - z^2", "x - y"))
+    S = fc.ring("x,y,z", defining=("x - y", "x*y - z^2"))
+    report = tor(1, _cyclic(R, "x"), _cyclic(S, "z"))
+    assert report == tor(1, _cyclic(R, "x"), _cyclic(R, "z"))

@@ -192,6 +192,25 @@ def test_presented_ring_defining_basis_idempotent(cone_ring):
     assert [str(g) for g in first] == ["x*y - z^2"]
 
 
+def test_presented_ring_equality_compares_ideals():
+    R = fc.ring("x,y,z", defining=("x*y - z^2", "x - y"))
+    S = fc.ring("x,y,z", defining=("x - y", "x*y - z^2"))
+    assert R.defining != S.defining
+    assert R == S
+    assert R != fc.ring("x,y,z", defining=("x - y",))
+    assert R != fc.ring("x,y,z", defining=("x*y - z^2", "x - y"), order="lex")
+
+
+def test_star_import_exports_public_names_only():
+    namespace: dict = {}
+    exec("from flatcert import *", namespace)
+    assert namespace["ring"] is fc.ring
+    assert namespace["poly"] is fc.poly and callable(namespace["poly"])
+    assert namespace["ideal"] is fc.ideal
+    for name in ("annotations", "Iterable", "Sequence", "Union", "groebner", "modules"):
+        assert name not in namespace
+
+
 def test_ring_constructor_rejects_bad_input():
     with pytest.raises(ArgumentError):
         fc.ring("x,x")

@@ -18,6 +18,7 @@ from flatcert.script import (
     TensorRingDecl,
     TorCall,
     execute_text,
+    resolve_tor_argument,
     run_script,
 )
 
@@ -189,3 +190,16 @@ def test_run_script_reads_file(tmp_path):
     path.write_text(NEG2, encoding="utf-8")
     report = run_script(str(path))
     assert report.status == 0
+
+
+def test_resolve_tor_argument():
+    _, env = execute_text(NEG2)
+    assert resolve_tor_argument("J", env) is env["J"]
+    free = resolve_tor_argument("free(R, 2)", env)
+    assert free.rank == 2 and free.ring == env["R"]
+    with pytest.raises(ParseError):
+        resolve_tor_argument("J K", env)
+    with pytest.raises(fc.ArgumentError, match="undeclared"):
+        resolve_tor_argument("Z", env)
+    with pytest.raises(fc.ArgumentError, match="not an ideal or module"):
+        resolve_tor_argument("R", env)

@@ -186,22 +186,25 @@ def flat_at_point(
 
     The point's ideal is extended into M's ring along the supplied map;
     without a map, the point's variables must name variables of M's ring
-    and are extended by inclusion.
+    and are extended by the inclusion map, which must be well defined:
+    the base ring's defining relations must hold in M's ring, or the
+    probe raises ArgumentError rather than answer over the wrong base.
     """
     ring = M.ring
     pgens = p.point_ideal.generators
-    if along is not None:
-        if along.source != p.ring or along.target != ring:
-            raise ArgumentError("extension map does not connect point to module")
-        ext = [along.apply(q) for q in pgens]
-    elif p.ring == ring:
+    if along is None and p.ring != ring:
+        base_vars = p.ring.signature.variables
+        if not set(base_vars) <= set(ring.signature.variables):
+            raise ArgumentError(
+                "point ideal does not live in the module's ring; supply a map"
+            )
+        along = RingMap(p.ring, ring, [ring.var(name) for name in base_vars])
+    if along is None:
         ext = list(pgens)
-    elif set(p.ring.signature.variables) <= set(ring.signature.variables):
-        ext = [transplant(q, ring.signature) for q in pgens]
+    elif along.source != p.ring or along.target != ring:
+        raise ArgumentError("extension map does not connect point to module")
     else:
-        raise ArgumentError(
-            "point ideal does not live in the module's ring; supply a map"
-        )
+        ext = [along.apply(q) for q in pgens]
     extended = IdealHandle(ring, ext)
     if not extended.is_proper():
         raise ArgumentError("extended point ideal is improper")

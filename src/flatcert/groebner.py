@@ -2,9 +2,12 @@
 membership, variable elimination, and ring-map kernels.
 
 Groebner bases of ideals come from the module engine in `modules`, run
-at rank 1 (a polynomial is the vector {(0, m): c}); `divide` stays here as
-the quotient-tracking division.  All computations over a quotient ring
-happen in the ambient polynomial ring with the defining generators
+at rank 1 (a polynomial is the vector {(0, m): c}).  Ideal normal forms
+(`IdealHandle.normal_form`, like `PresentedRing.reduce`) run through the
+same engine's heap-selected normal form against a cached table of the
+reduced basis (`modules.IdealNormalForms`).  `divide` stays here as the
+public quotient-tracking division.  All computations over a quotient
+ring happen in the ambient polynomial ring with the defining generators
 adjoined; outputs are deterministic (selection by minimal lcm degree,
 ties by generator index, bases sorted by decreasing leading monomial).
 """
@@ -30,6 +33,7 @@ from .poly import (
     transplant,
 )
 from .modules import (
+    IdealNormalForms,
     VecPoly,
     _entries_from_vp,
     _module_buchberger,
@@ -142,7 +146,7 @@ class IdealHandle:
     ambient polynomial ring; it is computed at most once.
     """
 
-    __slots__ = ("ring", "generators", "_basis")
+    __slots__ = ("ring", "generators", "_basis", "_normal_forms")
 
     def __init__(self, ring: PresentedRing, generators: Iterable[Polynomial]):
         gens = tuple(generators)
@@ -152,6 +156,7 @@ class IdealHandle:
         object.__setattr__(self, "ring", ring)
         object.__setattr__(self, "generators", gens)
         object.__setattr__(self, "_basis", None)
+        object.__setattr__(self, "_normal_forms", None)
 
     def __setattr__(self, name, value):  # pragma: no cover - guard only
         raise AttributeError("IdealHandle is immutable")
@@ -163,13 +168,15 @@ class IdealHandle:
         return self._basis
 
     def normal_form(self, f: Polynomial) -> Polynomial:
+        """The remainder of f on division by the reduced basis."""
         if f.sig != self.ring.signature:
             raise DimensionError("polynomial over a different signature")
-        basis = self.groebner_basis()
-        if not basis:
-            return f
-        _, r = divide(f, basis)
-        return r
+        if self._normal_forms is None:
+            basis = self.groebner_basis()
+            if not basis:
+                return f
+            object.__setattr__(self, "_normal_forms", IdealNormalForms(basis))
+        return self._normal_forms.reduce(f)
 
     def contains(self, f: Polynomial) -> bool:
         return self.normal_form(f).is_zero()

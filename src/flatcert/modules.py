@@ -9,6 +9,12 @@ unit tracker in a trailing block of positions, relation columns (defining
 generators of a quotient ring, and any caller-supplied relations) enter
 untracked, and basis elements whose terms all lie in the tracker block
 project onto syzygy generators.
+
+Every normal form, ring reductions in `PresentedRing.reduce` and
+`IdealHandle.normal_form` included, runs through `_vp_normal_form`: it
+keys each term once, with the ring's descending key, when the term enters
+the work set, and takes the top term off a heap.  Only the public
+quotient-tracking `groebner.divide` keeps a loop of its own.
 """
 
 from __future__ import annotations
@@ -151,11 +157,13 @@ class PolyMatrix:
         return f"PolyMatrix({self.nrows}x{self.ncols})"
 
 
-def _vkey_for(sig) -> Callable[[VecTerm], tuple]:
-    mk = sig.key()
+def _descending_vkey(sig) -> Callable[[VecTerm], tuple]:
+    """Sort key that descends with the position-over-term order: the
+    smallest key belongs to the greatest term."""
+    dk = sig.descending_key()
 
     def vk(t: VecTerm) -> tuple:
-        return (-t[0], mk(t[1]))
+        return (t[0], dk(t[1]))
 
     return vk
 
@@ -180,16 +188,28 @@ def _vp_normal_form(
     basis: list[VecPoly],
     leads: list[VecTerm],
     buckets: dict[int, list[int]],
-    vk: Callable[[VecTerm], tuple],
+    dk: Callable[[Monomial], tuple],
 ) -> VecPoly:
     """Full normal form against a monic basis; first match by insertion
-    order within the lead position's bucket."""
+    order within the lead position's bucket.
+
+    The top term comes off a heap of (position, descending key, term)
+    entries, whose term is the work set's own key.  An entry is pushed
+    when its term enters the work set, so each key is built once.  A term
+    that cancels stays in the work set with coefficient 0 and is skipped
+    when popped, so no term is ever pushed twice.  A reduction step only
+    adds terms below the one it removes, so nothing is pushed above the
+    current top."""
     work = dict(vp)
+    heap = [(t[0], dk(t[1]), t) for t in work]
+    heapq.heapify(heap)
     rem: VecPoly = {}
-    while work:
-        t = max(work, key=vk)
-        c = work[t]
-        pos, m = t
+    while heap:
+        pos, _, t = heapq.heappop(heap)
+        m = t[1]
+        c = work.pop(t)
+        if not c:
+            continue
         hit = -1
         for k in buckets.get(pos, ()):
             if mono_divides(leads[k][1], m):
@@ -197,17 +217,47 @@ def _vp_normal_form(
                 break
         if hit < 0:
             rem[t] = c
-            del work[t]
             continue
         q = mono_quotient(m, leads[hit][1])
         for (p2, m2), c2 in basis[hit].items():
-            tt = (p2, mono_mul(q, m2))
-            nc = work.get(tt, 0) - c * c2
-            if nc:
-                work[tt] = nc
-            else:
-                work.pop(tt, None)
+            mm = mono_mul(q, m2)
+            tt = (p2, mm)
+            old = work.get(tt)
+            if old is not None:
+                work[tt] = old - c * c2
+            elif tt != t:  # the monic lead of the reducer cancels t exactly
+                work[tt] = -c * c2
+                heapq.heappush(heap, (p2, dk(mm), tt))
     return rem
+
+
+class IdealNormalForms:
+    """Normal forms modulo an ideal, given its monic reduced Groebner
+    basis: the basis as rank-1 vectors, their leads and their one bucket,
+    built once and reused by every query."""
+
+    __slots__ = ("_basis", "_leads", "_buckets")
+
+    def __init__(self, basis: Sequence[Polynomial]):
+        object.__setattr__(self, "_basis", [_vp_from_entries((b,)) for b in basis])
+        object.__setattr__(self, "_leads", [(0, b.leading_monomial()) for b in basis])
+        object.__setattr__(self, "_buckets", {0: list(range(len(basis)))})
+
+    def __setattr__(self, name, value):  # pragma: no cover - guard only
+        raise AttributeError("IdealNormalForms is immutable")
+
+    def reduce(self, f: Polynomial) -> Polynomial:
+        """The remainder of f; the same as `divide(f, basis)[1]`."""
+        if not f.terms:
+            return f
+        nf = _vp_normal_form(
+            _vp_from_entries((f,)),
+            self._basis,
+            self._leads,
+            self._buckets,
+            f.sig.descending_key(),
+        )
+        return _entries_from_vp(nf, f.sig, 1)[0]
 
 
 def _module_buchberger(
@@ -219,7 +269,8 @@ def _module_buchberger(
     the chain criterion applies there, and the coprimality criterion only
     when the ambient rank is 1 (it is invalid for genuine vectors).
     """
-    vk = _vkey_for(sig)
+    dk = sig.descending_key()
+    vk = _descending_vkey(sig)
     basis: list[VecPoly] = []
     leads: list[VecTerm] = []
     buckets: dict[int, list[int]] = {}
@@ -232,7 +283,7 @@ def _module_buchberger(
         pending.add((i, j))
 
     def add(vp: VecPoly) -> None:
-        lt = max(vp, key=vk)
+        lt = min(vp, key=vk)
         c = vp[lt]
         if c != 1:
             vp = {t: v / c for t, v in vp.items()}
@@ -281,7 +332,7 @@ def _module_buchberger(
                 s[t] = nc
             else:
                 s.pop(t, None)
-        r = _vp_normal_form(s, basis, leads, buckets, vk)
+        r = _vp_normal_form(s, basis, leads, buckets, dk)
         if r:
             add(r)
     return basis, leads, buckets
@@ -294,8 +345,10 @@ def _reduced_module_basis(
     basis, leads, _ = _module_buchberger(gens, sig, rank)
     if not basis:
         return []
-    vk = _vkey_for(sig)
-    order = sorted(range(len(basis)), key=lambda k: vk(leads[k]))
+    dk = sig.descending_key()
+    vk = _descending_vkey(sig)
+    # Ascending lead terms, ties in basis order (reverse sorts are stable).
+    order = sorted(range(len(basis)), key=lambda k: vk(leads[k]), reverse=True)
     kept: list[VecPoly] = []
     kept_leads: list[VecTerm] = []
     for k in order:
@@ -314,18 +367,16 @@ def _reduced_module_basis(
             obuckets: dict[int, list[int]] = {}
             for k, (p, _) in enumerate(oleads):
                 obuckets.setdefault(p, []).append(k)
-            r = _vp_normal_form(kept[idx], others, oleads, obuckets, vk)
+            r = _vp_normal_form(kept[idx], others, oleads, obuckets, dk)
             if r != kept[idx]:
-                lt = max(r, key=vk)
+                lt = min(r, key=vk)
                 c = r[lt]
                 if c != 1:
                     r = {t: v / c for t, v in r.items()}
                 kept[idx] = r
                 kept_leads[idx] = lt
                 changed = True
-    paired = sorted(
-        zip(kept, kept_leads), key=lambda pair: vk(pair[1]), reverse=True
-    )
+    paired = sorted(zip(kept, kept_leads), key=lambda pair: vk(pair[1]))
     return [vp for vp, _ in paired]
 
 
@@ -393,11 +444,11 @@ def module_reduced_gb(sub: SubmodulePresentation) -> list[ModuleElement]:
     reduced = _reduced_module_basis(gens + defining, sig, rank)
     if defining:
         dbasis, dleads, dbuckets = _module_buchberger(defining, sig, rank)
-        vk = _vkey_for(sig)
+        dk = sig.descending_key()
         reduced = [
             vp
             for vp in reduced
-            if _vp_normal_form(vp, dbasis, dleads, dbuckets, vk)
+            if _vp_normal_form(vp, dbasis, dleads, dbuckets, dk)
         ]
     return [
         ModuleElement(ring, _entries_from_vp(vp, sig, rank)) for vp in reduced
@@ -408,7 +459,7 @@ class MembershipBasis:
     """A module Groebner basis of given columns (defining generators
     adjoined) supporting normal-form queries."""
 
-    __slots__ = ("ring", "rank", "_basis", "_leads", "_buckets", "_vk")
+    __slots__ = ("ring", "rank", "_basis", "_leads", "_buckets", "_dk")
 
     def __init__(
         self,
@@ -425,7 +476,7 @@ class MembershipBasis:
         object.__setattr__(self, "_basis", basis)
         object.__setattr__(self, "_leads", leads)
         object.__setattr__(self, "_buckets", buckets)
-        object.__setattr__(self, "_vk", _vkey_for(sig))
+        object.__setattr__(self, "_dk", sig.descending_key())
 
     def __setattr__(self, name, value):  # pragma: no cover - guard only
         raise AttributeError("MembershipBasis is immutable")
@@ -435,7 +486,7 @@ class MembershipBasis:
         if len(entries) != self.rank:
             raise DimensionError("vector length does not match rank")
         vp = _vp_from_entries(entries)
-        nf = _vp_normal_form(vp, self._basis, self._leads, self._buckets, self._vk)
+        nf = _vp_normal_form(vp, self._basis, self._leads, self._buckets, self._dk)
         return _entries_from_vp(nf, self.ring.signature, self.rank)
 
     def contains(self, entries: Sequence[Polynomial]) -> bool:
@@ -465,13 +516,14 @@ def syzygy_entries(
         gens.append(_vp_from_entries(col))
     gens += _defining_vps(ring, nrows)
     basis, leads, _ = _module_buchberger(gens, sig, nrows + m)
-    vk = _vkey_for(sig)
+    vk = _descending_vkey(sig)
     picks = [
         (vp, lt) for vp, lt in zip(basis, leads) if lt[0] >= nrows
     ]
     # The tracker block is ordered below every head position, so a lead in
-    # the tracker block means the whole element lies there.
-    picks.sort(key=lambda p: vk(p[1]))
+    # the tracker block means the whole element lies there.  Ascending
+    # lead terms, ties in basis order (reverse sorts are stable).
+    picks.sort(key=lambda p: vk(p[1]), reverse=True)
     kept: list[tuple[VecPoly, VecTerm]] = []
     for vp, lt in picks:
         pos, mono = lt
@@ -479,7 +531,7 @@ def syzygy_entries(
             p == pos and mono_divides(lm, mono) for _, (p, lm) in kept
         ):
             kept.append((vp, lt))
-    kept.sort(key=lambda p: vk(p[1]), reverse=True)
+    kept.sort(key=lambda p: vk(p[1]))
     out: list[Entries] = []
     for vp, _ in kept:
         shifted = {(p - nrows, mono): c for (p, mono), c in vp.items()}

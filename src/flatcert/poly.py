@@ -6,6 +6,11 @@ stored value is automatically in lowest terms with a positive denominator.
 A monomial is a plain tuple of nonnegative integer exponents, one slot per
 ring variable; exponents are Python ints and cannot overflow.  The zero
 polynomial has an empty term map.
+
+Each monomial order has two sort keys on `RingSignature`: `key()`, which
+ascends with the order, and `descending_key()`, which descends with it.
+Normal forms compute the descending key once per term and select the top
+term with a heap (`modules`).
 """
 
 from __future__ import annotations
@@ -13,6 +18,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
+from operator import add, le, neg, sub
 from typing import Callable, Iterable, Mapping, Union
 
 Scalar = Union[int, Fraction]
@@ -36,24 +42,24 @@ class ArgumentError(AlgebraError):
 
 
 def mono_mul(a: Monomial, b: Monomial) -> Monomial:
-    return tuple(x + y for x, y in zip(a, b))
+    return tuple(map(add, a, b))
 
 
 def mono_divides(a: Monomial, b: Monomial) -> bool:
     """True when a divides b componentwise."""
-    return all(x <= y for x, y in zip(a, b))
+    return all(map(le, a, b))
 
 
 def mono_quotient(a: Monomial, b: Monomial) -> Monomial:
     """The monomial a/b; b must divide a."""
-    q = tuple(x - y for x, y in zip(a, b))
-    if any(e < 0 for e in q):
+    q = tuple(map(sub, a, b))
+    if q and min(q) < 0:
         raise ArgumentError("monomial quotient with negative exponent")
     return q
 
 
 def mono_lcm(a: Monomial, b: Monomial) -> Monomial:
-    return tuple(max(x, y) for x, y in zip(a, b))
+    return tuple(map(max, a, b))
 
 
 def mono_degree(a: Monomial) -> int:
@@ -66,6 +72,16 @@ def _grevlex_key(m: Monomial) -> tuple:
     return (sum(m), tuple(-e for e in reversed(m)))
 
 
+def _grevlex_descending(m: Monomial) -> tuple:
+    # Higher degree first; in a degree, the smaller reversed exponent
+    # tuple is the greater monomial.
+    return (-sum(m), m[::-1])
+
+
+def _lex_descending(m: Monomial) -> tuple:
+    return tuple(map(neg, m))
+
+
 @lru_cache(maxsize=None)
 def _key_function(order: str, block: int) -> Callable[[Monomial], tuple]:
     if order == GREVLEX:
@@ -76,6 +92,19 @@ def _key_function(order: str, block: int) -> Callable[[Monomial], tuple]:
         def block_key(m: Monomial, k: int = block) -> tuple:
             return (_grevlex_key(m[:k]), _grevlex_key(m[k:]))
         return block_key
+    raise ArgumentError(f"unknown monomial order {order!r}")
+
+
+@lru_cache(maxsize=None)
+def _descending_function(order: str, block: int) -> Callable[[Monomial], tuple]:
+    if order == GREVLEX:
+        return _grevlex_descending
+    if order == LEX:
+        return _lex_descending
+    if order == BLOCK:
+        def block_descending(m: Monomial, k: int = block) -> tuple:
+            return (_grevlex_descending(m[:k]), _grevlex_descending(m[k:]))
+        return block_descending
     raise ArgumentError(f"unknown monomial order {order!r}")
 
 
@@ -102,7 +131,13 @@ class RingSignature:
             raise ArgumentError("block size out of range")
 
     def key(self) -> Callable[[Monomial], tuple]:
+        """Sort key that ascends with the monomial order."""
         return _key_function(self.order, self.block)
+
+    def descending_key(self) -> Callable[[Monomial], tuple]:
+        """Sort key that descends with the monomial order: the smallest
+        key belongs to the greatest monomial."""
+        return _descending_function(self.order, self.block)
 
     def index(self, name: str) -> int:
         try:
@@ -296,7 +331,7 @@ class Polynomial:
     def leading_monomial(self) -> Monomial:
         if not self.terms:
             raise ArgumentError("zero polynomial has no leading monomial")
-        return max(self.terms, key=self.sig.key())
+        return min(self.terms, key=self.sig.descending_key())
 
     def leading_coefficient(self) -> Fraction:
         return self.terms[self.leading_monomial()]
@@ -390,12 +425,13 @@ def transplant(
 class PresentedRing:
     """QQ[variables]/(defining generators), with a cached reduced basis.
 
-    Instances are immutable in practice; the defining basis is computed at
-    most once and the cached value is reused by every later call, so
+    Instances are immutable in practice; the defining basis, and the
+    normal-form table `reduce` builds from it (`modules.IdealNormalForms`),
+    are each computed at most once and reused by every later call, so
     sharing a ring between threads is safe.
     """
 
-    __slots__ = ("signature", "defining", "_basis")
+    __slots__ = ("signature", "defining", "_basis", "_normal_forms")
 
     def __init__(self, signature: RingSignature, defining: Iterable[Polynomial] = ()):
         object.__setattr__(self, "signature", signature)
@@ -407,6 +443,7 @@ class PresentedRing:
                 kept.append(p)
         object.__setattr__(self, "defining", tuple(kept))
         object.__setattr__(self, "_basis", None)
+        object.__setattr__(self, "_normal_forms", None)
 
     def __setattr__(self, name, value):  # pragma: no cover - guard only
         raise AttributeError("PresentedRing is immutable")
@@ -424,15 +461,18 @@ class PresentedRing:
         return self._basis
 
     def reduce(self, f: Polynomial) -> Polynomial:
-        """Normal form of f modulo the defining ideal."""
+        """Normal form of f modulo the defining ideal (the remainder of
+        dividing f by the reduced defining basis)."""
         if f.sig != self.signature:
             raise DimensionError("polynomial over a different signature")
         if not self.defining:
             return f
-        from .groebner import divide
+        if self._normal_forms is None:
+            from .modules import IdealNormalForms
 
-        _, r = divide(f, self.defining_basis())
-        return r
+            table = IdealNormalForms(self.defining_basis())
+            object.__setattr__(self, "_normal_forms", table)
+        return self._normal_forms.reduce(f)
 
     def zero(self) -> Polynomial:
         return Polynomial.zero(self.signature)

@@ -188,6 +188,30 @@ def test_flat_at_point_rejects_unrelated_base(qq_xy):
         flat_at_point(J, spec)
 
 
+def test_flat_at_point_checks_base_relations():
+    # x*y - z^2 does not hold in the plain ring QQ[x,y,z,u,v], so the
+    # cone's point cannot be included there: refuse, do not answer over
+    # the polynomial ring instead
+    cone = fc.ring("x,y,z", defining=("x*y - z^2",))
+    spec = PointSpec(cone, fc.ideal(cone, "x", "y", "z"))
+    P = fc.ring("x,y,z,u,v")
+    J = fc.ideal(P, "x - u", "y - u*v")
+    with pytest.raises(ArgumentError, match="x\\*y - z\\^2"):
+        flat_at_point(J, spec)
+
+
+def test_flat_at_point_includes_base_into_quotient():
+    # the same base and ideal over QQ[x,y,z,u,v]/(x*y - z^2) still answer,
+    # exactly as with the point given in the quotient ring itself
+    cone = fc.ring("x,y,z", defining=("x*y - z^2",))
+    R = fc.ring("x,y,z,u,v", defining=("x*y - z^2",))
+    J = fc.ideal(R, "x - u", "y - u*v")
+    verdict = flat_at_point(J, PointSpec(cone, fc.ideal(cone, "x", "y", "z")))
+    same_ring = flat_at_point(J, PointSpec(R, fc.ideal(R, "x", "y", "z")))
+    assert verdict.flat
+    assert str(verdict) == str(same_ring)
+
+
 def test_flat_at_point_rejects_improper_extension():
     # the point ideal extends to the unit ideal: no fiber to test against
     base = fc.ring("x")

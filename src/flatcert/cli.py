@@ -117,12 +117,7 @@ def _emit(text: str, quiet: bool) -> None:
 
 
 def _cmd_run(args: argparse.Namespace) -> int:
-    try:
-        text = _read_script(args.script)
-    except OSError as exc:
-        print(f"cannot read {args.script}: {exc}", file=sys.stderr)
-        return 2
-    report, _ = execute_text(text, args.order)
+    report, _ = execute_text(_read_script(args.script), args.order)
     for line in report.prints:
         _emit(line, args.quiet)
     for record in report.assertions:
@@ -142,58 +137,42 @@ def _cmd_run(args: argparse.Namespace) -> int:
 
 
 def _cmd_repro(args: argparse.Namespace) -> int:
-    try:
-        report = repro_suite(args.order)
-    except AlgebraError as exc:
-        print(str(exc), file=sys.stderr)
-        return 3
+    report = repro_suite(args.order)
     if not args.quiet:
         sys.stdout.write(format_repro_table(report))
     return 0 if report.ok else 1
 
 
-def _script_env(path: str, order: str):
-    text = _read_script(path)
-    report, env = execute_text(text, order)
+def _script_env(args: argparse.Namespace) -> tuple[int, dict[str, object]]:
+    """Run the script for its declarations.  A parse or computation error
+    is printed, and its status (2 or 3) returned; otherwise the status is
+    0, whatever the script's assertions said."""
+    report, env = execute_text(_read_script(args.script), args.order)
     if report.status in (2, 3):
-        raise AlgebraError(report.error or "script failed")
-    return report, env
+        print(report.error, file=sys.stderr)
+        return report.status, env
+    return 0, env
 
 
 def _cmd_gb(args: argparse.Namespace) -> int:
-    try:
-        _, env = _script_env(args.script, args.order)
-    except OSError as exc:
-        print(f"cannot read {args.script}: {exc}", file=sys.stderr)
-        return 2
-    except AlgebraError as exc:
-        print(str(exc), file=sys.stderr)
-        return 3
+    status, env = _script_env(args)
+    if status:
+        return status
     obj = env.get(args.name)
     if not isinstance(obj, IdealHandle):
-        print(f"{args.name!r} is not an ideal in {args.script}", file=sys.stderr)
-        return 3
+        raise ArgumentError(f"{args.name!r} is not an ideal in {args.script}")
     for basis_element in obj.groebner_basis():
         _emit(str(basis_element), args.quiet)
     return 0
 
 
 def _cmd_tor(args: argparse.Namespace) -> int:
-    try:
-        _, env = _script_env(args.script, args.order)
-        left = resolve_tor_argument(args.left, env)
-        right = resolve_tor_argument(args.right, env)
-        report = tor(args.index, left, right)
-    except OSError as exc:
-        print(f"cannot read {args.script}: {exc}", file=sys.stderr)
-        return 2
-    except ParseError as exc:
-        print(str(exc), file=sys.stderr)
-        return 2
-    except AlgebraError as exc:
-        print(str(exc), file=sys.stderr)
-        return 3
-    _emit(str(report), args.quiet)
+    status, env = _script_env(args)
+    if status:
+        return status
+    left = resolve_tor_argument(args.left, env)
+    right = resolve_tor_argument(args.right, env)
+    _emit(str(tor(args.index, left, right)), args.quiet)
     return 0
 
 
@@ -238,10 +217,19 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
+    """Run one subcommand and return its exit status: a handler's own
+    status, else 2 for an unreadable file or a parse error and 3 for any
+    other computation error."""
     args = build_parser().parse_args(argv)
     try:
         return args.handler(args)
-    except ArgumentError as exc:
+    except OSError as exc:
+        print(f"cannot read {exc.filename}: {exc}", file=sys.stderr)
+        return 2
+    except ParseError as exc:
+        print(str(exc), file=sys.stderr)
+        return 2
+    except AlgebraError as exc:
         print(str(exc), file=sys.stderr)
         return 3
 

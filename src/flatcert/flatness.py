@@ -12,10 +12,12 @@ from dataclasses import dataclass
 from typing import Sequence
 
 from .groebner import IdealHandle, RingMap, map_kernel
-from .homology import ModuleLike, TorReport, tor
+from .homology import ModuleLike, PresentedModule, TorReport, tor
 from .poly import (
     ArgumentError,
     DimensionError,
+    GREVLEX,
+    LEX,
     Polynomial,
     PresentedRing,
     RingSignature,
@@ -29,7 +31,9 @@ def tensor_with_renaming(
     """A tensor B over QQ, with the two variable renamings used.
 
     Clashing names get deterministic numeric suffixes (u, v in both
-    factors become u1, v1 and u2, v2); non-clashing names are kept.
+    factors become u1, v1 and u2, v2); non-clashing names are kept.  The
+    product carries the factors' order when both carry the same grevlex
+    or lex order, and grevlex otherwise.
     """
     avars = A.signature.variables
     bvars = B.signature.variables
@@ -52,7 +56,10 @@ def tensor_with_renaming(
 
     rename_a = rename(avars, "1")
     rename_b = rename(bvars, "2")
-    sig = RingSignature(tuple(rename_a.values()) + tuple(rename_b.values()))
+    order = A.signature.order
+    if order != B.signature.order or order not in (GREVLEX, LEX):
+        order = GREVLEX
+    sig = RingSignature(tuple(rename_a.values()) + tuple(rename_b.values()), order)
     defining = [transplant(p, sig, rename_a) for p in A.defining]
     defining += [transplant(p, sig, rename_b) for p in B.defining]
     return PresentedRing(sig, defining), rename_a, rename_b
@@ -208,8 +215,6 @@ def flat_at_point(
     extended = IdealHandle(ring, ext)
     if not extended.is_proper():
         raise ArgumentError("extended point ideal is improper")
-    from .homology import PresentedModule
-
     fiber = PresentedModule.cyclic(ring, ext)
     report = tor(1, M, fiber)
     return FlatnessVerdict(report.is_zero, report)

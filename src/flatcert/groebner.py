@@ -3,10 +3,9 @@ membership, variable elimination, and ring-map kernels.
 
 Groebner bases of ideals come from the module engine in `modules`, run
 at rank 1 (a polynomial is the vector {(0, m): c}).  Ideal normal forms
-(`IdealHandle.normal_form`, like `PresentedRing.reduce`) run through the
-same engine's heap-selected normal form against a cached table of the
-reduced basis (`modules.IdealNormalForms`).  `divide` stays here as the
-public quotient-tracking division.  All computations over a quotient
+(`IdealHandle.normal_form`, like `PresentedRing.reduce`) query a cached
+rank-1 `modules.MembershipBasis` of the ideal.  `divide` stays here as
+the public quotient-tracking division.  All computations over a quotient
 ring happen in the ambient polynomial ring with the defining generators
 adjoined; outputs are deterministic (selection by minimal lcm degree,
 ties by generator index, bases sorted by decreasing leading monomial).
@@ -33,7 +32,7 @@ from .poly import (
     transplant,
 )
 from .modules import (
-    IdealNormalForms,
+    MembershipBasis,
     VecPoly,
     _entries_from_vp,
     _module_buchberger,
@@ -171,12 +170,12 @@ class IdealHandle:
         """The remainder of f on division by the reduced basis."""
         if f.sig != self.ring.signature:
             raise DimensionError("polynomial over a different signature")
+        if not f.terms:
+            return f
         if self._normal_forms is None:
-            basis = self.groebner_basis()
-            if not basis:
-                return f
-            object.__setattr__(self, "_normal_forms", IdealNormalForms(basis))
-        return self._normal_forms.reduce(f)
+            table = MembershipBasis(self.ring, 1, [(g,) for g in self.generators])
+            object.__setattr__(self, "_normal_forms", table)
+        return self._normal_forms.normal_form((f,))[0]
 
     def contains(self, f: Polynomial) -> bool:
         return self.normal_form(f).is_zero()
@@ -302,9 +301,9 @@ class RingMap:
 def map_kernel(F: RingMap) -> IdealHandle:
     """The kernel ideal of F, as an ideal of F.source.
 
-    Computed by adjoining the source variables to the target ring,
-    imposing (s_i - image(s_i)) plus the target's defining relations, and
-    eliminating the target variables with a block order.
+    Computed by adjoining the source variables to the target's ambient
+    polynomial ring, imposing (s_i - image(s_i)) plus the target's
+    defining relations, and eliminating the target variables.
     """
     tvars = F.target.signature.variables
     svars = F.source.signature.variables
@@ -314,18 +313,14 @@ def map_kernel(F: RingMap) -> IdealHandle:
         w = fresh_name(s, set(names) | set(svars)) if s in names else s
         rename[s] = w
         names.append(w)
-    wsig = RingSignature(tuple(names), BLOCK, block=len(tvars))
-    gens = [transplant(q, wsig) for q in F.target.defining]
+    sig = RingSignature(tuple(names))
+    gens = [transplant(q, sig) for q in F.target.defining]
     for s, img in zip(svars, F.images):
-        gens.append(
-            Polynomial.variable(wsig, rename[s]) - transplant(img, wsig)
-        )
-    basis = reduced_basis(gens)
-    k = len(tvars)
+        gens.append(Polynomial.variable(sig, rename[s]) - transplant(img, sig))
+    graph = IdealHandle(PresentedRing(sig), gens)
+    # With nothing to drop, `eliminate` hands the generators back as given.
+    kernel = eliminate(graph, tvars).generators if tvars else graph.groebner_basis()
     back = {w: s for s, w in rename.items()}
-    out = [
-        transplant(b, F.source.signature, back)
-        for b in basis
-        if all(m[:k] == (0,) * k for m in b.terms)
-    ]
-    return IdealHandle(F.source, out)
+    return IdealHandle(
+        F.source, [transplant(g, F.source.signature, back) for g in kernel]
+    )

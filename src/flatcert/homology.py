@@ -75,24 +75,13 @@ def as_presented_module(obj: ModuleLike) -> PresentedModule:
     if isinstance(obj, PresentedModule):
         return obj
     if isinstance(obj, IdealHandle):
-        gens = obj.generators
-        if not gens:
-            return PresentedModule(obj.ring, 0, PolyMatrix(obj.ring, 0, ()))
-        cols = syzygy_entries([(g,) for g in gens], 1, obj.ring)
-        return PresentedModule(
-            obj.ring, len(gens), PolyMatrix(obj.ring, len(gens), cols)
-        )
-    if isinstance(obj, SubmodulePresentation):
-        gens = obj.generators
-        if not gens:
-            return PresentedModule(obj.ring, 0, PolyMatrix(obj.ring, 0, ()))
-        cols = syzygy_entries(
-            [g.entries for g in gens], obj.ambient_rank, obj.ring
-        )
-        return PresentedModule(
-            obj.ring, len(gens), PolyMatrix(obj.ring, len(gens), cols)
-        )
-    raise ArgumentError(f"cannot present {type(obj).__name__} as a module")
+        gens, nrows = [(g,) for g in obj.generators], 1
+    elif isinstance(obj, SubmodulePresentation):
+        gens, nrows = [g.entries for g in obj.generators], obj.ambient_rank
+    else:
+        raise ArgumentError(f"cannot present {type(obj).__name__} as a module")
+    cols = syzygy_entries(gens, nrows, obj.ring)
+    return PresentedModule(obj.ring, len(gens), PolyMatrix(obj.ring, len(gens), cols))
 
 
 @dataclass(frozen=True)
@@ -134,7 +123,8 @@ class ChainComplex:
 
 def free_resolution(module: ModuleLike, length: int) -> ChainComplex:
     """A free resolution of the module, built by iterated syzygies:
-    d_1 is the relations matrix and d_(k+1) = syzygy_matrix(d_k).
+    d_1 is the relations matrix and d_(k+1) holds the syzygies of d_k's
+    columns (`syzygy_entries`).
 
     Truncates early (and flags completion) when a syzygy step is zero;
     over a quotient ring the resolution may never complete.

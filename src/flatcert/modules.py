@@ -10,11 +10,12 @@ generators of a quotient ring, and any caller-supplied relations) enter
 untracked, and basis elements whose terms all lie in the tracker block
 project onto syzygy generators.
 
-Every normal form, ring reductions in `PresentedRing.reduce` and
-`IdealHandle.normal_form` included, runs through `_vp_normal_form`: it
-keys each term once, with the ring's descending key, when the term enters
-the work set, and takes the top term off a heap.  Only the public
-quotient-tracking `groebner.divide` keeps a loop of its own.
+Every normal form runs through `_vp_normal_form`: it keys each term
+once, with the ring's descending key, when the term enters the work set,
+and takes the top term off a heap.  `MembershipBasis` is the one
+normal-form table: ring reductions (`PresentedRing.reduce`) and ideal
+membership (`IdealHandle.normal_form`) query one at rank 1.  Only the
+public quotient-tracking `groebner.divide` keeps a loop of its own.
 """
 
 from __future__ import annotations
@@ -110,9 +111,6 @@ class PolyMatrix:
     @property
     def ncols(self) -> int:
         return len(self.columns)
-
-    def column_elements(self) -> list[ModuleElement]:
-        return [ModuleElement(self.ring, c) for c in self.columns]
 
     def apply(self, vector: Sequence[Polynomial]) -> Entries:
         """Matrix times column vector (length ncols), unreduced."""
@@ -231,35 +229,6 @@ def _vp_normal_form(
     return rem
 
 
-class IdealNormalForms:
-    """Normal forms modulo an ideal, given its monic reduced Groebner
-    basis: the basis as rank-1 vectors, their leads and their one bucket,
-    built once and reused by every query."""
-
-    __slots__ = ("_basis", "_leads", "_buckets")
-
-    def __init__(self, basis: Sequence[Polynomial]):
-        object.__setattr__(self, "_basis", [_vp_from_entries((b,)) for b in basis])
-        object.__setattr__(self, "_leads", [(0, b.leading_monomial()) for b in basis])
-        object.__setattr__(self, "_buckets", {0: list(range(len(basis)))})
-
-    def __setattr__(self, name, value):  # pragma: no cover - guard only
-        raise AttributeError("IdealNormalForms is immutable")
-
-    def reduce(self, f: Polynomial) -> Polynomial:
-        """The remainder of f; the same as `divide(f, basis)[1]`."""
-        if not f.terms:
-            return f
-        nf = _vp_normal_form(
-            _vp_from_entries((f,)),
-            self._basis,
-            self._leads,
-            self._buckets,
-            f.sig.descending_key(),
-        )
-        return _entries_from_vp(nf, f.sig, 1)[0]
-
-
 def _module_buchberger(
     gens: Iterable[VecPoly], sig, rank: int
 ) -> tuple[list[VecPoly], list[VecTerm], dict[int, list[int]]]:
@@ -338,6 +307,20 @@ def _module_buchberger(
     return basis, leads, buckets
 
 
+def _minimal_leads(
+    pairs: Iterable[tuple[VecPoly, VecTerm]], vk: Callable[[VecTerm], tuple]
+) -> list[tuple[VecPoly, VecTerm]]:
+    """The (element, lead) pairs whose lead no other kept lead divides,
+    scanned by ascending lead term, ties in input order (reverse sorts are
+    stable)."""
+    kept: list[tuple[VecPoly, VecTerm]] = []
+    for vp, lt in sorted(pairs, key=lambda p: vk(p[1]), reverse=True):
+        pos, m = lt
+        if not any(p == pos and mono_divides(lm, m) for _, (p, lm) in kept):
+            kept.append((vp, lt))
+    return kept
+
+
 def _reduced_module_basis(
     gens: Iterable[VecPoly], sig, rank: int
 ) -> list[VecPoly]:
@@ -347,17 +330,9 @@ def _reduced_module_basis(
         return []
     dk = sig.descending_key()
     vk = _descending_vkey(sig)
-    # Ascending lead terms, ties in basis order (reverse sorts are stable).
-    order = sorted(range(len(basis)), key=lambda k: vk(leads[k]), reverse=True)
-    kept: list[VecPoly] = []
-    kept_leads: list[VecTerm] = []
-    for k in order:
-        pos, m = leads[k]
-        if not any(
-            p == pos and mono_divides(lm, m) for p, lm in kept_leads
-        ):
-            kept.append(basis[k])
-            kept_leads.append(leads[k])
+    minimal = _minimal_leads(zip(basis, leads), vk)
+    kept = [vp for vp, _ in minimal]
+    kept_leads = [lt for _, lt in minimal]
     changed = True
     while changed:
         changed = False
@@ -390,9 +365,9 @@ def _defining_vps(ring: PresentedRing, rank: int) -> list[VecPoly]:
 
 class SubmodulePresentation:
     """A finitely generated submodule of ring^ambient_rank, given by its
-    generator vectors, with a cached reduced module basis."""
+    generator vectors."""
 
-    __slots__ = ("ring", "ambient_rank", "generators", "_basis")
+    __slots__ = ("ring", "ambient_rank", "generators")
 
     def __init__(
         self,
@@ -412,7 +387,6 @@ class SubmodulePresentation:
         object.__setattr__(self, "ring", ring)
         object.__setattr__(self, "ambient_rank", ambient_rank)
         object.__setattr__(self, "generators", tuple(gens))
-        object.__setattr__(self, "_basis", None)
 
     def __setattr__(self, name, value):  # pragma: no cover - guard only
         raise AttributeError("SubmodulePresentation is immutable")
@@ -422,11 +396,6 @@ class SubmodulePresentation:
             self.ring, self.ambient_rank, [g.entries for g in self.generators]
         )
 
-    def module_gb(self) -> tuple[ModuleElement, ...]:
-        if self._basis is None:
-            object.__setattr__(self, "_basis", tuple(module_reduced_gb(self)))
-        return self._basis
-
     def __str__(self) -> str:
         gens = ", ".join(str(g) for g in self.generators)
         return f"submodule of R^{self.ambient_rank} generated by {gens or '0'}"
@@ -435,29 +404,28 @@ class SubmodulePresentation:
 def module_reduced_gb(sub: SubmodulePresentation) -> list[ModuleElement]:
     """Reduced module Groebner basis; over a quotient ring the defining
     generators times each standard basis vector are adjoined before
-    computing and filtered from the reported basis."""
+    computing, and elements of that defining submodule (every entry zero
+    in the ring) are filtered from the reported basis."""
     ring = sub.ring
     sig = ring.signature
     rank = sub.ambient_rank
     gens = [_vp_from_entries(g.entries) for g in sub.generators]
-    defining = _defining_vps(ring, rank)
-    reduced = _reduced_module_basis(gens + defining, sig, rank)
-    if defining:
-        dbasis, dleads, dbuckets = _module_buchberger(defining, sig, rank)
-        dk = sig.descending_key()
-        reduced = [
-            vp
-            for vp in reduced
-            if _vp_normal_form(vp, dbasis, dleads, dbuckets, dk)
-        ]
-    return [
-        ModuleElement(ring, _entries_from_vp(vp, sig, rank)) for vp in reduced
-    ]
+    reduced = _reduced_module_basis(gens + _defining_vps(ring, rank), sig, rank)
+    out = []
+    for vp in reduced:
+        entries = _entries_from_vp(vp, sig, rank)
+        if any(not ring.reduce(e).is_zero() for e in entries):
+            out.append(ModuleElement(ring, entries))
+    return out
 
 
 class MembershipBasis:
     """A module Groebner basis of given columns (defining generators
-    adjoined) supporting normal-form queries."""
+    adjoined) supporting normal-form queries.
+
+    Full normal forms modulo a Groebner basis do not depend on which
+    basis is used, so this one table serves module membership, ideal
+    membership and ring reduction alike."""
 
     __slots__ = ("ring", "rank", "_basis", "_leads", "_buckets", "_dk")
 
@@ -517,20 +485,11 @@ def syzygy_entries(
     gens += _defining_vps(ring, nrows)
     basis, leads, _ = _module_buchberger(gens, sig, nrows + m)
     vk = _descending_vkey(sig)
-    picks = [
-        (vp, lt) for vp, lt in zip(basis, leads) if lt[0] >= nrows
-    ]
     # The tracker block is ordered below every head position, so a lead in
-    # the tracker block means the whole element lies there.  Ascending
-    # lead terms, ties in basis order (reverse sorts are stable).
-    picks.sort(key=lambda p: vk(p[1]), reverse=True)
-    kept: list[tuple[VecPoly, VecTerm]] = []
-    for vp, lt in picks:
-        pos, mono = lt
-        if not any(
-            p == pos and mono_divides(lm, mono) for _, (p, lm) in kept
-        ):
-            kept.append((vp, lt))
+    # the tracker block means the whole element lies there.
+    kept = _minimal_leads(
+        ((vp, lt) for vp, lt in zip(basis, leads) if lt[0] >= nrows), vk
+    )
     kept.sort(key=lambda p: vk(p[1]))
     out: list[Entries] = []
     for vp, _ in kept:

@@ -12,6 +12,10 @@ line):
 is no implicit multiplication and no division operator; 'p/q' is only a
 rational literal with integer parts.  Errors carry 1-based line and
 column positions.
+
+Chains of '+', '-' and '*' may be arbitrarily long: they parse into
+left-nested trees, which `to_polynomial` and `expr_text` walk without
+recursion.  Parentheses and unary minus nest at most MAX_NESTING deep.
 """
 
 from __future__ import annotations
@@ -19,6 +23,7 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass, field
 from fractions import Fraction
+from typing import Callable
 
 from .poly import AlgebraError, Polynomial, RingSignature
 
@@ -39,6 +44,8 @@ class Token:
     line: int
     col: int
 
+
+MAX_NESTING = 100
 
 _TWO_CHAR = ("->", "==", "!=")
 _ONE_CHAR = "+-*^/()[]{},;:="
@@ -97,6 +104,7 @@ class TokenStream:
     def __init__(self, tokens: list[Token]):
         self.tokens = tokens
         self.pos = 0
+        self.depth = 0  # open parentheses and unary minuses
 
     def peek(self) -> Token:
         return self.tokens[self.pos]
@@ -182,11 +190,25 @@ def _term(ts: TokenStream) -> Expr:
     return node
 
 
+def _nested(
+    ts: TokenStream, opener: Token, parse: Callable[[TokenStream], Expr]
+) -> Expr:
+    """parse(ts) one nesting level below `opener`."""
+    if ts.depth >= MAX_NESTING:
+        raise ParseError(
+            f"expression nested more than {MAX_NESTING} deep", opener.line, opener.col
+        )
+    ts.depth += 1
+    node = parse(ts)
+    ts.depth -= 1
+    return node
+
+
 def _factor(ts: TokenStream) -> Expr:
     tok = ts.peek()
     if tok.kind == "-":
         ts.next()
-        return Neg(_factor(ts), tok.line, tok.col)
+        return Neg(_nested(ts, tok, _factor), tok.line, tok.col)
     node = _base(ts)
     if ts.peek().kind == "^":
         caret = ts.next()
@@ -218,7 +240,7 @@ def _base(ts: TokenStream) -> Expr:
         return Var(tok.text, tok.line, tok.col)
     if tok.kind == "(":
         ts.next()
-        node = parse_expression(ts)
+        node = _nested(ts, tok, parse_expression)
         ts.expect(")")
         return node
     found = tok.text or "end of input"
@@ -236,16 +258,30 @@ def to_polynomial(node: Expr, sig: RingSignature) -> Polynomial:
     if isinstance(node, Neg):
         return -to_polynomial(node.operand, sig)
     if isinstance(node, BinOp):
-        left = to_polynomial(node.left, sig)
-        right = to_polynomial(node.right, sig)
-        if node.op == "+":
-            return left + right
-        if node.op == "-":
-            return left - right
-        return left * right
+        spine = _left_spine(node)
+        acc = to_polynomial(spine[-1].left, sig)
+        while spine:
+            step = spine.pop()
+            right = to_polynomial(step.right, sig)
+            if step.op == "+":
+                acc = acc + right
+            elif step.op == "-":
+                acc = acc - right
+            else:
+                acc = acc * right
+        return acc
     if isinstance(node, Pow):
         return to_polynomial(node.base, sig) ** node.exponent
     raise AlgebraError("unknown expression node")  # pragma: no cover
+
+
+def _left_spine(node: BinOp) -> list[BinOp]:
+    """The chain of BinOps from node down its left children, outermost
+    first."""
+    spine = [node]
+    while isinstance(spine[-1].left, BinOp):
+        spine.append(spine[-1].left)
+    return spine
 
 
 def parse_polynomial(text: str, sig: RingSignature) -> Polynomial:
@@ -271,11 +307,17 @@ def expr_text(node: Expr, parent_prec: int = 0) -> str:
         text = f"-{expr_text(node.operand, 2)}"
         return f"({text})" if parent_prec > 1 else text
     if isinstance(node, BinOp):
-        prec = _PRECEDENCE[node.op]
-        left = expr_text(node.left, prec)
-        right = expr_text(node.right, prec + 1)
-        joint = f"{left}{node.op}{right}" if node.op == "*" else f"{left} {node.op} {right}"
-        return f"({joint})" if prec < parent_prec else joint
+        spine = _left_spine(node)
+        text = expr_text(spine[-1].left, _PRECEDENCE[spine[-1].op])
+        while spine:
+            step = spine.pop()
+            prec = _PRECEDENCE[step.op]
+            right = expr_text(step.right, prec + 1)
+            op = step.op
+            joint = f"{text}{op}{right}" if op == "*" else f"{text} {op} {right}"
+            outer = _PRECEDENCE[spine[-1].op] if spine else parent_prec
+            text = f"({joint})" if prec < outer else joint
+        return text
     if isinstance(node, Pow):
         if isinstance(node.base, Var) or (isinstance(node.base, Num)
                                           and node.base.value >= 0):

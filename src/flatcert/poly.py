@@ -10,7 +10,8 @@ polynomial has an empty term map.
 Each monomial order has two sort keys on `RingSignature`: `key()`, which
 ascends with the order, and `descending_key()`, which descends with it.
 Normal forms compute the descending key once per term and select the top
-term with a heap (`modules`).
+term with a heap; `PresentedRing.reduce` queries a rank-1
+`modules.MembershipBasis` of the defining ideal.
 """
 
 from __future__ import annotations
@@ -348,10 +349,6 @@ class Polynomial:
             return self
         return Polynomial._raw(self.sig, {m: v / c for m, v in self.terms.items()})
 
-    def constant_value(self) -> Fraction:
-        """The coefficient of the constant monomial."""
-        return self.terms.get((0,) * self.sig.nvars, Fraction(0))
-
     def __str__(self) -> str:
         if not self.terms:
             return "0"
@@ -426,9 +423,9 @@ class PresentedRing:
     """QQ[variables]/(defining generators), with a cached reduced basis.
 
     Instances are immutable in practice; the defining basis, and the
-    normal-form table `reduce` builds from it (`modules.IdealNormalForms`),
-    are each computed at most once and reused by every later call, so
-    sharing a ring between threads is safe.
+    rank-1 `modules.MembershipBasis` that `reduce` queries, are each
+    computed at most once and reused by every later call, so sharing a
+    ring between threads is safe.
     """
 
     __slots__ = ("signature", "defining", "_basis", "_normal_forms")
@@ -465,14 +462,13 @@ class PresentedRing:
         dividing f by the reduced defining basis)."""
         if f.sig != self.signature:
             raise DimensionError("polynomial over a different signature")
-        if not self.defining:
+        if not self.defining or not f.terms:
             return f
         if self._normal_forms is None:
-            from .modules import IdealNormalForms
+            from .modules import MembershipBasis
 
-            table = IdealNormalForms(self.defining_basis())
-            object.__setattr__(self, "_normal_forms", table)
-        return self._normal_forms.reduce(f)
+            object.__setattr__(self, "_normal_forms", MembershipBasis(self, 1, ()))
+        return self._normal_forms.normal_form((f,))[0]
 
     def zero(self) -> Polynomial:
         return Polynomial.zero(self.signature)

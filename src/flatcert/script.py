@@ -24,9 +24,9 @@ import time
 from dataclasses import dataclass, field
 from typing import Union
 
-from .flatness import PointSpec, flat_at_point, tensor_rings
+from .flatness import FlatnessVerdict, PointSpec, flat_at_point, tensor_rings
 from .groebner import IdealHandle, RingMap, map_kernel
-from .homology import PresentedModule, tor
+from .homology import PresentedModule, TorReport, tor
 from .modules import PolyMatrix, SubmodulePresentation
 from .parse import (
     Expr,
@@ -544,7 +544,8 @@ class Interpreter:
             env[stmt.name] = RingMap(source, target, images)
         elif isinstance(stmt, AssertTor):
             expected = "nonzero" if stmt.nonzero else "zero"
-            actual, seconds = self._run_tor(stmt.call, stmt.line)
+            result, seconds = self._tor(stmt.call, stmt.line)
+            actual = "zero" if result.is_zero else "nonzero"
             report.assertions.append(
                 AssertionRecord(
                     f"assert@{stmt.line}",
@@ -556,7 +557,8 @@ class Interpreter:
                 )
             )
         elif isinstance(stmt, AssertFlat):
-            actual, seconds = self._run_flat(stmt.call, stmt.line)
+            verdict, seconds = self._flat(stmt.call, stmt.line)
+            actual = "zero" if verdict.flat else "nonzero"
             report.assertions.append(
                 AssertionRecord(
                     f"assert@{stmt.line}",
@@ -572,37 +574,31 @@ class Interpreter:
         else:  # pragma: no cover - exhaustive
             raise AlgebraError("unknown statement")
 
-    def _run_tor(self, call: TorCall, line: int) -> tuple[str, float]:
+    def _tor(self, call: TorCall, line: int) -> tuple[TorReport, float]:
         left = _module_arg(self.env, call.left, line)
         right = _module_arg(self.env, call.right, line)
         start = time.perf_counter()
         result = tor(call.index, left, right)
-        seconds = time.perf_counter() - start
-        return ("zero" if result.is_zero else "nonzero"), seconds
+        return result, time.perf_counter() - start
 
-    def _run_flat(self, call: FlatCall, line: int) -> tuple[str, float]:
+    def _flat(self, call: FlatCall, line: int) -> tuple[FlatnessVerdict, float]:
         obj = _module_arg(self.env, call.name, line)
         ring = obj.ring
         gens = [to_polynomial(e, ring.signature) for e in call.point]
         spec = PointSpec(ring, IdealHandle(ring, gens))
         start = time.perf_counter()
         verdict = flat_at_point(obj, spec)
-        seconds = time.perf_counter() - start
-        return ("zero" if verdict.flat else "nonzero"), seconds
+        return verdict, time.perf_counter() - start
 
     def _print_text(self, stmt: PrintStmt) -> str:
         subject = stmt.subject
         if isinstance(subject, TorCall):
-            left = _module_arg(self.env, subject.left, stmt.line)
-            right = _module_arg(self.env, subject.right, stmt.line)
-            return f"{_subject_text(subject)}: {tor(subject.index, left, right)}"
-        if isinstance(subject, FlatCall):
-            obj = _module_arg(self.env, subject.name, stmt.line)
-            ring = obj.ring
-            gens = [to_polynomial(e, ring.signature) for e in subject.point]
-            spec = PointSpec(ring, IdealHandle(ring, gens))
-            return f"{_subject_text(subject)}: {flat_at_point(obj, spec)}"
-        return f"{subject} = {_lookup(self.env, subject, stmt.line)}"
+            result, _ = self._tor(subject, stmt.line)
+        elif isinstance(subject, FlatCall):
+            result, _ = self._flat(subject, stmt.line)
+        else:
+            return f"{subject} = {_lookup(self.env, subject, stmt.line)}"
+        return f"{_subject_text(subject)}: {result}"
 
 
 def execute_text(

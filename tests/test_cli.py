@@ -92,6 +92,28 @@ def test_tor_bad_argument(passing_script, capsys):
     assert main(["tor", passing_script, "1", "J", "x + y"]) == 2
 
 
+@pytest.mark.parametrize("argv", [["gb", "J"], ["tor", "1", "J", "J"]])
+def test_script_syntax_error_exits_2_under_gb_and_tor(argv, tmp_path, capsys):
+    path = tmp_path / "syntax.fc"
+    path.write_text("ring R = QQ[x x];\n", encoding="utf-8")
+    assert main([argv[0], str(path)] + argv[1:]) == 2
+    assert "col 15" in capsys.readouterr().err
+
+
+def test_script_computation_error_exits_3_under_gb_and_tor(tmp_path, capsys):
+    path = tmp_path / "undeclared.fc"
+    path.write_text("ideal J = (x) in R;\n", encoding="utf-8")
+    assert main(["gb", str(path), "J"]) == 3
+    assert main(["tor", str(path), "1", "J", "J"]) == 3
+    assert "undeclared name" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv", [["gb", "J"], ["tor", "1", "J", "J"]])
+def test_missing_file_exits_2_under_gb_and_tor(argv, capsys):
+    assert main([argv[0], "/nonexistent/case.fc"] + argv[1:]) == 2
+    assert "cannot read /nonexistent/case.fc" in capsys.readouterr().err
+
+
 def test_order_flag_changes_basis(passing_script, capsys):
     assert main(["gb", "--order", "lex", passing_script, "J"]) == 0
     lex_lines = capsys.readouterr().out.splitlines()

@@ -238,3 +238,23 @@ def test_affine_morphism_direction():
     f = AffineMorphism(RingMap(Y, X, [fc.poly("u", X), fc.poly("u*v", X)]))
     assert f.source_ring is X
     assert f.target_ring is Y
+
+
+def test_tensor_keeps_a_common_order():
+    lex = tensor_rings(fc.ring("a", order=fc.LEX), fc.ring("x,y", order=fc.LEX))
+    assert lex.signature.order == fc.LEX
+    mixed = tensor_rings(fc.ring("a", order=fc.LEX), fc.ring("x,y"))
+    assert mixed.signature.order == fc.GREVLEX
+    block = fc.RingSignature(("x", "y"), fc.BLOCK, block=1)
+    blocked = tensor_rings(fc.PresentedRing(block), fc.PresentedRing(block))
+    assert blocked.signature.order == fc.GREVLEX
+
+
+def test_script_order_reaches_tensor_rings():
+    from flatcert.cli import bundled_case_text
+    from flatcert.script import execute_text
+
+    report, env = execute_text(bundled_case_text("francia.fc"), fc.LEX)
+    assert report.status == 0
+    assert env["T"].signature.order == fc.LEX
+    assert env["V"].signature.order == fc.LEX

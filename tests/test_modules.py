@@ -55,6 +55,16 @@ def test_module_gb_single_column(qq_xy):
     assert [[str(e) for e in el.entries] for el in gb] == [["x", "y"]]
 
 
+def test_module_gb_over_quotient_drops_defining_vectors(dual_numbers):
+    # (0, x^2) joins the basis of <(x, 0)> + x^2 * R^2 but is zero in R^2
+    sub = SubmodulePresentation(dual_numbers, 2, _matrix(dual_numbers, [("x", "0")]).columns)
+    assert [str(el) for el in module_reduced_gb(sub)] == ["(x, 0)"]
+    sub = SubmodulePresentation(
+        dual_numbers, 2, _matrix(dual_numbers, [("x^2", "x^2")]).columns
+    )
+    assert module_reduced_gb(sub) == []
+
+
 def test_membership_basis(qq_xy):
     m = _matrix(qq_xy, [("x", "0"), ("0", "y")])
     basis = MembershipBasis(qq_xy, 2, m.columns)

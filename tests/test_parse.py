@@ -8,6 +8,7 @@ import pytest
 import flatcert as fc
 from flatcert import ParseError, parse_polynomial
 from flatcert.parse import (
+    MAX_NESTING,
     TokenStream,
     expr_text,
     parse_expression,
@@ -103,3 +104,27 @@ def test_expr_text_matches_source_shape():
     assert parse_expression(ts2) == node
     sig = fc.RingSignature(("x", "y", "z"))
     assert to_polynomial(node, sig) == parse_polynomial("(x + y)*z^2 - 3", sig)
+
+
+def test_long_chains_evaluate_and_print_without_recursion(qq_xy):
+    # 3,000 operands form a left-nested tree 3,000 levels deep
+    sig = qq_xy.signature
+    x = fc.poly("x", qq_xy)
+    assert parse_polynomial(" + ".join(["x"] * 3000), sig) == x.scale(3000)
+    assert parse_polynomial("*".join(["x"] * 3000), sig) == x**3000
+    text = " - ".join(["x*y"] * 3000)
+    assert expr_text(parse_expression(TokenStream(tokenize(text)))) == text
+    assert fc.poly("x - " + text, qq_xy) == x - fc.poly("x*y", qq_xy).scale(3000)
+
+
+def test_deep_nesting_is_a_parse_error(qq_xy):
+    sig = qq_xy.signature
+    depth = MAX_NESTING
+    ok = "(" * depth + "x" + ")" * depth
+    assert parse_polynomial(ok, sig) == fc.poly("x", qq_xy)
+    with pytest.raises(ParseError) as err:
+        parse_polynomial("(" * 2000 + "x" + ")" * 2000, sig)
+    assert f"col {depth + 1}" in str(err.value)
+    with pytest.raises(ParseError) as err:
+        fc.poly("x*" + "-" * 2000 + "y", qq_xy)
+    assert f"col {depth + 3}" in str(err.value)

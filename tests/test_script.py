@@ -203,3 +203,16 @@ def test_resolve_tor_argument():
         resolve_tor_argument("Z", env)
     with pytest.raises(fc.ArgumentError, match="not an ideal or module"):
         resolve_tor_argument("R", env)
+
+
+def test_long_and_deep_expressions_in_scripts():
+    long_sum = " + ".join(["x"] * 3000)
+    report, env = execute_text(
+        f"ring R = QQ[x];\nideal J = ({long_sum}) in R;\nprint J;\n"
+    )
+    assert report.status == 0
+    assert env["J"].generators == (fc.poly("3000*x", env["R"]),)
+    deep = "(" * 2000 + "x" + ")" * 2000
+    report, _ = execute_text(f"ring R = QQ[x];\nideal J = ({deep}) in R;\n")
+    assert report.status == 2
+    assert "line 2" in report.error and "nested" in report.error

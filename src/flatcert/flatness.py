@@ -21,6 +21,7 @@ from .poly import (
     Polynomial,
     PresentedRing,
     RingSignature,
+    fresh_name,
     transplant,
 )
 
@@ -43,13 +44,7 @@ def tensor_with_renaming(
     def rename(variables: Sequence[str], suffix: str) -> dict[str, str]:
         out: dict[str, str] = {}
         for v in variables:
-            w = v
-            if v in clash:
-                w = f"{v}{suffix}"
-                k = 0
-                while w in used:
-                    k += 1
-                    w = f"{v}{suffix}_{k}"
+            w = fresh_name(f"{v}{suffix}", used) if v in clash else v
             used.add(w)
             out[v] = w
         return out

@@ -2,13 +2,13 @@
 membership, variable elimination, and ring-map kernels.
 
 Groebner bases of ideals come from the module engine in `modules`, run
-at rank 1 (a polynomial is the vector {(0, m): c}).  Ideal normal forms
-(`IdealHandle.normal_form`, like `PresentedRing.reduce`) query a cached
-rank-1 `modules.MembershipBasis` of the ideal.  `divide` stays here as
-the public quotient-tracking division.  All computations over a quotient
-ring happen in the ambient polynomial ring with the defining generators
-adjoined; outputs are deterministic (selection by minimal lcm degree,
-ties by generator index, bases sorted by decreasing leading monomial).
+at rank 1 (a polynomial is the vector {(0, m): c}).  An `IdealHandle`
+holds one rank-1 `modules.MembershipBasis` for its reduced basis and its
+normal forms.  `divide` stays here as the public quotient-tracking
+division.  All computations over a quotient ring happen in the ambient
+polynomial ring with the defining generators adjoined; outputs are
+deterministic (selection by minimal lcm degree, ties by generator index,
+bases sorted by decreasing leading monomial).
 """
 
 from __future__ import annotations
@@ -31,20 +31,11 @@ from .poly import (
     mono_quotient,
     transplant,
 )
-from .modules import (
-    MembershipBasis,
-    VecPoly,
-    _entries_from_vp,
-    _module_buchberger,
-    _reduced_module_basis,
-    _vp_from_entries,
-)
+from .modules import MembershipBasis, _entries_from_vp
 
 
 def divide(
-    f: Polynomial,
-    divisors: Sequence[Polynomial],
-    ring: PresentedRing | None = None,
+    f: Polynomial, divisors: Sequence[Polynomial]
 ) -> tuple[list[Polynomial], Polynomial]:
     """Division with remainder: f = sum(q[i]*divisors[i]) + r.
 
@@ -58,8 +49,6 @@ def divide(
             raise DimensionError("divisor over a different signature")
         if d.is_zero():
             raise ArgumentError("zero divisor")
-    if ring is not None and ring.signature != sig:
-        raise DimensionError("polynomial does not live in the given ring")
     key = sig.key()
     lms = [d.leading_monomial() for d in divisors]
     lcs = [d.terms[m] for d, m in zip(divisors, lms)]
@@ -103,49 +92,35 @@ def spolynomial(f: Polynomial, g: Polynomial) -> Polynomial:
     )
 
 
-def _rank1(
-    generators: Iterable[Polynomial],
-) -> tuple[RingSignature | None, list[VecPoly]]:
-    """The nonzero generators as rank-1 module vectors {(0, m): c}.
-
-    The module engine does not compare signatures, so mixing them is
-    rejected here."""
-    polys = [g for g in generators if not g.is_zero()]
-    sig = polys[0].sig if polys else None
-    if any(g.sig != sig for g in polys):
-        raise DimensionError("polynomials over different signatures")
-    return sig, [_vp_from_entries((g,)) for g in polys]
-
-
 def buchberger(generators: Iterable[Polynomial]) -> list[Polynomial]:
     """A (not yet reduced) monic Groebner basis, deterministically built by
     the module engine at rank 1: the normal strategy (minimal lcm degree
     first, ties by index) with the coprimality and chain criteria."""
-    sig, vps = _rank1(generators)
-    if sig is None:
+    polys = [g for g in generators if g.terms]
+    if not polys:
         return []
-    basis, _, _ = _module_buchberger(vps, sig, 1)
-    return [_entries_from_vp(vp, sig, 1)[0] for vp in basis]
+    sig = polys[0].sig
+    table = MembershipBasis(PresentedRing(sig), 1, [(g,) for g in polys])
+    return [_entries_from_vp(vp, sig, 1)[0] for vp in table._basis]
 
 
 def reduced_basis(generators: Iterable[Polynomial]) -> tuple[Polynomial, ...]:
     """The unique reduced Groebner basis, sorted by decreasing leading
-    monomial: monic elements, no term divisible by another leading term."""
-    sig, vps = _rank1(generators)
-    if sig is None:
+    monomial: monic elements, no term divisible by another leading term.
+    Generators over different signatures raise `DimensionError`."""
+    polys = [g for g in generators if g.terms]
+    if not polys:
         return ()
-    reduced = _reduced_module_basis(vps, sig, 1)
-    return tuple(_entries_from_vp(vp, sig, 1)[0] for vp in reduced)
+    return IdealHandle(PresentedRing(polys[0].sig), polys).groebner_basis()
 
 
 class IdealHandle:
-    """An ideal of a presented ring with a cached reduced basis.
-
-    The basis is that of <generators> + <ring defining generators> in the
-    ambient polynomial ring; it is computed at most once.
+    """An ideal of a presented ring with one Groebner table: a rank-1
+    `modules.MembershipBasis` of <generators> + <ring defining generators>
+    in the ambient polynomial ring, built at most once, on first use.
     """
 
-    __slots__ = ("ring", "generators", "_basis", "_normal_forms")
+    __slots__ = ("ring", "generators", "_table", "_basis")
 
     def __init__(self, ring: PresentedRing, generators: Iterable[Polynomial]):
         gens = tuple(generators)
@@ -154,16 +129,24 @@ class IdealHandle:
                 raise DimensionError("generator over a different signature")
         object.__setattr__(self, "ring", ring)
         object.__setattr__(self, "generators", gens)
+        object.__setattr__(self, "_table", None)
         object.__setattr__(self, "_basis", None)
-        object.__setattr__(self, "_normal_forms", None)
 
     def __setattr__(self, name, value):  # pragma: no cover - guard only
         raise AttributeError("IdealHandle is immutable")
 
+    def _groebner_table(self) -> MembershipBasis:
+        if self._table is None:
+            table = MembershipBasis(self.ring, 1, [(g,) for g in self.generators])
+            object.__setattr__(self, "_table", table)
+        return self._table
+
     def groebner_basis(self) -> tuple[Polynomial, ...]:
+        """The reduced Groebner basis, sorted by decreasing leading
+        monomial (cached)."""
         if self._basis is None:
-            gens = self.generators + self.ring.defining
-            object.__setattr__(self, "_basis", reduced_basis(gens))
+            basis = tuple(e[0] for e in self._groebner_table().reduced())
+            object.__setattr__(self, "_basis", basis)
         return self._basis
 
     def normal_form(self, f: Polynomial) -> Polynomial:
@@ -172,10 +155,7 @@ class IdealHandle:
             raise DimensionError("polynomial over a different signature")
         if not f.terms:
             return f
-        if self._normal_forms is None:
-            table = MembershipBasis(self.ring, 1, [(g,) for g in self.generators])
-            object.__setattr__(self, "_normal_forms", table)
-        return self._normal_forms.normal_form((f,))[0]
+        return self._groebner_table().normal_form((f,))[0]
 
     def contains(self, f: Polynomial) -> bool:
         return self.normal_form(f).is_zero()

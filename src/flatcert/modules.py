@@ -13,9 +13,10 @@ project onto syzygy generators.
 Every normal form runs through `_vp_normal_form`: it keys each term
 once, with the ring's descending key, when the term enters the work set,
 and takes the top term off a heap.  `MembershipBasis` is the one
-normal-form table: ring reductions (`PresentedRing.reduce`) and ideal
-membership (`IdealHandle.normal_form`) query one at rank 1.  Only the
-public quotient-tracking `groebner.divide` keeps a loop of its own.
+Groebner table per generator set: it gives normal forms and the reduced
+basis.  Ideals, and rings through their defining ideal, hold one at rank
+1.  Only it and `syzygy_entries` run `_module_buchberger`; only the
+quotient-tracking `groebner.divide` keeps a normal-form loop of its own.
 """
 
 from __future__ import annotations
@@ -42,18 +43,30 @@ VecPoly = dict[VecTerm, Fraction]
 Entries = tuple[Polynomial, ...]
 
 
+def _column(
+    ring: PresentedRing, entries: Iterable[Polynomial], rank: int | None = None
+) -> Entries:
+    """`entries` as a tuple, checked to have length `rank` (when given)
+    and every entry over the ring's signature."""
+    entries = tuple(entries)
+    if rank is not None and len(entries) != rank:
+        raise DimensionError(f"vector of length {len(entries)}, expected {rank}")
+    sig = ring.signature
+    for e in entries:
+        # Entries mostly share the ring's signature object; `!=` is slow.
+        if e.sig is not sig and e.sig != sig:
+            raise DimensionError("entry over a different signature")
+    return entries
+
+
 class ModuleElement:
     """An element of ring^n, stored as a tuple of polynomial entries."""
 
     __slots__ = ("ring", "entries")
 
     def __init__(self, ring: PresentedRing, entries: Iterable[Polynomial]):
-        entries = tuple(entries)
-        for e in entries:
-            if e.sig != ring.signature:
-                raise DimensionError("entry over a different signature")
         object.__setattr__(self, "ring", ring)
-        object.__setattr__(self, "entries", entries)
+        object.__setattr__(self, "entries", _column(ring, entries))
 
     def __setattr__(self, name, value):  # pragma: no cover - guard only
         raise AttributeError("ModuleElement is immutable")
@@ -92,18 +105,10 @@ class PolyMatrix:
     ):
         if nrows < 0:
             raise ArgumentError("negative row count")
-        cols = []
-        for col in columns:
-            col = tuple(col)
-            if len(col) != nrows:
-                raise DimensionError("column length does not match row count")
-            for e in col:
-                if e.sig != ring.signature:
-                    raise DimensionError("entry over a different signature")
-            cols.append(col)
+        cols = tuple(_column(ring, col, nrows) for col in columns)
         object.__setattr__(self, "ring", ring)
         object.__setattr__(self, "nrows", nrows)
-        object.__setattr__(self, "columns", tuple(cols))
+        object.__setattr__(self, "columns", cols)
 
     def __setattr__(self, name, value):  # pragma: no cover - guard only
         raise AttributeError("PolyMatrix is immutable")
@@ -321,40 +326,6 @@ def _minimal_leads(
     return kept
 
 
-def _reduced_module_basis(
-    gens: Iterable[VecPoly], sig, rank: int
-) -> list[VecPoly]:
-    """The unique reduced module basis, sorted by decreasing lead term."""
-    basis, leads, _ = _module_buchberger(gens, sig, rank)
-    if not basis:
-        return []
-    dk = sig.descending_key()
-    vk = _descending_vkey(sig)
-    minimal = _minimal_leads(zip(basis, leads), vk)
-    kept = [vp for vp, _ in minimal]
-    kept_leads = [lt for _, lt in minimal]
-    changed = True
-    while changed:
-        changed = False
-        for idx in range(len(kept)):
-            others = kept[:idx] + kept[idx + 1 :]
-            oleads = kept_leads[:idx] + kept_leads[idx + 1 :]
-            obuckets: dict[int, list[int]] = {}
-            for k, (p, _) in enumerate(oleads):
-                obuckets.setdefault(p, []).append(k)
-            r = _vp_normal_form(kept[idx], others, oleads, obuckets, dk)
-            if r != kept[idx]:
-                lt = min(r, key=vk)
-                c = r[lt]
-                if c != 1:
-                    r = {t: v / c for t, v in r.items()}
-                kept[idx] = r
-                kept_leads[idx] = lt
-                changed = True
-    paired = sorted(zip(kept, kept_leads), key=lambda pair: vk(pair[1]))
-    return [vp for vp, _ in paired]
-
-
 def _defining_vps(ring: PresentedRing, rank: int) -> list[VecPoly]:
     out = []
     for q in ring.defining:
@@ -379,22 +350,14 @@ class SubmodulePresentation:
             raise ArgumentError("negative ambient rank")
         gens = []
         for g in generators:
-            entries = g.entries if isinstance(g, ModuleElement) else tuple(g)
-            elem = ModuleElement(ring, entries)
-            if elem.rank != ambient_rank:
-                raise DimensionError("generator length does not match rank")
-            gens.append(elem)
+            entries = g.entries if isinstance(g, ModuleElement) else g
+            gens.append(ModuleElement(ring, _column(ring, entries, ambient_rank)))
         object.__setattr__(self, "ring", ring)
         object.__setattr__(self, "ambient_rank", ambient_rank)
         object.__setattr__(self, "generators", tuple(gens))
 
     def __setattr__(self, name, value):  # pragma: no cover - guard only
         raise AttributeError("SubmodulePresentation is immutable")
-
-    def matrix(self) -> PolyMatrix:
-        return PolyMatrix(
-            self.ring, self.ambient_rank, [g.entries for g in self.generators]
-        )
 
     def __str__(self) -> str:
         gens = ", ".join(str(g) for g in self.generators)
@@ -407,27 +370,25 @@ def module_reduced_gb(sub: SubmodulePresentation) -> list[ModuleElement]:
     computing, and elements of that defining submodule (every entry zero
     in the ring) are filtered from the reported basis."""
     ring = sub.ring
-    sig = ring.signature
-    rank = sub.ambient_rank
-    gens = [_vp_from_entries(g.entries) for g in sub.generators]
-    reduced = _reduced_module_basis(gens + _defining_vps(ring, rank), sig, rank)
-    out = []
-    for vp in reduced:
-        entries = _entries_from_vp(vp, sig, rank)
-        if any(not ring.reduce(e).is_zero() for e in entries):
-            out.append(ModuleElement(ring, entries))
-    return out
+    table = MembershipBasis(
+        ring, sub.ambient_rank, [g.entries for g in sub.generators]
+    )
+    return [
+        ModuleElement(ring, entries)
+        for entries in table.reduced()
+        if any(not ring.reduce(e).is_zero() for e in entries)
+    ]
 
 
 class MembershipBasis:
-    """A module Groebner basis of given columns (defining generators
-    adjoined) supporting normal-form queries.
+    """The Groebner basis of given columns, defining generators adjoined
+    in every coordinate: normal forms, membership and the reduced basis.
 
-    Full normal forms modulo a Groebner basis do not depend on which
-    basis is used, so this one table serves module membership, ideal
-    membership and ring reduction alike."""
+    Neither a full normal form nor the reduced basis (inter-reduced from
+    this table's own basis) depends on which Groebner basis it comes
+    from, so one table serves every question about one generator set."""
 
-    __slots__ = ("ring", "rank", "_basis", "_leads", "_buckets", "_dk")
+    __slots__ = ("ring", "rank", "_basis", "_leads", "_buckets", "_dk", "_reduced")
 
     def __init__(
         self,
@@ -436,7 +397,7 @@ class MembershipBasis:
         columns: Iterable[Sequence[Polynomial]],
     ):
         sig = ring.signature
-        gens = [_vp_from_entries(tuple(c)) for c in columns]
+        gens = [_vp_from_entries(_column(ring, c, rank)) for c in columns]
         gens += _defining_vps(ring, rank)
         basis, leads, buckets = _module_buchberger(gens, sig, rank)
         object.__setattr__(self, "ring", ring)
@@ -445,20 +406,52 @@ class MembershipBasis:
         object.__setattr__(self, "_leads", leads)
         object.__setattr__(self, "_buckets", buckets)
         object.__setattr__(self, "_dk", sig.descending_key())
+        object.__setattr__(self, "_reduced", None)
 
     def __setattr__(self, name, value):  # pragma: no cover - guard only
         raise AttributeError("MembershipBasis is immutable")
 
     def normal_form(self, entries: Sequence[Polynomial]) -> Entries:
-        entries = tuple(entries)
-        if len(entries) != self.rank:
-            raise DimensionError("vector length does not match rank")
+        entries = _column(self.ring, entries, self.rank)
         vp = _vp_from_entries(entries)
         nf = _vp_normal_form(vp, self._basis, self._leads, self._buckets, self._dk)
         return _entries_from_vp(nf, self.ring.signature, self.rank)
 
     def contains(self, entries: Sequence[Polynomial]) -> bool:
         return all(e.is_zero() for e in self.normal_form(entries))
+
+    def reduced(self) -> tuple[Entries, ...]:
+        """The unique reduced Groebner basis, as entry tuples sorted by
+        decreasing lead term (computed once)."""
+        if self._reduced is not None:
+            return self._reduced
+        sig = self.ring.signature
+        vk = _descending_vkey(sig)
+        minimal = _minimal_leads(zip(self._basis, self._leads), vk)
+        kept = [vp for vp, _ in minimal]
+        kept_leads = [lt for _, lt in minimal]
+        changed = True
+        while changed:
+            changed = False
+            for idx in range(len(kept)):
+                others = kept[:idx] + kept[idx + 1 :]
+                oleads = kept_leads[:idx] + kept_leads[idx + 1 :]
+                obuckets: dict[int, list[int]] = {}
+                for k, (p, _) in enumerate(oleads):
+                    obuckets.setdefault(p, []).append(k)
+                r = _vp_normal_form(kept[idx], others, oleads, obuckets, self._dk)
+                if r != kept[idx]:
+                    lt = min(r, key=vk)
+                    c = r[lt]
+                    if c != 1:
+                        r = {t: v / c for t, v in r.items()}
+                    kept[idx] = r
+                    kept_leads[idx] = lt
+                    changed = True
+        paired = sorted(zip(kept, kept_leads), key=lambda pair: vk(pair[1]))
+        reduced = tuple(_entries_from_vp(vp, sig, self.rank) for vp, _ in paired)
+        object.__setattr__(self, "_reduced", reduced)
+        return reduced
 
 
 def syzygy_entries(
@@ -495,7 +488,7 @@ def syzygy_entries(
     for vp, _ in kept:
         shifted = {(p - nrows, mono): c for (p, mono), c in vp.items()}
         entries = _entries_from_vp(shifted, sig, m)
-        entries = tuple(ring.reduce(e) for e in entries)
+        entries = tuple(ring.reduce(e) if e.terms else e for e in entries)
         if any(not e.is_zero() for e in entries):
             out.append(entries)
     return out

@@ -16,6 +16,10 @@ column positions.
 Chains of '+', '-' and '*' may be arbitrarily long: they parse into
 left-nested trees, which `to_polynomial` and `expr_text` walk without
 recursion.  Parentheses and unary minus nest at most MAX_NESTING deep.
+`to_polynomial` charges each product a*b len(a)*len(b) term products,
+and a power f^e of a sum the total of its e products; an expansion that
+would spend more than MAX_TERMS is a parse error.  The charge bounds
+both the work and the result's term count.
 """
 
 from __future__ import annotations
@@ -46,6 +50,7 @@ class Token:
 
 
 MAX_NESTING = 100
+MAX_TERMS = 20_000
 
 _TWO_CHAR = ("->", "==", "!=")
 _ONE_CHAR = "+-*^/()[]{},;:="
@@ -268,11 +273,32 @@ def to_polynomial(node: Expr, sig: RingSignature) -> Polynomial:
             elif step.op == "-":
                 acc = acc - right
             else:
+                _check_terms(len(acc.terms) * len(right.terms), step)
                 acc = acc * right
         return acc
     if isinstance(node, Pow):
-        return to_polynomial(node.base, sig) ** node.exponent
+        base = to_polynomial(node.base, sig)
+        if len(base.terms) <= 1:
+            return base ** node.exponent
+        # A power of a sum is expanded as repeated products, and the whole
+        # expansion is charged: the exponent, not the input's length, sets
+        # how many products it takes.
+        acc, spent = Polynomial.constant(sig, 1), 0
+        for _ in range(node.exponent):
+            spent += len(acc.terms) * len(base.terms)
+            _check_terms(spent, node)
+            acc = acc * base
+        return acc
     raise AlgebraError("unknown expression node")  # pragma: no cover
+
+
+def _check_terms(spent: int, node: BinOp | Pow) -> None:
+    if spent > MAX_TERMS:
+        raise ParseError(
+            f"expansion too large: more than {MAX_TERMS} term products",
+            node.line,
+            node.col,
+        )
 
 
 def _left_spine(node: BinOp) -> list[BinOp]:

@@ -10,8 +10,9 @@ polynomial has an empty term map.
 Each monomial order has two sort keys on `RingSignature`: `key()`, which
 ascends with the order, and `descending_key()`, which descends with it.
 Normal forms compute the descending key once per term and select the top
-term with a heap; `PresentedRing.reduce` queries a rank-1
-`modules.MembershipBasis` of the defining ideal.
+term with a heap.  `PresentedRing.reduce` goes through the ring's
+defining ideal, a `groebner.IdealHandle` whose one Groebner table also
+gives `defining_basis`.
 """
 
 from __future__ import annotations
@@ -420,15 +421,15 @@ def transplant(
 
 
 class PresentedRing:
-    """QQ[variables]/(defining generators), with a cached reduced basis.
+    """QQ[variables]/(defining generators).
 
-    Instances are immutable in practice; the defining basis, and the
-    rank-1 `modules.MembershipBasis` that `reduce` queries, are each
-    computed at most once and reused by every later call, so sharing a
-    ring between threads is safe.
+    Instances are immutable in practice.  The defining ideal's
+    `groebner.IdealHandle`, whose table serves `defining_basis` and
+    `reduce`, is computed at most once and reused by every later call, so
+    sharing a ring between threads is safe.
     """
 
-    __slots__ = ("signature", "defining", "_basis", "_normal_forms")
+    __slots__ = ("signature", "defining", "_ideal")
 
     def __init__(self, signature: RingSignature, defining: Iterable[Polynomial] = ()):
         object.__setattr__(self, "signature", signature)
@@ -439,8 +440,7 @@ class PresentedRing:
             if not p.is_zero():
                 kept.append(p)
         object.__setattr__(self, "defining", tuple(kept))
-        object.__setattr__(self, "_basis", None)
-        object.__setattr__(self, "_normal_forms", None)
+        object.__setattr__(self, "_ideal", None)
 
     def __setattr__(self, name, value):  # pragma: no cover - guard only
         raise AttributeError("PresentedRing is immutable")
@@ -449,13 +449,16 @@ class PresentedRing:
     def is_quotient(self) -> bool:
         return bool(self.defining)
 
+    def _defining_ideal(self):
+        if self._ideal is None:
+            from .groebner import IdealHandle
+
+            object.__setattr__(self, "_ideal", IdealHandle(self, ()))
+        return self._ideal
+
     def defining_basis(self) -> tuple[Polynomial, ...]:
         """Reduced Groebner basis of the defining ideal (cached)."""
-        if self._basis is None:
-            from .groebner import reduced_basis
-
-            object.__setattr__(self, "_basis", reduced_basis(self.defining))
-        return self._basis
+        return self._defining_ideal().groebner_basis()
 
     def reduce(self, f: Polynomial) -> Polynomial:
         """Normal form of f modulo the defining ideal (the remainder of
@@ -464,11 +467,7 @@ class PresentedRing:
             raise DimensionError("polynomial over a different signature")
         if not self.defining or not f.terms:
             return f
-        if self._normal_forms is None:
-            from .modules import MembershipBasis
-
-            object.__setattr__(self, "_normal_forms", MembershipBasis(self, 1, ()))
-        return self._normal_forms.normal_form((f,))[0]
+        return self._defining_ideal().normal_form(f)
 
     def zero(self) -> Polynomial:
         return Polynomial.zero(self.signature)

@@ -1,5 +1,7 @@
 """Command-line interface: subcommands, exit statuses, report formats."""
 
+import time
+
 import pytest
 
 from flatcert.cli import (
@@ -58,6 +60,21 @@ def test_run_computation_error(tmp_path, capsys):
     )
     assert main(["run", str(path)]) == 3
     assert "line 5" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "expr",
+    ["(x + y + z + 1)^400", "(x + y*-(" * 7 + "x" + "))^2" * 7],
+    ids=["large-power", "nested-squares"],
+)
+def test_run_oversized_expansion_exits_2(expr, tmp_path, capsys):
+    path = tmp_path / "huge.fc"
+    path.write_text(f"ring R = QQ[x,y,z];\nideal J = ({expr}) in R;\n", encoding="utf-8")
+    start = time.perf_counter()
+    assert main(["run", str(path)]) == 2
+    assert time.perf_counter() - start < 1.0
+    err = capsys.readouterr().err
+    assert "line 2" in err and "expansion too large" in err
 
 
 def test_run_missing_file(capsys):

@@ -292,3 +292,24 @@ def test_reduced_basis_rejects_mixed_signatures(qq_xy):
     lex = fc.ring("x,y", order="lex")
     with pytest.raises(fc.DimensionError):
         reduced_basis([fc.poly("x + y", qq_xy), fc.poly("x", lex)])
+
+
+def test_ideal_and_ring_run_buchberger_once_each(cone_ring, monkeypatch):
+    import flatcert.modules as modules
+
+    runs = []
+    engine = modules._module_buchberger
+
+    def counted(*args):
+        runs.append(args)
+        return engine(*args)
+
+    monkeypatch.setattr(modules, "_module_buchberger", counted)
+    J = fc.ideal(cone_ring, "x - u", "z - u*v")
+    z = fc.poly("z", cone_ring)
+    basis = J.groebner_basis()
+    assert J.normal_form(fc.poly("u*v", cone_ring)) == z
+    assert J.contains(basis[0]) and len(runs) == 1
+    assert cone_ring.reduce(fc.poly("x*y", cone_ring)) == z**2
+    assert cone_ring.defining_basis() == (fc.poly("x*y - z^2", cone_ring),)
+    assert len(runs) == 2

@@ -74,6 +74,22 @@ def test_membership_basis(qq_xy):
     assert str(nf[0]) == "y"
 
 
+def test_membership_basis_rejects_malformed_columns(qq_xy):
+    x, y = fc.poly("x", qq_xy), fc.poly("y", qq_xy)
+    lex_x = fc.poly("x", fc.ring("x,y", order="lex"))
+    with pytest.raises(fc.DimensionError):
+        MembershipBasis(qq_xy, 1, [(x, y)])  # longer than the rank
+    with pytest.raises(fc.DimensionError):
+        MembershipBasis(qq_xy, 2, [(x,)])  # shorter than the rank
+    with pytest.raises(fc.DimensionError):
+        MembershipBasis(qq_xy, 1, [(lex_x,)])
+    basis = MembershipBasis(qq_xy, 1, [(x,)])
+    with pytest.raises(fc.DimensionError):
+        basis.normal_form((x, y))
+    with pytest.raises(fc.DimensionError):
+        basis.normal_form((lex_x,))
+
+
 def test_syzygy_examples(qq_xy, dual_numbers):
     # M = [x y]: single syzygy (y, -x) up to sign and scaling
     m = _matrix(qq_xy, [("x",), ("y",)])

@@ -1,6 +1,7 @@
 """Tokenizer, polynomial expression parser, and pretty-printer."""
 
 import random
+import time
 from fractions import Fraction
 
 import pytest
@@ -9,6 +10,7 @@ import flatcert as fc
 from flatcert import ParseError, parse_polynomial
 from flatcert.parse import (
     MAX_NESTING,
+    MAX_TERMS,
     TokenStream,
     expr_text,
     parse_expression,
@@ -128,3 +130,40 @@ def test_deep_nesting_is_a_parse_error(qq_xy):
     with pytest.raises(ParseError) as err:
         fc.poly("x*" + "-" * 2000 + "y", qq_xy)
     assert f"col {depth + 3}" in str(err.value)
+
+
+def _sum_of_powers(name, count):
+    return "(" + " + ".join(f"{name}^{k}" for k in range(count)) + ")"
+
+
+def _squares_nested(depth):
+    text = "x"
+    for _ in range(depth):
+        text = f"(x + y*-({text}))^2"
+    return text
+
+
+@pytest.mark.parametrize(
+    "text, col",
+    [
+        ("(x + y + z + 1)^400", 16),  # 10.8 million terms
+        (_squares_nested(7), 87),  # each level squares the one inside
+        ("(x + 1)^9999", 8),  # few terms, but 5,000 multiplications
+        (_sum_of_powers("x", 150) + "*" + _sum_of_powers("y", 150), 1090),
+    ],
+    ids=["large-power", "nested-squares", "many-multiplications", "product"],
+)
+def test_oversized_expansions_are_parse_errors(qq_xyz, text, col):
+    start = time.perf_counter()
+    with pytest.raises(ParseError) as err:
+        parse_polynomial(text, qq_xyz.signature)
+    assert time.perf_counter() - start < 1.0
+    assert f"line 1, col {col}:" in str(err.value)
+    assert f"more than {MAX_TERMS}" in str(err.value)
+
+
+def test_expansions_within_the_bound(qq_xyz):
+    sig = qq_xyz.signature
+    assert len(parse_polynomial("(x + y + z + 1)^12", sig).terms) == 455
+    assert len(parse_polynomial("(x + 1)^100*(y + 1)^100", sig).terms) == 101**2
+    assert parse_polynomial("x^1000000*y", sig).terms == {(1000000, 1, 0): 1}

@@ -39,7 +39,6 @@ from .groebner import (
     map_kernel,
     reduced_basis,
     reduced_groebner,
-    spolynomial,
 )
 from .modules import (
     MembershipBasis,

@@ -220,6 +220,10 @@ def main(argv: list[str] | None = None) -> int:
     """Run one subcommand and return its exit status: a handler's own
     status, else 2 for an unreadable file or a parse error and 3 for any
     other computation error."""
+    # Computed coefficients may be longer than the interpreter prints by
+    # default; parse.MAX_DIGITS bounds only the input.
+    if hasattr(sys, "set_int_max_str_digits"):
+        sys.set_int_max_str_digits(0)
     args = build_parser().parse_args(argv)
     try:
         return args.handler(args)

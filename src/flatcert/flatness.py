@@ -202,14 +202,14 @@ def flat_at_point(
             )
         along = RingMap(p.ring, ring, [ring.var(name) for name in base_vars])
     if along is None:
+        # The point lives in M's ring, and PointSpec checked it is proper.
         ext = list(pgens)
     elif along.source != p.ring or along.target != ring:
         raise ArgumentError("extension map does not connect point to module")
     else:
         ext = [along.apply(q) for q in pgens]
-    extended = IdealHandle(ring, ext)
-    if not extended.is_proper():
-        raise ArgumentError("extended point ideal is improper")
+        if not IdealHandle(ring, ext).is_proper():
+            raise ArgumentError("extended point ideal is improper")
     fiber = PresentedModule.cyclic(ring, ext)
     report = tor(1, M, fiber)
     return FlatnessVerdict(report.is_zero, report)

@@ -3,12 +3,14 @@ membership, variable elimination, and ring-map kernels.
 
 Groebner bases of ideals come from the module engine in `modules`, run
 at rank 1 (a polynomial is the vector {(0, m): c}).  An `IdealHandle`
-holds one rank-1 `modules.MembershipBasis` for its reduced basis and its
-normal forms.  `divide` stays here as the public quotient-tracking
-division.  All computations over a quotient ring happen in the ambient
-polynomial ring with the defining generators adjoined; outputs are
-deterministic (selection by minimal lcm degree, ties by generator index,
-bases sorted by decreasing leading monomial).
+holds one rank-1 `modules.MembershipBasis` for its reduced basis (each
+element a minimal lead plus its tail's normal form) and its normal
+forms; `buchberger` returns the same reduced basis as a list.  `divide`
+stays here as the public quotient-tracking division.  All computations
+over a quotient ring happen in the ambient polynomial ring with the
+defining generators adjoined; outputs are deterministic (selection by
+minimal lcm degree, ties by generator index, bases sorted by decreasing
+leading monomial).
 """
 
 from __future__ import annotations
@@ -26,12 +28,11 @@ from .poly import (
     RingSignature,
     fresh_name,
     mono_divides,
-    mono_lcm,
     mono_mul,
     mono_quotient,
     transplant,
 )
-from .modules import MembershipBasis, _entries_from_vp
+from .modules import MembershipBasis
 
 
 def divide(
@@ -80,28 +81,10 @@ def divide(
     )
 
 
-def spolynomial(f: Polynomial, g: Polynomial) -> Polynomial:
-    """The S-polynomial of f and g (both monic-normalized internally)."""
-    if f.sig != g.sig:
-        raise DimensionError("polynomials over different signatures")
-    mf, cf = f.leading_term()
-    mg, cg = g.leading_term()
-    lcm = mono_lcm(mf, mg)
-    return f.mul_term(mono_quotient(lcm, mf), 1 / cf) - g.mul_term(
-        mono_quotient(lcm, mg), 1 / cg
-    )
-
-
 def buchberger(generators: Iterable[Polynomial]) -> list[Polynomial]:
-    """A (not yet reduced) monic Groebner basis, deterministically built by
-    the module engine at rank 1: the normal strategy (minimal lcm degree
-    first, ties by index) with the coprimality and chain criteria."""
-    polys = [g for g in generators if g.terms]
-    if not polys:
-        return []
-    sig = polys[0].sig
-    table = MembershipBasis(PresentedRing(sig), 1, [(g,) for g in polys])
-    return [_entries_from_vp(vp, sig, 1)[0] for vp in table._basis]
+    """The reduced Groebner basis as a list: monic, sorted by decreasing
+    leading monomial (see `reduced_basis`)."""
+    return list(reduced_basis(generators))
 
 
 def reduced_basis(generators: Iterable[Polynomial]) -> tuple[Polynomial, ...]:

@@ -14,8 +14,9 @@ Every normal form runs through `_vp_normal_form`: it keys each term
 once, with the ring's descending key, when the term enters the work set,
 and takes the top term off a heap.  `MembershipBasis` is the one
 Groebner table per generator set: it gives normal forms and the reduced
-basis.  Ideals, and rings through their defining ideal, hold one at rank
-1.  Only it and `syzygy_entries` run `_module_buchberger`; only the
+basis, each element a minimal lead plus the normal form of its tail.
+Ideals, and rings through their defining ideal, hold one at rank 1.
+Only it and `syzygy_entries` run `_module_buchberger`; only the
 quotient-tracking `groebner.divide` keeps a normal-form loop of its own.
 """
 
@@ -316,13 +317,14 @@ def _minimal_leads(
     pairs: Iterable[tuple[VecPoly, VecTerm]], vk: Callable[[VecTerm], tuple]
 ) -> list[tuple[VecPoly, VecTerm]]:
     """The (element, lead) pairs whose lead no other kept lead divides,
-    scanned by ascending lead term, ties in input order (reverse sorts are
-    stable)."""
+    by decreasing lead: the scan runs by ascending lead, ties in input
+    order (reverse sorts are stable), and the kept leads are distinct."""
     kept: list[tuple[VecPoly, VecTerm]] = []
     for vp, lt in sorted(pairs, key=lambda p: vk(p[1]), reverse=True):
         pos, m = lt
         if not any(p == pos and mono_divides(lm, m) for _, (p, lm) in kept):
             kept.append((vp, lt))
+    kept.reverse()
     return kept
 
 
@@ -384,9 +386,8 @@ class MembershipBasis:
     """The Groebner basis of given columns, defining generators adjoined
     in every coordinate: normal forms, membership and the reduced basis.
 
-    Neither a full normal form nor the reduced basis (inter-reduced from
-    this table's own basis) depends on which Groebner basis it comes
-    from, so one table serves every question about one generator set."""
+    A full normal form does not depend on which Groebner basis it is taken
+    against, so one table serves every question about one generator set."""
 
     __slots__ = ("ring", "rank", "_basis", "_leads", "_buckets", "_dk", "_reduced")
 
@@ -422,36 +423,22 @@ class MembershipBasis:
 
     def reduced(self) -> tuple[Entries, ...]:
         """The unique reduced Groebner basis, as entry tuples sorted by
-        decreasing lead term (computed once)."""
-        if self._reduced is not None:
-            return self._reduced
-        sig = self.ring.signature
-        vk = _descending_vkey(sig)
-        minimal = _minimal_leads(zip(self._basis, self._leads), vk)
-        kept = [vp for vp, _ in minimal]
-        kept_leads = [lt for _, lt in minimal]
-        changed = True
-        while changed:
-            changed = False
-            for idx in range(len(kept)):
-                others = kept[:idx] + kept[idx + 1 :]
-                oleads = kept_leads[:idx] + kept_leads[idx + 1 :]
-                obuckets: dict[int, list[int]] = {}
-                for k, (p, _) in enumerate(oleads):
-                    obuckets.setdefault(p, []).append(k)
-                r = _vp_normal_form(kept[idx], others, oleads, obuckets, self._dk)
-                if r != kept[idx]:
-                    lt = min(r, key=vk)
-                    c = r[lt]
-                    if c != 1:
-                        r = {t: v / c for t, v in r.items()}
-                    kept[idx] = r
-                    kept_leads[idx] = lt
-                    changed = True
-        paired = sorted(zip(kept, kept_leads), key=lambda pair: vk(pair[1]))
-        reduced = tuple(_entries_from_vp(vp, sig, self.rank) for vp, _ in paired)
-        object.__setattr__(self, "_reduced", reduced)
-        return reduced
+        decreasing lead term (computed once).  Its element with minimal
+        lead L is L plus the normal form of the tail of a table element
+        with lead L: table elements are monic, and the normal form, unique
+        against any Groebner basis, only has terms below L."""
+        if self._reduced is None:
+            sig = self.ring.signature
+            vk = _descending_vkey(sig)
+            table = (self._basis, self._leads, self._buckets, self._dk)
+            reduced = []
+            for vp, lt in _minimal_leads(zip(self._basis, self._leads), vk):
+                tail = dict(vp)
+                element = {lt: tail.pop(lt)}
+                element.update(_vp_normal_form(tail, *table))
+                reduced.append(_entries_from_vp(element, sig, self.rank))
+            object.__setattr__(self, "_reduced", tuple(reduced))
+        return self._reduced
 
 
 def syzygy_entries(
@@ -477,13 +464,12 @@ def syzygy_entries(
         gens.append(_vp_from_entries(col))
     gens += _defining_vps(ring, nrows)
     basis, leads, _ = _module_buchberger(gens, sig, nrows + m)
-    vk = _descending_vkey(sig)
     # The tracker block is ordered below every head position, so a lead in
     # the tracker block means the whole element lies there.
     kept = _minimal_leads(
-        ((vp, lt) for vp, lt in zip(basis, leads) if lt[0] >= nrows), vk
+        ((vp, lt) for vp, lt in zip(basis, leads) if lt[0] >= nrows),
+        _descending_vkey(sig),
     )
-    kept.sort(key=lambda p: vk(p[1]))
     out: list[Entries] = []
     for vp, _ in kept:
         shifted = {(p - nrows, mono): c for (p, mono), c in vp.items()}

@@ -19,11 +19,14 @@ recursion.  Parentheses and unary minus nest at most MAX_NESTING deep.
 `to_polynomial` charges each product a*b len(a)*len(b) term products,
 and a power f^e of a sum the total of its e products; an expansion that
 would spend more than MAX_TERMS is a parse error.  The charge bounds
-both the work and the result's term count.
+both the work and the result's term count.  Integer literals have at
+most MAX_DIGITS digits, and a power c*m^e of a term may give its
+coefficient at most MAX_DIGITS digits (about e*log10 max(|num|, den)).
 """
 
 from __future__ import annotations
 
+import math
 import re
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -51,6 +54,7 @@ class Token:
 
 MAX_NESTING = 100
 MAX_TERMS = 20_000
+MAX_DIGITS = 4_300
 
 _TWO_CHAR = ("->", "==", "!=")
 _ONE_CHAR = "+-*^/()[]{},;:="
@@ -91,6 +95,10 @@ def tokenize(text: str) -> list[Token]:
             continue
         m = _INT_RE.match(text, i)
         if m:
+            if len(m.group()) > MAX_DIGITS:
+                raise ParseError(
+                    f"integer longer than {MAX_DIGITS} digits", line, col
+                )
             tokens.append(Token("int", m.group(), line, col))
             col += len(m.group())
             i = m.end()
@@ -273,12 +281,16 @@ def to_polynomial(node: Expr, sig: RingSignature) -> Polynomial:
             elif step.op == "-":
                 acc = acc - right
             else:
-                _check_terms(len(acc.terms) * len(right.terms), step)
+                spent = len(acc.terms) * len(right.terms)
+                _charge(spent, MAX_TERMS, "term products", step)
                 acc = acc * right
         return acc
     if isinstance(node, Pow):
         base = to_polynomial(node.base, sig)
         if len(base.terms) <= 1:
+            for c in base.terms.values():
+                size = max(abs(c.numerator), c.denominator)
+                _charge(node.exponent * math.log10(size), MAX_DIGITS, "digits", node)
             return base ** node.exponent
         # A power of a sum is expanded as repeated products, and the whole
         # expansion is charged: the exponent, not the input's length, sets
@@ -286,18 +298,16 @@ def to_polynomial(node: Expr, sig: RingSignature) -> Polynomial:
         acc, spent = Polynomial.constant(sig, 1), 0
         for _ in range(node.exponent):
             spent += len(acc.terms) * len(base.terms)
-            _check_terms(spent, node)
+            _charge(spent, MAX_TERMS, "term products", node)
             acc = acc * base
         return acc
     raise AlgebraError("unknown expression node")  # pragma: no cover
 
 
-def _check_terms(spent: int, node: BinOp | Pow) -> None:
-    if spent > MAX_TERMS:
+def _charge(spent: float, limit: int, unit: str, node: BinOp | Pow) -> None:
+    if spent > limit:
         raise ParseError(
-            f"expansion too large: more than {MAX_TERMS} term products",
-            node.line,
-            node.col,
+            f"expansion too large: more than {limit} {unit}", node.line, node.col
         )
 
 

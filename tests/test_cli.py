@@ -77,6 +77,57 @@ def test_run_oversized_expansion_exits_2(expr, tmp_path, capsys):
     assert "line 2" in err and "expansion too large" in err
 
 
+_LONG_INT = "7" * 5000
+
+
+@pytest.mark.parametrize(
+    "body, where, message",
+    [
+        (f"ideal J = ({_LONG_INT}*x) in R;", "line 2, col 12", "integer longer"),
+        (f"ideal J = (x^{_LONG_INT}) in R;", "line 2, col 14", "integer longer"),
+        (f"module M = R^{_LONG_INT} / ((x));", "line 2, col 14", "integer longer"),
+        (
+            f"ideal J = (x) in R;\nassert tor({_LONG_INT}, J, J) == 0;",
+            "line 3, col 12",
+            "integer longer",
+        ),
+        (
+            "ideal J = (123456789/987654321^400000) in R;",
+            "line 2, col 31",
+            "more than 4300 digits",
+        ),
+        (
+            "ideal J = (2^20000*x - 1) in R;\nprint J;",
+            "line 2, col 13",
+            "more than 4300 digits",
+        ),
+    ],
+    ids=["coefficient", "exponent", "rank", "tor-index", "rational-power", "print"],
+)
+def test_run_huge_numbers_exit_2(body, where, message, tmp_path, capsys):
+    path = tmp_path / "huge.fc"
+    path.write_text(f"ring R = QQ[x,y];\n{body}\n", encoding="utf-8")
+    start = time.perf_counter()
+    assert main(["run", str(path)]) == 2
+    assert time.perf_counter() - start < 1.0
+    err = capsys.readouterr().err
+    assert where in err and message in err
+
+
+def test_gb_prints_coefficients_past_the_input_digit_bound(tmp_path, capsys):
+    path = tmp_path / "long.fc"
+    path.write_text(
+        "ring R = QQ[x,y];\nideal J = (x - 3^1500*y, x^7 - y^6) in R;\n",
+        encoding="utf-8",
+    )
+    start = time.perf_counter()
+    assert main(["gb", str(path), "J"]) == 0
+    assert time.perf_counter() - start < 1.0
+    lines = capsys.readouterr().out.splitlines()
+    # 3^10500 has 5,010 digits, more than Python prints by default.
+    assert lines == [f"y^7 - 1/{3**10500}*y^6", f"x - {3**1500}*y"]
+
+
 def test_run_missing_file(capsys):
     assert main(["run", "/nonexistent/case.fc"]) == 2
 

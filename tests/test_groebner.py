@@ -14,7 +14,6 @@ from flatcert import (
     map_kernel,
     reduced_basis,
     reduced_groebner,
-    spolynomial,
 )
 from helpers import (
     brute_membership,
@@ -71,16 +70,6 @@ def test_divide_depends_on_divisor_order(qq_xy):
     assert ra.is_zero() and rb.is_zero()
     assert [str(q) for q in qa] == ["y", "0"]
     assert [str(q) for q in qb] == ["x", "0"]
-
-
-def test_spolynomial(qq_xy):
-    x = fc.poly("x", qq_xy)
-    y = fc.poly("y", qq_xy)
-    f = x**2 + y
-    g = x * y + x
-    sp = spolynomial(f, g)
-    # y*f - x*g cancels the x^2*y leads
-    assert sp == y * f - x * g
 
 
 def test_reduced_groebner_examples(qq_xy, qq_xyz):
@@ -313,3 +302,27 @@ def test_ideal_and_ring_run_buchberger_once_each(cone_ring, monkeypatch):
     assert cone_ring.reduce(fc.poly("x*y", cone_ring)) == z**2
     assert cone_ring.defining_basis() == (fc.poly("x*y - z^2", cone_ring),)
     assert len(runs) == 2
+
+
+def test_flat_at_point_runs_buchberger_once_on_the_point(monkeypatch):
+    import flatcert.flatness as flatness
+    import flatcert.modules as modules
+
+    runs, runs_before_tor = [], []
+    engine = modules._module_buchberger
+    real_tor = flatness.tor
+
+    def counted(*args):
+        runs.append(args)
+        return engine(*args)
+
+    def tor_after_point(*args):
+        runs_before_tor.append(len(runs))
+        return real_tor(*args)
+
+    monkeypatch.setattr(modules, "_module_buchberger", counted)
+    monkeypatch.setattr(flatness, "tor", tor_after_point)
+    R = fc.ring("x,y,u,v")
+    point = fc.PointSpec(R, fc.ideal(R, "u", "v"))
+    assert fc.flat_at_point(fc.ideal(R, "x - u", "y - u*v"), point).flat
+    assert runs_before_tor == [1]

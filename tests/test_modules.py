@@ -201,3 +201,43 @@ def test_module_gb_is_deterministic(qq_xyz):
         rng.shuffle(shuffled)
         sub2 = SubmodulePresentation(qq_xyz, nrows, tuple(shuffled))
         assert module_reduced_gb(sub2) == reference
+
+
+def _vector_lead(entries):
+    """(position, monomial) of the leading term, position over term."""
+    pos = next(i for i, e in enumerate(entries) if not e.is_zero())
+    return pos, entries[pos].leading_monomial()
+
+
+@pytest.mark.parametrize(
+    "variables, defining",
+    [
+        ("x,y,z", ()),
+        ("x,y,z", ("x*y - z^2",)),
+        ("x,y", ("x^2",)),
+        ("x,y,z,u,v", ("x*y - z^2",)),
+    ],
+    ids=["plain", "cone", "dual", "cone-chart"],
+)
+def test_module_reduced_basis_properties(variables, defining):
+    ring = fc.ring(variables, defining=defining)
+    rng = random.Random(17)
+    for _ in range(3):
+        gens = [
+            tuple(random_poly(rng, ring.signature, max_deg=2) for _ in range(2))
+            for _ in range(3)
+        ]
+        table = MembershipBasis(ring, 2, gens)
+        reduced = table.reduced()
+        leads = [_vector_lead(g) for g in reduced]
+        for g, (pos, lm) in zip(reduced, leads):
+            assert g[pos].terms[lm] == 1
+            assert table.contains(g)
+        for i, g in enumerate(reduced):
+            for j, (pos, lm) in enumerate(leads):
+                if i != j:
+                    assert not any(fc.mono_divides(lm, m) for m in g[pos].terms)
+        span = MembershipBasis(ring, 2, reduced)
+        assert all(span.contains(g) for g in gens)
+        rng.shuffle(gens)
+        assert MembershipBasis(ring, 2, gens).reduced() == reduced

@@ -9,6 +9,7 @@ import pytest
 import flatcert as fc
 from flatcert import ParseError, parse_polynomial
 from flatcert.parse import (
+    MAX_DIGITS,
     MAX_NESTING,
     MAX_TERMS,
     TokenStream,
@@ -167,3 +168,22 @@ def test_expansions_within_the_bound(qq_xyz):
     assert len(parse_polynomial("(x + y + z + 1)^12", sig).terms) == 455
     assert len(parse_polynomial("(x + 1)^100*(y + 1)^100", sig).terms) == 101**2
     assert parse_polynomial("x^1000000*y", sig).terms == {(1000000, 1, 0): 1}
+
+
+def test_digit_bound_on_literals_and_powers_of_terms(qq_xy):
+    sig = qq_xy.signature
+    digits = "9" * MAX_DIGITS
+    assert parse_polynomial(digits + "*x", sig).terms == {(1, 0): int(digits)}
+    with pytest.raises(ParseError) as err:
+        tokenize("x + 1" + digits)
+    assert "col 5:" in str(err.value)
+    assert len(str(parse_polynomial("2^14000", sig).terms[(0, 0)])) == 4215
+    for text, col in [("2^14300", 2), ("x*(1/3*y)^10000", 10)]:
+        start = time.perf_counter()
+        with pytest.raises(ParseError) as err:
+            parse_polynomial(text, sig)
+        assert time.perf_counter() - start < 1.0
+        assert f"col {col}: expansion too large: more than {MAX_DIGITS} digits" in str(
+            err.value
+        )
+    assert parse_polynomial("x^100000", sig).terms == {(100000, 0): 1}

@@ -1,11 +1,14 @@
 """Presented modules, chain complexes, Koszul complexes, free resolutions,
 homology, and Tor.
 
-Tor is computed over the presented ring itself: the first argument is
-resolved to length i+1 (resolutions over a quotient ring may be infinite,
-so only that much is built), the resolution is tensored with the second
-argument, and homology is taken at position i.  Verdicts are zero or
-nonzero with explicit witness generators, never dimension counts.
+Tor_i(M, N) resolves M over its presented ring R to length i+1
+(resolutions over a quotient ring may be infinite, so only that much is
+built), tensors the resolution with N, and takes homology at position i.
+For a cyclic N = R/I the tensored complex is a complex of free
+R/I-modules, so its homology is taken over the fiber ring R/I, which
+drops the variables that I's generators name; any other N is imposed by
+relation columns over R.  Verdicts are zero or nonzero with canonical
+witness generators (see `homology_witnesses`), never dimension counts.
 """
 
 from __future__ import annotations
@@ -25,7 +28,13 @@ from .modules import (
     kernel_generators,
     syzygy_entries,
 )
-from .poly import ArgumentError, DimensionError, Polynomial, PresentedRing
+from .poly import (
+    ArgumentError,
+    DimensionError,
+    Polynomial,
+    PresentedRing,
+    transplant,
+)
 
 
 @dataclass(frozen=True)
@@ -183,8 +192,14 @@ def koszul(sequence: Sequence[Polynomial], ring: PresentedRing) -> ChainComplex:
 def homology_witnesses(
     complex_: ChainComplex, i: int, relations: Sequence[Sequence[Entries]] = ()
 ) -> tuple[bool, list[ModuleElement]]:
-    """Whether homology at position i vanishes, with witness generators
-    (kernel generators surviving reduction modulo the image) otherwise.
+    """Whether homology at position i vanishes, with canonical witness
+    generators otherwise.
+
+    The verdict is zero when every kernel generator lies in the image.
+    When one does not, the witnesses are the elements of the reduced
+    Groebner basis of kernel + image that are not in the image, by
+    decreasing lead: they depend only on the two submodules and the
+    monomial order, not on how the kernel was generated.
 
     `relations`, when given, holds one list of relation columns per
     position k, and F_k is read as F_k modulo their span: the kernel at i
@@ -209,13 +224,13 @@ def homology_witnesses(
         image_cols.extend(complex_.differential(i + 1).columns)
     if relations:
         image_cols.extend(relations[i])
-    basis = MembershipBasis(ring, rank_i, image_cols)
-    witnesses = []
-    for v in ker:
-        nf = basis.normal_form(v)
-        if any(not e.is_zero() for e in nf):
-            witnesses.append(ModuleElement(ring, nf))
-    return not witnesses, witnesses
+    image = MembershipBasis(ring, rank_i, image_cols)
+    if all(image.contains(v) for v in ker):
+        return True, []
+    span = MembershipBasis(ring, rank_i, ker + image_cols)
+    return False, [
+        ModuleElement(ring, v) for v in span.reduced() if not image.contains(v)
+    ]
 
 
 def homology_is_zero(complex_: ChainComplex, i: int) -> bool:
@@ -252,11 +267,15 @@ def _standard_basis(ring: PresentedRing, rank: int) -> list[Entries]:
 
 
 def tor(i: int, M: ModuleLike, N: ModuleLike) -> TorReport:
-    """Tor_i(M, N) over the common presented ring.
+    """Tor_i(M, N) over the common presented ring R.
 
-    Resolves M to length i+1, tensors with N (each F_k tensor N becomes
-    N^(rank F_k), with N's relations imposed in every coordinate), and
-    takes homology at position i.
+    Resolves M to length i+1 over R, tensors with N and takes homology at
+    position i.  A cyclic N = R/I is tensored by projecting each
+    differential to the fiber ring R/I (`PresentedRing.quotient`), whose
+    free modules F_k/IF_k hold the tensored complex, and homology is taken
+    over R/I; the witnesses are lifted back to R.  Otherwise each F_k
+    tensor N becomes N^(rank F_k), with N's relations imposed in every
+    coordinate, and homology is taken over R.
     """
     if i < 0:
         raise ArgumentError("negative Tor index")
@@ -269,36 +288,47 @@ def tor(i: int, M: ModuleLike, N: ModuleLike) -> TorReport:
     if i > res.length:
         return TorReport(i, True, ())
     s = other.rank
-    zero = ring.zero()
-    n_rels = other.relations.columns
+    if s == 1:
+        base, project = ring.quotient(col[0] for col in other.relations.columns)
+        ranks, relations = res.ranks, []
 
-    def level_relations(r: int) -> list[Entries]:
-        cols = []
-        for pos in range(r):
-            for rc in n_rels:
-                col = [zero] * (r * s)
+        def tensored(d: PolyMatrix) -> PolyMatrix:
+            cols = [tuple(map(project, col)) for col in d.columns]
+            return PolyMatrix(base, d.nrows, cols)
+
+    else:
+        base, zero, n_rels = ring, ring.zero(), other.relations.columns
+        ranks = tuple(r * s for r in res.ranks)
+
+        def level_relations(r: int) -> list[Entries]:
+            cols = []
+            for pos in range(r):
+                for rc in n_rels:
+                    col = [zero] * (r * s)
+                    for t in range(s):
+                        col[pos * s + t] = rc[t]
+                    cols.append(tuple(col))
+            return cols
+
+        def tensored(d: PolyMatrix) -> PolyMatrix:
+            cols = []
+            for col in d.columns:
                 for t in range(s):
-                    col[pos * s + t] = rc[t]
-                cols.append(tuple(col))
-        return cols
+                    big = [zero] * (d.nrows * s)
+                    for r_, e in enumerate(col):
+                        if not e.is_zero():
+                            big[r_ * s + t] = e
+                    cols.append(tuple(big))
+            return PolyMatrix(ring, d.nrows * s, cols)
 
-    def tensored(d: PolyMatrix) -> PolyMatrix:
-        cols = []
-        for col in d.columns:
-            for t in range(s):
-                big = [zero] * (d.nrows * s)
-                for r_, e in enumerate(col):
-                    if not e.is_zero():
-                        big[r_ * s + t] = e
-                cols.append(tuple(big))
-        return PolyMatrix(ring, d.nrows * s, cols)
-
+        relations = [level_relations(r) for r in res.ranks]
     complex_ = ChainComplex(
-        ring,
-        tuple(r * s for r in res.ranks),
-        tuple(tensored(d) for d in res.differentials),
-        res.complete,
+        base, ranks, tuple(map(tensored, res.differentials)), res.complete
     )
-    relations = [level_relations(r) for r in res.ranks]
     zero_tor, witnesses = homology_witnesses(complex_, i, relations)
-    return TorReport(i, zero_tor, tuple(witnesses))
+    sig = ring.signature
+    lifted = tuple(
+        ModuleElement(ring, [transplant(e, sig) for e in w.entries])
+        for w in witnesses
+    )
+    return TorReport(i, zero_tor, lifted)

@@ -20,8 +20,11 @@ recursion.  Parentheses and unary minus nest at most MAX_NESTING deep.
 and a power f^e of a sum the total of its e products; an expansion that
 would spend more than MAX_TERMS is a parse error.  The charge bounds
 both the work and the result's term count.  Integer literals have at
-most MAX_DIGITS digits, and a power c*m^e of a term may give its
-coefficient at most MAX_DIGITS digits (about e*log10 max(|num|, den)).
+most MAX_DIGITS digits, and so may every coefficient a product or power
+is computed from: a power c*m^e of a term is charged about
+e*log10 max(|num|, den) digits, and each product a*b, also each of the
+e products of a power of a sum, the digits of a's largest coefficient
+plus those of b's.  Scripts bound declared module ranks by MAX_RANK.
 """
 
 from __future__ import annotations
@@ -55,6 +58,7 @@ class Token:
 MAX_NESTING = 100
 MAX_TERMS = 20_000
 MAX_DIGITS = 4_300
+MAX_RANK = 25
 
 _TWO_CHAR = ("->", "==", "!=")
 _ONE_CHAR = "+-*^/()[]{},;:="
@@ -283,14 +287,14 @@ def to_polynomial(node: Expr, sig: RingSignature) -> Polynomial:
             else:
                 spent = len(acc.terms) * len(right.terms)
                 _charge(spent, MAX_TERMS, "term products", step)
+                _charge(_digits(acc) + _digits(right), MAX_DIGITS, "digits", step)
                 acc = acc * right
         return acc
     if isinstance(node, Pow):
         base = to_polynomial(node.base, sig)
+        base_digits = _digits(base)
         if len(base.terms) <= 1:
-            for c in base.terms.values():
-                size = max(abs(c.numerator), c.denominator)
-                _charge(node.exponent * math.log10(size), MAX_DIGITS, "digits", node)
+            _charge(node.exponent * base_digits, MAX_DIGITS, "digits", node)
             return base ** node.exponent
         # A power of a sum is expanded as repeated products, and the whole
         # expansion is charged: the exponent, not the input's length, sets
@@ -299,9 +303,18 @@ def to_polynomial(node: Expr, sig: RingSignature) -> Polynomial:
         for _ in range(node.exponent):
             spent += len(acc.terms) * len(base.terms)
             _charge(spent, MAX_TERMS, "term products", node)
+            _charge(_digits(acc) + base_digits, MAX_DIGITS, "digits", node)
             acc = acc * base
         return acc
     raise AlgebraError("unknown expression node")  # pragma: no cover
+
+
+def _digits(p: Polynomial) -> float:
+    """About the digits of p's largest coefficient: log10 max(|num|, den)."""
+    top = 1
+    for c in p.terms.values():
+        top = max(top, abs(c.numerator), c.denominator)
+    return math.log10(top)
 
 
 def _charge(spent: float, limit: int, unit: str, node: BinOp | Pow) -> None:

@@ -391,6 +391,8 @@ def transplant(
     Every variable appearing in f with a nonzero exponent must map to a
     variable of new_sig.
     """
+    if not f.terms:
+        return Polynomial._raw(new_sig, {})
     old = f.sig.variables
     slot: list[int | None] = []
     for name in old:
@@ -468,6 +470,52 @@ class PresentedRing:
         if not self.defining or not f.terms:
             return f
         return self._defining_ideal().normal_form(f)
+
+    def quotient(
+        self, gens: Iterable[Polynomial]
+    ) -> tuple["PresentedRing", Callable[[Polynomial], Polynomial]]:
+        """This ring modulo (gens), with the projection f -> f mod gens.
+
+        Each variable that some generator is a nonzero scalar multiple of
+        is dropped: it is set to 0 in the other generators and in the
+        defining relations, which then present the quotient in the
+        remaining variables.  Those keep the restricted order: the same
+        grevlex or lex, and for a block order the kept leading-block
+        variables form the block.  Projected polynomials are not reduced
+        modulo the quotient's defining ideal."""
+        sig = self.signature
+        gens = tuple(gens)
+        dropped = set()
+        for g in gens:
+            if g.sig != sig:
+                raise DimensionError("generator over a different signature")
+            if len(g.terms) == 1:
+                (m,) = g.terms
+                if sum(m) == 1:
+                    dropped.add(m.index(1))
+        kept = [i for i in range(sig.nvars) if i not in dropped]
+        qsig = RingSignature(
+            tuple(sig.variables[i] for i in kept),
+            sig.order,
+            sum(1 for i in kept if i < sig.block),
+        )
+        zero = Polynomial.zero(qsig)
+
+        def project(f: Polynomial) -> Polynomial:
+            if f.sig is not sig and f.sig != sig:
+                raise DimensionError("polynomial over a different signature")
+            if not f.terms:
+                return zero
+            return Polynomial._raw(
+                qsig,
+                {
+                    tuple(m[i] for i in kept): c
+                    for m, c in f.terms.items()
+                    if not any(m[i] for i in dropped)
+                },
+            )
+
+        return PresentedRing(qsig, map(project, gens + self.defining)), project
 
     def zero(self) -> Polynomial:
         return Polynomial.zero(self.signature)

@@ -29,6 +29,7 @@ from .groebner import IdealHandle, RingMap, map_kernel
 from .homology import PresentedModule, TorReport, tor
 from .modules import PolyMatrix, SubmodulePresentation
 from .parse import (
+    MAX_RANK,
     Expr,
     ParseError,
     Token,
@@ -180,13 +181,22 @@ def _expr_list(ts: TokenStream, closer: str) -> tuple[Expr, ...]:
     return tuple(exprs)
 
 
+def _rank(ts: TokenStream) -> int:
+    """A module rank of at most MAX_RANK: Tor_0 of two free modules of
+    rank n builds n^4 polynomial entries."""
+    tok = ts.expect("int", "a rank")
+    if int(tok.text) > MAX_RANK:
+        raise ParseError(f"rank larger than {MAX_RANK}", tok.line, tok.col)
+    return int(tok.text)
+
+
 def _tor_arg(ts: TokenStream) -> TorArg:
     tok = _expect_name(ts, "an ideal, module, or free(RING, n)")
     if tok.text == "free" and ts.peek().kind == "(":
         ts.next()
         ring_name = _expect_name(ts, "a ring name").text
         ts.expect(",")
-        rank = int(ts.expect("int", "a rank").text)
+        rank = _rank(ts)
         ts.expect(")")
         return FreeModuleArg(ring_name, rank)
     return tok.text
@@ -288,7 +298,7 @@ def _statement(ts: TokenStream) -> Statement:
         ts.expect("=")
         ring_name = _expect_name(ts, "a ring name").text
         ts.expect("^")
-        rank = int(ts.expect("int", "a rank").text)
+        rank = _rank(ts)
         ts.expect("/")
         ts.expect("(")
         rows: list[tuple[Expr, ...]] = []

@@ -1,9 +1,12 @@
 """Independent oracles used to pin expected values.
 
-Everything here is deliberately naive: dense linear algebra over exact
-Fractions and exhaustive monomial enumeration.  The oracles share no code
-with the package's Buchberger or syzygy machinery, so agreement between
-the two is meaningful evidence.
+The oracles are deliberately naive: dense linear algebra over exact
+Fractions and exhaustive monomial enumeration.  They share no code with
+the package's Buchberger or syzygy machinery, so agreement between the
+two is meaningful evidence.  `RelationColumnTor` is the exception: it is
+the reference route for Tor against a cyclic module, built from the
+package's public module functions, that the fiber-ring route of `tor`
+must agree with.
 """
 
 from __future__ import annotations
@@ -11,10 +14,14 @@ from __future__ import annotations
 from fractions import Fraction
 
 from flatcert import (
+    MembershipBasis,
     Polynomial,
     PolyMatrix,
     PresentedRing,
     RingSignature,
+    as_presented_module,
+    free_resolution,
+    kernel_generators,
     mono_divides,
     mono_lcm,
     mono_quotient,
@@ -187,3 +194,70 @@ def is_reduced_basis(basis) -> bool:
             if any(mono_divides(lg, m) for m in f.terms):
                 return False
     return True
+
+
+class RelationColumnTor:
+    """Tor_i(M, N) by the relation-column route, over M's ring R: each
+    F_k tensor N is N^(rank F_k), with N's relations imposed as extra
+    columns in every coordinate, and the kernel and image are taken in
+    R itself.  `flatcert.tor` takes Tor against a cyclic N over the fiber
+    ring R/I instead; this is the reference it must agree with.
+
+    `witnesses` are the canonical ones: the elements of the reduced
+    Groebner basis of kernel + image that are not in the image, each an
+    entry tuple over R.  `in_kernel` and `in_image` test a vector of the
+    tensored F_i against the kernel and the image of this route."""
+
+    def __init__(self, i: int, M, N):
+        mod, other = as_presented_module(M), as_presented_module(N)
+        ring = mod.ring
+        res = free_resolution(mod, i + 1)
+        s = other.rank
+        zero = ring.zero()
+
+        def relations(r: int) -> list[tuple[Polynomial, ...]]:
+            return [
+                tuple(
+                    rc[k - pos * s] if pos * s <= k < (pos + 1) * s else zero
+                    for k in range(r * s)
+                )
+                for pos in range(r)
+                for rc in other.relations.columns
+            ]
+
+        def tensored(d: PolyMatrix) -> PolyMatrix:
+            cols = [
+                tuple(col[k // s] if k % s == t else zero for k in range(d.nrows * s))
+                for col in d.columns
+                for t in range(s)
+            ]
+            return PolyMatrix(ring, d.nrows * s, cols)
+
+        self.witnesses: list[tuple[Polynomial, ...]] = []
+        self.in_kernel = lambda v: True
+        self.in_image = lambda v: True
+        if i > res.length or res.ranks[i] * s == 0:
+            self.is_zero = True
+            return
+        rank = res.ranks[i] * s
+        if i == 0:
+            one = ring.one()
+            ker = [
+                tuple(one if k == j else zero for k in range(rank))
+                for j in range(rank)
+            ]
+        else:
+            d = tensored(res.differential(i))
+            target_rels = relations(res.ranks[i - 1])
+            ker = kernel_generators(d, target_rels)
+            target = MembershipBasis(ring, d.nrows, target_rels)
+            self.in_kernel = lambda v: target.contains(d.apply(v))
+        image_cols = relations(res.ranks[i])
+        if i < res.length:
+            image_cols += tensored(res.differential(i + 1)).columns
+        image = MembershipBasis(ring, rank, image_cols)
+        self.in_image = image.contains
+        self.is_zero = all(image.contains(v) for v in ker)
+        if not self.is_zero:
+            span = MembershipBasis(ring, rank, list(ker) + image_cols)
+            self.witnesses = [v for v in span.reduced() if not image.contains(v)]

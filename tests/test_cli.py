@@ -101,8 +101,40 @@ _LONG_INT = "7" * 5000
             "line 2, col 13",
             "more than 4300 digits",
         ),
+        (
+            "ideal J = ((2^4000*x + 1)^140) in R;",
+            "line 2, col 26",
+            "more than 4300 digits",
+        ),
+        (
+            "ideal J = ((2^4000*x + 1)^190) in R;",
+            "line 2, col 26",
+            "more than 4300 digits",
+        ),
+        (
+            "ideal J = (x) in R;\nmodule M = R^10000000 / ();\n"
+            "assert tor(0, M, J) != 0;",
+            "line 3, col 14",
+            "rank larger than 25",
+        ),
+        (
+            "ideal J = (x) in R;\nassert tor(0, free(R, 26), J) != 0;",
+            "line 3, col 23",
+            "rank larger than 25",
+        ),
     ],
-    ids=["coefficient", "exponent", "rank", "tor-index", "rational-power", "print"],
+    ids=[
+        "coefficient",
+        "exponent",
+        "rank",
+        "tor-index",
+        "rational-power",
+        "print",
+        "power-of-sum-140",
+        "power-of-sum-190",
+        "module-rank",
+        "free-rank",
+    ],
 )
 def test_run_huge_numbers_exit_2(body, where, message, tmp_path, capsys):
     path = tmp_path / "huge.fc"

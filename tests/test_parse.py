@@ -187,3 +187,19 @@ def test_digit_bound_on_literals_and_powers_of_terms(qq_xy):
             err.value
         )
     assert parse_polynomial("x^100000", sig).terms == {(100000, 0): 1}
+
+
+def test_digit_bound_on_products_of_sums(qq_xy):
+    sig = qq_xy.signature
+    # each factor brings 1,205 digits: three fit, the fourth product does not
+    big = "(2^4000*x + 1)"
+    assert len(parse_polynomial(f"{big}^3", sig).terms) == 4
+    assert len(parse_polynomial(f"{big}*{big}*(2^4000*y + 1)", sig).terms) == 6
+    for text, col in [(f"{big}^4", 15), (f"{big}*{big}*{big}*{big}", 45)]:
+        start = time.perf_counter()
+        with pytest.raises(ParseError) as err:
+            parse_polynomial(text, sig)
+        assert time.perf_counter() - start < 1.0
+        assert f"col {col}: expansion too large: more than {MAX_DIGITS} digits" in str(
+            err.value
+        )

@@ -192,6 +192,36 @@ def test_presented_ring_defining_basis_idempotent(cone_ring):
     assert [str(g) for g in first] == ["x*y - z^2"]
 
 
+def test_quotient_drops_named_variables(cone_ring):
+    # -2*x and 3*v name variables; z - v becomes z, x*y - z^2 becomes -z^2
+    gens = [fc.poly(g, cone_ring) for g in ("-2*x", "z - v + x*u", "3*v")]
+    fiber, project = cone_ring.quotient(gens)
+    assert fiber.signature == RingSignature(("y", "z", "u"))
+    assert [str(q) for q in fiber.defining] == ["z", "-z^2"]
+    f = fc.poly("x*y + y*u^2 - 5*v + 7", cone_ring)
+    assert project(f) == fc.poly("y*u^2 + 7", fiber)
+    assert fiber.reduce(project(fc.poly("z*u + y", cone_ring))) == fc.poly("y", fiber)
+    with pytest.raises(DimensionError):
+        project(fc.poly("x", fc.ring("x,y")))
+    with pytest.raises(DimensionError):
+        cone_ring.quotient([fc.poly("x", fc.ring("x,y"))])
+
+
+def test_quotient_restricts_the_order():
+    sig = RingSignature(("a", "b", "c", "d", "e"), fc.BLOCK, block=3)
+    ring = PresentedRing(sig)
+    fiber, _ = ring.quotient([ring.var("b"), ring.var("e")])
+    assert fiber.signature == RingSignature(("a", "c", "d"), fc.BLOCK, block=2)
+    lex = fc.ring("x,y,z", order=fc.LEX)
+    fiber, project = lex.quotient([fc.poly("y", lex), fc.poly("x^2 - z", lex)])
+    assert fiber.signature == RingSignature(("x", "z"), fc.LEX)
+    assert [str(q) for q in fiber.defining] == ["x^2 - z"]
+    # every variable named: the ring of constants
+    point, project = lex.quotient([lex.var(v) for v in "xyz"])
+    assert point.signature.nvars == 0
+    assert project(fc.poly("x*y + 2", lex)) == Polynomial.constant(point.signature, 2)
+
+
 def test_presented_ring_equality_compares_ideals():
     R = fc.ring("x,y,z", defining=("x*y - z^2", "x - y"))
     S = fc.ring("x,y,z", defining=("x - y", "x*y - z^2"))

@@ -4,7 +4,7 @@ import pytest
 
 import flatcert as fc
 from flatcert import parse_script, pretty_script
-from flatcert.parse import ParseError
+from flatcert.parse import MAX_RANK, ParseError
 from flatcert.script import (
     AssertFlat,
     AssertTor,
@@ -95,6 +95,13 @@ def test_reserved_words_rejected():
         parse_script("ring R = QQ[ring];")
     with pytest.raises(ParseError):
         parse_script("ring R = QQ[x, x];")
+
+
+def test_module_rank_bound():
+    script = parse_script(f"ring R = QQ[x];\nmodule M = R^{MAX_RANK} / ();")
+    assert script.statements[1].rank == MAX_RANK
+    with pytest.raises(ParseError, match="line 2, col 14: rank larger than"):
+        parse_script(f"ring R = QQ[x];\nmodule M = R^{MAX_RANK + 1} / ();")
 
 
 def test_parse_error_positions():
@@ -197,6 +204,9 @@ def test_resolve_tor_argument():
     assert resolve_tor_argument("J", env) is env["J"]
     free = resolve_tor_argument("free(R, 2)", env)
     assert free.rank == 2 and free.ring == env["R"]
+    assert resolve_tor_argument(f"free(R, {MAX_RANK})", env).rank == MAX_RANK
+    with pytest.raises(ParseError, match=f"col 9: rank larger than {MAX_RANK}"):
+        resolve_tor_argument(f"free(R, {MAX_RANK + 1})", env)
     with pytest.raises(ParseError):
         resolve_tor_argument("J K", env)
     with pytest.raises(fc.ArgumentError, match="undeclared"):

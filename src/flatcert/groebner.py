@@ -103,7 +103,7 @@ class IdealHandle:
     in the ambient polynomial ring, built at most once, on first use.
     """
 
-    __slots__ = ("ring", "generators", "_table", "_basis")
+    __slots__ = ("ring", "generators", "_table", "_basis", "__weakref__")
 
     def __init__(self, ring: PresentedRing, generators: Iterable[Polynomial]):
         gens = tuple(generators)

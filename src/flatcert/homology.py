@@ -9,10 +9,17 @@ R/I-modules, so its homology is taken over the fiber ring R/I, which
 drops the variables that I's generators name; any other N is imposed by
 relation columns over R.  Verdicts are zero or nonzero with canonical
 witness generators (see `homology_witnesses`), never dimension counts.
+
+Each ideal or submodule is presented at most once, and each presented
+module keeps the longest resolution built so far: a shorter request
+reads a prefix of it, a longer one extends it.  Both live in one memo
+keyed by object identity that holds no strong reference, so `tor` and
+`flat_at_point` share every resolution of a module while it is alive.
 """
 
 from __future__ import annotations
 
+import weakref
 from dataclasses import dataclass
 from itertools import combinations
 from math import comb
@@ -78,11 +85,36 @@ class PresentedModule:
 
 ModuleLike = Union[PresentedModule, IdealHandle, SubmodulePresentation]
 
+# id(obj) -> (weak reference to obj, what was computed for it): the
+# presentation of an ideal or submodule, or the longest resolution built
+# for a presented module.  The reference's callback drops the entry as
+# obj is collected, before its id can be reused; it holds the dict
+# itself, since an object may outlive this module's globals at exit.
+_MEMO: dict[int, tuple[weakref.ref, object]] = {}
+
+
+def _recall(obj: object) -> object | None:
+    entry = _MEMO.get(id(obj))
+    return None if entry is None else entry[1]
+
+
+def _remember(obj: object, value: object) -> None:
+    key, memo = id(obj), _MEMO
+
+    def evict(_: weakref.ref) -> None:
+        memo.pop(key, None)
+
+    memo[key] = (weakref.ref(obj, evict), value)
+
 
 def as_presented_module(obj: ModuleLike) -> PresentedModule:
-    """Present an ideal or submodule by generators and their syzygies."""
+    """Present an ideal or submodule by generators and their syzygies;
+    the same object always gets the same presentation back."""
     if isinstance(obj, PresentedModule):
         return obj
+    mod = _recall(obj)
+    if mod is not None:
+        return mod
     if isinstance(obj, IdealHandle):
         gens, nrows = [(g,) for g in obj.generators], 1
     elif isinstance(obj, SubmodulePresentation):
@@ -90,7 +122,9 @@ def as_presented_module(obj: ModuleLike) -> PresentedModule:
     else:
         raise ArgumentError(f"cannot present {type(obj).__name__} as a module")
     cols = syzygy_entries(gens, nrows, obj.ring)
-    return PresentedModule(obj.ring, len(gens), PolyMatrix(obj.ring, len(gens), cols))
+    mod = PresentedModule(obj.ring, len(gens), PolyMatrix(obj.ring, len(gens), cols))
+    _remember(obj, mod)
+    return mod
 
 
 @dataclass(frozen=True)
@@ -136,7 +170,12 @@ def free_resolution(module: ModuleLike, length: int) -> ChainComplex:
     columns (`syzygy_entries`).
 
     Truncates early (and flags completion) when a syzygy step is zero;
-    over a quotient ring the resolution may never complete.
+    over a quotient ring the resolution may never complete.  The
+    presented module keeps the longest resolution built so far: a
+    shorter request gets its first `length` differentials, a longer one
+    extends it, and the result equals that of a first call.  So
+    `complete` holds exactly when the zero syzygy step comes within
+    `length` differentials.
     """
     if length < 1:
         raise ArgumentError("resolution length must be at least 1")
@@ -145,19 +184,26 @@ def free_resolution(module: ModuleLike, length: int) -> ChainComplex:
     if mod.relations.ncols == 0:
         # free module: the resolution is the module itself
         return ChainComplex(ring, (mod.rank,), (), True)
-    diffs = [mod.relations]
-    ranks = [mod.rank, mod.relations.ncols]
-    complete = False
-    while not complete and len(diffs) < length:
-        prev = diffs[-1]
-        cols = syzygy_entries(prev.columns, prev.nrows, ring)
-        if not cols:
-            complete = True
-            break
-        nxt = PolyMatrix(ring, prev.ncols, cols)
-        diffs.append(nxt)
-        ranks.append(nxt.ncols)
-    return ChainComplex(ring, tuple(ranks), tuple(diffs), complete)
+    built = _recall(mod) or ChainComplex(
+        ring, (mod.rank, mod.relations.ncols), (mod.relations,), False
+    )
+    if built.length < length and not built.complete:
+        diffs, complete = list(built.differentials), False
+        while len(diffs) < length:
+            prev = diffs[-1]
+            cols = syzygy_entries(prev.columns, prev.nrows, ring)
+            if not cols:
+                complete = True
+                break
+            diffs.append(PolyMatrix(ring, prev.ncols, cols))
+        ranks = (mod.rank, *(d.ncols for d in diffs))
+        built = ChainComplex(ring, ranks, tuple(diffs), complete)
+        _remember(mod, built)
+    if built.length < length:
+        return built
+    return ChainComplex(
+        ring, built.ranks[: length + 1], built.differentials[:length], False
+    )
 
 
 def koszul(sequence: Sequence[Polynomial], ring: PresentedRing) -> ChainComplex:

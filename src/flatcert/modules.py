@@ -340,7 +340,7 @@ class SubmodulePresentation:
     """A finitely generated submodule of ring^ambient_rank, given by its
     generator vectors."""
 
-    __slots__ = ("ring", "ambient_rank", "generators")
+    __slots__ = ("ring", "ambient_rank", "generators", "__weakref__")
 
     def __init__(
         self,

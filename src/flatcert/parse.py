@@ -24,7 +24,10 @@ most MAX_DIGITS digits, and so may every coefficient a product or power
 is computed from: a power c*m^e of a term is charged about
 e*log10 max(|num|, den) digits, and each product a*b, also each of the
 e products of a power of a sum, the digits of a's largest coefficient
-plus those of b's.  Scripts bound declared module ranks by MAX_RANK.
+plus those of b's.  A sum or difference a + b is charged the digits of
+each coefficient it changes, those at b's monomials, so a long sum of
+fractions cannot grow a common denominator without bound.  Scripts
+bound declared module ranks by MAX_RANK.
 """
 
 from __future__ import annotations
@@ -33,7 +36,7 @@ import math
 import re
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Callable
+from typing import Callable, Iterable
 
 from .poly import AlgebraError, Polynomial, RingSignature
 
@@ -280,19 +283,22 @@ def to_polynomial(node: Expr, sig: RingSignature) -> Polynomial:
         while spine:
             step = spine.pop()
             right = to_polynomial(step.right, sig)
-            if step.op == "+":
-                acc = acc + right
-            elif step.op == "-":
-                acc = acc - right
-            else:
+            if step.op == "*":
                 spent = len(acc.terms) * len(right.terms)
                 _charge(spent, MAX_TERMS, "term products", step)
-                _charge(_digits(acc) + _digits(right), MAX_DIGITS, "digits", step)
+                digits = _digits(acc.terms.values()) + _digits(right.terms.values())
+                _charge(digits, MAX_DIGITS, "digits", step)
                 acc = acc * right
+            else:
+                acc = acc + right if step.op == "+" else acc - right
+                # Only the coefficients at right's monomials changed, so a
+                # long sum is charged in time linear in its length.
+                changed = (acc.terms[m] for m in right.terms if m in acc.terms)
+                _charge(_digits(changed), MAX_DIGITS, "digits", step)
         return acc
     if isinstance(node, Pow):
         base = to_polynomial(node.base, sig)
-        base_digits = _digits(base)
+        base_digits = _digits(base.terms.values())
         if len(base.terms) <= 1:
             _charge(node.exponent * base_digits, MAX_DIGITS, "digits", node)
             return base ** node.exponent
@@ -303,16 +309,17 @@ def to_polynomial(node: Expr, sig: RingSignature) -> Polynomial:
         for _ in range(node.exponent):
             spent += len(acc.terms) * len(base.terms)
             _charge(spent, MAX_TERMS, "term products", node)
-            _charge(_digits(acc) + base_digits, MAX_DIGITS, "digits", node)
+            digits = _digits(acc.terms.values()) + base_digits
+            _charge(digits, MAX_DIGITS, "digits", node)
             acc = acc * base
         return acc
     raise AlgebraError("unknown expression node")  # pragma: no cover
 
 
-def _digits(p: Polynomial) -> float:
-    """About the digits of p's largest coefficient: log10 max(|num|, den)."""
+def _digits(coefficients: Iterable[Fraction]) -> float:
+    """About the digits of the largest coefficient: log10 max(|num|, den)."""
     top = 1
-    for c in p.terms.values():
+    for c in coefficients:
         top = max(top, abs(c.numerator), c.denominator)
     return math.log10(top)
 

@@ -112,6 +112,13 @@ _LONG_INT = "7" * 5000
             "more than 4300 digits",
         ),
         (
+            "ideal J = ("
+            + " + ".join(f"1/{10**3999 + 2*k + 1}" for k in range(60))
+            + ") in R;",
+            "line 2, col 4015",
+            "more than 4300 digits",
+        ),
+        (
             "ideal J = (x) in R;\nmodule M = R^10000000 / ();\n"
             "assert tor(0, M, J) != 0;",
             "line 3, col 14",
@@ -132,6 +139,7 @@ _LONG_INT = "7" * 5000
         "print",
         "power-of-sum-140",
         "power-of-sum-190",
+        "sum-of-fractions",
         "module-rank",
         "free-rank",
     ],

@@ -203,3 +203,30 @@ def test_digit_bound_on_products_of_sums(qq_xy):
         assert f"col {col}: expansion too large: more than {MAX_DIGITS} digits" in str(
             err.value
         )
+
+
+def test_digit_bound_on_sums(qq_xy):
+    sig = qq_xy.signature
+    # distinct 1,500-digit denominators: two fractions fit, their common
+    # denominator with a third does not
+    fracs = [f"1/{10**1499 + 2*k + 1}" for k in range(3)]
+    assert len(parse_polynomial(" + ".join(fracs[:2]), sig).terms) == 1
+    col = len(fracs[0]) + len(fracs[1]) + 5
+    for op in "+-":
+        with pytest.raises(ParseError) as err:
+            parse_polynomial(f"{fracs[0]} + {fracs[1]} {op} {fracs[2]}", sig)
+        assert f"col {col}: expansion too large: more than {MAX_DIGITS} digits" in str(
+            err.value
+        )
+    # only the coefficients a step changes count
+    c = "9" * 4000
+    assert len(parse_polynomial(f"{c}*x + {c}*y - {c}", sig).terms) == 3
+    assert parse_polynomial(f"{c}*x - {c}*x + y", sig).terms == {(0, 1): 1}
+
+
+def test_long_sums_of_small_terms_parse(qq_xy):
+    text = " + ".join(["3*x^2*y - 1/2"] * 2000)
+    assert parse_polynomial(text, qq_xy.signature).terms == {
+        (2, 1): 6000,
+        (0, 0): -1000,
+    }

@@ -1,0 +1,105 @@
+"""Each module is presented and resolved at most once: `as_presented_module`
+and `free_resolution` keep what they built for a module object while it
+lives, and every complex they hand back equals the one a first call on a
+separately built, equal module returns."""
+
+import gc
+import weakref
+
+import pytest
+
+import flatcert as fc
+import flatcert.homology as homology
+from flatcert import GREVLEX, LEX, as_presented_module, free_resolution, tor
+from flatcert.cli import bundled_case_text
+from flatcert.script import execute_text
+
+
+def _declarations(name, order=GREVLEX):
+    """A bundled case's objects, with nothing resolved yet: its
+    assertions are left out."""
+    lines = bundled_case_text(name).splitlines()
+    text = "\n".join(line for line in lines if not line.startswith("assert"))
+    report, env = execute_text(text, order)
+    assert report.error is None and not report.assertions
+    return env
+
+
+def _cone_ideal():
+    R = fc.ring("x,y,z,u,v", defining=("x*y - z^2",))
+    return fc.ideal(R, "x - u", "z - u*v", "y - u*v^2")
+
+
+def test_two_tors_on_one_ideal_resolve_it_once(monkeypatch):
+    calls = []
+    real = homology.syzygy_entries
+
+    def counted(columns, nrows, ring):
+        calls.append(nrows)
+        return real(columns, nrows, ring)
+
+    monkeypatch.setattr(homology, "syzygy_entries", counted)
+    J = _cone_ideal()
+    R = J.ring
+    first = tor(1, J, fc.ideal(R, "x", "y", "z"))
+    after_first = len(calls)
+    second = tor(1, J, fc.ideal(R, "u", "v"))
+    # J's presentation and first syzygies come from the memo, so the
+    # second tor runs syzygy_entries only to present its new ideal N
+    assert after_first == 2 + 1
+    assert len(calls) == after_first + 1
+    assert as_presented_module(J) is as_presented_module(J)
+    assert str(first) == str(tor(1, _cone_ideal(), fc.ideal(R, "x", "y", "z")))
+    assert str(second) == str(tor(1, _cone_ideal(), fc.ideal(R, "u", "v")))
+
+
+def test_longer_request_extends_the_stored_resolution():
+    J = _cone_ideal()
+    short = free_resolution(J, 2)
+    longer = free_resolution(J, 3)
+    # over the cone the resolution does not end: the extension keeps the
+    # stored differentials and appends one
+    assert longer.differentials[:2] == short.differentials
+    # complexes compare ring, ranks, each differential and `complete`
+    assert longer == free_resolution(_cone_ideal(), 3)
+    assert free_resolution(J, 1) == free_resolution(_cone_ideal(), 1)
+
+
+@pytest.mark.parametrize("stored", [1, 2, 3])
+@pytest.mark.parametrize("requested", [1, 2, 3])
+def test_every_stored_and_requested_length_matches_a_fresh_call(stored, requested):
+    J = _declarations("smooth_chart.fc")["J"]
+    free_resolution(J, stored)
+    fresh = free_resolution(_declarations("smooth_chart.fc")["J"], requested)
+    # J completes after one differential: the zero syzygy step comes
+    # only within a request of length 2 or more
+    assert fresh.length == 1 and fresh.complete == (requested >= 2)
+    assert free_resolution(J, requested) == fresh
+
+
+def test_the_memo_keeps_no_module_alive():
+    gc.collect()
+    before = set(homology._MEMO)
+    J = _cone_ideal()
+    sub = fc.SubmodulePresentation(J.ring, 1, [(g,) for g in J.generators])
+    tor(1, J, fc.ideal(J.ring, "x", "y", "z"))
+    free_resolution(sub, 2)
+    # J and sub, and the presented module of each
+    assert len(set(homology._MEMO) - before) == 4
+    alive = weakref.ref(J), weakref.ref(as_presented_module(J))
+    del J, sub
+    gc.collect()
+    assert [ref() for ref in alive] == [None, None]
+    assert set(homology._MEMO) == before
+
+
+@pytest.mark.parametrize("order", [GREVLEX, LEX])
+def test_higher_index_after_a_lower_one_reads_as_fresh(order):
+    env = _declarations("francia.fc", order)
+    J, K, L = env["J"], env["K"], env["L"]
+    assert tor(1, J, K).is_zero
+    extended = tor(2, J, L)
+    fresh_env = _declarations("francia.fc", order)
+    fresh = tor(2, fresh_env["J"], fresh_env["L"])
+    assert not fresh.is_zero
+    assert str(extended) == str(fresh)

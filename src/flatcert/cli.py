@@ -144,14 +144,14 @@ def _cmd_repro(args: argparse.Namespace) -> int:
 
 
 def _script_env(args: argparse.Namespace) -> tuple[int, dict[str, object]]:
-    """Run the script for its declarations.  A parse or computation error
-    is printed, and its status (2 or 3) returned; otherwise the status is
-    0, whatever the script's assertions said."""
-    report, env = execute_text(_read_script(args.script), args.order)
-    if report.status in (2, 3):
+    """Run only the script's declarations: its assertions and prints are
+    skipped.  A parse or declaration error is printed, and its status (2
+    or 3) returned; otherwise the status is 0."""
+    text = _read_script(args.script)
+    report, env = execute_text(text, args.order, declarations_only=True)
+    if report.error is not None:
         print(report.error, file=sys.stderr)
-        return report.status, env
-    return 0, env
+    return report.status, env
 
 
 def _cmd_gb(args: argparse.Namespace) -> int:

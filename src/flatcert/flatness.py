@@ -16,48 +16,12 @@ from .homology import ModuleLike, PresentedModule, TorReport, tor
 from .poly import (
     ArgumentError,
     DimensionError,
-    GREVLEX,
-    LEX,
     Polynomial,
     PresentedRing,
     RingSignature,
-    fresh_name,
+    tensor_with_renaming,
     transplant,
 )
-
-
-def tensor_with_renaming(
-    A: PresentedRing, B: PresentedRing
-) -> tuple[PresentedRing, dict[str, str], dict[str, str]]:
-    """A tensor B over QQ, with the two variable renamings used.
-
-    Clashing names get deterministic numeric suffixes (u, v in both
-    factors become u1, v1 and u2, v2); non-clashing names are kept.  The
-    product carries the factors' order when both carry the same grevlex
-    or lex order, and grevlex otherwise.
-    """
-    avars = A.signature.variables
-    bvars = B.signature.variables
-    clash = set(avars) & set(bvars)
-    used = set(avars) | set(bvars)
-
-    def rename(variables: Sequence[str], suffix: str) -> dict[str, str]:
-        out: dict[str, str] = {}
-        for v in variables:
-            w = fresh_name(f"{v}{suffix}", used) if v in clash else v
-            used.add(w)
-            out[v] = w
-        return out
-
-    rename_a = rename(avars, "1")
-    rename_b = rename(bvars, "2")
-    order = A.signature.order
-    if order != B.signature.order or order not in (GREVLEX, LEX):
-        order = GREVLEX
-    sig = RingSignature(tuple(rename_a.values()) + tuple(rename_b.values()), order)
-    defining = [transplant(p, sig, rename_a) for p in A.defining]
-    defining += [transplant(p, sig, rename_b) for p in B.defining]
-    return PresentedRing(sig, defining), rename_a, rename_b
 
 
 def tensor_rings(A: PresentedRing, B: PresentedRing) -> PresentedRing:

@@ -26,10 +26,10 @@ from .poly import (
     Polynomial,
     PresentedRing,
     RingSignature,
-    fresh_name,
     mono_divides,
     mono_mul,
     mono_quotient,
+    tensor_with_renaming,
     transplant,
 )
 from .modules import MembershipBasis
@@ -50,14 +50,14 @@ def divide(
             raise DimensionError("divisor over a different signature")
         if d.is_zero():
             raise ArgumentError("zero divisor")
-    key = sig.key()
+    key = sig.descending_key()
     lms = [d.leading_monomial() for d in divisors]
     lcs = [d.terms[m] for d, m in zip(divisors, lms)]
     work = dict(f.terms)
     rem: dict = {}
     quots: list[dict] = [{} for _ in divisors]
     while work:
-        m = max(work, key=key)
+        m = min(work, key=key)
         c = work[m]
         for i, lm in enumerate(lms):
             if mono_divides(lm, m):
@@ -268,22 +268,19 @@ def map_kernel(F: RingMap) -> IdealHandle:
     polynomial ring, imposing (s_i - image(s_i)) plus the target's
     defining relations, and eliminating the target variables.
     """
-    tvars = F.target.signature.variables
-    svars = F.source.signature.variables
-    names = list(tvars)
-    rename: dict[str, str] = {}
-    for s in svars:
-        w = fresh_name(s, set(names) | set(svars)) if s in names else s
-        rename[s] = w
-        names.append(w)
-    sig = RingSignature(tuple(names))
-    gens = [transplant(q, sig) for q in F.target.defining]
-    for s, img in zip(svars, F.images):
-        gens.append(Polynomial.variable(sig, rename[s]) - transplant(img, sig))
-    graph = IdealHandle(PresentedRing(sig), gens)
+    graph_ring, rename_t, rename_s = tensor_with_renaming(
+        F.target, PresentedRing(F.source.signature)
+    )
+    sig = graph_ring.signature
+    gens = [
+        Polynomial.variable(sig, rename_s[s]) - transplant(img, sig, rename_t)
+        for s, img in zip(F.source.signature.variables, F.images)
+    ]
+    graph = IdealHandle(graph_ring, gens)
     # With nothing to drop, `eliminate` hands the generators back as given.
-    kernel = eliminate(graph, tvars).generators if tvars else graph.groebner_basis()
-    back = {w: s for s, w in rename.items()}
+    drop = list(rename_t.values())
+    kernel = eliminate(graph, drop).generators if drop else graph.groebner_basis()
+    back = {w: s for s, w in rename_s.items()}
     return IdealHandle(
         F.source, [transplant(g, F.source.signature, back) for g in kernel]
     )

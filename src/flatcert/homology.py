@@ -316,12 +316,12 @@ def tor(i: int, M: ModuleLike, N: ModuleLike) -> TorReport:
     """Tor_i(M, N) over the common presented ring R.
 
     Resolves M to length i+1 over R, tensors with N and takes homology at
-    position i.  A cyclic N = R/I is tensored by projecting each
-    differential to the fiber ring R/I (`PresentedRing.quotient`), whose
-    free modules F_k/IF_k hold the tensored complex, and homology is taken
-    over R/I; the witnesses are lifted back to R.  Otherwise each F_k
-    tensor N becomes N^(rank F_k), with N's relations imposed in every
-    coordinate, and homology is taken over R.
+    position i.  F_k tensor N is N^(rank F_k): each column of a
+    differential is spread over N's s coordinate blocks, and N's relations
+    are imposed in every block.  A cyclic N = R/I gives F_k/IF_k, a free
+    module over the fiber ring R/I (`PresentedRing.quotient`): s = 1, the
+    entries are projected there, no relation columns are needed, and
+    homology is taken over R/I; the witnesses are lifted back to R.
     """
     if i < 0:
         raise ArgumentError("negative Tor index")
@@ -336,40 +336,30 @@ def tor(i: int, M: ModuleLike, N: ModuleLike) -> TorReport:
     s = other.rank
     if s == 1:
         base, project = ring.quotient(col[0] for col in other.relations.columns)
-        ranks, relations = res.ranks, []
-
-        def tensored(d: PolyMatrix) -> PolyMatrix:
-            cols = [tuple(map(project, col)) for col in d.columns]
-            return PolyMatrix(base, d.nrows, cols)
-
+        n_rels = ()
     else:
-        base, zero, n_rels = ring, ring.zero(), other.relations.columns
-        ranks = tuple(r * s for r in res.ranks)
+        base, project, n_rels = ring, lambda f: f, other.relations.columns
+    zero = base.zero()
 
-        def level_relations(r: int) -> list[Entries]:
-            cols = []
-            for pos in range(r):
-                for rc in n_rels:
-                    col = [zero] * (r * s)
-                    for t in range(s):
-                        col[pos * s + t] = rc[t]
-                    cols.append(tuple(col))
-            return cols
+    def tensored(d: PolyMatrix) -> PolyMatrix:
+        cols = []
+        for col in d.columns:
+            for t in range(s):
+                big = [zero] * (d.nrows * s)
+                big[t::s] = map(project, col)
+                cols.append(tuple(big))
+        return PolyMatrix(base, d.nrows * s, cols)
 
-        def tensored(d: PolyMatrix) -> PolyMatrix:
-            cols = []
-            for col in d.columns:
-                for t in range(s):
-                    big = [zero] * (d.nrows * s)
-                    for r_, e in enumerate(col):
-                        if not e.is_zero():
-                            big[r_ * s + t] = e
-                    cols.append(tuple(big))
-            return PolyMatrix(ring, d.nrows * s, cols)
-
-        relations = [level_relations(r) for r in res.ranks]
+    relations = [
+        [(zero,) * (pos * s) + rc + (zero,) * ((r - pos - 1) * s)
+         for pos in range(r) for rc in n_rels]
+        for r in res.ranks
+    ]
     complex_ = ChainComplex(
-        base, ranks, tuple(map(tensored, res.differentials)), res.complete
+        base,
+        tuple(r * s for r in res.ranks),
+        tuple(map(tensored, res.differentials)),
+        res.complete,
     )
     zero_tor, witnesses = homology_witnesses(complex_, i, relations)
     sig = ring.signature

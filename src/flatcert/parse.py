@@ -16,18 +16,23 @@ column positions.
 Chains of '+', '-' and '*' may be arbitrarily long: they parse into
 left-nested trees, which `to_polynomial` and `expr_text` walk without
 recursion.  Parentheses and unary minus nest at most MAX_NESTING deep.
-`to_polynomial` charges each product a*b len(a)*len(b) term products,
-and a power f^e of a sum the total of its e products; an expansion that
-would spend more than MAX_TERMS is a parse error.  The charge bounds
-both the work and the result's term count.  Integer literals have at
-most MAX_DIGITS digits, and so may every coefficient a product or power
-is computed from: a power c*m^e of a term is charged about
-e*log10 max(|num|, den) digits, and each product a*b, also each of the
-e products of a power of a sum, the digits of a's largest coefficient
-plus those of b's.  A sum or difference a + b is charged the digits of
-each coefficient it changes, those at b's monomials, so a long sum of
-fractions cannot grow a common denominator without bound.  Scripts
-bound declared module ranks by MAX_RANK.
+`to_polynomial` charges each product a*b len(a)*len(b) term products.
+A chain of products a*b*c*... is charged like a power f^e of a sum,
+whose e products form one chain: a chain that would spend more than
+MAX_TERMS in all is a parse error, and a '+' or '-' ends the chain.  The
+charge bounds both the work and the result's term count.  A chain of
+sums is added into one term map in place, so it takes time linear in its
+length, and a power of a single term is built directly, not by repeated
+products.
+
+Integer literals have at most MAX_DIGITS digits, and so may every
+coefficient a product or power is computed from: a power c*m^e of a
+term is charged about e*log10 max(|num|, den) digits, and each product
+a*b, also each of the e products of a power of a sum, the digits of a's
+largest coefficient plus those of b's.  A sum or difference a + b is
+charged the digits of each coefficient it changes, those at b's
+monomials, so a long sum of fractions cannot grow a common denominator
+without bound.  Scripts bound declared module ranks by MAX_RANK.
 """
 
 from __future__ import annotations
@@ -36,9 +41,11 @@ import math
 import re
 from dataclasses import dataclass, field
 from fractions import Fraction
+from itertools import groupby
+from operator import add, sub
 from typing import Callable, Iterable
 
-from .poly import AlgebraError, Polynomial, RingSignature
+from .poly import AlgebraError, Polynomial, RingSignature, add_terms
 
 
 class ParseError(AlgebraError):
@@ -280,40 +287,49 @@ def to_polynomial(node: Expr, sig: RingSignature) -> Polynomial:
     if isinstance(node, BinOp):
         spine = _left_spine(node)
         acc = to_polynomial(spine[-1].left, sig)
-        while spine:
-            step = spine.pop()
-            right = to_polynomial(step.right, sig)
-            if step.op == "*":
-                spent = len(acc.terms) * len(right.terms)
-                _charge(spent, MAX_TERMS, "term products", step)
-                digits = _digits(acc.terms.values()) + _digits(right.terms.values())
-                _charge(digits, MAX_DIGITS, "digits", step)
-                acc = acc * right
+        # A run of '*' steps is one product chain; a run of '+' and '-'
+        # steps is one sum, added into a single term map.
+        for is_product, steps in groupby(reversed(spine), lambda s: s.op == "*"):
+            if is_product:
+                spent = 0
+                for step in steps:
+                    right = to_polynomial(step.right, sig)
+                    acc, spent = _charged_product(acc, right, spent, step)
             else:
-                acc = acc + right if step.op == "+" else acc - right
-                # Only the coefficients at right's monomials changed, so a
-                # long sum is charged in time linear in its length.
-                changed = (acc.terms[m] for m in right.terms if m in acc.terms)
-                _charge(_digits(changed), MAX_DIGITS, "digits", step)
+                out = dict(acc.terms)
+                for step in steps:
+                    right = to_polynomial(step.right, sig)
+                    add_terms(out, right.terms, add if step.op == "+" else sub)
+                    # Only the coefficients at right's monomials changed, so
+                    # a long sum is charged in time linear in its length.
+                    changed = (out[m] for m in right.terms if m in out)
+                    _charge(_digits(changed), MAX_DIGITS, "digits", step)
+                acc = Polynomial(sig, out)
         return acc
     if isinstance(node, Pow):
         base = to_polynomial(node.base, sig)
-        base_digits = _digits(base.terms.values())
         if len(base.terms) <= 1:
-            _charge(node.exponent * base_digits, MAX_DIGITS, "digits", node)
+            digits = node.exponent * _digits(base.terms.values())
+            _charge(digits, MAX_DIGITS, "digits", node)
             return base ** node.exponent
-        # A power of a sum is expanded as repeated products, and the whole
-        # expansion is charged: the exponent, not the input's length, sets
-        # how many products it takes.
+        # A power of a sum is expanded as one product chain: the exponent,
+        # not the input's length, sets how many products it takes.
         acc, spent = Polynomial.constant(sig, 1), 0
         for _ in range(node.exponent):
-            spent += len(acc.terms) * len(base.terms)
-            _charge(spent, MAX_TERMS, "term products", node)
-            digits = _digits(acc.terms.values()) + base_digits
-            _charge(digits, MAX_DIGITS, "digits", node)
-            acc = acc * base
+            acc, spent = _charged_product(acc, base, spent, node)
         return acc
     raise AlgebraError("unknown expression node")  # pragma: no cover
+
+
+def _charged_product(
+    acc: Polynomial, right: Polynomial, spent: int, node: BinOp | Pow
+) -> tuple[Polynomial, int]:
+    """acc*right, with the term products its chain has spent so far."""
+    spent += len(acc.terms) * len(right.terms)
+    _charge(spent, MAX_TERMS, "term products", node)
+    digits = _digits(acc.terms.values()) + _digits(right.terms.values())
+    _charge(digits, MAX_DIGITS, "digits", node)
+    return acc * right, spent
 
 
 def _digits(coefficients: Iterable[Fraction]) -> float:

@@ -7,12 +7,14 @@ A monomial is a plain tuple of nonnegative integer exponents, one slot per
 ring variable; exponents are Python ints and cannot overflow.  The zero
 polynomial has an empty term map.
 
-Each monomial order has two sort keys on `RingSignature`: `key()`, which
-ascends with the order, and `descending_key()`, which descends with it.
-Normal forms compute the descending key once per term and select the top
-term with a heap.  `PresentedRing.reduce` goes through the ring's
-defining ideal, a `groebner.IdealHandle` whose one Groebner table also
-gives `defining_basis`.
+Each monomial order has one sort key, `RingSignature.descending_key()`,
+which descends with the order: the greatest monomial has the smallest
+key.  Leading terms, printing, `compare_monomials` and every division
+and normal form read the order through it; normal forms compute it once
+per term and select the top term with a heap.  `PresentedRing.reduce`
+goes through the ring's defining ideal, a `groebner.IdealHandle` whose
+one Groebner table also gives `defining_basis`.  `tensor_with_renaming`
+builds the product ring that ring maps and morphisms are taken in.
 """
 
 from __future__ import annotations
@@ -21,7 +23,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from operator import add, le, neg, sub
-from typing import Callable, Iterable, Mapping, Union
+from typing import Callable, Iterable, Mapping, Sequence, Union
 
 Scalar = Union[int, Fraction]
 Monomial = tuple[int, ...]
@@ -68,12 +70,6 @@ def mono_degree(a: Monomial) -> int:
     return sum(a)
 
 
-def _grevlex_key(m: Monomial) -> tuple:
-    # Graded, ties broken so that the *last* nonzero entry of the exponent
-    # difference being negative means "greater".
-    return (sum(m), tuple(-e for e in reversed(m)))
-
-
 def _grevlex_descending(m: Monomial) -> tuple:
     # Higher degree first; in a degree, the smaller reversed exponent
     # tuple is the greater monomial.
@@ -82,19 +78,6 @@ def _grevlex_descending(m: Monomial) -> tuple:
 
 def _lex_descending(m: Monomial) -> tuple:
     return tuple(map(neg, m))
-
-
-@lru_cache(maxsize=None)
-def _key_function(order: str, block: int) -> Callable[[Monomial], tuple]:
-    if order == GREVLEX:
-        return _grevlex_key
-    if order == LEX:
-        return lambda m: m
-    if order == BLOCK:
-        def block_key(m: Monomial, k: int = block) -> tuple:
-            return (_grevlex_key(m[:k]), _grevlex_key(m[k:]))
-        return block_key
-    raise ArgumentError(f"unknown monomial order {order!r}")
 
 
 @lru_cache(maxsize=None)
@@ -132,10 +115,6 @@ class RingSignature:
         if self.order == BLOCK and not 0 <= self.block <= len(self.variables):
             raise ArgumentError("block size out of range")
 
-    def key(self) -> Callable[[Monomial], tuple]:
-        """Sort key that ascends with the monomial order."""
-        return _key_function(self.order, self.block)
-
     def descending_key(self) -> Callable[[Monomial], tuple]:
         """Sort key that descends with the monomial order: the smallest
         key belongs to the greatest monomial."""
@@ -158,8 +137,22 @@ def compare_monomials(a: Monomial, b: Monomial, sig: RingSignature) -> int:
         raise DimensionError("monomial length does not match signature")
     if any(e < 0 for e in a) or any(e < 0 for e in b):
         raise ArgumentError("negative exponent")
-    ka, kb = sig.key()(a), sig.key()(b)
-    return (ka > kb) - (ka < kb)
+    key = sig.descending_key()
+    ka, kb = key(a), key(b)
+    return (ka < kb) - (ka > kb)
+
+
+def add_terms(
+    out: dict[Monomial, Fraction], terms: Mapping[Monomial, Fraction], op: Callable
+) -> None:
+    """out[m] = op(out[m], c) for each term c*x^m, in place; a coefficient
+    that becomes zero leaves out."""
+    for m, c in terms.items():
+        nc = op(out.get(m, 0), c)
+        if nc:
+            out[m] = nc
+        else:
+            out.pop(m, None)
 
 
 def fresh_name(base: str, taken: Iterable[str]) -> str:
@@ -241,36 +234,22 @@ class Polynomial:
             return Polynomial.constant(self.sig, other)
         return other
 
-    def __add__(self, other) -> "Polynomial":
+    def _signed_sum(self, other, op: Callable) -> "Polynomial":
         other = self._coerce(other)
         if not isinstance(other, Polynomial):
             return NotImplemented
         self._check(other)
         out = dict(self.terms)
-        for m, c in other.terms.items():
-            nc = out.get(m, 0) + c
-            if nc:
-                out[m] = nc
-            else:
-                out.pop(m, None)
+        add_terms(out, other.terms, op)
         return Polynomial._raw(self.sig, out)
 
-    def __radd__(self, other) -> "Polynomial":
-        return self.__add__(other)
+    def __add__(self, other) -> "Polynomial":
+        return self._signed_sum(other, add)
+
+    __radd__ = __add__
 
     def __sub__(self, other) -> "Polynomial":
-        other = self._coerce(other)
-        if not isinstance(other, Polynomial):
-            return NotImplemented
-        self._check(other)
-        out = dict(self.terms)
-        for m, c in other.terms.items():
-            nc = out.get(m, 0) - c
-            if nc:
-                out[m] = nc
-            else:
-                out.pop(m, None)
-        return Polynomial._raw(self.sig, out)
+        return self._signed_sum(other, sub)
 
     def __rsub__(self, other) -> "Polynomial":
         coerced = self._coerce(other)
@@ -321,6 +300,9 @@ class Polynomial:
     def __pow__(self, e: int) -> "Polynomial":
         if not isinstance(e, int) or e < 0:
             raise ArgumentError("exponent must be a nonnegative integer")
+        if len(self.terms) == 1:
+            ((m, c),) = self.terms.items()
+            return Polynomial._raw(self.sig, {tuple(e * k for k in m): c**e})
         result = Polynomial.constant(self.sig, 1)
         base = self
         while e:
@@ -355,7 +337,7 @@ class Polynomial:
             return "0"
         names = self.sig.variables
         parts: list[str] = []
-        for m in sorted(self.terms, key=self.sig.key(), reverse=True):
+        for m in sorted(self.terms, key=self.sig.descending_key()):
             c = self.terms[m]
             factors = []
             for name, e in zip(names, m):
@@ -547,3 +529,37 @@ class PresentedRing:
 
     def __repr__(self) -> str:
         return f"PresentedRing({self})"
+
+
+def tensor_with_renaming(
+    A: PresentedRing, B: PresentedRing
+) -> tuple[PresentedRing, dict[str, str], dict[str, str]]:
+    """A tensor B over QQ, with the two variable renamings used.
+
+    Clashing names get deterministic numeric suffixes (u, v in both
+    factors become u1, v1 and u2, v2); non-clashing names are kept.  The
+    product carries the factors' order when both carry the same grevlex
+    or lex order, and grevlex otherwise.
+    """
+    avars = A.signature.variables
+    bvars = B.signature.variables
+    clash = set(avars) & set(bvars)
+    used = set(avars) | set(bvars)
+
+    def rename(variables: Sequence[str], suffix: str) -> dict[str, str]:
+        out: dict[str, str] = {}
+        for v in variables:
+            w = fresh_name(f"{v}{suffix}", used) if v in clash else v
+            used.add(w)
+            out[v] = w
+        return out
+
+    rename_a = rename(avars, "1")
+    rename_b = rename(bvars, "2")
+    order = A.signature.order
+    if order != B.signature.order or order not in (GREVLEX, LEX):
+        order = GREVLEX
+    sig = RingSignature(tuple(rename_a.values()) + tuple(rename_b.values()), order)
+    defining = [transplant(p, sig, rename_a) for p in A.defining]
+    defining += [transplant(p, sig, rename_b) for p in B.defining]
+    return PresentedRing(sig, defining), rename_a, rename_b

@@ -612,13 +612,19 @@ class Interpreter:
 
 
 def execute_text(
-    text: str, order: str = GREVLEX
+    text: str, order: str = GREVLEX, declarations_only: bool = False
 ) -> tuple[ScriptReport, dict[str, object]]:
-    """Parse and run script text, returning the report and environment."""
+    """Parse and run script text, returning the report and environment.
+    With `declarations_only`, assertions and prints are skipped."""
     try:
         script = parse_script(text)
     except ParseError as e:
         return ScriptReport([], [], str(e), 2), {}
+    if declarations_only:
+        directives = (AssertTor, AssertFlat, PrintStmt)
+        script = Script(
+            tuple(s for s in script.statements if not isinstance(s, directives))
+        )
     interp = Interpreter(order)
     report = interp.execute(script)
     return report, interp.env

@@ -69,6 +69,29 @@ def monomials_up_to(nvars: int, deg: int) -> list[tuple[int, ...]]:
     return monos
 
 
+def textbook_compare(a, b, order: str, block: int = 0) -> int:
+    """-1, 0 or 1 as monomial a is less than, equal to or greater than b,
+    read off the definitions in Cox, Little and O'Shea, ch. 2 sec. 2.
+
+    lex: the first nonzero entry of a - b decides.  grevlex: the higher
+    degree wins; in a degree, a negative last nonzero entry of a - b
+    makes a the greater.  block: grevlex on the first `block` variables,
+    ties broken by grevlex on the rest.
+    """
+    diff = [x - y for x, y in zip(a, b)]
+    if order == "lex":
+        return next((1 if d > 0 else -1 for d in diff if d), 0)
+    if order == "grevlex":
+        if sum(a) != sum(b):
+            return 1 if sum(a) > sum(b) else -1
+        return next((1 if d < 0 else -1 for d in reversed(diff) if d), 0)
+    if order == "block":
+        return textbook_compare(a[:block], b[:block], "grevlex") or textbook_compare(
+            a[block:], b[block:], "grevlex"
+        )
+    raise ValueError(f"unknown order {order!r}")
+
+
 def brute_syzygies(
     matrix: PolyMatrix, deg: int
 ) -> list[tuple[Polynomial, ...]]:

@@ -216,6 +216,26 @@ def test_script_computation_error_exits_3_under_gb_and_tor(tmp_path, capsys):
     assert "undeclared name" in capsys.readouterr().err
 
 
+def test_gb_and_tor_skip_assertions_and_prints(tmp_path, capsys):
+    # each assertion and print here would fail or raise if it ran
+    path = tmp_path / "directives.fc"
+    path.write_text(
+        PASSING.replace("!= 0", "== 0")
+        + "assert tor(1, J, Missing) == 0;\n"
+        + "assert flat(J at (x, y, z));\n"
+        + "print Missing;\n",
+        encoding="utf-8",
+    )
+    assert main(["run", str(path)]) == 3
+    capsys.readouterr()
+    assert main(["gb", str(path), "J"]) == 0
+    captured = capsys.readouterr()
+    assert captured.out.splitlines() == ["z^2 - y*u", "z*v - y", "u*v - z", "x - u"]
+    assert captured.err == ""
+    assert main(["tor", str(path), "1", "J", "K"]) == 0
+    assert capsys.readouterr().out.startswith("Tor_1 != 0, witnesses:")
+
+
 @pytest.mark.parametrize("argv", [["gb", "J"], ["tor", "1", "J", "J"]])
 def test_missing_file_exits_2_under_gb_and_tor(argv, capsys):
     assert main([argv[0], "/nonexistent/case.fc"] + argv[1:]) == 2

@@ -2,14 +2,16 @@
 
 `PresentedRing.reduce` and `IdealHandle.normal_form` reduce through the
 module engine's heap-selected normal form against a cached table of the
-reduced basis.  `divide` shares none of that: it rescans its work set
-with the ascending key and tracks quotients.  Remainders modulo a
-Groebner basis are unique, so the two must agree exactly.  The leading
-monomial and the descending key are checked against the ascending key
-and `compare_monomials`.
+reduced basis.  `divide` shares only the order key with it: it rescans
+its work set for the greatest term and tracks quotients.  Remainders
+modulo a Groebner basis are unique, so the two must agree exactly.  The
+order key itself, the leading monomial and `compare_monomials` are
+checked against `helpers.textbook_compare`, which reads each order off
+its definition and shares no code with the package.
 """
 
 import random
+from functools import cmp_to_key
 
 import pytest
 
@@ -23,7 +25,7 @@ from flatcert import (
     compare_monomials,
     divide,
 )
-from helpers import monomials_up_to, random_poly
+from helpers import monomials_up_to, random_poly, textbook_compare
 
 ORDERS = (GREVLEX, LEX, BLOCK)
 NAMES = ("x", "y", "z", "w")
@@ -72,7 +74,9 @@ def test_leading_monomial_is_the_maximum(order):
         if f.is_zero():
             continue
         lead = f.leading_monomial()
-        assert lead == max(f.terms, key=sig.key())
+        assert lead == min(f.terms, key=sig.descending_key())
+        oracle = cmp_to_key(lambda a, b: textbook_compare(a, b, order, sig.block))
+        assert lead == max(f.terms, key=oracle)
         assert f.leading_term() == (lead, f.terms[lead])
 
 
@@ -87,3 +91,18 @@ def test_descending_key_reverses_compare_monomials(order, nvars):
         for b in monos:
             ka, kb = dk(a), dk(b)
             assert (ka < kb) - (ka > kb) == compare_monomials(a, b, sig)
+
+
+@pytest.mark.parametrize("order", ORDERS)
+@pytest.mark.parametrize("nvars", (1, 3, 4))
+def test_order_keys_match_the_textbook_orders(order, nvars):
+    monos = monomials_up_to(nvars, 3)
+    for block in range(nvars + 1) if order == BLOCK else (0,):
+        sig = RingSignature(NAMES[:nvars], order, block)
+        dk = sig.descending_key()
+        for a in monos:
+            for b in monos:
+                expected = textbook_compare(a, b, order, block)
+                ka, kb = dk(a), dk(b)
+                assert (ka < kb) - (ka > kb) == expected, (block, a, b)
+                assert compare_monomials(a, b, sig) == expected, (block, a, b)

@@ -151,8 +151,10 @@ def _squares_nested(depth):
         (_squares_nested(7), 87),  # each level squares the one inside
         ("(x + 1)^9999", 8),  # few terms, but 5,000 multiplications
         (_sum_of_powers("x", 150) + "*" + _sum_of_powers("y", 150), 1090),
+        ("*".join(["(x + 1)"] * 2000), 1120),  # charged like (x + 1)^2000
     ],
-    ids=["large-power", "nested-squares", "many-multiplications", "product"],
+    ids=["large-power", "nested-squares", "many-multiplications", "product",
+         "product-chain"],
 )
 def test_oversized_expansions_are_parse_errors(qq_xyz, text, col):
     start = time.perf_counter()
@@ -167,6 +169,10 @@ def test_expansions_within_the_bound(qq_xyz):
     sig = qq_xyz.signature
     assert len(parse_polynomial("(x + y + z + 1)^12", sig).terms) == 455
     assert len(parse_polynomial("(x + 1)^100*(y + 1)^100", sig).terms) == 101**2
+    # a sum ends a product chain: each factor here starts a fresh budget
+    text = "(x + 1)^100*(y + 1)^100 + (x + 1)^100"
+    assert len(parse_polynomial(text, sig).terms) == 101**2
+    assert parse_polynomial("*".join(["x"] * 3000), sig).terms == {(3000, 0, 0): 1}
     assert parse_polynomial("x^1000000*y", sig).terms == {(1000000, 1, 0): 1}
 
 
@@ -222,6 +228,26 @@ def test_digit_bound_on_sums(qq_xy):
     c = "9" * 4000
     assert len(parse_polynomial(f"{c}*x + {c}*y - {c}", sig).terms) == 3
     assert parse_polynomial(f"{c}*x - {c}*x + y", sig).terms == {(0, 1): 1}
+
+
+def test_long_sums_parse_in_linear_time(qq_xy):
+    # 20,000 distinct terms, about 170 KB: once quadratic, several seconds
+    sig = qq_xy.signature
+    for op in "+-":
+        text = f" {op} ".join(f"x^{k}*y" for k in range(20_000))
+        start = time.perf_counter()
+        f = parse_polynomial(text, sig)
+        assert time.perf_counter() - start < 3.0
+        assert len(f.terms) == 20_000
+        assert f.terms[(19_999, 1)] == (1 if op == "+" else -1)
+
+
+def test_powers_of_terms(qq_xy):
+    sig = qq_xy.signature
+    assert parse_polynomial("(-2/3*x*y^2)^3", sig).terms == {(3, 6): Fraction(-8, 27)}
+    assert parse_polynomial("0^0", sig).terms == {(0, 0): 1}
+    assert parse_polynomial("(3*x)^0", sig).terms == {(0, 0): 1}
+    assert parse_polynomial("0^5 + x^0", sig).terms == {(0, 0): 1}
 
 
 def test_long_sums_of_small_terms_parse(qq_xy):

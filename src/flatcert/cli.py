@@ -22,7 +22,7 @@ from .groebner import IdealHandle
 from .homology import tor
 from .parse import ParseError
 from .poly import AlgebraError, ArgumentError, GREVLEX, LEX
-from .script import execute_text, resolve_tor_argument
+from .script import execute_text, resolve_tor_argument, run_script
 
 # (bundled script, ((check id, expected verdict), ...)) in report order
 REPRO_CHECKS: tuple[tuple[str, tuple[tuple[str, str], ...]], ...] = (
@@ -106,18 +106,13 @@ def strip_timing_column(table: str) -> str:
     )
 
 
-def _read_script(path: str) -> str:
-    with open(path, "r", encoding="utf-8") as handle:
-        return handle.read()
-
-
 def _emit(text: str, quiet: bool) -> None:
     if not quiet:
         print(text)
 
 
 def _cmd_run(args: argparse.Namespace) -> int:
-    report, _ = execute_text(_read_script(args.script), args.order)
+    report = run_script(args.script, args.order)
     for line in report.prints:
         _emit(line, args.quiet)
     for record in report.assertions:
@@ -147,8 +142,8 @@ def _script_env(args: argparse.Namespace) -> tuple[int, dict[str, object]]:
     """Run only the script's declarations: its assertions and prints are
     skipped.  A parse or declaration error is printed, and its status (2
     or 3) returned; otherwise the status is 0."""
-    text = _read_script(args.script)
-    report, env = execute_text(text, args.order, declarations_only=True)
+    with open(args.script, "r", encoding="utf-8") as handle:
+        report, env = execute_text(handle.read(), args.order, declarations_only=True)
     if report.error is not None:
         print(report.error, file=sys.stderr)
     return report.status, env

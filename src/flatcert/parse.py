@@ -145,10 +145,14 @@ class TokenStream:
     def expect(self, kind: str, what: str | None = None) -> Token:
         tok = self.peek()
         if tok.kind != kind:
-            expected = what or f"{kind!r}"
-            found = tok.text or "end of input"
-            raise ParseError(f"expected {expected}, found {found!r}", tok.line, tok.col)
+            raise unexpected(tok, what or f"{kind!r}")
         return self.next()
+
+
+def unexpected(tok: Token, what: str) -> ParseError:
+    """The error for finding `tok` where `what` was expected."""
+    found = tok.text or "end of input"
+    return ParseError(f"expected {what}, found {found!r}", tok.line, tok.col)
 
 
 # Expression AST.  Positions are carried for error reporting but ignored
@@ -270,9 +274,7 @@ def _base(ts: TokenStream) -> Expr:
         node = _nested(ts, tok, parse_expression)
         ts.expect(")")
         return node
-    found = tok.text or "end of input"
-    raise ParseError(f"expected a number, variable, or '(', found {found!r}",
-                     tok.line, tok.col)
+    raise unexpected(tok, "a number, variable, or '('")
 
 
 def to_polynomial(node: Expr, sig: RingSignature) -> Polynomial:
@@ -360,9 +362,7 @@ def parse_polynomial(text: str, sig: RingSignature) -> Polynomial:
     """Parse `text` as a polynomial over `sig` (canonical-form friendly)."""
     ts = TokenStream(tokenize(text))
     node = parse_expression(ts)
-    tok = ts.peek()
-    if tok.kind != "eof":
-        raise ParseError(f"unexpected trailing input {tok.text!r}", tok.line, tok.col)
+    ts.expect("eof", "end of input")
     return to_polynomial(node, sig)
 
 

@@ -12,16 +12,19 @@ Statements (each terminated by ';', '#' starts a comment):
     assert flat(J at (x, y));
     print J;                             # also print tor(...) / flat(...)
 
-Reserved words cannot be used as variable names.  Execution reports carry
-one record per assertion; the exit status is 0 when every assertion
-passes, 1 on an assertion failure, 2 on a parse error, and 3 on a
-computation error.
+`assert` and `print` share one query form, tor(...) or flat(...), which
+is parsed and evaluated in one place.  Every declared name (ring, ideal,
+module, map, ring variable) refuses reserved words.  Execution reports
+carry one record per assertion; the exit status is 0 when every
+assertion passes, 1 on an assertion failure, 2 on a parse error, and 3
+on a computation error, whose message names its statement's line once.
 """
 
 from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field
+from functools import partial
 from typing import Union
 
 from .flatness import FlatnessVerdict, PointSpec, flat_at_point, tensor_rings
@@ -38,6 +41,7 @@ from .parse import (
     parse_expression,
     to_polynomial,
     tokenize,
+    unexpected,
 )
 from .poly import (
     AlgebraError,
@@ -74,6 +78,9 @@ class TorCall:
 class FlatCall:
     name: str
     point: tuple[Expr, ...]
+
+
+Query = Union[TorCall, FlatCall]
 
 
 @dataclass(frozen=True)
@@ -140,7 +147,7 @@ class AssertFlat:
 
 @dataclass(frozen=True)
 class PrintStmt:
-    subject: Union[str, TorCall, FlatCall]
+    subject: Union[str, Query]
     line: int = field(default=0, compare=False)
 
 
@@ -155,19 +162,18 @@ class Script:
     statements: tuple[Statement, ...]
 
 
-def _expect_name(ts: TokenStream, what: str) -> Token:
-    tok = ts.peek()
-    if tok.kind != "name":
-        found = tok.text or "end of input"
-        raise ParseError(f"expected {what}, found {found!r}", tok.line, tok.col)
-    return ts.next()
+def _new_name(ts: TokenStream, what: str) -> Token:
+    """A name being declared: a ring, ideal, module, map, or variable."""
+    tok = ts.expect("name", what)
+    if tok.text in RESERVED:
+        raise ParseError(f"{tok.text!r} is a reserved word", tok.line, tok.col)
+    return tok
 
 
 def _expect_keyword(ts: TokenStream, word: str) -> Token:
     tok = ts.peek()
     if tok.kind != "name" or tok.text != word:
-        found = tok.text or "end of input"
-        raise ParseError(f"expected {word!r}, found {found!r}", tok.line, tok.col)
+        raise unexpected(tok, repr(word))
     return ts.next()
 
 
@@ -191,10 +197,10 @@ def _rank(ts: TokenStream) -> int:
 
 
 def _tor_arg(ts: TokenStream) -> TorArg:
-    tok = _expect_name(ts, "an ideal, module, or free(RING, n)")
+    tok = ts.expect("name", "an ideal, module, or free(RING, n)")
     if tok.text == "free" and ts.peek().kind == "(":
         ts.next()
-        ring_name = _expect_name(ts, "a ring name").text
+        ring_name = ts.expect("name", "a ring name").text
         ts.expect(",")
         rank = _rank(ts)
         ts.expect(")")
@@ -203,8 +209,6 @@ def _tor_arg(ts: TokenStream) -> TorArg:
 
 
 def _tor_call(ts: TokenStream) -> TorCall:
-    _expect_keyword(ts, "tor")
-    ts.expect("(")
     index = int(ts.expect("int", "a Tor index").text)
     ts.expect(",")
     left = _tor_arg(ts)
@@ -215,9 +219,7 @@ def _tor_call(ts: TokenStream) -> TorCall:
 
 
 def _flat_call(ts: TokenStream) -> FlatCall:
-    _expect_keyword(ts, "flat")
-    ts.expect("(")
-    name = _expect_name(ts, "an ideal or module name").text
+    name = ts.expect("name", "an ideal or module name").text
     _expect_keyword(ts, "at")
     ts.expect("(")
     point = _expr_list(ts, ")")
@@ -226,8 +228,21 @@ def _flat_call(ts: TokenStream) -> FlatCall:
     return FlatCall(name, point)
 
 
+_QUERIES = {"tor": _tor_call, "flat": _flat_call}
+
+
+def _query(ts: TokenStream) -> Query:
+    """tor(...) or flat(...), the query that assert and print share."""
+    head = ts.peek()
+    if head.text not in _QUERIES:
+        raise unexpected(head, "tor(...) or flat(...)")
+    ts.next()
+    ts.expect("(")
+    return _QUERIES[head.text](ts)
+
+
 def _ring_decl(ts: TokenStream, line: int) -> Statement:
-    name = _expect_name(ts, "a ring name").text
+    name = _new_name(ts, "a ring name").text
     ts.expect("=")
     tok = ts.peek()
     if tok.kind == "name" and tok.text == "QQ":
@@ -236,11 +251,7 @@ def _ring_decl(ts: TokenStream, line: int) -> Statement:
         variables: list[str] = []
         if ts.peek().kind != "]":
             while True:
-                vtok = _expect_name(ts, "a variable name")
-                if vtok.text in RESERVED:
-                    raise ParseError(
-                        f"{vtok.text!r} is a reserved word", vtok.line, vtok.col
-                    )
+                vtok = _new_name(ts, "a variable name")
                 if vtok.text in variables:
                     raise ParseError(
                         f"duplicate variable {vtok.text!r}", vtok.line, vtok.col
@@ -256,47 +267,40 @@ def _ring_decl(ts: TokenStream, line: int) -> Statement:
             ts.expect("(")
             quotient = _expr_list(ts, ")")
             ts.expect(")")
-        ts.expect(";")
         return RingDecl(name, tuple(variables), quotient, line)
     if tok.kind == "name" and tok.text == "image":
         ts.next()
-        map_name = _expect_name(ts, "a map name").text
-        ts.expect(";")
+        map_name = ts.expect("name", "a map name").text
         return ImageRingDecl(name, map_name, line)
-    left = _expect_name(ts, "QQ[...], image MAP, or RING ** RING").text
+    left = ts.expect("name", "QQ[...], image MAP, or RING ** RING").text
     ts.expect("*")
     ts.expect("*")
-    right = _expect_name(ts, "a ring name").text
-    ts.expect(";")
+    right = ts.expect("name", "a ring name").text
     return TensorRingDecl(name, left, right, line)
 
 
 def _statement(ts: TokenStream) -> Statement:
-    tok = ts.peek()
+    """One statement, without its closing ';'."""
+    tok = ts.next()
     if tok.kind != "name":
-        found = tok.text or "end of input"
-        raise ParseError(f"expected a statement, found {found!r}", tok.line, tok.col)
+        raise unexpected(tok, "a statement")
     line = tok.line
     word = tok.text
     if word == "ring":
-        ts.next()
         return _ring_decl(ts, line)
     if word == "ideal":
-        ts.next()
-        name = _expect_name(ts, "an ideal name").text
+        name = _new_name(ts, "an ideal name").text
         ts.expect("=")
         ts.expect("(")
         gens = _expr_list(ts, ")")
         ts.expect(")")
         _expect_keyword(ts, "in")
-        ring_name = _expect_name(ts, "a ring name").text
-        ts.expect(";")
+        ring_name = ts.expect("name", "a ring name").text
         return IdealDecl(name, gens, ring_name, line)
     if word == "module":
-        ts.next()
-        name = _expect_name(ts, "a module name").text
+        name = _new_name(ts, "a module name").text
         ts.expect("=")
-        ring_name = _expect_name(ts, "a ring name").text
+        ring_name = ts.expect("name", "a ring name").text
         ts.expect("^")
         rank = _rank(ts)
         ts.expect("/")
@@ -311,56 +315,34 @@ def _statement(ts: TokenStream) -> Statement:
                     break
                 ts.next()
         ts.expect(")")
-        ts.expect(";")
         return ModuleDecl(name, ring_name, rank, tuple(rows), line)
     if word == "map":
-        ts.next()
-        name = _expect_name(ts, "a map name").text
+        name = _new_name(ts, "a map name").text
         ts.expect(":")
-        source = _expect_name(ts, "a ring name").text
+        source = ts.expect("name", "a ring name").text
         ts.expect("->")
-        target = _expect_name(ts, "a ring name").text
+        target = ts.expect("name", "a ring name").text
         ts.expect("=")
         ts.expect("{")
         images = _expr_list(ts, "}")
         ts.expect("}")
-        ts.expect(";")
         return MapDecl(name, source, target, images, line)
     if word == "assert":
-        ts.next()
-        head = ts.peek()
-        if head.kind == "name" and head.text == "tor":
-            call = _tor_call(ts)
-            op = ts.peek()
-            if op.kind not in ("==", "!="):
-                raise ParseError(
-                    f"expected '==' or '!=', found {op.text!r}", op.line, op.col
-                )
-            ts.next()
-            zero = ts.expect("int", "0")
-            if zero.text != "0":
-                raise ParseError("expected 0", zero.line, zero.col)
-            ts.expect(";")
-            return AssertTor(call, op.kind == "!=", line)
-        if head.kind == "name" and head.text == "flat":
-            call = _flat_call(ts)
-            ts.expect(";")
+        call = _query(ts)
+        if isinstance(call, FlatCall):
             return AssertFlat(call, line)
-        found = head.text or "end of input"
-        raise ParseError(
-            f"expected tor(...) or flat(...), found {found!r}", head.line, head.col
-        )
-    if word == "print":
+        op = ts.peek()
+        if op.kind not in ("==", "!="):
+            raise unexpected(op, "'==' or '!='")
         ts.next()
-        head = ts.peek()
-        if head.kind == "name" and head.text == "tor":
-            subject: Union[str, TorCall, FlatCall] = _tor_call(ts)
-        elif head.kind == "name" and head.text == "flat":
-            subject = _flat_call(ts)
-        else:
-            subject = _expect_name(ts, "a declared name").text
-        ts.expect(";")
-        return PrintStmt(subject, line)
+        zero = ts.expect("int", "0")
+        if zero.text != "0":
+            raise ParseError("expected 0", zero.line, zero.col)
+        return AssertTor(call, op.kind == "!=", line)
+    if word == "print":
+        if ts.peek().text in _QUERIES:
+            return PrintStmt(_query(ts), line)
+        return PrintStmt(ts.expect("name", "a declared name").text, line)
     raise ParseError(f"unknown statement {word!r}", tok.line, tok.col)
 
 
@@ -369,6 +351,7 @@ def parse_script(text: str) -> Script:
     statements = []
     while ts.peek().kind != "eof":
         statements.append(_statement(ts))
+        ts.expect(";")
     return Script(tuple(statements))
 
 
@@ -378,7 +361,7 @@ def _tor_arg_text(arg: TorArg) -> str:
     return arg
 
 
-def _subject_text(subject: Union[str, TorCall, FlatCall]) -> str:
+def _subject_text(subject: Union[str, Query]) -> str:
     if isinstance(subject, TorCall):
         return (
             f"tor({subject.index}, {_tor_arg_text(subject.left)}, "
@@ -388,6 +371,12 @@ def _subject_text(subject: Union[str, TorCall, FlatCall]) -> str:
         point = ", ".join(expr_text(e) for e in subject.point)
         return f"flat({subject.name} at ({point}))"
     return subject
+
+
+def _assertion_text(stmt: AssertTor | AssertFlat) -> str:
+    if isinstance(stmt, AssertFlat):
+        return _subject_text(stmt.call)
+    return f"{_subject_text(stmt.call)} {'!=' if stmt.nonzero else '=='} 0"
 
 
 def pretty_script(script: Script) -> str:
@@ -421,11 +410,8 @@ def pretty_script(script: Script) -> str:
                 f"map {stmt.name} : {stmt.source_name} -> {stmt.target_name}"
                 f" = {{{images}}};"
             )
-        elif isinstance(stmt, AssertTor):
-            op = "!=" if stmt.nonzero else "=="
-            lines.append(f"assert {_subject_text(stmt.call)} {op} 0;")
-        elif isinstance(stmt, AssertFlat):
-            lines.append(f"assert {_subject_text(stmt.call)};")
+        elif isinstance(stmt, (AssertTor, AssertFlat)):
+            lines.append(f"assert {_assertion_text(stmt)};")
         elif isinstance(stmt, PrintStmt):
             lines.append(f"print {_subject_text(stmt.subject)};")
         else:  # pragma: no cover - exhaustive
@@ -455,28 +441,25 @@ class ScriptReport:
         return self.status == 0
 
 
-def _lookup(env: dict, name: str, line: int):
+def _lookup(env: dict, name: str, kind: type | tuple = object, what: str = ""):
+    """The object declared as `name`, which must be an instance of `kind`
+    (`what` names the kind)."""
     if name not in env:
-        raise ArgumentError(f"line {line}: undeclared name {name!r}")
+        raise ArgumentError(f"undeclared name {name!r}")
+    if not isinstance(env[name], kind):
+        raise ArgumentError(f"{name!r} is not {what}")
     return env[name]
 
 
-def _ring_of(env: dict, name: str, line: int) -> PresentedRing:
-    obj = _lookup(env, name, line)
-    if not isinstance(obj, PresentedRing):
-        raise ArgumentError(f"line {line}: {name!r} is not a ring")
-    return obj
+def _ring_of(env: dict, name: str) -> PresentedRing:
+    return _lookup(env, name, PresentedRing, "a ring")
 
 
-def _module_arg(env: dict, arg: TorArg, line: int):
+def _module_arg(env: dict, arg: TorArg):
     if isinstance(arg, FreeModuleArg):
-        return PresentedModule.free(
-            _ring_of(env, arg.ring_name, line), arg.rank
-        )
-    obj = _lookup(env, arg, line)
-    if not isinstance(obj, (IdealHandle, PresentedModule, SubmodulePresentation)):
-        raise ArgumentError(f"line {line}: {arg!r} is not an ideal or module")
-    return obj
+        return PresentedModule.free(_ring_of(env, arg.ring_name), arg.rank)
+    modules = (IdealHandle, PresentedModule, SubmodulePresentation)
+    return _lookup(env, arg, modules, "an ideal or module")
 
 
 def resolve_tor_argument(text: str, env: dict):
@@ -484,10 +467,8 @@ def resolve_tor_argument(text: str, env: dict):
     free(RING, n)) denotes in the environment of an executed script."""
     ts = TokenStream(tokenize(text))
     arg = _tor_arg(ts)
-    tail = ts.peek()
-    if tail.kind != "eof":
-        raise ParseError(f"unexpected {tail.text!r}", tail.line, tail.col)
-    return _module_arg(env, arg, 0)
+    ts.expect("eof", "end of input")
+    return _module_arg(env, arg)
 
 
 class Interpreter:
@@ -505,8 +486,7 @@ class Interpreter:
                 report.status = 2
                 return report
             except AlgebraError as e:
-                msg = str(e)
-                report.error = msg if msg.startswith("line ") else f"line {stmt.line}: {msg}"
+                report.error = f"line {stmt.line}: {e}"
                 report.status = 3
                 return report
         if any(not a.passed for a in report.assertions):
@@ -520,95 +500,80 @@ class Interpreter:
             rels = [to_polynomial(e, sig) for e in stmt.quotient]
             env[stmt.name] = PresentedRing(sig, rels)
         elif isinstance(stmt, ImageRingDecl):
-            F = _lookup(env, stmt.map_name, stmt.line)
-            if not isinstance(F, RingMap):
-                raise ArgumentError(f"line {stmt.line}: {stmt.map_name!r} is not a map")
+            F = _lookup(env, stmt.map_name, RingMap, "a map")
             kernel = map_kernel(F)
             env[stmt.name] = PresentedRing(F.source.signature, kernel.generators)
         elif isinstance(stmt, TensorRingDecl):
-            left = _ring_of(env, stmt.left, stmt.line)
-            right = _ring_of(env, stmt.right, stmt.line)
+            left = _ring_of(env, stmt.left)
+            right = _ring_of(env, stmt.right)
             env[stmt.name] = tensor_rings(left, right)
         elif isinstance(stmt, IdealDecl):
-            ring = _ring_of(env, stmt.ring_name, stmt.line)
+            ring = _ring_of(env, stmt.ring_name)
             gens = [to_polynomial(e, ring.signature) for e in stmt.gens]
             env[stmt.name] = IdealHandle(ring, gens)
         elif isinstance(stmt, ModuleDecl):
-            ring = _ring_of(env, stmt.ring_name, stmt.line)
+            ring = _ring_of(env, stmt.ring_name)
             cols = []
             for row in stmt.rows:
                 entries = tuple(to_polynomial(e, ring.signature) for e in row)
                 if len(entries) != stmt.rank:
                     raise DimensionError(
-                        f"line {stmt.line}: relation has {len(entries)} entries, "
-                        f"expected {stmt.rank}"
+                        f"relation has {len(entries)} entries, expected {stmt.rank}"
                     )
                 cols.append(entries)
             env[stmt.name] = PresentedModule(
                 ring, stmt.rank, PolyMatrix(ring, stmt.rank, cols)
             )
         elif isinstance(stmt, MapDecl):
-            source = _ring_of(env, stmt.source_name, stmt.line)
-            target = _ring_of(env, stmt.target_name, stmt.line)
+            source = _ring_of(env, stmt.source_name)
+            target = _ring_of(env, stmt.target_name)
             images = [to_polynomial(e, target.signature) for e in stmt.images]
             env[stmt.name] = RingMap(source, target, images)
-        elif isinstance(stmt, AssertTor):
-            expected = "nonzero" if stmt.nonzero else "zero"
-            result, seconds = self._tor(stmt.call, stmt.line)
-            actual = "zero" if result.is_zero else "nonzero"
+        elif isinstance(stmt, (AssertTor, AssertFlat)):
+            vanishes, _, seconds = self._evaluate(stmt.call)
+            nonzero = isinstance(stmt, AssertTor) and stmt.nonzero
+            expected = "nonzero" if nonzero else "zero"
+            actual = "zero" if vanishes else "nonzero"
             report.assertions.append(
                 AssertionRecord(
                     f"assert@{stmt.line}",
-                    f"{_subject_text(stmt.call)} {'!=' if stmt.nonzero else '=='} 0",
+                    _assertion_text(stmt),
                     expected,
                     actual,
                     actual == expected,
                     seconds,
                 )
             )
-        elif isinstance(stmt, AssertFlat):
-            verdict, seconds = self._flat(stmt.call, stmt.line)
-            actual = "zero" if verdict.flat else "nonzero"
-            report.assertions.append(
-                AssertionRecord(
-                    f"assert@{stmt.line}",
-                    _subject_text(stmt.call),
-                    "zero",
-                    actual,
-                    actual == "zero",
-                    seconds,
-                )
-            )
         elif isinstance(stmt, PrintStmt):
-            report.prints.append(self._print_text(stmt))
+            subject = stmt.subject
+            if isinstance(subject, str):
+                text = f"{subject} = {_lookup(env, subject)}"
+            else:
+                text = f"{_subject_text(subject)}: {self._evaluate(subject)[1]}"
+            report.prints.append(text)
         else:  # pragma: no cover - exhaustive
             raise AlgebraError("unknown statement")
 
-    def _tor(self, call: TorCall, line: int) -> tuple[TorReport, float]:
-        left = _module_arg(self.env, call.left, line)
-        right = _module_arg(self.env, call.right, line)
-        start = time.perf_counter()
-        result = tor(call.index, left, right)
-        return result, time.perf_counter() - start
-
-    def _flat(self, call: FlatCall, line: int) -> tuple[FlatnessVerdict, float]:
-        obj = _module_arg(self.env, call.name, line)
-        ring = obj.ring
-        gens = [to_polynomial(e, ring.signature) for e in call.point]
-        spec = PointSpec(ring, IdealHandle(ring, gens))
-        start = time.perf_counter()
-        verdict = flat_at_point(obj, spec)
-        return verdict, time.perf_counter() - start
-
-    def _print_text(self, stmt: PrintStmt) -> str:
-        subject = stmt.subject
-        if isinstance(subject, TorCall):
-            result, _ = self._tor(subject, stmt.line)
-        elif isinstance(subject, FlatCall):
-            result, _ = self._flat(subject, stmt.line)
+    def _evaluate(
+        self, call: Query
+    ) -> tuple[bool, TorReport | FlatnessVerdict, float]:
+        """Whether the query's Tor vanishes, its report, and the seconds it
+        took; the clock starts once the arguments are set up."""
+        if isinstance(call, TorCall):
+            left = _module_arg(self.env, call.left)
+            right = _module_arg(self.env, call.right)
+            query = partial(tor, call.index, left, right)
         else:
-            return f"{subject} = {_lookup(self.env, subject, stmt.line)}"
-        return f"{_subject_text(subject)}: {result}"
+            obj = _module_arg(self.env, call.name)
+            ring = obj.ring
+            gens = [to_polynomial(e, ring.signature) for e in call.point]
+            point = PointSpec(ring, IdealHandle(ring, gens))
+            query = partial(flat_at_point, obj, point)
+        start = time.perf_counter()
+        result = query()
+        seconds = time.perf_counter() - start
+        vanishes = result.is_zero if isinstance(call, TorCall) else result.flat
+        return vanishes, result, seconds
 
 
 def execute_text(

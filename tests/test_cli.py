@@ -1,6 +1,7 @@
 """Command-line interface: subcommands, exit statuses, report formats."""
 
 import time
+from pathlib import Path
 
 import pytest
 
@@ -13,6 +14,8 @@ from flatcert.cli import (
     main,
     strip_timing_column,
 )
+
+ROOT = Path(__file__).resolve().parents[1]
 
 PASSING = """\
 ring R = QQ[x,y,z,u,v] / (x*y - z^2);
@@ -198,6 +201,12 @@ def test_tor_subcommand(passing_script, capsys):
 
 def test_tor_bad_argument(passing_script, capsys):
     assert main(["tor", passing_script, "1", "J", "x + y"]) == 2
+
+
+def test_tor_undeclared_argument_has_no_line_number(capsys):
+    case = "src/flatcert/cases/neg2_graph.fc"
+    assert main(["tor", str(ROOT / case), "1", "J", "Q"]) == 3
+    assert capsys.readouterr().err == "undeclared name 'Q'\n"
 
 
 @pytest.mark.parametrize("argv", [["gb", "J"], ["tor", "1", "J", "J"]])

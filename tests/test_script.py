@@ -95,6 +95,22 @@ def test_reserved_words_rejected():
         parse_script("ring R = QQ[ring];")
     with pytest.raises(ParseError):
         parse_script("ring R = QQ[x, x];")
+    # every declared name is refused at its own token
+    for text, col in [
+        ("ring QQ = QQ[x];", 6),
+        ("ideal tor = (x) in R;", 7),
+        ("ideal free = (x) in R;", 7),
+        ("module flat = R^1 / ();", 8),
+        ("map image : R -> R = {x};", 5),
+    ]:
+        with pytest.raises(ParseError, match=f"line 1, col {col}: .* is a reserved"):
+            parse_script(text)
+
+
+def test_end_of_input_is_named():
+    report, _ = execute_text(NEG2.replace("!= 0;\n", ""))
+    assert report.status == 2
+    assert report.error.endswith("expected '==' or '!=', found 'end of input'")
 
 
 def test_module_rank_bound():

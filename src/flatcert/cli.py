@@ -165,8 +165,8 @@ def _cmd_tor(args: argparse.Namespace) -> int:
     status, env = _script_env(args)
     if status:
         return status
-    left = resolve_tor_argument(args.left, env)
-    right = resolve_tor_argument(args.right, env)
+    left = resolve_tor_argument(args.left, env, "argument 1")
+    right = resolve_tor_argument(args.right, env, "argument 2")
     _emit(str(tor(args.index, left, right)), args.quiet)
     return 0
 

@@ -18,6 +18,14 @@ basis, each element a minimal lead plus the normal form of its tail.
 Ideals, and rings through their defining ideal, hold one at rank 1.
 Only it and `syzygy_entries` run `_module_buchberger`; only the
 quotient-tracking `groebner.divide` keeps a normal-form loop of its own.
+
+A `VecPoly` coefficient is an `int` when it is integral and a `Fraction`
+otherwise: integral coefficients enter as ints (`_small`), int products
+and sums stay ints, and making an element monic divides through
+`Fraction` only when its lead coefficient is not 1 or -1.  Every value
+is the same as with `Fraction`s throughout.  `_entries_from_vp` is the
+one exit: every coefficient leaves as a `Fraction`, and the empty
+positions of a vector share one zero polynomial.
 """
 
 from __future__ import annotations
@@ -40,7 +48,8 @@ from .poly import (
 )
 
 VecTerm = tuple[int, Monomial]
-VecPoly = dict[VecTerm, Fraction]
+Coefficient = int | Fraction
+VecPoly = dict[VecTerm, Coefficient]
 Entries = tuple[Polynomial, ...]
 
 
@@ -172,19 +181,31 @@ def _descending_vkey(sig) -> Callable[[VecTerm], tuple]:
     return vk
 
 
+def _small(c: Coefficient) -> Coefficient:
+    """An integral coefficient as an int, any other unchanged."""
+    return c.numerator if c.denominator == 1 else c
+
+
 def _vp_from_entries(entries: Sequence[Polynomial]) -> VecPoly:
     vp: VecPoly = {}
     for i, e in enumerate(entries):
         for m, c in e.terms.items():
-            vp[(i, m)] = c
+            vp[(i, m)] = _small(c)
     return vp
 
 
 def _entries_from_vp(vp: VecPoly, sig, rank: int) -> Entries:
-    split: list[dict] = [{} for _ in range(rank)]
+    """The engine's one exit: every coefficient leaves as a `Fraction`,
+    and the empty positions share one zero polynomial (polynomials are
+    immutable)."""
+    split: list[dict | None] = [None] * rank
     for (i, m), c in vp.items():
-        split[i][m] = c
-    return tuple(Polynomial._raw(sig, d) for d in split)
+        d = split[i]
+        if d is None:
+            d = split[i] = {}
+        d[m] = c if type(c) is Fraction else Fraction(c)
+    zero = Polynomial._raw(sig, {})
+    return tuple(zero if d is None else Polynomial._raw(sig, d) for d in split)
 
 
 def _vp_normal_form(
@@ -260,8 +281,10 @@ def _module_buchberger(
     def add(vp: VecPoly) -> None:
         lt = min(vp, key=vk)
         c = vp[lt]
-        if c != 1:
-            vp = {t: v / c for t, v in vp.items()}
+        if c == -1:
+            vp = {t: -v for t, v in vp.items()}
+        elif c != 1:
+            vp = {t: _small(Fraction(v, c)) for t, v in vp.items()}
         idx = len(basis)
         basis.append(vp)
         leads.append(lt)
@@ -332,7 +355,7 @@ def _defining_vps(ring: PresentedRing, rank: int) -> list[VecPoly]:
     out = []
     for q in ring.defining:
         for i in range(rank):
-            out.append({(i, m): c for m, c in q.terms.items()})
+            out.append({(i, m): _small(c) for m, c in q.terms.items()})
     return out
 
 
@@ -458,7 +481,7 @@ def syzygy_entries(
     gens: list[VecPoly] = []
     for j, col in enumerate(columns):
         vp = _vp_from_entries(col)
-        vp[(nrows + j, one)] = Fraction(1)
+        vp[(nrows + j, one)] = 1
         gens.append(vp)
     for col in extra_relations:
         gens.append(_vp_from_entries(col))

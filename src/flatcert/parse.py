@@ -49,10 +49,16 @@ from .poly import AlgebraError, Polynomial, RingSignature, add_terms
 
 
 class ParseError(AlgebraError):
-    """Syntax error with a source position."""
+    """Syntax error with a source position.  `source` names text that is
+    not a script, such as a command-line argument; its line 1 is left
+    out of the message."""
 
-    def __init__(self, message: str, line: int, col: int):
-        super().__init__(f"parse error at line {line}, col {col}: {message}")
+    def __init__(self, message: str, line: int, col: int, source: str = ""):
+        place = f"line {line}"
+        if source:
+            place = source if line == 1 else f"{source}, {place}"
+        super().__init__(f"parse error at {place}, col {col}: {message}")
+        self.message = message
         self.line = line
         self.col = col
 

@@ -3,6 +3,9 @@ presented (quotient) rings.
 
 Coefficients are `fractions.Fraction`, so arithmetic is exact and every
 stored value is automatically in lowest terms with a positive denominator.
+That is the public type: the module engine (`modules`) keeps integral
+coefficients as Python ints internally and turns them back into
+`Fraction` at its one exit, before any `Polynomial` is built.
 A monomial is a plain tuple of nonnegative integer exponents, one slot per
 ring variable; exponents are Python ints and cannot overflow.  The zero
 polynomial has an empty term map.

@@ -462,12 +462,16 @@ def _module_arg(env: dict, arg: TorArg):
     return _lookup(env, arg, modules, "an ideal or module")
 
 
-def resolve_tor_argument(text: str, env: dict):
+def resolve_tor_argument(text: str, env: dict, source: str = ""):
     """The ideal or module that a standalone Tor argument (a name, or
-    free(RING, n)) denotes in the environment of an executed script."""
-    ts = TokenStream(tokenize(text))
-    arg = _tor_arg(ts)
-    ts.expect("eof", "end of input")
+    free(RING, n)) denotes in the environment of an executed script.
+    A parse error names `source` (say, "argument 2") as its place."""
+    try:
+        ts = TokenStream(tokenize(text))
+        arg = _tor_arg(ts)
+        ts.expect("eof", "end of input")
+    except ParseError as e:
+        raise ParseError(e.message, e.line, e.col, source) from None
     return _module_arg(env, arg)
 
 

@@ -184,6 +184,41 @@ def random_poly(rng, sig: RingSignature, max_deg: int = 2,
     return Polynomial(sig, {m: c for m, c in terms.items() if c})
 
 
+def to_sympy(p: Polynomial, symbols):
+    """p as a sympy expression in the given symbols (sympy is imported
+    only when an oracle asks for it)."""
+    import sympy
+
+    return sum(
+        sympy.Rational(c.numerator, c.denominator)
+        * sympy.Mul(*(g**e for g, e in zip(symbols, m)))
+        for m, c in p.terms.items()
+    )
+
+
+def sympy_reduced_basis(exprs, symbols, order: str) -> set[frozenset]:
+    """sympy's reduced basis as a set of monic term maps in `order`.
+
+    sympy returns primitive integer polynomials, so each element is
+    divided by its leading coefficient in `order`."""
+    import sympy
+
+    out = set()
+    for p in sympy.groebner(exprs, *symbols, order=order).polys:
+        terms = p.terms(order=order)
+        lc = Fraction(int(terms[0][1].p), int(terms[0][1].q))
+        out.add(
+            frozenset((m, Fraction(int(c.p), int(c.q)) / lc) for m, c in terms)
+        )
+    return out
+
+
+def basis_set(basis, drop: int = 0) -> set[frozenset]:
+    """Polynomials as a set of term maps, the first `drop` exponents of
+    each monomial left out, for comparison with `sympy_reduced_basis`."""
+    return {frozenset((m[drop:], c) for m, c in b.terms.items()) for b in basis}
+
+
 def spolynomial_certificate(basis, divide) -> bool:
     """Buchberger's criterion: every S-polynomial reduces to zero.
 

@@ -3,8 +3,11 @@
 `tests/data/exact_outputs_golden.txt` holds, under grevlex and lex, the
 `flatcert tor` witness text of francia `tor(2, J, L)` and neg2
 `tor(3, J, K)`, and the `flatcert gb` basis of every ideal declared in
-every bundled case.  The test compares it byte for byte.  After a change
-that is meant to move these outputs, regenerate the file with
+every bundled case.  `tests/data/resolution_pins.txt` holds the
+resolutions behind those witnesses: for francia `J` to d3 and neg2-graph
+`J` to d4, under grevlex and lex, the ranks and a sha256 of each printed
+differential.  The tests compare both files byte for byte.  After a
+change that is meant to move these outputs, regenerate both files with
 
     PYTHONPATH=src python3 tests/test_exact_outputs.py
 
@@ -12,19 +15,28 @@ and say in the change why they moved.
 """
 
 import contextlib
+import hashlib
 import io
 from importlib import resources
 from pathlib import Path
 
-from flatcert import GREVLEX, IdealHandle, LEX
+from flatcert import GREVLEX, IdealHandle, LEX, free_resolution
 from flatcert.cli import REPRO_CHECKS, bundled_case_text, main
 from flatcert.script import execute_text
 
-GOLDEN = Path(__file__).resolve().parent / "data" / "exact_outputs_golden.txt"
+DATA = Path(__file__).resolve().parent / "data"
+GOLDEN = DATA / "exact_outputs_golden.txt"
+RESOLUTION_PINS = DATA / "resolution_pins.txt"
 
 TOR_QUERIES = (
     ("francia.fc", "2", "J", "L"),
     ("neg2_graph.fc", "3", "J", "K"),
+)
+
+# (case, module, number of differentials) of each pinned resolution.
+RESOLUTIONS = (
+    ("francia.fc", "J", 3),
+    ("neg2_graph.fc", "J", 4),
 )
 
 
@@ -55,9 +67,37 @@ def exact_outputs() -> str:
     return "".join(f"== {title}\n{_cli(argv)}" for title, argv in blocks)
 
 
+def _printed(d) -> str:
+    """A differential as text: one line per column, entries printed."""
+    return "".join(
+        "(" + ", ".join(str(e) for e in col) + ")\n" for col in d.columns
+    )
+
+
+def resolution_pins() -> str:
+    """The ranks and each differential's sha256 of every pinned resolution."""
+    lines = []
+    for order in (GREVLEX, LEX):
+        for filename, name, length in RESOLUTIONS:
+            text = bundled_case_text(filename)
+            _, env = execute_text(text, order, declarations_only=True)
+            res = free_resolution(env[name], length)
+            ranks = " ".join(map(str, res.ranks))
+            lines.append(f"== {order} {filename} {name} ranks {ranks}")
+            for k, d in enumerate(res.differentials, start=1):
+                digest = hashlib.sha256(_printed(d).encode("utf-8")).hexdigest()
+                lines.append(f"d{k} {d.nrows}x{d.ncols} {digest}")
+    return "".join(line + "\n" for line in lines)
+
+
 def test_exact_outputs_match_golden():
     assert exact_outputs() == GOLDEN.read_text(encoding="utf-8")
 
 
+def test_resolutions_match_pins():
+    assert resolution_pins() == RESOLUTION_PINS.read_text(encoding="utf-8")
+
+
 if __name__ == "__main__":
     GOLDEN.write_text(exact_outputs(), encoding="utf-8")
+    RESOLUTION_PINS.write_text(resolution_pins(), encoding="utf-8")

@@ -85,13 +85,17 @@ SCRIPT_MESSAGES = [
 # (id, the two Tor arguments of `flatcert tor CASE 1 ...`, status, stderr)
 CLI_MESSAGES = [
     ("cli-free-rank-too-large", ["J", "free(R, 26)"], 2,
-     "parse error at line 1, col 9: rank larger than 25\n"),
+     "parse error at argument 2, col 9: rank larger than 25\n"),
+    ("cli-left-free-rank-too-large", ["free(R, 26)", "J"], 2,
+     "parse error at argument 1, col 9: rank larger than 25\n"),
+    ("cli-left-multiline", ["free(R,\n 26)", "J"], 2,
+     "parse error at argument 1, line 2, col 2: rank larger than 25\n"),
     ("cli-undeclared-name", ["J", "Q"], 3,
      "undeclared name 'Q'\n"),
     ("cli-not-an-ideal-or-module", ["J", "R"], 3,
      "'R' is not an ideal or module\n"),
     ("cli-trailing-input", ["J", "J K"], 2,
-     "parse error at line 1, col 3: expected end of input, found 'K'\n"),
+     "parse error at argument 2, col 3: expected end of input, found 'K'\n"),
 ]
 
 # (polynomial text over QQ[x,y], ParseError text)

@@ -6,41 +6,14 @@ the comparison; reduced bases are unique, so the two must then agree.
 """
 
 import random
-from fractions import Fraction
 
 import pytest
 
 import flatcert as fc
 from flatcert import RingSignature, reduced_basis
-from helpers import random_poly
+from helpers import basis_set, random_poly, sympy_reduced_basis, to_sympy
 
 sympy = pytest.importorskip("sympy")
-
-
-def _to_sympy(p, gens):
-    return sum(
-        sympy.Rational(c.numerator, c.denominator)
-        * sympy.Mul(*(g**e for g, e in zip(gens, m)))
-        for m, c in p.terms.items()
-    )
-
-
-def _sympy_basis(exprs, gens, order):
-    """sympy's reduced basis as a set of monic term maps in `order`."""
-    out = set()
-    for p in sympy.groebner(exprs, *gens, order=order).polys:
-        terms = p.terms(order=order)
-        lc = Fraction(int(terms[0][1].p), int(terms[0][1].q))
-        out.add(
-            frozenset(
-                (m, Fraction(int(c.p), int(c.q)) / lc) for m, c in terms
-            )
-        )
-    return out
-
-
-def _basis_set(basis, drop=0):
-    return {frozenset((m[drop:], c) for m, c in b.terms.items()) for b in basis}
 
 
 @pytest.mark.parametrize("order", [fc.GREVLEX, fc.LEX])
@@ -53,8 +26,8 @@ def test_random_ideals_match_sympy(order, seed):
     gens = [random_poly(rng, sig, max_deg=3, max_terms=3) for _ in range(count)]
     gens = [g for g in gens if not g.is_zero()]
     symbols = sympy.symbols(names)
-    expected = _sympy_basis([_to_sympy(g, symbols) for g in gens], symbols, order)
-    assert _basis_set(reduced_basis(gens)) == expected
+    expected = sympy_reduced_basis([to_sympy(g, symbols) for g in gens], symbols, order)
+    assert basis_set(reduced_basis(gens)) == expected
 
 
 def test_elimination_part_matches_sympy():
@@ -69,8 +42,8 @@ def test_elimination_part_matches_sympy():
     ]
     assert eliminated
     symbols = sympy.symbols(sig.variables)
-    lex = sympy.groebner([_to_sympy(g, symbols) for g in gens], *symbols, order="lex")
+    lex = sympy.groebner([to_sympy(g, symbols) for g in gens], *symbols, order="lex")
     u, v = symbols[:2]
     kept = [p for p in lex.exprs if not p.has(u, v)]
-    expected = _sympy_basis(kept, symbols[2:], "grevlex")
-    assert _basis_set(eliminated, drop=2) == expected
+    expected = sympy_reduced_basis(kept, symbols[2:], "grevlex")
+    assert basis_set(eliminated, drop=2) == expected

@@ -11,7 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Sequence
 
-from .groebner import IdealHandle, RingMap, map_kernel
+from .groebner import IdealHandle, RingMap
 from .homology import ModuleLike, PresentedModule, TorReport, tor
 from .poly import (
     ArgumentError,
@@ -114,10 +114,7 @@ def invariant_presentation(
         raise ArgumentError("at least one generator is required")
     if ambient is None:
         ambient = PresentedRing(gens[0].sig)
-    plain = PresentedRing(RingSignature(names))
-    probe = RingMap(plain, ambient, gens)
-    kernel = map_kernel(probe)
-    presented = PresentedRing(plain.signature, kernel.generators)
+    presented = RingMap(PresentedRing(RingSignature(names)), ambient, gens).image()
     return presented, RingMap(presented, ambient, gens)
 
 

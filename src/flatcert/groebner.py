@@ -253,6 +253,10 @@ class RingMap:
             raise DimensionError("polynomial over a different signature")
         return self.target.reduce(self._substitute(f))
 
+    def image(self) -> PresentedRing:
+        """The image ring: the source's variables modulo the kernel."""
+        return PresentedRing(self.source.signature, map_kernel(self).generators)
+
     def __str__(self) -> str:
         imgs = ", ".join(str(p) for p in self.images)
         return f"map {self.source} -> {self.target}: {{{imgs}}}"

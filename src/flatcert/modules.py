@@ -10,11 +10,24 @@ generators of a quotient ring, and any caller-supplied relations) enter
 untracked, and basis elements whose terms all lie in the tracker block
 project onto syzygy generators.
 
+Inside the engine a term, a (position, monomial) pair, is one packed
+int (`_Packing`, after Monagan and Pearce's packed exponent vectors): a
+product is an addition, a quotient a subtraction, a divisibility test a
+subtraction and a mask, and the int itself, with its degree fields
+negated, is the order key.  `_vp_from_entries` and `_defining_vps` pack
+tuple monomials on the way in, and `_entries_from_vp` unpacks them on
+the way out; no packed int leaves this module, and everywhere else a
+monomial is a tuple.  Each engine run picks its field width from the
+degrees of its inputs (`_initial_width`).  A product or lcm that
+outgrows a field raises `_Overflow`, and the run starts again at double
+width (`_packed_run`); a `MembershipBasis` repacks its table instead.  So
+exponents of any size work, and no value depends on the width.
+
 Every normal form runs through `_vp_normal_form`: it keys each term
-once, with the ring's descending key, when the term enters the work set,
-and takes the top term off a heap.  `MembershipBasis` is the one
-Groebner table per generator set: it gives normal forms and the reduced
-basis, each element a minimal lead plus the normal form of its tail.
+once, when the term enters the work set, and takes the top term off a
+heap.  `MembershipBasis` is the one Groebner table per generator set: it
+gives normal forms and the reduced basis, each element a minimal lead
+plus the normal form of its tail.
 Ideals, and rings through their defining ideal, hold one at rank 1.
 Only it and `syzygy_entries` run `_module_buchberger`; only the
 quotient-tracking `groebner.divide` keeps a normal-form loop of its own.
@@ -32,22 +45,20 @@ from __future__ import annotations
 
 import heapq
 from fractions import Fraction
+from functools import lru_cache
 from typing import Callable, Iterable, Sequence
 
 from .poly import (
     ArgumentError,
     DimensionError,
+    GREVLEX,
+    LEX,
     Monomial,
     Polynomial,
     PresentedRing,
-    mono_degree,
-    mono_divides,
-    mono_lcm,
-    mono_mul,
-    mono_quotient,
 )
 
-VecTerm = tuple[int, Monomial]
+VecTerm = int  # a packed (position, monomial) pair, see `_Packing`
 Coefficient = int | Fraction
 VecPoly = dict[VecTerm, Coefficient]
 Entries = tuple[Polynomial, ...]
@@ -170,15 +181,142 @@ class PolyMatrix:
         return f"PolyMatrix({self.nrows}x{self.ncols})"
 
 
-def _descending_vkey(sig) -> Callable[[VecTerm], tuple]:
-    """Sort key that descends with the position-over-term order: the
-    smallest key belongs to the greatest term."""
-    dk = sig.descending_key()
+class _Overflow(Exception):
+    """A packed exponent or degree outgrew its field: rerun wider."""
 
-    def vk(t: VecTerm) -> tuple:
-        return (t[0], dk(t[1]))
 
-    return vk
+class _Packing:
+    """(position, monomial) pairs packed into single ints at one field
+    width: the engine's terms.
+
+    Each field is `width` bits wide, and its top bit is a guard that is
+    clear in every stored term.  Besides one field per exponent there is
+    one degree field per grevlex block of the order.  Most significant
+    first, the fields are
+      grevlex:  deg, e_n, ..., e_1;
+      lex:      e_1, ..., e_n, deg;
+      block:    deg_1, block 1 reversed, deg_2, block 2 reversed;
+    and the position lies above them all.  Then for terms t, u and a
+    monomial q (position 0):
+      - t + q is the product, which overflowed if it sets a guard bit;
+      - t - u is the quotient when u divides t;
+      - u divides t, at t's position, exactly when
+        ((t | guards) - u) & guards == guards;
+      - `key(t)`, t with its degree fields negated (under lex, every
+        field), ascends as (position, `sig.descending_key()`) does: the
+        greatest term has the smallest key.  lex's degree field lies
+        below every exponent, where it never decides.
+    """
+
+    __slots__ = ("width", "shift", "value", "guards", "neg", "var_shifts", "groups")
+
+    def __init__(self, order: str, block: int, nvars: int, width: int):
+        # Least significant first: a variable's index, or the slice of
+        # variables a degree field sums.
+        if order == GREVLEX:
+            fields = [*range(nvars), slice(0, nvars)]
+        elif order == LEX:
+            fields = [slice(0, nvars), *reversed(range(nvars))]
+        else:
+            fields = [*range(block, nvars), slice(block, nvars)]
+            fields += [*range(block), slice(0, block)]
+        value = (1 << (width - 1)) - 1
+        shifts = {f: j * width for j, f in enumerate(fields) if isinstance(f, int)}
+        self.width = width
+        self.shift = len(fields) * width
+        self.value = value
+        self.guards = sum(1 << (j * width + width - 1) for j in range(len(fields)))
+        self.var_shifts = [shifts[i] for i in range(nvars)]
+        self.groups = []
+        self.neg = 0
+        for j, f in enumerate(fields):
+            if isinstance(f, slice):
+                # The slice's exponent fields are adjacent, so `lcm` sums
+                # them with one multiplication.
+                count = f.stop - f.start
+                low = min(self.var_shifts[f], default=0)
+                span = (1 << (count * width)) - 1
+                ones = sum(1 << (k * width) for k in range(count))
+                top = max(count - 1, 0) * width
+                self.groups.append((j * width, f, low, span, ones, top))
+            if isinstance(f, slice) or order == LEX:
+                self.neg |= value << (j * width)
+
+    def pack(self, pos: int, m: Monomial) -> int:
+        t = pos << self.shift
+        for group in self.groups:
+            d = sum(m[group[1]])
+            if d > self.value:
+                raise _Overflow
+            t |= d << group[0]
+        for e, s in zip(m, self.var_shifts):
+            t |= e << s
+        return t
+
+    def unpack(self, t: int) -> tuple[int, Monomial]:
+        value = self.value
+        return t >> self.shift, tuple([t >> s & value for s in self.var_shifts])
+
+    def key(self, t: int) -> int:
+        return t - 2 * (t & self.neg)
+
+    def divides(self, u: int, t: int) -> bool:
+        """Whether u divides t; both at one position."""
+        return ((t | self.guards) - u) & self.guards == self.guards
+
+    def degree(self, t: int) -> int:
+        d = 0
+        for group in self.groups:
+            d += t >> group[0] & self.value
+        return d
+
+    def lcm(self, a: int, b: int) -> int:
+        """The lcm of two terms at one position: each field's larger
+        value, picked by the guard bits of (a | guards) - b, and then each
+        degree field set to the sum of its exponents.  That sum is below
+        2**width (it is at most deg a + deg b), so summing by one
+        multiplication carries nothing across fields."""
+        width, value = self.width, self.value
+        g = ((a | self.guards) - b) & self.guards
+        t = b ^ ((a ^ b) & (g - (g >> (width - 1))))
+        for s, _, low, span, ones, top in self.groups:
+            d = ((t >> low & span) * ones >> top) & ((1 << width) - 1)
+            if d > value:
+                raise _Overflow
+            t += (d - (t >> s & value)) << s
+        return t
+
+
+@lru_cache(maxsize=64)
+def _packing(order: str, block: int, nvars: int, width: int) -> _Packing:
+    return _Packing(order, block, nvars, width)
+
+
+def _initial_width(degree: int) -> int:
+    """The field width an engine run starts at when no input term has a
+    degree above `degree`: a power of two, at least 16, with three bits
+    of headroom above `degree` besides the guard bit."""
+    width = 16
+    while width < degree.bit_length() + 4:
+        width *= 2
+    return width
+
+
+def _packed_run(
+    ring: PresentedRing, polys: list[Polynomial], run: Callable[[_Packing], object]
+):
+    """run(packing) over the ring's signature, first at the initial width
+    for the degrees of `polys` and the defining generators, and again at
+    double width each time a field overflows.  Values never depend on
+    the width, so a rerun returns what a wide enough first run would."""
+    sig = ring.signature
+    polys = polys + list(ring.defining)
+    width = _initial_width(max((sum(m) for p in polys for m in p.terms), default=0))
+    while True:
+        try:
+            return run(_packing(sig.order, sig.block, sig.nvars, width))
+        except _Overflow:
+            width *= 2
 
 
 def _small(c: Coefficient) -> Coefficient:
@@ -186,20 +324,22 @@ def _small(c: Coefficient) -> Coefficient:
     return c.numerator if c.denominator == 1 else c
 
 
-def _vp_from_entries(entries: Sequence[Polynomial]) -> VecPoly:
+def _vp_from_entries(entries: Sequence[Polynomial], pk: _Packing) -> VecPoly:
+    pack = pk.pack
     vp: VecPoly = {}
     for i, e in enumerate(entries):
         for m, c in e.terms.items():
-            vp[(i, m)] = _small(c)
+            vp[pack(i, m)] = _small(c)
     return vp
 
 
-def _entries_from_vp(vp: VecPoly, sig, rank: int) -> Entries:
-    """The engine's one exit: every coefficient leaves as a `Fraction`,
-    and the empty positions share one zero polynomial (polynomials are
-    immutable)."""
+def _entries_from_vp(vp: VecPoly, pk: _Packing, sig, rank: int) -> Entries:
+    """The engine's one exit: every term leaves as a (position, tuple
+    monomial) pair and every coefficient as a `Fraction`, and the empty
+    positions share one zero polynomial (polynomials are immutable)."""
     split: list[dict | None] = [None] * rank
-    for (i, m), c in vp.items():
+    for t, c in vp.items():
+        i, m = pk.unpack(t)
         d = split[i]
         if d is None:
             d = split[i] = {}
@@ -213,73 +353,75 @@ def _vp_normal_form(
     basis: list[VecPoly],
     leads: list[VecTerm],
     buckets: dict[int, list[int]],
-    dk: Callable[[Monomial], tuple],
+    pk: _Packing,
 ) -> VecPoly:
     """Full normal form against a monic basis; first match by insertion
     order within the lead position's bucket.
 
-    The top term comes off a heap of (position, descending key, term)
-    entries, whose term is the work set's own key.  An entry is pushed
-    when its term enters the work set, so each key is built once.  A term
-    that cancels stays in the work set with coefficient 0 and is skipped
-    when popped, so no term is ever pushed twice.  A reduction step only
-    adds terms below the one it removes, so nothing is pushed above the
-    current top."""
+    The top term comes off a heap of (key, term) entries.  An entry is
+    pushed when its term enters the work set, so each key is built once.
+    A term that cancels stays in the work set with coefficient 0 and is
+    skipped when popped, so no term is ever pushed twice.  A reduction
+    step only adds terms below the one it removes, so nothing is pushed
+    above the current top.  A product that sets a guard bit raises
+    `_Overflow`."""
+    guards, neg, shift = pk.guards, pk.neg, pk.shift
     work = dict(vp)
-    heap = [(t[0], dk(t[1]), t) for t in work]
+    heap = [(t - 2 * (t & neg), t) for t in work]
     heapq.heapify(heap)
     rem: VecPoly = {}
     while heap:
-        pos, _, t = heapq.heappop(heap)
-        m = t[1]
+        _, t = heapq.heappop(heap)
         c = work.pop(t)
         if not c:
             continue
+        tg = t | guards
         hit = -1
-        for k in buckets.get(pos, ()):
-            if mono_divides(leads[k][1], m):
+        for k in buckets.get(t >> shift, ()):
+            if (tg - leads[k]) & guards == guards:
                 hit = k
                 break
         if hit < 0:
             rem[t] = c
             continue
-        q = mono_quotient(m, leads[hit][1])
-        for (p2, m2), c2 in basis[hit].items():
-            mm = mono_mul(q, m2)
-            tt = (p2, mm)
+        q = t - leads[hit]
+        for t2, c2 in basis[hit].items():
+            tt = t2 + q
+            if tt & guards:
+                raise _Overflow
             old = work.get(tt)
             if old is not None:
                 work[tt] = old - c * c2
             elif tt != t:  # the monic lead of the reducer cancels t exactly
                 work[tt] = -c * c2
-                heapq.heappush(heap, (p2, dk(mm), tt))
+                heapq.heappush(heap, (tt - 2 * (tt & neg), tt))
     return rem
 
 
 def _module_buchberger(
-    gens: Iterable[VecPoly], sig, rank: int
+    gens: Iterable[VecPoly], pk: _Packing, rank: int
 ) -> tuple[list[VecPoly], list[VecTerm], dict[int, list[int]]]:
     """Monic module Groebner basis (position-over-term order).
 
     S-pairs only arise between elements with the same leading position;
     the chain criterion applies there, and the coprimality criterion only
     when the ambient rank is 1 (it is invalid for genuine vectors).
+    A term or lcm that outgrows its field raises `_Overflow`.
     """
-    dk = sig.descending_key()
-    vk = _descending_vkey(sig)
+    guards, shift, key, lcm_of = pk.guards, pk.shift, pk.key, pk.lcm
     basis: list[VecPoly] = []
     leads: list[VecTerm] = []
     buckets: dict[int, list[int]] = {}
-    heap: list[tuple[int, int, int]] = []
+    heap: list[tuple[int, int, int, int]] = []
     pending: set[tuple[int, int]] = set()
 
     def push(i: int, j: int) -> None:
-        lcm = mono_lcm(leads[i][1], leads[j][1])
-        heapq.heappush(heap, (mono_degree(lcm), i, j))
+        lcm = lcm_of(leads[i], leads[j])
+        heapq.heappush(heap, (pk.degree(lcm), i, j, lcm))
         pending.add((i, j))
 
     def add(vp: VecPoly) -> None:
-        lt = min(vp, key=vk)
+        lt = min(vp, key=key)
         c = vp[lt]
         if c == -1:
             vp = {t: -v for t, v in vp.items()}
@@ -288,27 +430,35 @@ def _module_buchberger(
         idx = len(basis)
         basis.append(vp)
         leads.append(lt)
-        bucket = buckets.setdefault(lt[0], [])
+        bucket = buckets.setdefault(lt >> shift, [])
         for k in bucket:
             push(k, idx)
         bucket.append(idx)
+
+    def product(vp: VecPoly, q: int) -> Iterable[tuple[int, Coefficient]]:
+        for t, c in vp.items():
+            t += q
+            if t & guards:
+                raise _Overflow
+            yield t, c
 
     for vp in gens:
         if vp:
             add(dict(vp))
     while heap:
-        _, i, j = heapq.heappop(heap)
+        _, i, j, lcm = heapq.heappop(heap)
         if (i, j) not in pending:
             continue
         pending.discard((i, j))
-        pos = leads[i][0]
-        mi, mj = leads[i][1], leads[j][1]
-        lcm = mono_lcm(mi, mj)
-        if rank == 1 and lcm == mono_mul(mi, mj):
+        mi, mj = leads[i], leads[j]
+        # At rank 1 every position is 0, and lcm == mi + mj exactly when
+        # the leads are coprime.
+        if rank == 1 and lcm == mi + mj:
             continue
+        lg = lcm | guards
         skip = False
-        for k in buckets[pos]:
-            if k in (i, j) or not mono_divides(leads[k][1], lcm):
+        for k in buckets[mi >> shift]:
+            if k in (i, j) or (lg - leads[k]) & guards != guards:
                 continue
             if (min(i, k), max(i, k)) not in pending and (
                 min(j, k),
@@ -318,45 +468,43 @@ def _module_buchberger(
                 break
         if skip:
             continue
-        qi = mono_quotient(lcm, mi)
-        qj = mono_quotient(lcm, mj)
-        s: VecPoly = {}
-        for (p, m), c in basis[i].items():
-            s[(p, mono_mul(qi, m))] = c
-        for (p, m), c in basis[j].items():
-            t = (p, mono_mul(qj, m))
+        s: VecPoly = dict(product(basis[i], lcm - mi))
+        for t, c in product(basis[j], lcm - mj):
             nc = s.get(t, 0) - c
             if nc:
                 s[t] = nc
             else:
                 s.pop(t, None)
-        r = _vp_normal_form(s, basis, leads, buckets, dk)
+        r = _vp_normal_form(s, basis, leads, buckets, pk)
         if r:
             add(r)
     return basis, leads, buckets
 
 
 def _minimal_leads(
-    pairs: Iterable[tuple[VecPoly, VecTerm]], vk: Callable[[VecTerm], tuple]
+    pairs: Iterable[tuple[VecPoly, VecTerm]], pk: _Packing
 ) -> list[tuple[VecPoly, VecTerm]]:
     """The (element, lead) pairs whose lead no other kept lead divides,
     by decreasing lead: the scan runs by ascending lead, ties in input
     order (reverse sorts are stable), and the kept leads are distinct."""
     kept: list[tuple[VecPoly, VecTerm]] = []
-    for vp, lt in sorted(pairs, key=lambda p: vk(p[1]), reverse=True):
-        pos, m = lt
-        if not any(p == pos and mono_divides(lm, m) for _, (p, lm) in kept):
+    kept_leads: dict[int, list[VecTerm]] = {}  # by position
+    for vp, lt in sorted(pairs, key=lambda p: pk.key(p[1]), reverse=True):
+        same = kept_leads.setdefault(lt >> pk.shift, [])
+        if not any(pk.divides(lm, lt) for lm in same):
+            same.append(lt)
             kept.append((vp, lt))
     kept.reverse()
     return kept
 
 
-def _defining_vps(ring: PresentedRing, rank: int) -> list[VecPoly]:
-    out = []
-    for q in ring.defining:
-        for i in range(rank):
-            out.append({(i, m): _small(c) for m, c in q.terms.items()})
-    return out
+def _defining_vps(ring: PresentedRing, rank: int, pk: _Packing) -> list[VecPoly]:
+    pack = pk.pack
+    return [
+        {pack(i, m): _small(c) for m, c in q.terms.items()}
+        for q in ring.defining
+        for i in range(rank)
+    ]
 
 
 class SubmodulePresentation:
@@ -412,7 +560,7 @@ class MembershipBasis:
     A full normal form does not depend on which Groebner basis it is taken
     against, so one table serves every question about one generator set."""
 
-    __slots__ = ("ring", "rank", "_basis", "_leads", "_buckets", "_dk", "_reduced")
+    __slots__ = ("ring", "rank", "_table", "_reduced")
 
     def __init__(
         self,
@@ -420,26 +568,50 @@ class MembershipBasis:
         rank: int,
         columns: Iterable[Sequence[Polynomial]],
     ):
-        sig = ring.signature
-        gens = [_vp_from_entries(_column(ring, c, rank)) for c in columns]
-        gens += _defining_vps(ring, rank)
-        basis, leads, buckets = _module_buchberger(gens, sig, rank)
+        columns = [_column(ring, c, rank) for c in columns]
+
+        def run(pk: _Packing) -> tuple:
+            gens = [_vp_from_entries(c, pk) for c in columns]
+            gens += _defining_vps(ring, rank, pk)
+            return (pk, *_module_buchberger(gens, pk, rank))
+
+        polys = [e for c in columns for e in c]
         object.__setattr__(self, "ring", ring)
         object.__setattr__(self, "rank", rank)
-        object.__setattr__(self, "_basis", basis)
-        object.__setattr__(self, "_leads", leads)
-        object.__setattr__(self, "_buckets", buckets)
-        object.__setattr__(self, "_dk", sig.descending_key())
+        object.__setattr__(self, "_table", _packed_run(ring, polys, run))
         object.__setattr__(self, "_reduced", None)
 
     def __setattr__(self, name, value):  # pragma: no cover - guard only
         raise AttributeError("MembershipBasis is immutable")
 
+    def _query(self, question: Callable[..., object]):
+        """question(packing, basis, leads, buckets) against the table,
+        which repacks itself at double width while the question
+        overflows a field.  The table is swapped in as one tuple, so a
+        concurrent reader sees the old packing or the new one whole."""
+        while True:
+            try:
+                return question(*self._table)
+            except _Overflow:
+                pk, basis, leads, buckets = self._table
+                sig = self.ring.signature
+                wide = _packing(sig.order, sig.block, sig.nvars, 2 * pk.width)
+
+                def repack(t: int) -> int:
+                    return wide.pack(*pk.unpack(t))
+
+                basis = [{repack(t): c for t, c in vp.items()} for vp in basis]
+                leads = [repack(t) for t in leads]
+                object.__setattr__(self, "_table", (wide, basis, leads, buckets))
+
     def normal_form(self, entries: Sequence[Polynomial]) -> Entries:
         entries = _column(self.ring, entries, self.rank)
-        vp = _vp_from_entries(entries)
-        nf = _vp_normal_form(vp, self._basis, self._leads, self._buckets, self._dk)
-        return _entries_from_vp(nf, self.ring.signature, self.rank)
+
+        def question(pk, *table) -> Entries:
+            nf = _vp_normal_form(_vp_from_entries(entries, pk), *table, pk)
+            return _entries_from_vp(nf, pk, self.ring.signature, self.rank)
+
+        return self._query(question)
 
     def contains(self, entries: Sequence[Polynomial]) -> bool:
         return all(e.is_zero() for e in self.normal_form(entries))
@@ -452,15 +624,17 @@ class MembershipBasis:
         against any Groebner basis, only has terms below L."""
         if self._reduced is None:
             sig = self.ring.signature
-            vk = _descending_vkey(sig)
-            table = (self._basis, self._leads, self._buckets, self._dk)
-            reduced = []
-            for vp, lt in _minimal_leads(zip(self._basis, self._leads), vk):
-                tail = dict(vp)
-                element = {lt: tail.pop(lt)}
-                element.update(_vp_normal_form(tail, *table))
-                reduced.append(_entries_from_vp(element, sig, self.rank))
-            object.__setattr__(self, "_reduced", tuple(reduced))
+
+            def question(pk, basis, leads, buckets) -> tuple[Entries, ...]:
+                reduced = []
+                for vp, lt in _minimal_leads(zip(basis, leads), pk):
+                    tail = dict(vp)
+                    element = {lt: tail.pop(lt)}
+                    element.update(_vp_normal_form(tail, basis, leads, buckets, pk))
+                    reduced.append(_entries_from_vp(element, pk, sig, self.rank))
+                return tuple(reduced)
+
+            object.__setattr__(self, "_reduced", self._query(question))
         return self._reduced
 
 
@@ -477,26 +651,31 @@ def syzygy_entries(
     if m == 0:
         return []
     sig = ring.signature
-    one = (0,) * sig.nvars
-    gens: list[VecPoly] = []
-    for j, col in enumerate(columns):
-        vp = _vp_from_entries(col)
-        vp[(nrows + j, one)] = 1
-        gens.append(vp)
-    for col in extra_relations:
-        gens.append(_vp_from_entries(col))
-    gens += _defining_vps(ring, nrows)
-    basis, leads, _ = _module_buchberger(gens, sig, nrows + m)
-    # The tracker block is ordered below every head position, so a lead in
-    # the tracker block means the whole element lies there.
-    kept = _minimal_leads(
-        ((vp, lt) for vp, lt in zip(basis, leads) if lt[0] >= nrows),
-        _descending_vkey(sig),
-    )
+
+    def run(pk: _Packing) -> list[Entries]:
+        gens: list[VecPoly] = []
+        for j, col in enumerate(columns):
+            vp = _vp_from_entries(col, pk)
+            vp[(nrows + j) << pk.shift] = 1
+            gens.append(vp)
+        for col in extra_relations:
+            gens.append(_vp_from_entries(col, pk))
+        gens += _defining_vps(ring, nrows, pk)
+        basis, leads, _ = _module_buchberger(gens, pk, nrows + m)
+        # The tracker block is ordered below every head position, so a
+        # lead in the tracker block means the whole element lies there.
+        head = nrows << pk.shift
+        kept = _minimal_leads(
+            ((vp, lt) for vp, lt in zip(basis, leads) if lt >= head), pk
+        )
+        return [
+            _entries_from_vp({t - head: c for t, c in vp.items()}, pk, sig, m)
+            for vp, _ in kept
+        ]
+
+    polys = [e for col in (*columns, *extra_relations) for e in col]
     out: list[Entries] = []
-    for vp, _ in kept:
-        shifted = {(p - nrows, mono): c for (p, mono), c in vp.items()}
-        entries = _entries_from_vp(shifted, sig, m)
+    for entries in _packed_run(ring, polys, run):
         entries = tuple(ring.reduce(e) if e.terms else e for e in entries)
         if any(not e.is_zero() for e in entries):
             out.append(entries)

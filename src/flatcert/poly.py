@@ -7,7 +7,10 @@ That is the public type: the module engine (`modules`) keeps integral
 coefficients as Python ints internally and turns them back into
 `Fraction` at its one exit, before any `Polynomial` is built.
 A monomial is a plain tuple of nonnegative integer exponents, one slot per
-ring variable; exponents are Python ints and cannot overflow.  The zero
+ring variable; exponents are Python ints and cannot overflow.  The module
+engine packs each of its terms into one int internally and unpacks
+them to tuples before any `Polynomial` is built, so `Polynomial.terms`
+and the `mono_*` helpers here only ever see tuples.  The zero
 polynomial has an empty term map.
 
 Each monomial order has one sort key, `RingSignature.descending_key()`,

@@ -28,7 +28,7 @@ from functools import partial
 from typing import Union
 
 from .flatness import FlatnessVerdict, PointSpec, flat_at_point, tensor_rings
-from .groebner import IdealHandle, RingMap, map_kernel
+from .groebner import IdealHandle, RingMap
 from .homology import PresentedModule, TorReport, tor
 from .modules import PolyMatrix, SubmodulePresentation
 from .parse import (
@@ -504,9 +504,7 @@ class Interpreter:
             rels = [to_polynomial(e, sig) for e in stmt.quotient]
             env[stmt.name] = PresentedRing(sig, rels)
         elif isinstance(stmt, ImageRingDecl):
-            F = _lookup(env, stmt.map_name, RingMap, "a map")
-            kernel = map_kernel(F)
-            env[stmt.name] = PresentedRing(F.source.signature, kernel.generators)
+            env[stmt.name] = _lookup(env, stmt.map_name, RingMap, "a map").image()
         elif isinstance(stmt, TensorRingDecl):
             left = _ring_of(env, stmt.left)
             right = _ring_of(env, stmt.right)

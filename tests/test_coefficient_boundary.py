@@ -1,4 +1,4 @@
-"""Coefficients at the boundary of the module engine.
+"""Coefficients and monomials at the boundary of the module engine.
 
 Inside `modules` an integral coefficient is a Python int and any other a
 `Fraction`; every polynomial that leaves the engine carries `Fraction`
@@ -7,10 +7,12 @@ coefficients.  An int that leaked out would print like the equal
 of every coefficient that the public entry points return, on seeded
 columns at ranks 1-3 over QQ[x,y,z] and over the cone x*y - z^2.  No
 lead coefficient is a unit and several coefficients are not integral,
-so making an element monic divides through `Fraction`.  The values are
-checked too: syzygies compose to zero in the ring, normal forms equal
-the remainder of `divide` against the reduced basis, and at rank 1 the
-reduced basis equals sympy's.
+so making an element monic divides through `Fraction`.  Inside the
+engine a term is also one packed int; every polynomial built keys its
+terms by tuples of exponents.  The values are checked too: syzygies
+compose to zero in the ring, normal forms equal the remainder of
+`divide` against the reduced basis, and at rank 1 the reduced basis
+equals sympy's.
 """
 
 import random
@@ -172,13 +174,13 @@ def test_tor_witnesses_carry_fractions(case):
         assert all(_all_fractions(w.entries) for w in report.witness_generators)
 
 
-def test_no_polynomial_is_built_with_int_coefficients(monkeypatch):
-    """Every polynomial built anywhere during a seeded module run and a
-    bundled Tor query with witnesses has only `Fraction` coefficients."""
+def _build_through_the_engine(monkeypatch, check):
+    """A seeded module run and a bundled Tor query with witnesses, with
+    `check(sig, terms)` called on every polynomial built meanwhile."""
     raw = Polynomial._raw
 
     def checked(sig, terms):
-        assert all(type(c) is Fraction for c in terms.values())
+        check(sig, terms)
         return raw(sig, terms)
 
     monkeypatch.setattr(Polynomial, "_raw", staticmethod(checked))
@@ -190,4 +192,30 @@ def test_no_polynomial_is_built_with_int_coefficients(monkeypatch):
     _, env = execute_text(bundled_case_text("neg2_graph.fc"), declarations_only=True)
     report = tor(3, env["J"], env["K"])
     assert report.witness_generators
+    return report
+
+
+def test_no_polynomial_is_built_with_int_coefficients(monkeypatch):
+    """Every polynomial built anywhere during a seeded module run and a
+    bundled Tor query with witnesses has only `Fraction` coefficients."""
+
+    def check(sig, terms):
+        assert all(type(c) is Fraction for c in terms.values())
+
+    report = _build_through_the_engine(monkeypatch, check)
     assert all(_all_fractions(w.entries) for w in report.witness_generators)
+
+
+def test_no_polynomial_is_built_with_packed_monomials(monkeypatch):
+    """Inside `modules` a term is one packed int; every polynomial built
+    during the same runs keys its terms by tuples of `nvars` ints."""
+    built = []
+
+    def check(sig, terms):
+        built.append(len(terms))
+        for m in terms:
+            assert type(m) is tuple and len(m) == sig.nvars
+            assert all(type(e) is int for e in m)
+
+    _build_through_the_engine(monkeypatch, check)
+    assert sum(built) > 100

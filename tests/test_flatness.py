@@ -123,6 +123,23 @@ def test_invariant_presentation_round_trip():
         assert onto.apply(lifted).is_zero()
 
 
+def test_script_image_ring_is_the_invariant_presentation():
+    from flatcert.script import execute_text
+
+    _, env = execute_text(
+        "ring R = QQ[E,G,H,A,B,C];\n"
+        "ring S = QQ[e,g,h];\n"
+        "map F : R -> S = {e^2, g^2, h^2, e*g, e*h, g*h};\n"
+        "ring V = image F;\n"
+    )
+    S = env["S"]
+    images = [fc.poly(t, S) for t in ("e^2", "g^2", "h^2", "e*g", "e*h", "g*h")]
+    presented, _ = invariant_presentation(images, ("E", "G", "H", "A", "B", "C"), S)
+    assert presented.signature == env["V"].signature
+    assert presented.defining == env["V"].defining
+    assert env["F"].image().defining == presented.defining
+
+
 def test_point_spec_requires_proper_ideal(qq_xy):
     with pytest.raises(ArgumentError):
         PointSpec(qq_xy, fc.ideal(qq_xy, fc.poly("1", qq_xy)))

@@ -97,3 +97,60 @@ def test_tor_over_a_ring_with_a_large_exponent_relation(order):
     N2 = PresentedModule.cyclic(R2, [fc.poly("x", R2)])
     assert [str(w) for w in tor(1, M2, N2).witness_generators] == ["(z, 0)", "(0, y)"]
     assert tor(2, M2, N2).is_zero
+
+
+def _narrowest(degree: int) -> int:
+    """A field width that just holds `degree`, so that nearly every
+    engine run overflows and restarts at double width."""
+    return max(2, degree.bit_length() + 1)
+
+
+def test_forced_widening_leaves_exact_outputs_byte_identical(monkeypatch):
+    import flatcert.modules as modules
+    from test_exact_outputs import (
+        GOLDEN,
+        RESOLUTION_PINS,
+        exact_outputs,
+        resolution_pins,
+    )
+
+    restarts = []
+    engine = modules._module_buchberger
+
+    def spied(gens, pk, rank):
+        try:
+            return engine(gens, pk, rank)
+        except modules._Overflow:
+            restarts.append(pk.width)
+            raise
+
+    monkeypatch.setattr(modules, "_initial_width", _narrowest)
+    monkeypatch.setattr(modules, "_module_buchberger", spied)
+    assert exact_outputs() == GOLDEN.read_text(encoding="utf-8")
+    assert resolution_pins() == RESOLUTION_PINS.read_text(encoding="utf-8")
+    assert len(restarts) > 50
+
+
+@pytest.mark.parametrize("order,block", ORDERS)
+def test_forced_widening_on_huge_exponents(order, block, monkeypatch):
+    import flatcert.modules as modules
+
+    expected = {text: _basis(text, order, block)[1] for text in CASES}
+    monkeypatch.setattr(modules, "_initial_width", _narrowest)
+    for text, basis in expected.items():
+        assert _basis(text, order, block)[1] == basis
+
+
+def test_a_table_repacks_for_a_query_wider_than_itself():
+    from flatcert import MembershipBasis
+
+    R = fc.ring("x,y,z", ["x*y - z^2"])
+    table = MembershipBasis(R, 2, [(fc.poly("x", R), fc.poly("y - z", R))])
+    wide = (fc.poly(f"y^{BIG} + x*z^100000", R), fc.poly(f"x^{BIG}*z", R))
+    # The column's lead x takes x*z^100000 out of the first coordinate,
+    # which leaves -(y - z)*z^100000 in the second; no lead of the table
+    # divides what is left.
+    nf = (fc.poly(f"y^{BIG}", R), fc.poly(f"x^{BIG}*z - y*z^100000 + z^100001", R))
+    assert table.normal_form(wide) == nf
+    assert table.normal_form(nf) == nf
+    assert table.contains((fc.poly("x", R), fc.poly("y - z", R)))

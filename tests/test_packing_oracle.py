@@ -1,0 +1,145 @@
+"""The module engine's packed monomials against the tuple operations.
+
+Inside `modules` a (position, monomial) pair is one int (`_Packing`).
+A derandomized hypothesis property draws a layout (grevlex, lex, or a
+block order at every split, for 0 to 5 variables), a field width, and
+two monomials with exponents at 0, at the field limit or anywhere
+between; the second may be a permutation of the first, or fill each
+degree field of the product exactly to the limit or one past it.  Where a monomial does not fit, packing must refuse it, and the
+property widens as the engine does.  It then checks packed product,
+quotient, divisibility, lcm and degree against `poly.mono_*`, overflow
+detection against the exact degrees, and the order of the packed keys
+against `(position, sig.descending_key())` and `helpers.textbook_compare`.
+"""
+
+from fractions import Fraction
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from flatcert import (
+    BLOCK,
+    GREVLEX,
+    LEX,
+    RingSignature,
+    mono_degree,
+    mono_divides,
+    mono_lcm,
+    mono_mul,
+    mono_quotient,
+)
+from flatcert.modules import _Overflow, _packing
+from helpers import textbook_compare
+
+LAYOUTS = [
+    (order, block, nvars)
+    for nvars in range(6)
+    for order, block in [(GREVLEX, 0), (LEX, 0)]
+    + [(BLOCK, k) for k in range(nvars + 1)]
+]
+WIDTHS = (2, 3, 5, 8, 16)
+
+
+def _fits(pk, m) -> bool:
+    """Whether every degree field of m, hence every exponent, fits."""
+    return all(sum(m[group[1]]) <= pk.value for group in pk.groups)
+
+
+def _sign(x: int) -> int:
+    return (x > 0) - (x < 0)
+
+
+def _complement(pk, a, extra: int):
+    """A monomial b with every degree field of a*b at the field limit
+    plus `extra`, the excess placed on each group's first variable."""
+    b = [0] * len(a)
+    for group in pk.groups:
+        part = range(len(a))[group[1]]
+        if part:
+            b[part[0]] = max(0, pk.value - sum(a[group[1]]) + extra)
+    return tuple(b)
+
+
+@st.composite
+def packed_pairs(draw):
+    order, block, nvars = draw(st.sampled_from(LAYOUTS))
+    pk = _packing(order, block, nvars, draw(st.sampled_from(WIDTHS)))
+    exponent = st.one_of(st.sampled_from((0, 1, pk.value)), st.integers(0, pk.value))
+    a = tuple(draw(exponent) for _ in range(nvars))
+    mode = draw(st.sampled_from(("free", "permuted", "fill", "spill")))
+    if mode == "free":
+        b = tuple(draw(exponent) for _ in range(nvars))
+    elif mode == "permuted":  # the same degree: the tie-breaks decide
+        b = tuple(draw(st.permutations(a)))
+    else:
+        b = _complement(pk, a, 0 if mode == "fill" else 1)
+    pa = draw(st.integers(0, 3))
+    pb = draw(st.one_of(st.just(pa), st.integers(0, 3)))
+    return order, block, pk, a, b, (pa, pb)
+
+
+@settings(derandomize=True, deadline=None, max_examples=600)
+@given(packed_pairs())
+def test_packed_operations_match_tuple_operations(case):
+    order, block, pk, a, b, (pa, pb) = case
+    # Widen as the engine does until both monomials fit.
+    while not (_fits(pk, a) and _fits(pk, b)):
+        with pytest.raises(_Overflow):
+            pk.pack(0, a if not _fits(pk, a) else b)
+        pk = _packing(order, block, len(a), 2 * pk.width)
+    ta, tb = pk.pack(pa, a), pk.pack(pb, b)
+    assert not (ta | tb) & pk.guards
+    assert pk.unpack(ta) == (pa, a) and pk.unpack(tb) == (pb, b)
+    assert pk.degree(ta) == mono_degree(a)
+
+    # Order: the smaller key is the greater term.
+    dk = RingSignature(tuple(f"v{i}" for i in range(len(a))), order, block).descending_key()
+    ka, kb = (pa, dk(a)), (pb, dk(b))
+    assert _sign(pk.key(ta) - pk.key(tb)) == (ka > kb) - (ka < kb)
+    if pa == pb:
+        assert _sign(pk.key(tb) - pk.key(ta)) == textbook_compare(a, b, order, block)
+
+    # Arithmetic at one position.
+    a0, b0 = pk.pack(pb, a), tb
+    assert pk.divides(a0, b0) == mono_divides(a, b)
+    if mono_divides(a, b):
+        assert pk.unpack(b0 - a0) == (0, mono_quotient(b, a))
+    product = pk.pack(0, a) + tb
+    if _fits(pk, mono_mul(a, b)):
+        assert not product & pk.guards
+        assert pk.unpack(product) == (pb, mono_mul(a, b))
+    else:
+        assert product & pk.guards
+    lcm = mono_lcm(a, b)
+    if _fits(pk, lcm):
+        packed = pk.lcm(a0, b0)
+        assert pk.unpack(packed) == (pb, lcm)
+        assert pk.degree(packed) == mono_degree(lcm)
+        assert (pk.pack(0, a) + pk.pack(0, b) == pk.lcm(pk.pack(0, a), pk.pack(0, b))) == (
+            lcm == mono_mul(a, b)
+        )
+    else:
+        with pytest.raises(_Overflow):
+            pk.lcm(a0, b0)
+
+
+@pytest.mark.parametrize("order", (GREVLEX, LEX))
+def test_engine_over_the_ring_of_constants(order):
+    """tor against R/(x, y) runs over the fiber ring with no variables
+    left, where a packed term is its position and one degree field."""
+    import flatcert as fc
+    from flatcert import MembershipBasis, PresentedModule, PresentedRing, tor
+
+    R = fc.ring("x,y", order=order)
+    M = PresentedModule.cyclic(R, [fc.poly("x", R)])
+    point = PresentedModule.cyclic(R, [fc.poly("x", R), fc.poly("y", R)])
+    # The Koszul complex R --x--> R tensored with QQ has zero maps.
+    assert [str(w) for w in tor(0, M, point).witness_generators] == ["(1)"]
+    assert [str(w) for w in tor(1, M, point).witness_generators] == ["(1)"]
+    assert tor(2, M, point).is_zero
+    constants = PresentedRing(RingSignature((), order))
+    two, one = constants.one() * 2, constants.one()
+    table = MembershipBasis(constants, 2, [(two, one)])
+    assert [tuple(map(str, b)) for b in table.reduced()] == [("1", "1/2")]
+    assert table.normal_form((one, constants.zero())) == (constants.zero(), one.scale(Fraction(-1, 2)))

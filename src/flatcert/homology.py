@@ -346,7 +346,7 @@ def tor(i: int, M: ModuleLike, N: ModuleLike) -> TorReport:
         for col in d.columns:
             for t in range(s):
                 big = [zero] * (d.nrows * s)
-                big[t::s] = map(project, col)
+                big[t::s] = [project(e) if e.terms else zero for e in col]
                 cols.append(tuple(big))
         return PolyMatrix(base, d.nrows * s, cols)
 

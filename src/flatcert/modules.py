@@ -8,7 +8,10 @@ Schreyer-style tracked elimination: each input column is augmented with a
 unit tracker in a trailing block of positions, relation columns (defining
 generators of a quotient ring, and any caller-supplied relations) enter
 untracked, and basis elements whose terms all lie in the tracker block
-project onto syzygy generators.
+project onto syzygy generators.  Over a quotient ring each syzygy is
+reduced modulo the ring inside the same run, by one packed normal form
+against the ring's reduced defining basis, so its entries leave the
+engine as normal forms and syzygies that vanish in the ring never leave.
 
 Inside the engine a term, a (position, monomial) pair, is one packed
 int (`_Packing`, after Monagan and Pearce's packed exponent vectors): a
@@ -37,8 +40,9 @@ otherwise: integral coefficients enter as ints (`_small`), int products
 and sums stay ints, and making an element monic divides through
 `Fraction` only when its lead coefficient is not 1 or -1.  Every value
 is the same as with `Fraction`s throughout.  `_entries_from_vp` is the
-one exit: every coefficient leaves as a `Fraction`, and the empty
-positions of a vector share one zero polynomial.
+one exit: every coefficient leaves as a `Fraction`, the empty positions
+of a vector share one zero polynomial, and a syzygy over a quotient ring
+is already reduced modulo the ring when it gets there.
 """
 
 from __future__ import annotations
@@ -646,11 +650,21 @@ def syzygy_entries(
 ) -> list[Entries]:
     """Generators of the syzygy module of the given columns over `ring`,
     relative to the span of `extra_relations` (and the defining
-    generators in every coordinate)."""
+    generators in every coordinate).
+
+    Every entry is reduced modulo the ring (it equals `ring.reduce` of
+    itself), and no generator is zero in the ring.  The reduction runs
+    inside the engine: one packed normal form per syzygy against the
+    ring's reduced defining basis, which sets the run's width with the
+    inputs."""
     m = len(columns)
     if m == 0:
         return []
     sig = ring.signature
+
+    # A reduced basis can be of higher degree than the generators, so it
+    # joins the polynomials that set the width.
+    ring_basis = ring.defining_basis() if ring.is_quotient else ()
 
     def run(pk: _Packing) -> list[Entries]:
         gens: list[VecPoly] = []
@@ -668,18 +682,24 @@ def syzygy_entries(
         kept = _minimal_leads(
             ((vp, lt) for vp, lt in zip(basis, leads) if lt >= head), pk
         )
-        return [
-            _entries_from_vp({t - head: c for t, c in vp.items()}, pk, sig, m)
-            for vp, _ in kept
-        ]
+        # The ring's basis, packed at position 0, reduces every position:
+        # the divisibility test ignores the position bits, and t - lead
+        # keeps them.  A full normal form is unique, so each entry comes
+        # out as `ring.reduce` would give it.
+        table = [_vp_from_entries((q,), pk) for q in ring_basis]
+        table_leads = [min(vp, key=pk.key) for vp in table]
+        buckets = dict.fromkeys(range(m), list(range(len(table))))
+        out: list[Entries] = []
+        for vp, _ in kept:
+            vp = {t - head: c for t, c in vp.items()}
+            if table:
+                vp = _vp_normal_form(vp, table, table_leads, buckets, pk)
+            if vp:
+                out.append(_entries_from_vp(vp, pk, sig, m))
+        return out
 
     polys = [e for col in (*columns, *extra_relations) for e in col]
-    out: list[Entries] = []
-    for entries in _packed_run(ring, polys, run):
-        entries = tuple(ring.reduce(e) if e.terms else e for e in entries)
-        if any(not e.is_zero() for e in entries):
-            out.append(entries)
-    return out
+    return _packed_run(ring, polys + list(ring_basis), run)
 
 
 def syzygy_matrix(matrix: PolyMatrix) -> PolyMatrix:

@@ -154,3 +154,90 @@ def test_a_table_repacks_for_a_query_wider_than_itself():
     assert table.normal_form(wide) == nf
     assert table.normal_form(nf) == nf
     assert table.contains((fc.poly("x", R), fc.poly("y - z", R)))
+
+
+def _syzygies_spied(columns, nrows, ring, monkeypatch):
+    """syzygy_entries(columns, nrows, ring), with the width of each engine
+    run and each `_Overflow` recorded: ("engine", width) from the
+    Buchberger run, ("ring", width) from a normal form taken after it,
+    which is the reduction modulo the ring."""
+    import flatcert.modules as modules
+    from flatcert.modules import syzygy_entries
+
+    widths, overflows, finished = [], [], []
+    engine, normal_form = modules._module_buchberger, modules._vp_normal_form
+
+    def spied_engine(gens, pk, rank):
+        widths.append(pk.width)
+        finished.clear()
+        try:
+            result = engine(gens, pk, rank)
+        except modules._Overflow:
+            overflows.append(("engine", pk.width))
+            raise
+        finished.append(pk.width)
+        return result
+
+    def spied_normal_form(vp, basis, leads, buckets, pk):
+        try:
+            return normal_form(vp, basis, leads, buckets, pk)
+        except modules._Overflow:
+            if finished:
+                overflows.append(("ring", pk.width))
+            raise
+
+    ring.defining_basis()  # built outside the spied call
+    with monkeypatch.context() as patch:
+        patch.setattr(modules, "_module_buchberger", spied_engine)
+        patch.setattr(modules, "_vp_normal_form", spied_normal_form)
+        out = syzygy_entries(columns, nrows, ring)
+    return out, widths, overflows
+
+
+def _reduced_entry_by_entry(columns, nrows, ring):
+    """The same syzygies by the per-entry route: the engine over the
+    polynomial ring with the defining generators as extra relations in
+    every coordinate, then `ring.reduce` on each entry, and the vectors
+    that vanish dropped."""
+    from flatcert import PresentedRing
+    from flatcert.modules import syzygy_entries
+
+    free = PresentedRing(ring.signature)
+    zero = free.zero()
+    extra = [
+        tuple(q if k == i else zero for k in range(nrows))
+        for q in ring.defining
+        for i in range(nrows)
+    ]
+    out = []
+    for v in syzygy_entries(columns, nrows, free, extra):
+        v = tuple(ring.reduce(e) for e in v)
+        if any(not e.is_zero() for e in v):
+            out.append(v)
+    return out
+
+
+# Under lex, normal forms modulo these rings outgrow the 16-bit fields
+# that degree 200 asks for.  The reduced basis of (x - y^200, y - z^200)
+# holds x - z^40000; over (y - z^200) alone the Koszul syzygy
+# (x - y^200, -y) of (y, x - y^200) reduces to (x - z^40000, -z^200).
+def test_the_reduced_ring_basis_sets_the_width_of_a_syzygy_run(monkeypatch):
+    R = fc.ring("x,y,z", ["x - y^200", "y - z^200"], order=LEX)
+    assert [str(p) for p in R.defining_basis()] == ["x - z^40000", "y - z^200"]
+    columns = [(fc.poly("y", R),), (fc.poly("x", R),)]
+    out, widths, overflows = _syzygies_spied(columns, 1, R, monkeypatch)
+    assert [tuple(map(str, v)) for v in out] == [
+        ("z^40000", "-z^200"),
+        ("z^39800", "-1"),
+    ]
+    assert out == _reduced_entry_by_entry(columns, 1, R)
+    assert (widths, overflows) == ([32], [])
+
+
+def test_a_syzygy_reduction_that_overflows_reruns_wider(monkeypatch):
+    R = fc.ring("x,y,z", ["y - z^200"], order=LEX)
+    columns = [(fc.poly("y", R),), (fc.poly("x - y^200", R),)]
+    out, widths, overflows = _syzygies_spied(columns, 1, R, monkeypatch)
+    assert [tuple(map(str, v)) for v in out] == [("x - z^40000", "-z^200")]
+    assert out == _reduced_entry_by_entry(columns, 1, R)
+    assert (widths, overflows) == ([16, 32], [("ring", 16)])

@@ -4,8 +4,8 @@ resolutions, and Tor, plus a small script language and CLI."""
 
 from __future__ import annotations
 
+from collections.abc import Iterable, Sequence
 from types import ModuleType
-from typing import Iterable, Sequence, Union
 
 _NOT_EXPORTED = set(globals())
 
@@ -76,8 +76,8 @@ from .script import ScriptReport, parse_script, pretty_script, run_script
 
 
 def ring(
-    variables: Union[str, Sequence[str]],
-    defining: Iterable[Union[str, Polynomial]] = (),
+    variables: str | Sequence[str],
+    defining: Iterable[str | Polynomial] = (),
     order: str = GREVLEX,
 ) -> PresentedRing:
     """Convenience constructor: ring("x,y,z", ["x*y - z^2"])."""
@@ -92,14 +92,14 @@ def ring(
     return PresentedRing(sig, rels)
 
 
-def poly(text: Union[str, Polynomial], R: PresentedRing) -> Polynomial:
+def poly(text: str | Polynomial, R: PresentedRing) -> Polynomial:
     """Convenience constructor: poly("x*y - z^2", R)."""
     if isinstance(text, Polynomial):
         return text
     return parse_polynomial(text, R.signature)
 
 
-def ideal(R: PresentedRing, *gens: Union[str, Polynomial]) -> IdealHandle:
+def ideal(R: PresentedRing, *gens: str | Polynomial) -> IdealHandle:
     """Convenience constructor: ideal(R, "x - u", "z - u*v")."""
     return IdealHandle(R, [poly(g, R) for g in gens])
 

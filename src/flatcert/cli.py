@@ -13,15 +13,13 @@ Each subcommand accepts --order {grevlex,lex} (default grevlex) and
 
 from __future__ import annotations
 
-import argparse
 import sys
-from dataclasses import dataclass
-from importlib import resources
 
 from .groebner import IdealHandle
 from .homology import tor
 from .parse import ParseError
 from .poly import AlgebraError, ArgumentError, GREVLEX, LEX
+from .record import record
 from .script import execute_text, resolve_tor_argument, run_script
 
 # (bundled script, ((check id, expected verdict), ...)) in report order
@@ -37,7 +35,7 @@ REPRO_CHECKS: tuple[tuple[str, tuple[tuple[str, str], ...]], ...] = (
 _WIDTHS = (16, 11, 11, 8)
 
 
-@dataclass(frozen=True)
+@record
 class ReproCheck:
     identifier: str
     expected: str
@@ -49,7 +47,7 @@ class ReproCheck:
         return self.expected == self.actual
 
 
-@dataclass(frozen=True)
+@record
 class ReproReport:
     checks: tuple[ReproCheck, ...]
 
@@ -59,6 +57,7 @@ class ReproReport:
 
 
 def bundled_case_text(filename: str) -> str:
+    from importlib import resources  # imported here: only reading a case needs it
     return resources.files("flatcert").joinpath("cases", filename).read_text("utf-8")
 
 
@@ -172,6 +171,7 @@ def _cmd_tor(args: argparse.Namespace) -> int:
 
 
 def build_parser() -> argparse.ArgumentParser:
+    import argparse  # imported here: only the command line needs it
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument(
         "--order",

@@ -8,8 +8,7 @@ RingMap from the coordinate ring of Y to the coordinate ring of X.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Sequence
+from collections.abc import Sequence
 
 from .groebner import IdealHandle, RingMap
 from .homology import ModuleLike, PresentedModule, TorReport, tor
@@ -22,6 +21,7 @@ from .poly import (
     tensor_with_renaming,
     transplant,
 )
+from .record import record
 
 
 def tensor_rings(A: PresentedRing, B: PresentedRing) -> PresentedRing:
@@ -30,7 +30,7 @@ def tensor_rings(A: PresentedRing, B: PresentedRing) -> PresentedRing:
     return product
 
 
-@dataclass(frozen=True)
+@record
 class AffineMorphism:
     """A morphism of affine schemes, stored as its coordinate pullback
     (a map from the target's coordinate ring to the source's)."""
@@ -118,7 +118,7 @@ def invariant_presentation(
     return presented, RingMap(presented, ambient, gens)
 
 
-@dataclass(frozen=True)
+@record
 class PointSpec:
     """A point of Spec(ring), given by a proper ideal of the ring."""
 
@@ -132,7 +132,7 @@ class PointSpec:
             raise ArgumentError("point ideal is improper (contains 1)")
 
 
-@dataclass(frozen=True)
+@record
 class FlatnessVerdict:
     flat: bool
     tor_witness: TorReport

@@ -15,7 +15,7 @@ leading monomial).
 
 from __future__ import annotations
 
-from typing import Iterable, Sequence
+from collections.abc import Iterable, Sequence
 
 from .poly import (
     ArgumentError,

@@ -20,10 +20,9 @@ keyed by object identity that holds no strong reference, so `tor` and
 from __future__ import annotations
 
 import weakref
-from dataclasses import dataclass
+from collections.abc import Sequence
 from itertools import combinations
 from math import comb
-from typing import Sequence, Union
 
 from .groebner import IdealHandle
 from .modules import (
@@ -42,9 +41,10 @@ from .poly import (
     PresentedRing,
     transplant,
 )
+from .record import record
 
 
-@dataclass(frozen=True)
+@record
 class PresentedModule:
     """coker(relations): the quotient of ring^rank by the column span of
     the relations matrix."""
@@ -83,7 +83,7 @@ class PresentedModule:
         return f"module of rank {self.rank} with relations {rels}"
 
 
-ModuleLike = Union[PresentedModule, IdealHandle, SubmodulePresentation]
+ModuleLike = PresentedModule | IdealHandle | SubmodulePresentation
 
 # id(obj) -> (weak reference to obj, what was computed for it): the
 # presentation of an ideal or submodule, or the longest resolution built
@@ -127,7 +127,7 @@ def as_presented_module(obj: ModuleLike) -> PresentedModule:
     return mod
 
 
-@dataclass(frozen=True)
+@record
 class ChainComplex:
     """F_0 <- F_1 <- ... <- F_l with differentials d_1..d_l; `complete`
     records whether the final syzygy step was reached (zero)."""
@@ -285,7 +285,7 @@ def homology_is_zero(complex_: ChainComplex, i: int) -> bool:
     return verdict
 
 
-@dataclass(frozen=True)
+@record
 class TorReport:
     """Zero-or-nonzero verdict for Tor_i(M, N), with witness generators
     spanning the homology when nonzero."""

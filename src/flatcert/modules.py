@@ -48,9 +48,9 @@ is already reduced modulo the ring when it gets there.
 from __future__ import annotations
 
 import heapq
+from collections.abc import Callable, Iterable, Sequence
 from fractions import Fraction
 from functools import lru_cache
-from typing import Callable, Iterable, Sequence
 
 from .poly import (
     ArgumentError,
@@ -653,7 +653,8 @@ def syzygy_entries(
     generators in every coordinate).
 
     Every entry is reduced modulo the ring (it equals `ring.reduce` of
-    itself), and no generator is zero in the ring.  The reduction runs
+    itself), and no generator is zero in the ring or repeats another
+    (two syzygies can reduce to one).  The reduction runs
     inside the engine: one packed normal form per syzygy against the
     ring's reduced defining basis, which sets the run's width with the
     inputs."""
@@ -690,11 +691,14 @@ def syzygy_entries(
         table_leads = [min(vp, key=pk.key) for vp in table]
         buckets = dict.fromkeys(range(m), list(range(len(table))))
         out: list[Entries] = []
+        seen: dict[frozenset, list[VecPoly]] = {}  # support -> vectors
         for vp, _ in kept:
             vp = {t - head: c for t, c in vp.items()}
             if table:
                 vp = _vp_normal_form(vp, table, table_leads, buckets, pk)
-            if vp:
+            same = seen.setdefault(frozenset(vp), [])
+            if vp and vp not in same:
+                same.append(vp)
                 out.append(_entries_from_vp(vp, pk, sig, m))
         return out
 

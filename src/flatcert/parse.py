@@ -39,13 +39,13 @@ from __future__ import annotations
 
 import math
 import re
-from dataclasses import dataclass, field
+from collections.abc import Callable, Iterable
 from fractions import Fraction
 from itertools import groupby
 from operator import add, sub
-from typing import Callable, Iterable
 
 from .poly import AlgebraError, Polynomial, RingSignature, add_terms
+from .record import record
 
 
 class ParseError(AlgebraError):
@@ -63,7 +63,7 @@ class ParseError(AlgebraError):
         self.col = col
 
 
-@dataclass(frozen=True)
+@record
 class Token:
     kind: str  # "name", "int", "eof", or the symbol text itself
     text: str
@@ -165,42 +165,42 @@ def unexpected(tok: Token, what: str) -> ParseError:
 # by equality so that pretty-printed scripts reparse to equal trees.
 
 
-@dataclass(frozen=True)
+@record(uncompared=("line", "col"))
 class Num:
     value: Fraction
-    line: int = field(default=0, compare=False)
-    col: int = field(default=0, compare=False)
+    line: int = 0
+    col: int = 0
 
 
-@dataclass(frozen=True)
+@record(uncompared=("line", "col"))
 class Var:
     name: str
-    line: int = field(default=0, compare=False)
-    col: int = field(default=0, compare=False)
+    line: int = 0
+    col: int = 0
 
 
-@dataclass(frozen=True)
+@record(uncompared=("line", "col"))
 class Neg:
     operand: "Expr"
-    line: int = field(default=0, compare=False)
-    col: int = field(default=0, compare=False)
+    line: int = 0
+    col: int = 0
 
 
-@dataclass(frozen=True)
+@record(uncompared=("line", "col"))
 class BinOp:
     op: str  # "+", "-", or "*"
     left: "Expr"
     right: "Expr"
-    line: int = field(default=0, compare=False)
-    col: int = field(default=0, compare=False)
+    line: int = 0
+    col: int = 0
 
 
-@dataclass(frozen=True)
+@record(uncompared=("line", "col"))
 class Pow:
     base: "Expr"
     exponent: int
-    line: int = field(default=0, compare=False)
-    col: int = field(default=0, compare=False)
+    line: int = 0
+    col: int = 0
 
 
 Expr = Num | Var | Neg | BinOp | Pow

@@ -25,13 +25,14 @@ builds the product ring that ring maps and morphisms are taken in.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections.abc import Callable, Iterable, Mapping, Sequence
 from fractions import Fraction
 from functools import lru_cache
 from operator import add, le, neg, sub
-from typing import Callable, Iterable, Mapping, Sequence, Union
 
-Scalar = Union[int, Fraction]
+from .record import record
+
+Scalar = int | Fraction
 Monomial = tuple[int, ...]
 
 GREVLEX = "grevlex"
@@ -99,7 +100,7 @@ def _descending_function(order: str, block: int) -> Callable[[Monomial], tuple]:
     raise ArgumentError(f"unknown monomial order {order!r}")
 
 
-@dataclass(frozen=True)
+@record
 class RingSignature:
     """Variable names plus the monomial order they carry.
 

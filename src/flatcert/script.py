@@ -23,9 +23,7 @@ on a computation error, whose message names its statement's line once.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, field
 from functools import partial
-from typing import Union
 
 from .flatness import FlatnessVerdict, PointSpec, flat_at_point, tensor_rings
 from .groebner import IdealHandle, RingMap
@@ -51,6 +49,7 @@ from .poly import (
     PresentedRing,
     RingSignature,
 )
+from .record import record
 
 RESERVED = {
     "ring", "ideal", "module", "map", "assert", "print",
@@ -58,106 +57,106 @@ RESERVED = {
 }
 
 
-@dataclass(frozen=True)
+@record
 class FreeModuleArg:
     ring_name: str
     rank: int
 
 
-TorArg = Union[str, FreeModuleArg]
+TorArg = str | FreeModuleArg
 
 
-@dataclass(frozen=True)
+@record
 class TorCall:
     index: int
     left: TorArg
     right: TorArg
 
 
-@dataclass(frozen=True)
+@record
 class FlatCall:
     name: str
     point: tuple[Expr, ...]
 
 
-Query = Union[TorCall, FlatCall]
+Query = TorCall | FlatCall
 
 
-@dataclass(frozen=True)
+@record(uncompared=("line",))
 class RingDecl:
     name: str
     variables: tuple[str, ...]
     quotient: tuple[Expr, ...]
-    line: int = field(default=0, compare=False)
+    line: int = 0
 
 
-@dataclass(frozen=True)
+@record(uncompared=("line",))
 class ImageRingDecl:
     name: str
     map_name: str
-    line: int = field(default=0, compare=False)
+    line: int = 0
 
 
-@dataclass(frozen=True)
+@record(uncompared=("line",))
 class TensorRingDecl:
     name: str
     left: str
     right: str
-    line: int = field(default=0, compare=False)
+    line: int = 0
 
 
-@dataclass(frozen=True)
+@record(uncompared=("line",))
 class IdealDecl:
     name: str
     gens: tuple[Expr, ...]
     ring_name: str
-    line: int = field(default=0, compare=False)
+    line: int = 0
 
 
-@dataclass(frozen=True)
+@record(uncompared=("line",))
 class ModuleDecl:
     name: str
     ring_name: str
     rank: int
     rows: tuple[tuple[Expr, ...], ...]
-    line: int = field(default=0, compare=False)
+    line: int = 0
 
 
-@dataclass(frozen=True)
+@record(uncompared=("line",))
 class MapDecl:
     name: str
     source_name: str
     target_name: str
     images: tuple[Expr, ...]
-    line: int = field(default=0, compare=False)
+    line: int = 0
 
 
-@dataclass(frozen=True)
+@record(uncompared=("line",))
 class AssertTor:
     call: TorCall
     nonzero: bool
-    line: int = field(default=0, compare=False)
+    line: int = 0
 
 
-@dataclass(frozen=True)
+@record(uncompared=("line",))
 class AssertFlat:
     call: FlatCall
-    line: int = field(default=0, compare=False)
+    line: int = 0
 
 
-@dataclass(frozen=True)
+@record(uncompared=("line",))
 class PrintStmt:
-    subject: Union[str, Query]
-    line: int = field(default=0, compare=False)
+    subject: str | Query
+    line: int = 0
 
 
-Statement = Union[
-    RingDecl, ImageRingDecl, TensorRingDecl, IdealDecl,
-    ModuleDecl, MapDecl, AssertTor, AssertFlat, PrintStmt,
-]
+Statement = (
+    RingDecl | ImageRingDecl | TensorRingDecl | IdealDecl
+    | ModuleDecl | MapDecl | AssertTor | AssertFlat | PrintStmt
+)
 
 
-@dataclass(frozen=True)
+@record
 class Script:
     statements: tuple[Statement, ...]
 
@@ -361,7 +360,7 @@ def _tor_arg_text(arg: TorArg) -> str:
     return arg
 
 
-def _subject_text(subject: Union[str, Query]) -> str:
+def _subject_text(subject: str | Query) -> str:
     if isinstance(subject, TorCall):
         return (
             f"tor({subject.index}, {_tor_arg_text(subject.left)}, "
@@ -419,7 +418,7 @@ def pretty_script(script: Script) -> str:
     return "\n".join(lines) + ("\n" if lines else "")
 
 
-@dataclass
+@record(frozen=False)
 class AssertionRecord:
     label: str
     description: str
@@ -429,7 +428,7 @@ class AssertionRecord:
     seconds: float
 
 
-@dataclass
+@record(frozen=False)
 class ScriptReport:
     assertions: list[AssertionRecord]
     prints: list[str]

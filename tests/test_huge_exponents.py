@@ -241,3 +241,12 @@ def test_a_syzygy_reduction_that_overflows_reruns_wider(monkeypatch):
     assert [tuple(map(str, v)) for v in out] == [("x - z^40000", "-z^200")]
     assert out == _reduced_entry_by_entry(columns, 1, R)
     assert (widths, overflows) == ([16, 32], [("ring", 16)])
+
+
+def test_syzygies_that_reduce_to_one_vector_are_returned_once(monkeypatch):
+    R = fc.ring("x,y,z", ["y - z^200"], order=LEX)
+    columns = [(fc.poly("x - y^200", R),), (fc.poly("y", R),)]
+    out, _, _ = _syzygies_spied(columns, 1, R, monkeypatch)
+    assert [tuple(map(str, v)) for v in out] == [("z^200", "-x + z^40000")]
+    # Two distinct syzygies reduce to it: the per-entry route keeps both.
+    assert _reduced_entry_by_entry(columns, 1, R) == out * 2

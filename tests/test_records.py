@@ -185,10 +185,13 @@ def _validations():
     ]
 
 
+VALIDATIONS = _validations()
+
+
 @pytest.mark.parametrize(
     "build, error",
-    [case[1:] for case in _validations()],
-    ids=[case[0] for case in _validations()],
+    [case[1:] for case in VALIDATIONS],
+    ids=[case[0] for case in VALIDATIONS],
 )
 def test_construction_validates(build, error):
     with pytest.raises(error):

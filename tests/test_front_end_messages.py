@@ -14,6 +14,7 @@ from flatcert.poly import RingSignature
 from flatcert.script import execute_text
 
 DECLS = "ring R = QQ[x,y];\nideal J = (x) in R;\n"
+RING_X = "ring R = QQ[x];\n"
 
 # (id, script text, status, report.error)
 SCRIPT_MESSAGES = [
@@ -80,6 +81,35 @@ SCRIPT_MESSAGES = [
      "ring R = QQ[x];\nring S = QQ[y];\nideal J = (x) in R;\n"
      "module K = S^1 / ((y));\nassert tor(1, J, K) == 0;\n", 3,
      "line 5: modules over different rings"),
+    # one malformed list per bracketed site
+    ("variables-without-comma", "ring R = QQ[x y];", 2,
+     "parse error at line 1, col 15: expected ']', found 'y'"),
+    ("variables-trailing-comma", "ring R = QQ[x,];", 2,
+     "parse error at line 1, col 15: expected a variable name, found ']'"),
+    ("variables-duplicate-before-junk", "ring R = QQ[x, x, 1];", 2,
+     "parse error at line 1, col 16: duplicate variable 'x'"),
+    ("quotient-unclosed", "ring R = QQ[x] / (x;", 2,
+     "parse error at line 1, col 20: expected ')', found ';'"),
+    ("generators-trailing-comma", RING_X + "ideal K = (x,) in R;", 2,
+     "parse error at line 2, col 14: expected a number, variable, or '(', "
+     "found ')'"),
+    ("rows-without-comma", RING_X + "module M = R^1 / ((x) (y));", 2,
+     "parse error at line 2, col 23: expected ')', found '('"),
+    ("row-not-bracketed", RING_X + "module M = R^1 / (x);", 2,
+     "parse error at line 2, col 19: expected '(', found 'x'"),
+    ("images-unclosed", DECLS + "map F : R -> R = {x, y;", 2,
+     "parse error at line 3, col 23: expected '}', found ';'"),
+    ("point-without-comma", DECLS + "assert flat(J at (x y));", 2,
+     "parse error at line 3, col 21: expected ')', found 'y'"),
+    # lexical errors and positions
+    ("unexpected-character-after-tab", "ring R = QQ[x];\t$", 2,
+     "parse error at line 1, col 17: unexpected character '$'"),
+    ("integer-too-long", "ring R = QQ[x] / (" + "7" * 4301 + ");", 2,
+     "parse error at line 1, col 19: integer longer than 4300 digits"),
+    ("comment-keeps-the-end-column", "ring R = QQ[x]  # no semicolon", 2,
+     "parse error at line 1, col 17: expected ';', found 'end of input'"),
+    ("carriage-return-and-tab-columns", "ring R = QQ[x]\r\n\t@", 2,
+     "parse error at line 2, col 2: unexpected character '@'"),
 ]
 
 # (id, the two Tor arguments of `flatcert tor CASE 1 ...`, status, stderr)

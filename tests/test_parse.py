@@ -5,6 +5,8 @@ import time
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import flatcert as fc
 from flatcert import ParseError, parse_polynomial
@@ -12,6 +14,7 @@ from flatcert.parse import (
     MAX_DIGITS,
     MAX_NESTING,
     MAX_TERMS,
+    Token,
     TokenStream,
     expr_text,
     parse_expression,
@@ -256,3 +259,139 @@ def test_long_sums_of_small_terms_parse(qq_xy):
         (2, 1): 6000,
         (0, 0): -1000,
     }
+
+
+# The tokenizer, pinned by rendering random token sequences and computing
+# each token's expected place while the text is written out.
+
+SYMBOLS = ["->", "==", "!=", *"+-*^/()[]{},;:="]
+_WORD = set("abcdefghijklmnopqrstuvwxyzABCDEFGHIJKLMNOPQRSTUVWXYZ0123456789_")
+_NAME_HEAD = "abcxyzXYZ_"
+_NAME_TAIL = _NAME_HEAD + "0123456789"
+_BAD = "$@?~`!\"'%&|<>.\\\f\v\x00é²٣"
+
+names = st.builds(
+    lambda head, tail: ("name", head + tail),
+    st.sampled_from(_NAME_HEAD),
+    st.text(_NAME_TAIL, max_size=6),
+)
+
+
+def _digits(draw, low, high):
+    size = draw(st.one_of(st.integers(low, min(high, low + 5)),
+                          st.integers(low, high), st.just(high)))
+    # A short random head, repeated: long digit runs stay cheap to draw.
+    head = draw(st.text("0123456789", min_size=1, max_size=8))
+    return (head * size)[:size]
+
+
+ints = st.composite(lambda draw: ("int", _digits(draw, 1, MAX_DIGITS)))()
+tokens = st.one_of(names, ints, st.sampled_from(SYMBOLS).map(lambda s: (s, s)))
+comments = st.text(
+    st.characters(blacklist_characters="\n", blacklist_categories=("Cs",)),
+    max_size=8,
+).map(lambda body: "#" + body)
+# One separator piece: a blank, a tab, a carriage return, a newline, or
+# a comment, which the renderer always ends with a newline.
+pieces = st.one_of(st.sampled_from([" ", "\t", "\r", "\n"]), comments)
+
+
+def _merges(left, right):
+    """Whether `left` written right before `right` would lex otherwise."""
+    if left[-1] + right[0] in ("->", "==", "!="):
+        return True
+    return left[-1] in _WORD and right[0] in _WORD and not (
+        left[0].isdigit() and not right[0].isdigit()
+    )
+
+
+class _Renderer:
+    """Writes text piece by piece and tracks the line and column that the
+    next character takes; a comment moves neither."""
+
+    def __init__(self):
+        self.parts, self.line, self.col, self.last = [], 1, 1, " "
+
+    def write(self, text):
+        self.parts.append(text)
+        self.col += len(text)
+        self.last = text
+
+    def separate(self, draw, required, final=False):
+        chosen = draw(st.lists(pieces, min_size=int(required), max_size=3))
+        for i, piece in enumerate(chosen):
+            if piece == "\n":
+                self.parts.append(piece)
+                self.line, self.col = self.line + 1, 1
+            elif piece.startswith("#"):
+                self.parts.append(piece)
+                if not (final and i == len(chosen) - 1):
+                    self.parts.append("\n")
+                    self.line, self.col = self.line + 1, 1
+            else:
+                self.write(piece)
+            self.last = " "
+
+    def tokens(self, draw, count):
+        expected = []
+        for _ in range(count):
+            kind, text = draw(tokens)
+            self.separate(draw, _merges(self.last, text))
+            expected.append((kind, text, self.line, self.col))
+            self.write(text)
+        return expected
+
+    @property
+    def text(self):
+        return "".join(self.parts)
+
+
+@st.composite
+def token_texts(draw):
+    out = _Renderer()
+    expected = out.tokens(draw, draw(st.integers(0, 12)))
+    out.separate(draw, False, final=True)
+    expected.append(("eof", "", out.line, out.col))
+    return out.text, expected
+
+
+@st.composite
+def bad_texts(draw):
+    """Valid tokens, then an unexpected character or an over-long
+    integer, then anything; the error is at the bad spot."""
+    out = _Renderer()
+    out.tokens(draw, draw(st.integers(0, 6)))
+    if draw(st.booleans()):
+        bad = draw(st.sampled_from(_BAD))
+        message = f"unexpected character {bad!r}"
+    else:
+        bad = _digits(draw, MAX_DIGITS + 1, MAX_DIGITS + 40)
+        message = f"integer longer than {MAX_DIGITS} digits"
+    out.separate(draw, _merges(out.last, bad))
+    line, col = out.line, out.col
+    out.write(bad)
+    out.separate(draw, True)
+    out.tokens(draw, draw(st.integers(0, 3)))
+    return out.text, f"parse error at line {line}, col {col}: {message}"
+
+
+@settings(derandomize=True, deadline=None, max_examples=400)
+@given(token_texts())
+def test_tokenize_kinds_texts_and_positions(case):
+    text, expected = case
+    got = [(t.kind, t.text, t.line, t.col) for t in tokenize(text)]
+    assert got == expected
+
+
+@settings(derandomize=True, deadline=None, max_examples=300)
+@given(bad_texts())
+def test_tokenize_refuses_at_the_bad_spot(case):
+    text, error = case
+    with pytest.raises(ParseError) as err:
+        tokenize(text)
+    assert str(err.value) == error
+
+
+def test_tokenize_trailing_comment_keeps_the_eof_column():
+    assert tokenize("x  # end")[-1] == Token("eof", "", 1, 4)
+    assert tokenize("x\t\r#\n#")[-1] == Token("eof", "", 2, 1)

@@ -17,7 +17,7 @@ import sys
 
 from .groebner import IdealHandle
 from .homology import tor
-from .parse import ParseError
+from .parse import MAX_INDEX, ParseError
 from .poly import AlgebraError, ArgumentError, GREVLEX, LEX
 from .record import record
 from .script import execute_text, resolve_tor_argument, run_script
@@ -161,6 +161,8 @@ def _cmd_gb(args: argparse.Namespace) -> int:
 
 
 def _cmd_tor(args: argparse.Namespace) -> int:
+    if args.index > MAX_INDEX:
+        raise ParseError(f"Tor index larger than {MAX_INDEX}", 1, 1, "the index")
     status, env = _script_env(args)
     if status:
         return status

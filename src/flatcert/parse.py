@@ -1,7 +1,10 @@
 """Tokenizer and recursive-descent parser for polynomial expressions.
 
-Grammar (whitespace-insensitive, '#' starts a comment running to end of
-line):
+Tokens are ASCII names [A-Za-z_][A-Za-z0-9_]*, integers [0-9]+, and the
+symbols -> == != + - * ^ / ( ) [ ] { } , ; : =.  Blanks, tabs and
+carriage returns separate them; '#' starts a comment to end of line.  Errors
+carry 1-based line and column positions, one column per character; a
+comment takes none.  The grammar of expressions:
 
     expr   := ['-'] term (('+' | '-') term)*
     term   := factor ('*' factor)*
@@ -10,8 +13,7 @@ line):
 
 '^' binds tighter than '*', which binds tighter than '+' and '-'.  There
 is no implicit multiplication and no division operator; 'p/q' is only a
-rational literal with integer parts.  Errors carry 1-based line and
-column positions.
+rational literal with integer parts.
 
 Chains of '+', '-' and '*' may be arbitrarily long: they parse into
 left-nested trees, which `to_polynomial` and `expr_text` walk without
@@ -32,7 +34,8 @@ a*b, also each of the e products of a power of a sum, the digits of a's
 largest coefficient plus those of b's.  A sum or difference a + b is
 charged the digits of each coefficient it changes, those at b's
 monomials, so a long sum of fractions cannot grow a common denominator
-without bound.  Scripts bound declared module ranks by MAX_RANK.
+without bound.  Scripts bound declared module ranks by MAX_RANK and Tor
+indices by MAX_INDEX.
 """
 
 from __future__ import annotations
@@ -75,61 +78,37 @@ MAX_NESTING = 100
 MAX_TERMS = 20_000
 MAX_DIGITS = 4_300
 MAX_RANK = 25
+MAX_INDEX = 100
 
-_TWO_CHAR = ("->", "==", "!=")
-_ONE_CHAR = "+-*^/()[]{},;:="
-_NAME_RE = re.compile(r"[A-Za-z_][A-Za-z0-9_]*")
-_INT_RE = re.compile(r"[0-9]+")
+_TOKEN_RE = re.compile(
+    r"""(?P<newline>\n)
+      | (?P<skip>[ \t\r]+|\#[^\n]*)
+      | (?P<symbol>->|==|!=|[-+*^/()\[\]{},;:=])
+      | (?P<name>[A-Za-z_][A-Za-z0-9_]*)
+      | (?P<int>[0-9]+)
+      | (?P<bad>.)""",
+    re.VERBOSE,
+)
 
 
 def tokenize(text: str) -> list[Token]:
     tokens: list[Token] = []
-    line, col = 1, 1
-    i, n = 0, len(text)
-    while i < n:
-        ch = text[i]
-        if ch == "\n":
-            line += 1
-            col = 1
-            i += 1
-            continue
-        if ch in " \t\r":
-            i += 1
-            col += 1
-            continue
-        if ch == "#":
-            while i < n and text[i] != "\n":
-                i += 1
-            continue
-        two = text[i : i + 2]
-        if two in _TWO_CHAR:
-            tokens.append(Token(two, two, line, col))
-            i += 2
-            col += 2
-            continue
-        m = _NAME_RE.match(text, i)
-        if m:
-            tokens.append(Token("name", m.group(), line, col))
-            col += len(m.group())
-            i = m.end()
-            continue
-        m = _INT_RE.match(text, i)
-        if m:
-            if len(m.group()) > MAX_DIGITS:
-                raise ParseError(
-                    f"integer longer than {MAX_DIGITS} digits", line, col
-                )
-            tokens.append(Token("int", m.group(), line, col))
-            col += len(m.group())
-            i = m.end()
-            continue
-        if ch in _ONE_CHAR:
-            tokens.append(Token(ch, ch, line, col))
-            i += 1
-            col += 1
-            continue
-        raise ParseError(f"unexpected character {ch!r}", line, col)
-    tokens.append(Token("eof", "", line, col))
+    line, line_start = 1, 0
+    for m in _TOKEN_RE.finditer(text):
+        kind, word = m.lastgroup, m.group()
+        col = m.start() - line_start + 1
+        if kind == "newline":
+            line, line_start = line + 1, m.end()
+        elif kind == "bad":
+            raise ParseError(f"unexpected character {word!r}", line, col)
+        elif kind == "int" and len(word) > MAX_DIGITS:
+            raise ParseError(f"integer longer than {MAX_DIGITS} digits", line, col)
+        elif kind != "skip":
+            tokens.append(Token(word if kind == "symbol" else kind, word, line, col))
+    # '#' appears in no token, so the first one on the last line starts
+    # its comment, which takes no columns.
+    end_col = len(text[line_start:].split("#", 1)[0]) + 1
+    tokens.append(Token("eof", "", line, end_col))
     return tokens
 
 

@@ -23,6 +23,7 @@ on a computation error, whose message names its statement's line once.
 from __future__ import annotations
 
 import time
+from collections.abc import Callable
 from functools import partial
 
 from .flatness import FlatnessVerdict, PointSpec, flat_at_point, tensor_rings
@@ -30,6 +31,7 @@ from .groebner import IdealHandle, RingMap
 from .homology import PresentedModule, TorReport, tor
 from .modules import PolyMatrix, SubmodulePresentation
 from .parse import (
+    MAX_INDEX,
     MAX_RANK,
     Expr,
     ParseError,
@@ -176,22 +178,28 @@ def _expect_keyword(ts: TokenStream, word: str) -> Token:
     return ts.next()
 
 
-def _expr_list(ts: TokenStream, closer: str) -> tuple[Expr, ...]:
-    if ts.peek().kind == closer:
-        return ()
-    exprs = [parse_expression(ts)]
-    while ts.peek().kind == ",":
-        ts.next()
-        exprs.append(parse_expression(ts))
-    return tuple(exprs)
+def _bracketed(
+    ts: TokenStream, opener: str, closer: str, item: Callable[[TokenStream], object]
+) -> tuple:
+    """opener item, item, ... closer; the list may be empty."""
+    ts.expect(opener)
+    items = []
+    if ts.peek().kind != closer:
+        items.append(item(ts))
+        while ts.peek().kind == ",":
+            ts.next()
+            items.append(item(ts))
+    ts.expect(closer)
+    return tuple(items)
 
 
-def _rank(ts: TokenStream) -> int:
-    """A module rank of at most MAX_RANK: Tor_0 of two free modules of
-    rank n builds n^4 polynomial entries."""
-    tok = ts.expect("int", "a rank")
-    if int(tok.text) > MAX_RANK:
-        raise ParseError(f"rank larger than {MAX_RANK}", tok.line, tok.col)
+def _bounded(ts: TokenStream, noun: str, bound: int) -> int:
+    """An integer of at most `bound`.  Tor_0 of two free modules of rank n
+    builds n^4 entries; over a quotient ring a resolution may never end,
+    and each Tor index costs one more syzygy step."""
+    tok = ts.expect("int", f"a {noun}")
+    if int(tok.text) > bound:
+        raise ParseError(f"{noun} larger than {bound}", tok.line, tok.col)
     return int(tok.text)
 
 
@@ -201,29 +209,25 @@ def _tor_arg(ts: TokenStream) -> TorArg:
         ts.next()
         ring_name = ts.expect("name", "a ring name").text
         ts.expect(",")
-        rank = _rank(ts)
+        rank = _bounded(ts, "rank", MAX_RANK)
         ts.expect(")")
         return FreeModuleArg(ring_name, rank)
     return tok.text
 
 
 def _tor_call(ts: TokenStream) -> TorCall:
-    index = int(ts.expect("int", "a Tor index").text)
+    index = _bounded(ts, "Tor index", MAX_INDEX)
     ts.expect(",")
     left = _tor_arg(ts)
     ts.expect(",")
     right = _tor_arg(ts)
-    ts.expect(")")
     return TorCall(index, left, right)
 
 
 def _flat_call(ts: TokenStream) -> FlatCall:
     name = ts.expect("name", "an ideal or module name").text
     _expect_keyword(ts, "at")
-    ts.expect("(")
-    point = _expr_list(ts, ")")
-    ts.expect(")")
-    ts.expect(")")
+    point = _bracketed(ts, "(", ")", parse_expression)
     return FlatCall(name, point)
 
 
@@ -237,7 +241,9 @@ def _query(ts: TokenStream) -> Query:
         raise unexpected(head, "tor(...) or flat(...)")
     ts.next()
     ts.expect("(")
-    return _QUERIES[head.text](ts)
+    call = _QUERIES[head.text](ts)
+    ts.expect(")")
+    return call
 
 
 def _ring_decl(ts: TokenStream, line: int) -> Statement:
@@ -246,27 +252,21 @@ def _ring_decl(ts: TokenStream, line: int) -> Statement:
     tok = ts.peek()
     if tok.kind == "name" and tok.text == "QQ":
         ts.next()
-        ts.expect("[")
-        variables: list[str] = []
-        if ts.peek().kind != "]":
-            while True:
-                vtok = _new_name(ts, "a variable name")
-                if vtok.text in variables:
-                    raise ParseError(
-                        f"duplicate variable {vtok.text!r}", vtok.line, vtok.col
-                    )
-                variables.append(vtok.text)
-                if ts.peek().kind != ",":
-                    break
-                ts.next()
-        ts.expect("]")
+        seen: set[str] = set()
+
+        def variable(ts: TokenStream) -> str:
+            tok = _new_name(ts, "a variable name")
+            if tok.text in seen:
+                raise ParseError(f"duplicate variable {tok.text!r}", tok.line, tok.col)
+            seen.add(tok.text)
+            return tok.text
+
+        variables = _bracketed(ts, "[", "]", variable)
         quotient: tuple[Expr, ...] = ()
         if ts.peek().kind == "/":
             ts.next()
-            ts.expect("(")
-            quotient = _expr_list(ts, ")")
-            ts.expect(")")
-        return RingDecl(name, tuple(variables), quotient, line)
+            quotient = _bracketed(ts, "(", ")", parse_expression)
+        return RingDecl(name, variables, quotient, line)
     if tok.kind == "name" and tok.text == "image":
         ts.next()
         map_name = ts.expect("name", "a map name").text
@@ -290,9 +290,7 @@ def _statement(ts: TokenStream) -> Statement:
     if word == "ideal":
         name = _new_name(ts, "an ideal name").text
         ts.expect("=")
-        ts.expect("(")
-        gens = _expr_list(ts, ")")
-        ts.expect(")")
+        gens = _bracketed(ts, "(", ")", parse_expression)
         _expect_keyword(ts, "in")
         ring_name = ts.expect("name", "a ring name").text
         return IdealDecl(name, gens, ring_name, line)
@@ -301,20 +299,11 @@ def _statement(ts: TokenStream) -> Statement:
         ts.expect("=")
         ring_name = ts.expect("name", "a ring name").text
         ts.expect("^")
-        rank = _rank(ts)
+        rank = _bounded(ts, "rank", MAX_RANK)
         ts.expect("/")
-        ts.expect("(")
-        rows: list[tuple[Expr, ...]] = []
-        if ts.peek().kind != ")":
-            while True:
-                ts.expect("(")
-                rows.append(_expr_list(ts, ")"))
-                ts.expect(")")
-                if ts.peek().kind != ",":
-                    break
-                ts.next()
-        ts.expect(")")
-        return ModuleDecl(name, ring_name, rank, tuple(rows), line)
+        row = partial(_bracketed, opener="(", closer=")", item=parse_expression)
+        rows = _bracketed(ts, "(", ")", row)
+        return ModuleDecl(name, ring_name, rank, rows, line)
     if word == "map":
         name = _new_name(ts, "a map name").text
         ts.expect(":")
@@ -322,9 +311,7 @@ def _statement(ts: TokenStream) -> Statement:
         ts.expect("->")
         target = ts.expect("name", "a ring name").text
         ts.expect("=")
-        ts.expect("{")
-        images = _expr_list(ts, "}")
-        ts.expect("}")
+        images = _bracketed(ts, "{", "}", parse_expression)
         return MapDecl(name, source, target, images, line)
     if word == "assert":
         call = _query(ts)

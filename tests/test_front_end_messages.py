@@ -108,6 +108,8 @@ SCRIPT_MESSAGES = [
      "parse error at line 1, col 19: integer longer than 4300 digits"),
     ("comment-keeps-the-end-column", "ring R = QQ[x]  # no semicolon", 2,
      "parse error at line 1, col 17: expected ';', found 'end of input'"),
+    ("tor-index-too-large", DECLS + "assert tor(101, J, J) == 0;\n", 2,
+     "parse error at line 3, col 12: Tor index larger than 100"),
     ("carriage-return-and-tab-columns", "ring R = QQ[x]\r\n\t@", 2,
      "parse error at line 2, col 2: unexpected character '@'"),
 ]
@@ -126,6 +128,13 @@ CLI_MESSAGES = [
      "'R' is not an ideal or module\n"),
     ("cli-trailing-input", ["J", "J K"], 2,
      "parse error at argument 2, col 3: expected end of input, found 'K'\n"),
+]
+
+# (id, the index argument of `flatcert tor CASE I J J`, status, stderr)
+CLI_INDEX_MESSAGES = [
+    ("cli-tor-index-too-large", "101", 2,
+     "parse error at the index, col 1: Tor index larger than 100\n"),
+    ("cli-negative-tor-index", "-1", 3, "negative Tor index\n"),
 ]
 
 # (polynomial text over QQ[x,y], ParseError text)
@@ -159,6 +168,19 @@ def test_cli_tor_error_text(args, status, stderr, tmp_path, capsys):
     path = tmp_path / "case.fc"
     path.write_text(DECLS, encoding="utf-8")
     assert main(["tor", str(path), "1", *args]) == status
+    captured = capsys.readouterr()
+    assert (captured.out, captured.err) == ("", stderr)
+
+
+@pytest.mark.parametrize(
+    "index, status, stderr",
+    [case[1:] for case in CLI_INDEX_MESSAGES],
+    ids=[case[0] for case in CLI_INDEX_MESSAGES],
+)
+def test_cli_tor_index_error_text(index, status, stderr, tmp_path, capsys):
+    path = tmp_path / "case.fc"
+    path.write_text(DECLS, encoding="utf-8")
+    assert main(["tor", str(path), index, "J", "J"]) == status
     captured = capsys.readouterr()
     assert (captured.out, captured.err) == ("", stderr)
 

@@ -1,10 +1,13 @@
 """The .fc script language: grammar, round trip, and execution."""
 
+import time
+
 import pytest
 
 import flatcert as fc
 from flatcert import parse_script, pretty_script
-from flatcert.parse import MAX_RANK, ParseError
+from flatcert.cli import main
+from flatcert.parse import MAX_INDEX, MAX_RANK, ParseError
 from flatcert.script import (
     AssertFlat,
     AssertTor,
@@ -118,6 +121,22 @@ def test_module_rank_bound():
     assert script.statements[1].rank == MAX_RANK
     with pytest.raises(ParseError, match="line 2, col 14: rank larger than"):
         parse_script(f"ring R = QQ[x];\nmodule M = R^{MAX_RANK + 1} / ();")
+
+
+def test_tor_index_bound(tmp_path, capsys):
+    """Over the cone ring a resolution never ends, so each index costs a
+    syzygy step: a large index is refused before any of them is taken."""
+    report, _ = execute_text(NEG2.replace("tor(1,", f"tor({MAX_INDEX},"))
+    assert report.status == 0 and report.assertions[0].actual == "nonzero"
+    path = tmp_path / "neg2.fc"
+    path.write_text(NEG2, encoding="utf-8")
+    start = time.perf_counter()
+    report, _ = execute_text(NEG2.replace("tor(1,", "tor(3000,"))
+    assert main(["tor", str(path), "3000", "J", "K"]) == 2
+    assert time.perf_counter() - start < 1.0
+    assert report.status == 2
+    assert report.error.endswith(f"Tor index larger than {MAX_INDEX}")
+    assert capsys.readouterr().err.endswith(f"Tor index larger than {MAX_INDEX}\n")
 
 
 def test_parse_error_positions():

@@ -12,6 +12,7 @@ from flatcert import (
     ChainComplex,
     DimensionError,
     FlatnessVerdict,
+    ModuleElement,
     PointSpec,
     PolyMatrix,
     PresentedModule,
@@ -214,3 +215,61 @@ def test_reports_are_mutable_and_unhashable():
         repr(ScriptReport([], [], "boom", 3))
         == "ScriptReport(assertions=[], prints=[], error='boom', status=3)"
     )
+
+
+def test_vectors_and_matrices_store_tuples():
+    R = fc.ring("x,y")
+    x, y = fc.poly("x", R), fc.poly("y", R)
+    assert ModuleElement(R, [x, y]).entries == (x, y)
+    assert ModuleElement(R, (e for e in [x])).entries == (x,)
+    matrix = PolyMatrix(R, 2, ([x, y] for _ in range(2)))
+    assert matrix.columns == ((x, y), (x, y))
+    assert PolyMatrix(R, 1).columns == ()
+    assert (matrix.nrows, matrix.ncols) == (2, 2)
+
+
+def test_vectors_and_matrices_validate():
+    R, S = fc.ring("x,y"), fc.ring("u")
+    x, u = fc.poly("x", R), fc.poly("u", S)
+    with pytest.raises(DimensionError):
+        ModuleElement(R, [x, u])
+    with pytest.raises(DimensionError):
+        PolyMatrix(R, 2, [(x,)])
+    with pytest.raises(DimensionError):
+        PolyMatrix(R, 1, [(u,)])
+    with pytest.raises(ArgumentError):
+        PolyMatrix(R, -1)
+
+
+def test_vectors_and_matrices_compare_by_value():
+    R, S = fc.ring("x,y"), fc.ring("u")
+    x, y = fc.poly("x", R), fc.poly("y", R)
+    assert ModuleElement(R, [x]) == ModuleElement(R, (x,))
+    assert ModuleElement(R, [x]) != ModuleElement(R, [y])
+    assert ModuleElement(R, ()) != ModuleElement(S, ())
+    assert ModuleElement(R, [x]) != (x,)
+    assert PolyMatrix(R, 1, [[x]]) == PolyMatrix(R, 1, ((x,),))
+    assert PolyMatrix(R, 1, [[x]]) != PolyMatrix(R, 1, [[y]])
+    assert PolyMatrix(R, 0) != PolyMatrix(R, 1)
+    assert PolyMatrix(R, 1) != PolyMatrix(S, 1)
+    for value in (ModuleElement(R, [x]), PolyMatrix(R, 1, [[x]])):
+        with pytest.raises(TypeError):
+            hash(value)
+
+
+def test_vectors_and_matrices_are_immutable():
+    R = fc.ring("x,y")
+    x = fc.poly("x", R)
+    vector, matrix = ModuleElement(R, [x]), PolyMatrix(R, 1, [[x]])
+    with pytest.raises(AttributeError):
+        vector.entries = ()
+    with pytest.raises(AttributeError):
+        matrix.nrows = 2
+    assert vector.entries == (x,) and matrix.nrows == 1
+
+
+def test_vector_and_matrix_reprs_are_pinned():
+    R = fc.ring("x,y")
+    x = fc.poly("x", R)
+    assert repr(ModuleElement(R, [x])) == "ModuleElement(x)"
+    assert repr(PolyMatrix(R, 1, [[x]])) == "PolyMatrix(1x1)"

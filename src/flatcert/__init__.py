@@ -33,12 +33,10 @@ from .parse import ParseError, parse_polynomial
 from .groebner import (
     IdealHandle,
     RingMap,
-    contains,
     divide,
     eliminate,
     map_kernel,
     reduced_basis,
-    reduced_groebner,
 )
 from .modules import (
     MembershipBasis,
@@ -55,7 +53,6 @@ from .homology import (
     TorReport,
     as_presented_module,
     free_resolution,
-    homology_is_zero,
     homology_witnesses,
     koszul,
     tor,
@@ -68,7 +65,6 @@ from .flatness import (
     flat_at_point,
     graph_ideal,
     invariant_presentation,
-    tensor_rings,
     tensor_with_renaming,
     trim_generators,
 )

@@ -161,6 +161,8 @@ def _cmd_gb(args: argparse.Namespace) -> int:
 
 
 def _cmd_tor(args: argparse.Namespace) -> int:
+    if args.index < 0:
+        raise ParseError("negative Tor index", 1, 1, "the index")
     if args.index > MAX_INDEX:
         raise ParseError(f"Tor index larger than {MAX_INDEX}", 1, 1, "the index")
     status, env = _script_env(args)

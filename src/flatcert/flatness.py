@@ -1,9 +1,12 @@
-"""Geometry-flavored constructions over affine coordinate rings: tensor
-products, invariant-subalgebra presentations, graph and fibered-product
-ideals of morphisms, and the Tor_1 flatness probe at a point.
+"""Geometry-flavored constructions over affine coordinate rings:
+invariant-subalgebra presentations, graph and fibered-product ideals of
+morphisms, and the Tor_1 flatness probe at a point.
 
 An affine morphism X -> Y is carried by its coordinate pullback, a
-RingMap from the coordinate ring of Y to the coordinate ring of X.
+RingMap from the coordinate ring of Y to the coordinate ring of X; its
+graph is the pullback's `RingMap.graph`.  Every tensor product of rings
+is `tensor_with_renaming` (from `poly`): the product ring with the two
+renamings of its factors' variables.
 """
 
 from __future__ import annotations
@@ -22,12 +25,6 @@ from .poly import (
     transplant,
 )
 from .record import record
-
-
-def tensor_rings(A: PresentedRing, B: PresentedRing) -> PresentedRing:
-    """The tensor product ring; renaming on clash is deterministic."""
-    product, _, _ = tensor_with_renaming(A, B)
-    return product
 
 
 @record
@@ -53,17 +50,8 @@ class AffineMorphism:
 
 def graph_ideal(f: AffineMorphism) -> IdealHandle:
     """The ideal of the graph of f inside target x source: one generator
-    y_j - pullback(y_j) per target variable."""
-    product, rename_t, rename_s = tensor_with_renaming(
-        f.target_ring, f.source_ring
-    )
-    sig = product.signature
-    gens = []
-    for j, y in enumerate(f.target_ring.signature.variables):
-        lhs = Polynomial.variable(sig, rename_t[y])
-        rhs = transplant(f.pullback.images[j], sig, rename_s)
-        gens.append(lhs - rhs)
-    return IdealHandle(product, gens)
+    y_j - pullback(y_j) per target variable (`RingMap.graph`)."""
+    return f.pullback.graph()
 
 
 def trim_generators(ring: PresentedRing, gens: Sequence[Polynomial]) -> list[Polynomial]:

@@ -1,5 +1,5 @@
 """Ideals: multivariate division, reduced Groebner bases, ideal
-membership, variable elimination, and ring-map kernels.
+membership, variable elimination, and ring-map graphs and kernels.
 
 Groebner bases of ideals come from the module engine in `modules`, run
 at rank 1 (a polynomial is the vector {(0, m): c}).  An `IdealHandle`
@@ -10,7 +10,9 @@ stays here as the public quotient-tracking division.  All computations
 over a quotient ring happen in the ambient polynomial ring with the
 defining generators adjoined; outputs are deterministic (selection by
 minimal lcm degree, ties by generator index, bases sorted by decreasing
-leading monomial).
+leading monomial).  A ring map's graph is built in one place,
+`RingMap.graph`: `map_kernel` eliminates the target's variables from
+it, and `flatness.graph_ideal` is the graph of a morphism's pullback.
 """
 
 from __future__ import annotations
@@ -160,16 +162,6 @@ class IdealHandle:
         return f"IdealHandle({self})"
 
 
-def reduced_groebner(ideal: IdealHandle) -> tuple[Polynomial, ...]:
-    """The cached reduced Groebner basis of the ideal."""
-    return ideal.groebner_basis()
-
-
-def contains(ideal: IdealHandle, f: Polynomial) -> bool:
-    """Ideal membership via normal form against the reduced basis."""
-    return ideal.contains(f)
-
-
 def eliminate(ideal: IdealHandle, drop: Iterable[str]) -> IdealHandle:
     """Generators of (ideal + defining ideal) intersected with the subring
     omitting the dropped variables, computed with a block order."""
@@ -257,6 +249,18 @@ class RingMap:
         """The image ring: the source's variables modulo the kernel."""
         return PresentedRing(self.source.signature, map_kernel(self).generators)
 
+    def graph(self) -> IdealHandle:
+        """The ideal of the graph in source tensor target (the product
+        and renaming of `tensor_with_renaming`, source first): one
+        generator s - F(s) per source variable s."""
+        product, rename_s, rename_t = tensor_with_renaming(self.source, self.target)
+        sig = product.signature
+        gens = [
+            Polynomial.variable(sig, rename_s[s]) - transplant(img, sig, rename_t)
+            for s, img in zip(self.source.signature.variables, self.images)
+        ]
+        return IdealHandle(product, gens)
+
     def __str__(self) -> str:
         imgs = ", ".join(str(p) for p in self.images)
         return f"map {self.source} -> {self.target}: {{{imgs}}}"
@@ -266,25 +270,14 @@ class RingMap:
 
 
 def map_kernel(F: RingMap) -> IdealHandle:
-    """The kernel ideal of F, as an ideal of F.source.
-
-    Computed by adjoining the source variables to the target's ambient
-    polynomial ring, imposing (s_i - image(s_i)) plus the target's
-    defining relations, and eliminating the target variables.
-    """
-    graph_ring, rename_t, rename_s = tensor_with_renaming(
-        F.target, PresentedRing(F.source.signature)
-    )
-    sig = graph_ring.signature
-    gens = [
-        Polynomial.variable(sig, rename_s[s]) - transplant(img, sig, rename_t)
-        for s, img in zip(F.source.signature.variables, F.images)
-    ]
-    graph = IdealHandle(graph_ring, gens)
+    """The kernel ideal of F, as an ideal of F.source: the graph
+    (`RingMap.graph`) with the target's variables, the product's last
+    ones, eliminated.  The source's relations, which the graph's ring
+    carries, lie in the kernel already."""
+    graph = F.graph()
+    sig = F.source.signature
+    drop = graph.ring.signature.variables[sig.nvars:]
     # With nothing to drop, `eliminate` hands the generators back as given.
-    drop = list(rename_t.values())
     kernel = eliminate(graph, drop).generators if drop else graph.groebner_basis()
-    back = {w: s for s, w in rename_s.items()}
-    return IdealHandle(
-        F.source, [transplant(g, F.source.signature, back) for g in kernel]
-    )
+    # The kept variables are the source's, in order: rename by position.
+    return IdealHandle(F.source, [Polynomial._raw(sig, g.terms) for g in kernel])

@@ -279,12 +279,6 @@ def homology_witnesses(
     ]
 
 
-def homology_is_zero(complex_: ChainComplex, i: int) -> bool:
-    """Convenience wrapper returning only the verdict."""
-    verdict, _ = homology_witnesses(complex_, i)
-    return verdict
-
-
 @record
 class TorReport:
     """Zero-or-nonzero verdict for Tor_i(M, N), with witness generators

@@ -23,8 +23,9 @@ the way out; no packed int leaves this module, and everywhere else a
 monomial is a tuple.  Each engine run picks its field width from the
 degrees of its inputs (`_initial_width`).  A product or lcm that
 outgrows a field raises `_Overflow`, and the run starts again at double
-width (`_packed_run`); a `MembershipBasis` repacks its table instead.  So
-exponents of any size work, and no value depends on the width.
+width (`_packed_run`); a query that overflows a `MembershipBasis`
+rebuilds its table through `_packed_run` at double the table's width.
+So exponents of any size work, and no value depends on the width.
 
 Every normal form runs through `_vp_normal_form`: it keys each term
 once, when the term enters the work set, and takes the top term off a
@@ -50,7 +51,7 @@ from __future__ import annotations
 import heapq
 from collections.abc import Callable, Iterable, Sequence
 from fractions import Fraction
-from functools import lru_cache
+from functools import lru_cache, partial
 
 from .poly import (
     ArgumentError,
@@ -61,6 +62,7 @@ from .poly import (
     Polynomial,
     PresentedRing,
 )
+from .record import record
 
 VecTerm = int  # a packed (position, monomial) pair, see `_Packing`
 Coefficient = int | Fraction
@@ -84,17 +86,15 @@ def _column(
     return entries
 
 
+@record
 class ModuleElement:
     """An element of ring^n, stored as a tuple of polynomial entries."""
 
-    __slots__ = ("ring", "entries")
+    ring: PresentedRing
+    entries: Entries
 
-    def __init__(self, ring: PresentedRing, entries: Iterable[Polynomial]):
-        object.__setattr__(self, "ring", ring)
-        object.__setattr__(self, "entries", _column(ring, entries))
-
-    def __setattr__(self, name, value):  # pragma: no cover - guard only
-        raise AttributeError("ModuleElement is immutable")
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "entries", _column(self.ring, self.entries))
 
     @property
     def rank(self) -> int:
@@ -103,13 +103,6 @@ class ModuleElement:
     def is_zero(self) -> bool:
         return all(e.is_zero() for e in self.entries)
 
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, ModuleElement):
-            return NotImplemented
-        return self.ring == other.ring and self.entries == other.entries
-
-    __hash__ = None
-
     def __str__(self) -> str:
         return "(" + ", ".join(str(e) for e in self.entries) + ")"
 
@@ -117,26 +110,19 @@ class ModuleElement:
         return f"ModuleElement{self}"
 
 
+@record
 class PolyMatrix:
     """A matrix over a presented ring, stored by columns."""
 
-    __slots__ = ("ring", "nrows", "columns")
+    ring: PresentedRing
+    nrows: int
+    columns: tuple[Entries, ...] = ()
 
-    def __init__(
-        self,
-        ring: PresentedRing,
-        nrows: int,
-        columns: Iterable[Sequence[Polynomial]] = (),
-    ):
-        if nrows < 0:
+    def __post_init__(self) -> None:
+        if self.nrows < 0:
             raise ArgumentError("negative row count")
-        cols = tuple(_column(ring, col, nrows) for col in columns)
-        object.__setattr__(self, "ring", ring)
-        object.__setattr__(self, "nrows", nrows)
+        cols = tuple(_column(self.ring, col, self.nrows) for col in self.columns)
         object.__setattr__(self, "columns", cols)
-
-    def __setattr__(self, name, value):  # pragma: no cover - guard only
-        raise AttributeError("PolyMatrix is immutable")
 
     @property
     def ncols(self) -> int:
@@ -169,17 +155,6 @@ class PolyMatrix:
         return all(
             self.ring.reduce(e).is_zero() for col in self.columns for e in col
         )
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, PolyMatrix):
-            return NotImplemented
-        return (
-            self.ring == other.ring
-            and self.nrows == other.nrows
-            and self.columns == other.columns
-        )
-
-    __hash__ = None
 
     def __repr__(self) -> str:
         return f"PolyMatrix({self.nrows}x{self.ncols})"
@@ -307,15 +282,20 @@ def _initial_width(degree: int) -> int:
 
 
 def _packed_run(
-    ring: PresentedRing, polys: list[Polynomial], run: Callable[[_Packing], object]
+    ring: PresentedRing,
+    polys: list[Polynomial],
+    run: Callable[[_Packing], object],
+    width: int = 0,
 ):
     """run(packing) over the ring's signature, first at the initial width
-    for the degrees of `polys` and the defining generators, and again at
-    double width each time a field overflows.  Values never depend on
-    the width, so a rerun returns what a wide enough first run would."""
+    for the degrees of `polys` and the defining generators, or at `width`
+    if that is wider, and again at double width each time a field
+    overflows.  Values never depend on the width, so a rerun returns what
+    a wide enough first run would."""
     sig = ring.signature
     polys = polys + list(ring.defining)
-    width = _initial_width(max((sum(m) for p in polys for m in p.terms), default=0))
+    degree = max((sum(m) for p in polys for m in p.terms), default=0)
+    width = max(width, _initial_width(degree))
     while True:
         try:
             return run(_packing(sig.order, sig.block, sig.nvars, width))
@@ -564,7 +544,7 @@ class MembershipBasis:
     A full normal form does not depend on which Groebner basis it is taken
     against, so one table serves every question about one generator set."""
 
-    __slots__ = ("ring", "rank", "_table", "_reduced")
+    __slots__ = ("ring", "rank", "_build", "_table", "_reduced")
 
     def __init__(
         self,
@@ -580,9 +560,11 @@ class MembershipBasis:
             return (pk, *_module_buchberger(gens, pk, rank))
 
         polys = [e for c in columns for e in c]
+        build = partial(_packed_run, ring, polys, run)
         object.__setattr__(self, "ring", ring)
         object.__setattr__(self, "rank", rank)
-        object.__setattr__(self, "_table", _packed_run(ring, polys, run))
+        object.__setattr__(self, "_build", build)
+        object.__setattr__(self, "_table", build())
         object.__setattr__(self, "_reduced", None)
 
     def __setattr__(self, name, value):  # pragma: no cover - guard only
@@ -590,23 +572,16 @@ class MembershipBasis:
 
     def _query(self, question: Callable[..., object]):
         """question(packing, basis, leads, buckets) against the table,
-        which repacks itself at double width while the question
-        overflows a field.  The table is swapped in as one tuple, so a
-        concurrent reader sees the old packing or the new one whole."""
+        which is rebuilt at double width while the question overflows a
+        field.  The table is swapped in as one tuple, so a concurrent
+        reader sees the old packing or the new one whole."""
         while True:
+            table = self._table
             try:
-                return question(*self._table)
+                return question(*table)
             except _Overflow:
-                pk, basis, leads, buckets = self._table
-                sig = self.ring.signature
-                wide = _packing(sig.order, sig.block, sig.nvars, 2 * pk.width)
-
-                def repack(t: int) -> int:
-                    return wide.pack(*pk.unpack(t))
-
-                basis = [{repack(t): c for t, c in vp.items()} for vp in basis]
-                leads = [repack(t) for t in leads]
-                object.__setattr__(self, "_table", (wide, basis, leads, buckets))
+                wider = self._build(width=2 * table[0].width)
+                object.__setattr__(self, "_table", wider)
 
     def normal_form(self, entries: Sequence[Polynomial]) -> Entries:
         entries = _column(self.ring, entries, self.rank)

@@ -1,9 +1,10 @@
 """`@record` gives a class of annotated fields `__init__`, `__eq__`,
-`__hash__` and `__repr__` as closures over the field names: defining a
-record compiles no code.  Fields are the class's own annotations, in
-order; a class attribute gives a default; `__post_init__` runs last.
-Fields in `uncompared` are left out of equality and hashing.  A frozen
-record (the default) refuses assignment; a mutable one is unhashable."""
+`__hash__` and, unless the class defines its own, `__repr__` as
+closures over the field names: defining a record compiles no code.
+Fields are the class's own annotations, in order; a class attribute
+gives a default; `__post_init__` runs last.  Fields in `uncompared` are
+left out of equality and hashing.  A frozen record (the default)
+refuses assignment; a mutable one is unhashable."""
 
 from operator import attrgetter
 
@@ -49,7 +50,9 @@ def record(cls=None, /, *, frozen=True, uncompared=()):
     def refuse(self, name, value=None):
         raise AttributeError(f"{self.__class__.__name__} is immutable")
 
-    cls.__init__, cls.__eq__, cls.__repr__ = __init__, __eq__, __repr__
+    cls.__init__, cls.__eq__ = __init__, __eq__
+    if "__repr__" not in cls.__dict__:
+        cls.__repr__ = __repr__
     cls.__hash__ = (lambda self: hash(key(self))) if frozen else None
     if frozen:
         cls.__setattr__ = cls.__delattr__ = refuse

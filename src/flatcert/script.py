@@ -26,7 +26,7 @@ import time
 from collections.abc import Callable
 from functools import partial
 
-from .flatness import FlatnessVerdict, PointSpec, flat_at_point, tensor_rings
+from .flatness import FlatnessVerdict, PointSpec, flat_at_point, tensor_with_renaming
 from .groebner import IdealHandle, RingMap
 from .homology import PresentedModule, TorReport, tor
 from .modules import PolyMatrix, SubmodulePresentation
@@ -494,7 +494,7 @@ class Interpreter:
         elif isinstance(stmt, TensorRingDecl):
             left = _ring_of(env, stmt.left)
             right = _ring_of(env, stmt.right)
-            env[stmt.name] = tensor_rings(left, right)
+            env[stmt.name] = tensor_with_renaming(left, right)[0]
         elif isinstance(stmt, IdealDecl):
             ring = _ring_of(env, stmt.ring_name)
             gens = [to_polynomial(e, ring.signature) for e in stmt.gens]

@@ -12,7 +12,6 @@ from flatcert import (
     flat_at_point,
     graph_ideal,
     invariant_presentation,
-    tensor_rings,
     tensor_with_renaming,
     trim_generators,
 )
@@ -47,7 +46,7 @@ def test_tensor_clash_suffix_collision():
 def test_tensor_carries_defining_ideals():
     A = fc.ring("x,y,z", defining=("x*y - z^2",))
     B = fc.ring("u,v")
-    T = tensor_rings(A, B)
+    T = tensor_with_renaming(A, B)[0]
     assert [str(g) for g in T.defining] == ["x*y - z^2"]
     assert T.signature.variables == ("x", "y", "z", "u", "v")
 
@@ -258,12 +257,16 @@ def test_affine_morphism_direction():
 
 
 def test_tensor_keeps_a_common_order():
-    lex = tensor_rings(fc.ring("a", order=fc.LEX), fc.ring("x,y", order=fc.LEX))
+    lex, _, _ = tensor_with_renaming(
+        fc.ring("a", order=fc.LEX), fc.ring("x,y", order=fc.LEX)
+    )
     assert lex.signature.order == fc.LEX
-    mixed = tensor_rings(fc.ring("a", order=fc.LEX), fc.ring("x,y"))
+    mixed = tensor_with_renaming(fc.ring("a", order=fc.LEX), fc.ring("x,y"))[0]
     assert mixed.signature.order == fc.GREVLEX
     block = fc.RingSignature(("x", "y"), fc.BLOCK, block=1)
-    blocked = tensor_rings(fc.PresentedRing(block), fc.PresentedRing(block))
+    blocked, _, _ = tensor_with_renaming(
+        fc.PresentedRing(block), fc.PresentedRing(block)
+    )
     assert blocked.signature.order == fc.GREVLEX
 
 

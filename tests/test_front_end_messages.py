@@ -134,7 +134,8 @@ CLI_MESSAGES = [
 CLI_INDEX_MESSAGES = [
     ("cli-tor-index-too-large", "101", 2,
      "parse error at the index, col 1: Tor index larger than 100\n"),
-    ("cli-negative-tor-index", "-1", 3, "negative Tor index\n"),
+    ("cli-negative-tor-index", "-1", 2,
+     "parse error at the index, col 1: negative Tor index\n"),
 ]
 
 # (polynomial text over QQ[x,y], ParseError text)
@@ -183,6 +184,22 @@ def test_cli_tor_index_error_text(index, status, stderr, tmp_path, capsys):
     assert main(["tor", str(path), index, "J", "J"]) == status
     captured = capsys.readouterr()
     assert (captured.out, captured.err) == ("", stderr)
+
+
+@pytest.mark.parametrize("index", ["-1", "101"])
+def test_cli_tor_index_is_refused_before_the_declarations_run(
+    index, tmp_path, capsys
+):
+    # The map does not kill x, so running the declarations would exit 3.
+    path = tmp_path / "case.fc"
+    path.write_text(
+        "ring R = QQ[x] / (x);\nring S = QQ[t];\nmap f : R -> S = {t};\n",
+        encoding="utf-8",
+    )
+    assert main(["tor", str(path), "1", "f", "f"]) == 3
+    capsys.readouterr()
+    assert main(["tor", str(path), index, "f", "f"]) == 2
+    assert capsys.readouterr().err.startswith("parse error at the index")
 
 
 @pytest.mark.parametrize(

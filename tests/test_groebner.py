@@ -13,7 +13,6 @@ from flatcert import (
     eliminate,
     map_kernel,
     reduced_basis,
-    reduced_groebner,
 )
 from helpers import (
     brute_membership,
@@ -76,32 +75,30 @@ def test_reduced_groebner_examples(qq_xy, qq_xyz):
     x = fc.poly("x", qq_xy)
     y = fc.poly("y", qq_xy)
     # already a reduced basis, kept as is
-    gb = reduced_groebner(fc.ideal(qq_xy, x**2, x * y))
+    gb = fc.ideal(qq_xy, x**2, x * y).groebner_basis()
     assert [str(g) for g in gb] == ["x^2", "x*y"]
     # classic intersection: leads produce a new generator
-    gb2 = reduced_groebner(fc.ideal(qq_xy, x**2 * y - 1, x * y**2 - x))
+    gb2 = fc.ideal(qq_xy, x**2 * y - 1, x * y**2 - x).groebner_basis()
     assert is_reduced_basis(gb2)
     assert spolynomial_certificate(gb2, divide)
     # graph of a blowup chart in four variables
     P = fc.ring("x,y,u,v")
-    gb3 = reduced_groebner(
-        fc.ideal(P, fc.poly("x - u", P), fc.poly("y - u*v", P))
-    )
+    gb3 = fc.ideal(P, fc.poly("x - u", P), fc.poly("y - u*v", P)).groebner_basis()
     assert [str(g) for g in gb3] == ["u*v - y", "x - u"]
 
 
 def test_reduced_groebner_unit_ideal(qq_xy):
     x = fc.poly("x", qq_xy)
-    gb = reduced_groebner(fc.ideal(qq_xy, x, x - 1))
+    gb = fc.ideal(qq_xy, x, x - 1).groebner_basis()
     assert [str(g) for g in gb] == ["1"]
     assert not fc.ideal(qq_xy, x, x - 1).is_proper()
     assert fc.ideal(qq_xy, x).is_proper()
 
 
 def test_reduced_groebner_empty_and_zero(qq_xy):
-    assert reduced_groebner(fc.ideal(qq_xy)) == ()
+    assert fc.ideal(qq_xy).groebner_basis() == ()
     zero = fc.Polynomial.zero(qq_xy.signature)
-    assert reduced_groebner(fc.ideal(qq_xy, zero)) == ()
+    assert fc.ideal(qq_xy, zero).groebner_basis() == ()
 
 
 def test_groebner_shuffle_uniqueness(qq_xyz):
@@ -110,11 +107,11 @@ def test_groebner_shuffle_uniqueness(qq_xyz):
     rng = random.Random(31)
     for round_ in range(12):
         gens = [random_poly(rng, sig, max_deg=2, max_terms=3) for _ in range(3)]
-        reference = reduced_groebner(IdealHandle(qq_xyz, gens))
+        reference = IdealHandle(qq_xyz, gens).groebner_basis()
         for _ in range(4):
             shuffled = gens[:]
             rng.shuffle(shuffled)
-            assert reduced_groebner(IdealHandle(qq_xyz, shuffled)) == reference
+            assert IdealHandle(qq_xyz, shuffled).groebner_basis() == reference
         assert is_reduced_basis(reference) or reference == ()
         assert spolynomial_certificate(reference, divide)
 

@@ -16,7 +16,7 @@ import random
 from pathlib import Path
 
 import flatcert as fc
-from flatcert import GREVLEX, LEX, RingMap, map_kernel
+from flatcert import GREVLEX, LEX, AffineMorphism, RingMap, graph_ideal, map_kernel
 
 PINS = Path(__file__).resolve().parent / "data" / "map_kernel_pins.txt"
 
@@ -69,6 +69,14 @@ def map_kernel_pins() -> str:
 
 def test_map_kernel_matches_pins():
     assert map_kernel_pins() == PINS.read_text(encoding="utf-8")
+
+
+def test_graph_ideal_is_the_pullback_graph():
+    for order in (GREVLEX, LEX):
+        for _, F in random_maps(order):
+            graph, morphism_graph = F.graph(), graph_ideal(AffineMorphism(F))
+            assert morphism_graph.ring == graph.ring
+            assert morphism_graph.generators == graph.generators
 
 
 if __name__ == "__main__":

@@ -14,20 +14,19 @@ PUBLIC = [
     "MembershipBasis", "ModuleElement", "Monomial", "ParseError", "PointSpec",
     "PolyMatrix", "Polynomial", "PresentedModule", "PresentedRing", "RingMap",
     "RingSignature", "ScriptReport", "SubmodulePresentation", "TorReport",
-    "as_presented_module", "compare_monomials", "contains", "divide",
-    "eliminate", "fibered_product_ideal", "flat_at_point", "free_resolution",
-    "fresh_name", "graph_ideal", "homology_is_zero", "homology_witnesses",
-    "ideal", "invariant_presentation", "kernel_generators", "koszul",
-    "map_kernel", "module_reduced_gb", "mono_degree", "mono_divides",
-    "mono_lcm", "mono_mul", "mono_quotient", "parse_polynomial",
-    "parse_script", "poly", "pretty_script", "reduced_basis",
-    "reduced_groebner", "ring", "run_script", "syzygy_matrix", "tensor_rings",
+    "as_presented_module", "compare_monomials", "divide", "eliminate",
+    "fibered_product_ideal", "flat_at_point", "free_resolution",
+    "fresh_name", "graph_ideal", "homology_witnesses", "ideal",
+    "invariant_presentation", "kernel_generators", "koszul", "map_kernel",
+    "module_reduced_gb", "mono_degree", "mono_divides", "mono_lcm",
+    "mono_mul", "mono_quotient", "parse_polynomial", "parse_script", "poly",
+    "pretty_script", "reduced_basis", "ring", "run_script", "syzygy_matrix",
     "tensor_with_renaming", "tor", "transplant", "trim_generators",
 ]
 
 
 def test_all_is_pinned():
-    assert PUBLIC == sorted(PUBLIC)
+    assert PUBLIC == sorted(PUBLIC) and len(PUBLIC) == 57
     assert fc.__all__ == PUBLIC
 
 

@@ -129,6 +129,8 @@ def _frozen_records():
         AffineMorphism(RingMap(R, R, [x, fc.poly("y", R)])),
         PointSpec(R, fc.ideal(R, "x", "y")),
         FlatnessVerdict(False, report),
+        ModuleElement(R, [x]),
+        PolyMatrix(R, 1, [(x,)]),
         module,
         fc.free_resolution(module, 2),
         report,

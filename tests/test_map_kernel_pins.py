@@ -35,25 +35,30 @@ def _random_poly(rng, names):
 
 def _random_map(rng, source, target):
     names = target.signature.variables
-    images = [fc.poly(_random_poly(rng, names), target) for _ in source.signature.variables]
+    images = [
+        fc.poly(_random_poly(rng, names), target) for _ in source.signature.variables
+    ]
     return RingMap(source, target, images)
 
 
 def random_maps(order):
     """(kind, map) pairs, CASES_PER_KIND of each kind, seeded per order."""
+
+    def ring(names, defining=()):
+        return fc.ring(names, defining, order=order)
+
     rng = random.Random(f"map-kernel-{order}")
     out = []
     for _ in range(CASES_PER_KIND):
-        free = _random_map(rng, fc.ring("a,b,c", order=order), fc.ring("s,t", order=order))
+        free = _random_map(rng, ring("a,b,c"), ring("s,t"))
         out.append(("free source", free))
         kernel = map_kernel(free).generators
         a = free.source.var("a")
-        source = fc.ring("a,b,c", [kernel[0], a * kernel[-1]], order=order)
+        source = ring("a,b,c", [kernel[0], a * kernel[-1]])
         out.append(("quotient source", RingMap(source, free.target, free.images)))
-        target = fc.ring("s,t", [_random_poly(rng, ("s", "t"))], order=order)
-        out.append(("quotient target", _random_map(rng, fc.ring("a,b", order=order), target)))
-        clash = _random_map(rng, fc.ring("x,y,t", order=order), fc.ring("t,x", order=order))
-        out.append(("clashing names", clash))
+        target = ring("s,t", [_random_poly(rng, ("s", "t"))])
+        out.append(("quotient target", _random_map(rng, ring("a,b"), target)))
+        out.append(("clashing names", _random_map(rng, ring("x,y,t"), ring("t,x"))))
     return out
 
 
@@ -61,8 +66,9 @@ def map_kernel_pins() -> str:
     lines = []
     for order in (GREVLEX, LEX):
         for k, (kind, F) in enumerate(random_maps(order)):
+            kernel = ", ".join(str(g) for g in map_kernel(F).generators)
             lines.append(f"== {order} {k} {kind}: {F}")
-            lines.append("kernel: " + ", ".join(str(g) for g in map_kernel(F).generators))
+            lines.append(f"kernel: {kernel}")
             lines.append(f"image: {F.image()}")
     return "".join(line + "\n" for line in lines)
 

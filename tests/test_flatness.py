@@ -257,16 +257,16 @@ def test_affine_morphism_direction():
 
 
 def test_tensor_keeps_a_common_order():
-    lex, _, _ = tensor_with_renaming(
+    lex = tensor_with_renaming(
         fc.ring("a", order=fc.LEX), fc.ring("x,y", order=fc.LEX)
-    )
+    )[0]
     assert lex.signature.order == fc.LEX
     mixed = tensor_with_renaming(fc.ring("a", order=fc.LEX), fc.ring("x,y"))[0]
     assert mixed.signature.order == fc.GREVLEX
     block = fc.RingSignature(("x", "y"), fc.BLOCK, block=1)
-    blocked, _, _ = tensor_with_renaming(
+    blocked = tensor_with_renaming(
         fc.PresentedRing(block), fc.PresentedRing(block)
-    )
+    )[0]
     assert blocked.signature.order == fc.GREVLEX
 
 

@@ -1,20 +1,31 @@
 """Presented modules, chain complexes, Koszul complexes, free resolutions,
 homology, and Tor.
 
-Tor_i(M, N) resolves M over its presented ring R to length i+1
+Tor_i(M, N) resolves M over its presented ring R to length i
 (resolutions over a quotient ring may be infinite, so only that much is
-built), tensors the resolution with N, and takes homology at position i.
-For a cyclic N = R/I the tensored complex is a complex of free
-R/I-modules, so its homology is taken over the fiber ring R/I, which
-drops the variables that I's generators name; any other N is imposed by
-relation columns over R.  Verdicts are zero or nonzero with canonical
-witness generators (see `homology_witnesses`), never dimension counts.
+built), takes generators of the kernel of d_i as d_(i+1), tensors with N,
+and takes homology at position i.  For a cyclic N = R/I the tensored
+complex is a complex of free R/I-modules, so its homology is taken over
+the fiber ring R/I, which drops the variables that I's generators name;
+any other N is imposed by relation columns over R.  Verdicts are zero or
+nonzero with canonical witness generators (see `homology_witnesses`),
+never dimension counts.
+
+The steps d_1..d_i come from `syzygy_entries`, the syzygy module's
+Groebner basis: they fix the basis of F_i, the witnesses' coordinates.
+d_(i+1) and the kernel at i enter the homology only as the submodules
+they span, through membership tables and a reduced basis, both unique
+for a submodule.  So both come from `kernel_generators`, the engine's
+cheaper generator mode, and the witness text is what a syzygy basis
+gives.
 
 Each ideal or submodule is presented at most once, and each presented
 module keeps the longest resolution built so far: a shorter request
-reads a prefix of it, a longer one extends it.  Both live in one memo
-keyed by object identity that holds no strong reference, so `tor` and
-`flat_at_point` share every resolution of a module while it is alive.
+reads a prefix of it, a longer one extends it.  The generators `tor`
+takes for d_(i+1) are kept under d_i, unless the stored resolution
+already reaches d_(i+1).  All of it lives in one memo keyed by object
+identity that holds no strong reference, so `tor` and `flat_at_point`
+share every resolution of a module while it is alive.
 """
 
 from __future__ import annotations
@@ -245,7 +256,8 @@ def homology_witnesses(
     When one does not, the witnesses are the elements of the reduced
     Groebner basis of kernel + image that are not in the image, by
     decreasing lead: they depend only on the two submodules and the
-    monomial order, not on how the kernel was generated.
+    monomial order, not on how the kernel or the image was generated
+    (both may be `kernel_generators` output).
 
     `relations`, when given, holds one list of relation columns per
     position k, and F_k is read as F_k modulo their span: the kernel at i
@@ -306,10 +318,30 @@ def _standard_basis(ring: PresentedRing, rank: int) -> list[Entries]:
     return out
 
 
+def _image_step(mod: PresentedModule, res: ChainComplex) -> PolyMatrix:
+    """A matrix whose columns span the kernel of the last differential
+    d_i of `res`, a prefix of mod's resolution.  It is the stored d_(i+1)
+    when the resolution memo has reached it (no columns once the
+    resolution is complete); otherwise the kernel's `kernel_generators`,
+    kept in the memo under d_i."""
+    i, d = res.length, res.differentials[-1]
+    built = _recall(mod)
+    if built is not None and built.length > i:
+        return built.differentials[i]
+    if built is not None and built.complete:
+        return PolyMatrix(mod.ring, d.ncols, ())
+    step = _recall(d)
+    if step is None:
+        step = PolyMatrix(mod.ring, d.ncols, kernel_generators(d))
+        _remember(d, step)
+    return step
+
+
 def tor(i: int, M: ModuleLike, N: ModuleLike) -> TorReport:
     """Tor_i(M, N) over the common presented ring R.
 
-    Resolves M to length i+1 over R, tensors with N and takes homology at
+    Resolves M to length i over R, takes generators of d_i's kernel as
+    d_(i+1) (`_image_step`), tensors with N and takes homology at
     position i.  F_k tensor N is N^(rank F_k): each column of a
     differential is spread over N's s coordinate blocks, and N's relations
     are imposed in every block.  A cyclic N = R/I gives F_k/IF_k, a free
@@ -324,9 +356,15 @@ def tor(i: int, M: ModuleLike, N: ModuleLike) -> TorReport:
     if mod.ring != other.ring:
         raise ArgumentError("modules over different rings")
     ring = mod.ring
-    res = free_resolution(mod, i + 1)
+    res = free_resolution(mod, max(i, 1))
     if i > res.length:
         return TorReport(i, True, ())
+    ranks, diffs, complete = res.ranks, res.differentials, res.complete
+    if i == res.length and i:
+        last = _image_step(mod, res)
+        complete = not last.ncols
+        if last.ncols:
+            ranks, diffs = ranks + (last.ncols,), diffs + (last,)
     s = other.rank
     if s == 1:
         base, project = ring.quotient(col[0] for col in other.relations.columns)
@@ -347,13 +385,13 @@ def tor(i: int, M: ModuleLike, N: ModuleLike) -> TorReport:
     relations = [
         [(zero,) * (pos * s) + rc + (zero,) * ((r - pos - 1) * s)
          for pos in range(r) for rc in n_rels]
-        for r in res.ranks
+        for r in ranks
     ]
     complex_ = ChainComplex(
         base,
-        tuple(r * s for r in res.ranks),
-        tuple(map(tensored, res.differentials)),
-        res.complete,
+        tuple(r * s for r in ranks),
+        tuple(map(tensored, diffs)),
+        complete,
     )
     zero_tor, witnesses = homology_witnesses(complex_, i, relations)
     sig = ring.signature

@@ -8,10 +8,17 @@ Schreyer-style tracked elimination: each input column is augmented with a
 unit tracker in a trailing block of positions, relation columns (defining
 generators of a quotient ring, and any caller-supplied relations) enter
 untracked, and basis elements whose terms all lie in the tracker block
-project onto syzygy generators.  Over a quotient ring each syzygy is
-reduced modulo the ring inside the same run, by one packed normal form
-against the ring's reduced defining basis, so its entries leave the
-engine as normal forms and syzygies that vanish in the ring never leave.
+project onto syzygy generators.  `syzygy_entries`, which builds the
+resolution's differentials, returns the tracker block's elements of the
+full Groebner basis with minimal leads.  `kernel_generators`, for callers
+that need only the submodule, runs the engine in generator mode: an
+element that falls into the tracker block is collected and never enters
+the basis, so no S-pair between two syzygies is reduced, and the ring's
+reduced defining basis enters first with no pairs among itself.  Over a
+quotient ring each syzygy is reduced modulo the ring inside the same
+run, by one packed normal form against the ring's reduced defining
+basis, so its entries leave the engine as normal forms and syzygies
+that vanish in the ring never leave.
 
 Inside the engine a term, a (position, monomial) pair, is one packed
 int (`_Packing`, after Monagan and Pearce's packed exponent vectors): a
@@ -33,8 +40,9 @@ heap.  `MembershipBasis` is the one Groebner table per generator set: it
 gives normal forms and the reduced basis, each element a minimal lead
 plus the normal form of its tail.
 Ideals, and rings through their defining ideal, hold one at rank 1.
-Only it and `syzygy_entries` run `_module_buchberger`; only the
-quotient-tracking `groebner.divide` keeps a normal-form loop of its own.
+Only it and `_syzygies`, behind both syzygy functions, run
+`_module_buchberger`; only the quotient-tracking `groebner.divide` keeps
+a normal-form loop of its own.
 
 A `VecPoly` coefficient is an `int` when it is integral and a `Fraction`
 otherwise: integral coefficients enter as ints (`_small`), int products
@@ -383,14 +391,34 @@ def _vp_normal_form(
 
 
 def _module_buchberger(
-    gens: Iterable[VecPoly], pk: _Packing, rank: int
-) -> tuple[list[VecPoly], list[VecTerm], dict[int, list[int]]]:
+    gens: Iterable[VecPoly],
+    pk: _Packing,
+    rank: int,
+    head: int | None = None,
+    settled: int = 0,
+):
     """Monic module Groebner basis (position-over-term order).
 
     S-pairs only arise between elements with the same leading position;
     the chain criterion applies there, and the coprimality criterion only
     when the ambient rank is 1 (it is invalid for genuine vectors).
+    No pair is formed among the first `settled` inputs: the caller passes
+    a Groebner basis there, and since those elements come first in every
+    bucket and the first divisor wins, each of their S-polynomials would
+    reduce to zero through them alone.
     A term or lcm that outgrows its field raises `_Overflow`.
+
+    Given `head`, the packed position where a tracker block begins, the
+    run is in generator mode: an element whose lead lies in the tracker
+    block (an input with zero head, or an S-pair remainder whose head
+    reduced to zero) is collected instead of entering the basis, so no
+    pair between two of them is ever formed, and the run returns the
+    collected elements.  They generate the elements of the module that
+    lie in the tracker block (Schreyer; Eisenbud Thm 15.10): every pair
+    of head elements is reduced or dropped by the chain criterion, and
+    each one that reduces to zero in the head leaves its lift's tracker
+    part here.  Otherwise the run returns the table
+    (basis, leads, buckets).
     """
     guards, shift, key, lcm_of = pk.guards, pk.shift, pk.key, pk.lcm
     basis: list[VecPoly] = []
@@ -398,6 +426,7 @@ def _module_buchberger(
     buckets: dict[int, list[int]] = {}
     heap: list[tuple[int, int, int, int]] = []
     pending: set[tuple[int, int]] = set()
+    collected: list[VecPoly] = []
 
     def push(i: int, j: int) -> None:
         lcm = lcm_of(leads[i], leads[j])
@@ -411,12 +440,16 @@ def _module_buchberger(
             vp = {t: -v for t, v in vp.items()}
         elif c != 1:
             vp = {t: _small(Fraction(v, c)) for t, v in vp.items()}
+        if head is not None and lt >= head:
+            collected.append(vp)
+            return
         idx = len(basis)
         basis.append(vp)
         leads.append(lt)
         bucket = buckets.setdefault(lt >> shift, [])
-        for k in bucket:
-            push(k, idx)
+        if idx >= settled:
+            for k in bucket:
+                push(k, idx)
         bucket.append(idx)
 
     def product(vp: VecPoly, q: int) -> Iterable[tuple[int, Coefficient]]:
@@ -462,7 +495,7 @@ def _module_buchberger(
         r = _vp_normal_form(s, basis, leads, buckets, pk)
         if r:
             add(r)
-    return basis, leads, buckets
+    return collected if head is not None else (basis, leads, buckets)
 
 
 def _minimal_leads(
@@ -482,11 +515,14 @@ def _minimal_leads(
     return kept
 
 
-def _defining_vps(ring: PresentedRing, rank: int, pk: _Packing) -> list[VecPoly]:
+def _defining_vps(
+    relations: Iterable[Polynomial], rank: int, pk: _Packing
+) -> list[VecPoly]:
+    """Each of a ring's relations in each of `rank` coordinates."""
     pack = pk.pack
     return [
         {pack(i, m): _small(c) for m, c in q.terms.items()}
-        for q in ring.defining
+        for q in relations
         for i in range(rank)
     ]
 
@@ -556,7 +592,7 @@ class MembershipBasis:
 
         def run(pk: _Packing) -> tuple:
             gens = [_vp_from_entries(c, pk) for c in columns]
-            gens += _defining_vps(ring, rank, pk)
+            gens += _defining_vps(ring.defining, rank, pk)
             return (pk, *_module_buchberger(gens, pk, rank))
 
         polys = [e for c in columns for e in c]
@@ -617,22 +653,24 @@ class MembershipBasis:
         return self._reduced
 
 
-def syzygy_entries(
+def _syzygies(
     columns: Sequence[Entries],
     nrows: int,
     ring: PresentedRing,
-    extra_relations: Sequence[Entries] = (),
+    extra_relations: Sequence[Entries],
+    generators: bool,
 ) -> list[Entries]:
-    """Generators of the syzygy module of the given columns over `ring`,
-    relative to the span of `extra_relations` (and the defining
-    generators in every coordinate).
+    """The syzygies of `columns` over `ring`, relative to the span of
+    `extra_relations` and the defining generators in every coordinate:
+    the reduced basis's minimal elements of the tracker block, or with
+    `generators` the engine's generator mode (see `_module_buchberger`),
+    which enters the ring's reduced defining basis first and settled.
 
-    Every entry is reduced modulo the ring (it equals `ring.reduce` of
-    itself), and no generator is zero in the ring or repeats another
-    (two syzygies can reduce to one).  The reduction runs
-    inside the engine: one packed normal form per syzygy against the
-    ring's reduced defining basis, which sets the run's width with the
-    inputs."""
+    Either way every entry is reduced modulo the ring (it equals
+    `ring.reduce` of itself), and no vector is zero in the ring or repeats
+    another (two syzygies can reduce to one).  The reduction runs inside
+    the engine: one packed normal form per syzygy against the ring's
+    reduced defining basis, which sets the run's width with the inputs."""
     m = len(columns)
     if m == 0:
         return []
@@ -643,21 +681,28 @@ def syzygy_entries(
     ring_basis = ring.defining_basis() if ring.is_quotient else ()
 
     def run(pk: _Packing) -> list[Entries]:
-        gens: list[VecPoly] = []
+        # The tracker block is ordered below every head position, so a
+        # lead in the tracker block means the whole element lies there.
+        head = nrows << pk.shift
+        gens = _defining_vps(ring_basis, nrows, pk) if generators else []
+        settled = len(gens)
         for j, col in enumerate(columns):
             vp = _vp_from_entries(col, pk)
             vp[(nrows + j) << pk.shift] = 1
             gens.append(vp)
         for col in extra_relations:
             gens.append(_vp_from_entries(col, pk))
-        gens += _defining_vps(ring, nrows, pk)
-        basis, leads, _ = _module_buchberger(gens, pk, nrows + m)
-        # The tracker block is ordered below every head position, so a
-        # lead in the tracker block means the whole element lies there.
-        head = nrows << pk.shift
-        kept = _minimal_leads(
-            ((vp, lt) for vp, lt in zip(basis, leads) if lt >= head), pk
-        )
+        if generators:
+            tracked = _module_buchberger(gens, pk, nrows + m, head, settled)
+        else:
+            gens += _defining_vps(ring.defining, nrows, pk)
+            basis, leads, _ = _module_buchberger(gens, pk, nrows + m)
+            tracked = [
+                vp
+                for vp, _ in _minimal_leads(
+                    ((vp, lt) for vp, lt in zip(basis, leads) if lt >= head), pk
+                )
+            ]
         # The ring's basis, packed at position 0, reduces every position:
         # the divisibility test ignores the position bits, and t - lead
         # keeps them.  A full normal form is unique, so each entry comes
@@ -667,7 +712,7 @@ def syzygy_entries(
         buckets = dict.fromkeys(range(m), list(range(len(table))))
         out: list[Entries] = []
         seen: dict[frozenset, list[VecPoly]] = {}  # support -> vectors
-        for vp, _ in kept:
+        for vp in tracked:
             vp = {t - head: c for t, c in vp.items()}
             if table:
                 vp = _vp_normal_form(vp, table, table_leads, buckets, pk)
@@ -679,6 +724,21 @@ def syzygy_entries(
 
     polys = [e for col in (*columns, *extra_relations) for e in col]
     return _packed_run(ring, polys + list(ring_basis), run)
+
+
+def syzygy_entries(
+    columns: Sequence[Entries],
+    nrows: int,
+    ring: PresentedRing,
+    extra_relations: Sequence[Entries] = (),
+) -> list[Entries]:
+    """Generators of the syzygy module of the given columns over `ring`,
+    relative to the span of `extra_relations` (and the defining
+    generators in every coordinate): the elements of its Groebner basis
+    with minimal leads, one per lead, each reduced modulo the ring.
+    `free_resolution` builds its differentials from them, so they fix the
+    resolution's ranks and the basis of each free module."""
+    return _syzygies(columns, nrows, ring, extra_relations, generators=False)
 
 
 def syzygy_matrix(matrix: PolyMatrix) -> PolyMatrix:
@@ -696,7 +756,13 @@ def kernel_generators(
 ) -> list[Entries]:
     """Generators of the kernel of the map defined by `matrix`, relative
     to the submodule of the target spanned by `extra_relations` (plus the
-    defining generators in every coordinate)."""
-    return syzygy_entries(
-        matrix.columns, matrix.nrows, matrix.ring, extra_relations
+    defining generators in every coordinate).
+
+    They span the same submodule as `syzygy_entries` but are not a basis
+    and need not be minimal: they are the engine's generator-mode output
+    (see `_module_buchberger`), which skips every S-pair between two
+    syzygies.  Reduced modulo the ring, nonzero there and without
+    repeats, as `syzygy_entries`."""
+    return _syzygies(
+        matrix.columns, matrix.nrows, matrix.ring, extra_relations, generators=True
     )

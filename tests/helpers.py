@@ -6,11 +6,16 @@ the package's Buchberger or syzygy machinery, so agreement between the
 two is meaningful evidence.  `RelationColumnTor` is the exception: it is
 the reference route for Tor against a cyclic module, built from the
 package's public module functions, that the fiber-ring route of `tor`
-must agree with.
+must agree with.  It takes its kernel from `syzygy_entries`, the
+Groebner basis of the syzygy module, not from `tor`'s generator route.
+`run_with_deadline` runs a computation that could hang in a child
+process, so a regression fails the suite instead of stalling it.
 """
 
 from __future__ import annotations
 
+import multiprocessing
+import traceback
 from fractions import Fraction
 
 from flatcert import (
@@ -21,11 +26,11 @@ from flatcert import (
     RingSignature,
     as_presented_module,
     free_resolution,
-    kernel_generators,
     mono_divides,
     mono_lcm,
     mono_quotient,
 )
+from flatcert.modules import syzygy_entries
 
 
 def nullspace(rows: list[list[Fraction]]) -> list[list[Fraction]]:
@@ -307,7 +312,7 @@ class RelationColumnTor:
         else:
             d = tensored(res.differential(i))
             target_rels = relations(res.ranks[i - 1])
-            ker = kernel_generators(d, target_rels)
+            ker = syzygy_entries(d.columns, d.nrows, ring, target_rels)
             target = MembershipBasis(ring, d.nrows, target_rels)
             self.in_kernel = lambda v: target.contains(d.apply(v))
         image_cols = relations(res.ranks[i])
@@ -319,3 +324,34 @@ class RelationColumnTor:
         if not self.is_zero:
             span = MembershipBasis(ring, rank, list(ker) + image_cols)
             self.witnesses = [v for v in span.reduced() if not image.contains(v)]
+
+
+def _send_outcome(send, fn, args) -> None:
+    try:
+        outcome = (True, fn(*args))
+    except BaseException:
+        outcome = (False, traceback.format_exc())
+    send.send(outcome)
+
+
+def run_with_deadline(seconds: float, fn, *args):
+    """fn(*args) in a forked child process, which is killed after
+    `seconds`: its result (which must pickle), or AssertionError when it
+    ran out of time or raised.  A regression that hangs then fails its
+    test instead of stalling the suite."""
+    context = multiprocessing.get_context("fork")
+    receive, send = context.Pipe(duplex=False)
+    child = context.Process(target=_send_outcome, args=(send, fn, args))
+    child.start()
+    send.close()
+    try:
+        if not receive.poll(seconds):
+            raise AssertionError(f"{fn.__name__} ran past {seconds} s")
+        finished, value = receive.recv()
+    finally:
+        child.kill()
+        child.join()
+        receive.close()
+    if not finished:
+        raise AssertionError(f"{fn.__name__} raised:\n{value}")
+    return value

@@ -32,22 +32,30 @@ def _cone_ideal():
 
 def test_two_tors_on_one_ideal_resolve_it_once(monkeypatch):
     calls = []
-    real = homology.syzygy_entries
+    real_syzygies, real_kernel = homology.syzygy_entries, homology.kernel_generators
 
-    def counted(columns, nrows, ring):
-        calls.append(nrows)
-        return real(columns, nrows, ring)
+    def counted_syzygies(columns, nrows, ring):
+        calls.append("syzygies")
+        return real_syzygies(columns, nrows, ring)
 
-    monkeypatch.setattr(homology, "syzygy_entries", counted)
+    def counted_kernel(matrix, extra_relations=()):
+        calls.append("tensored kernel" if extra_relations else "kernel")
+        return real_kernel(matrix, extra_relations)
+
+    monkeypatch.setattr(homology, "syzygy_entries", counted_syzygies)
+    monkeypatch.setattr(homology, "kernel_generators", counted_kernel)
     J = _cone_ideal()
     R = J.ring
     first = tor(1, J, fc.ideal(R, "x", "y", "z"))
     after_first = len(calls)
     second = tor(1, J, fc.ideal(R, "u", "v"))
-    # J's presentation and first syzygies come from the memo, so the
-    # second tor runs syzygy_entries only to present its new ideal N
-    assert after_first == 2 + 1
-    assert len(calls) == after_first + 1
+    # The first tor presents J and N (ideals, so N has relation columns),
+    # takes generators of J's first syzygies as d_2, and the kernel of the
+    # tensored d_1.  J's presentation and d_2 come from the memo the
+    # second time, so it only presents its new N and takes its own
+    # tensored kernel.
+    assert calls[:after_first] == ["syzygies"] * 2 + ["kernel", "tensored kernel"]
+    assert calls[after_first:] == ["syzygies", "tensored kernel"]
     assert as_presented_module(J) is as_presented_module(J)
     assert str(first) == str(tor(1, _cone_ideal(), fc.ideal(R, "x", "y", "z")))
     assert str(second) == str(tor(1, _cone_ideal(), fc.ideal(R, "u", "v")))
@@ -84,8 +92,14 @@ def test_the_memo_keeps_no_module_alive():
     sub = fc.SubmodulePresentation(J.ring, 1, [(g,) for g in J.generators])
     tor(1, J, fc.ideal(J.ring, "x", "y", "z"))
     free_resolution(sub, 2)
-    # J and sub, and the presented module of each
-    assert len(set(homology._MEMO) - before) == 4
+    # J and sub, sub's presented module with its resolution, and d_1 of
+    # J's presented module with generators of its kernel (a length-1
+    # resolution is d_1 itself, so it is not stored)
+    relations = as_presented_module(J).relations
+    assert set(homology._MEMO) - before == {
+        id(J), id(sub), id(as_presented_module(sub)), id(relations)
+    }
+    del relations
     alive = weakref.ref(J), weakref.ref(as_presented_module(J))
     del J, sub
     gc.collect()

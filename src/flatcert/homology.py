@@ -3,21 +3,21 @@ homology, and Tor.
 
 Tor_i(M, N) resolves M over its presented ring R to length i
 (resolutions over a quotient ring may be infinite, so only that much is
-built), takes generators of the kernel of d_i as d_(i+1), tensors with N,
-and takes homology at position i.  For a cyclic N = R/I the tensored
-complex is a complex of free R/I-modules, so its homology is taken over
-the fiber ring R/I, which drops the variables that I's generators name;
-any other N is imposed by relation columns over R.  Verdicts are zero or
-nonzero with canonical witness generators (see `homology_witnesses`),
-never dimension counts.
+built), takes generators of the kernel of d_i as d_(i+1), tensors d_i and
+d_(i+1) with N (only they meet F_i), and takes homology at F_i.  For a
+cyclic N = R/I the tensored complex is one of free R/I-modules, so its
+homology is taken over the fiber ring R/I, which drops the variables
+that I's generators name; any other N is imposed by relation columns
+over R.  Verdicts are zero or nonzero with canonical witness generators
+(see `homology_witnesses`), never dimension counts.
 
 The steps d_1..d_i come from `syzygy_entries`, the syzygy module's
 Groebner basis: they fix the basis of F_i, the witnesses' coordinates.
 d_(i+1) and the kernel at i enter the homology only as the submodules
 they span, through membership tables and a reduced basis, both unique
 for a submodule.  So both come from `kernel_generators`, the engine's
-cheaper generator mode, and the witness text is what a syzygy basis
-gives.
+cheaper generator mode, the table of kernel + image grows from the
+image's table, and the witness text is what a syzygy basis gives.
 
 Each ideal or submodule is presented at most once, and each presented
 module keeps the longest resolution built so far: a shorter request
@@ -285,7 +285,7 @@ def homology_witnesses(
     image = MembershipBasis(ring, rank_i, image_cols)
     if all(image.contains(v) for v in ker):
         return True, []
-    span = MembershipBasis(ring, rank_i, ker + image_cols)
+    span = MembershipBasis(ring, rank_i, ker, base=image)
     return False, [
         ModuleElement(ring, v) for v in span.reduced() if not image.contains(v)
     ]
@@ -341,13 +341,14 @@ def tor(i: int, M: ModuleLike, N: ModuleLike) -> TorReport:
     """Tor_i(M, N) over the common presented ring R.
 
     Resolves M to length i over R, takes generators of d_i's kernel as
-    d_(i+1) (`_image_step`), tensors with N and takes homology at
-    position i.  F_k tensor N is N^(rank F_k): each column of a
-    differential is spread over N's s coordinate blocks, and N's relations
-    are imposed in every block.  A cyclic N = R/I gives F_k/IF_k, a free
-    module over the fiber ring R/I (`PresentedRing.quotient`): s = 1, the
-    entries are projected there, no relation columns are needed, and
-    homology is taken over R/I; the witnesses are lifted back to R.
+    d_(i+1) (`_image_step`), tensors d_i and d_(i+1) with N and takes
+    homology at F_i (of F_1 -> F_0 when i = 0).  F_k tensor N is
+    N^(rank F_k): each column of a differential is spread over N's s
+    coordinate blocks, and N's relations are imposed in every block.
+    A cyclic N = R/I gives F_k/IF_k, a free module over the fiber ring
+    R/I (`PresentedRing.quotient`): s = 1, the entries are projected
+    there, no relation columns are needed, and homology is taken over
+    R/I; the witnesses are lifted back to R.
     """
     if i < 0:
         raise ArgumentError("negative Tor index")
@@ -359,7 +360,9 @@ def tor(i: int, M: ModuleLike, N: ModuleLike) -> TorReport:
     res = free_resolution(mod, max(i, 1))
     if i > res.length:
         return TorReport(i, True, ())
-    ranks, diffs, complete = res.ranks, res.differentials, res.complete
+    # res ends at F_i (at F_1 when i = 0); only d_i and d_(i+1) meet F_i.
+    lo = max(i - 1, 0)
+    ranks, diffs, complete = res.ranks[lo:], res.differentials[lo:], res.complete
     if i == res.length and i:
         last = _image_step(mod, res)
         complete = not last.ncols
@@ -393,7 +396,7 @@ def tor(i: int, M: ModuleLike, N: ModuleLike) -> TorReport:
         tuple(map(tensored, diffs)),
         complete,
     )
-    zero_tor, witnesses = homology_witnesses(complex_, i, relations)
+    zero_tor, witnesses = homology_witnesses(complex_, min(i, 1), relations)
     sig = ring.signature
     lifted = tuple(
         ModuleElement(ring, [transplant(e, sig) for e in w.entries])

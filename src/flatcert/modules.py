@@ -37,8 +37,10 @@ So exponents of any size work, and no value depends on the width.
 Every normal form runs through `_vp_normal_form`: it keys each term
 once, when the term enters the work set, and takes the top term off a
 heap.  `MembershipBasis` is the one Groebner table per generator set: it
-gives normal forms and the reduced basis, each element a minimal lead
-plus the normal form of its tail.
+gives normal forms, membership (an empty packed normal form, never
+unpacked) and the reduced basis, each element a minimal lead plus the
+normal form of its tail.  A table can grow from another's basis, which
+enters settled (`base`).
 Ideals, and rings through their defining ideal, hold one at rank 1.
 Only it and `_syzygies`, behind both syzygy functions, run
 `_module_buchberger`; only the quotient-tracking `groebner.divide` keeps
@@ -51,7 +53,8 @@ and sums stay ints, and making an element monic divides through
 is the same as with `Fraction`s throughout.  `_entries_from_vp` is the
 one exit: every coefficient leaves as a `Fraction`, the empty positions
 of a vector share one zero polynomial, and a syzygy over a quotient ring
-is already reduced modulo the ring when it gets there.
+is already reduced modulo the ring when it gets there.  Both conversions
+skip zero entries, so they cost what the terms do, not what the rank does.
 """
 
 from __future__ import annotations
@@ -320,24 +323,33 @@ def _vp_from_entries(entries: Sequence[Polynomial], pk: _Packing) -> VecPoly:
     pack = pk.pack
     vp: VecPoly = {}
     for i, e in enumerate(entries):
-        for m, c in e.terms.items():
-            vp[pack(i, m)] = _small(c)
+        if e.terms:  # most entries of a tensored column are zero
+            for m, c in e.terms.items():
+                vp[pack(i, m)] = _small(c)
     return vp
 
 
 def _entries_from_vp(vp: VecPoly, pk: _Packing, sig, rank: int) -> Entries:
     """The engine's one exit: every term leaves as a (position, tuple
     monomial) pair and every coefficient as a `Fraction`, and the empty
-    positions share one zero polynomial (polynomials are immutable)."""
-    split: list[dict | None] = [None] * rank
+    positions share one zero polynomial (polynomials are immutable).  The
+    work follows the terms: only occupied positions are visited."""
+    split: dict[int, dict] = {}
     for t, c in vp.items():
         i, m = pk.unpack(t)
-        d = split[i]
+        d = split.get(i)
         if d is None:
             d = split[i] = {}
         d[m] = c if type(c) is Fraction else Fraction(c)
-    zero = Polynomial._raw(sig, {})
-    return tuple(zero if d is None else Polynomial._raw(sig, d) for d in split)
+    out = [Polynomial._raw(sig, {})] * rank
+    for i, d in split.items():
+        out[i] = Polynomial._raw(sig, d)
+    return tuple(out)
+
+
+def _repack(vp: VecPoly, old: _Packing, new: _Packing) -> VecPoly:
+    pack, unpack = new.pack, old.unpack
+    return {pack(*unpack(t)): c for t, c in vp.items()}
 
 
 def _vp_normal_form(
@@ -578,7 +590,15 @@ class MembershipBasis:
     in every coordinate: normal forms, membership and the reduced basis.
 
     A full normal form does not depend on which Groebner basis it is taken
-    against, so one table serves every question about one generator set."""
+    against, so one table serves every question about one generator set.
+
+    Given `base`, a table over the same ring and rank, the table is that
+    of `columns` plus base's submodule: base's basis, already a Groebner
+    basis with the defining generators in it, enters first and settled
+    (no pairs among it, see `_module_buchberger`), repacked when this run
+    has another width, and only the new columns form pairs.  The reduced
+    basis and every normal form are those of a table built from all the
+    columns.  The run starts at base's width at least."""
 
     __slots__ = ("ring", "rank", "_build", "_table", "_reduced")
 
@@ -587,20 +607,29 @@ class MembershipBasis:
         ring: PresentedRing,
         rank: int,
         columns: Iterable[Sequence[Polynomial]],
+        *,
+        base: MembershipBasis | None = None,
     ):
         columns = [_column(ring, c, rank) for c in columns]
+        if base is not None and (base.ring != ring or base.rank != rank):
+            raise DimensionError("base table over a different ring or rank")
 
         def run(pk: _Packing) -> tuple:
             gens = [_vp_from_entries(c, pk) for c in columns]
-            gens += _defining_vps(ring.defining, rank, pk)
-            return (pk, *_module_buchberger(gens, pk, rank))
+            if base is None:
+                gens += _defining_vps(ring.defining, rank, pk)
+                return (pk, *_module_buchberger(gens, pk, rank))
+            old, basis = base._table[:2]
+            if old is not pk:
+                basis = [_repack(vp, old, pk) for vp in basis]
+            return (pk, *_module_buchberger(basis + gens, pk, rank, None, len(basis)))
 
         polys = [e for c in columns for e in c]
         build = partial(_packed_run, ring, polys, run)
         object.__setattr__(self, "ring", ring)
         object.__setattr__(self, "rank", rank)
         object.__setattr__(self, "_build", build)
-        object.__setattr__(self, "_table", build())
+        object.__setattr__(self, "_table", build(base._table[0].width if base else 0))
         object.__setattr__(self, "_reduced", None)
 
     def __setattr__(self, name, value):  # pragma: no cover - guard only
@@ -629,7 +658,14 @@ class MembershipBasis:
         return self._query(question)
 
     def contains(self, entries: Sequence[Polynomial]) -> bool:
-        return all(e.is_zero() for e in self.normal_form(entries))
+        """Whether the normal form is zero, read off the packed normal form
+        without unpacking it."""
+        entries = _column(self.ring, entries, self.rank)
+
+        def question(pk, *table) -> bool:
+            return not _vp_normal_form(_vp_from_entries(entries, pk), *table, pk)
+
+        return self._query(question)
 
     def reduced(self) -> tuple[Entries, ...]:
         """The unique reduced Groebner basis, as entry tuples sorted by

@@ -8,8 +8,11 @@ the reference route for Tor against a cyclic module, built from the
 package's public module functions, that the fiber-ring route of `tor`
 must agree with.  It takes its kernel from `syzygy_entries`, the
 Groebner basis of the syzygy module, not from `tor`'s generator route.
-`run_with_deadline` runs a computation that could hang in a child
-process, so a regression fails the suite instead of stalling it.
+`full_complex_tor` is the same kind of reference for `tor`'s truncated
+tensoring: it tensors every differential d_1..d_(i+1) of the canonical
+resolution, not only the two that meet F_i.  `run_with_deadline` runs a
+computation that could hang in a child process, so a regression fails
+the suite instead of stalling it.
 """
 
 from __future__ import annotations
@@ -19,16 +22,21 @@ import traceback
 from fractions import Fraction
 
 from flatcert import (
+    ChainComplex,
     MembershipBasis,
+    ModuleElement,
     Polynomial,
     PolyMatrix,
     PresentedRing,
     RingSignature,
+    TorReport,
     as_presented_module,
     free_resolution,
+    homology_witnesses,
     mono_divides,
     mono_lcm,
     mono_quotient,
+    transplant,
 )
 from flatcert.modules import syzygy_entries
 
@@ -324,6 +332,55 @@ class RelationColumnTor:
         if not self.is_zero:
             span = MembershipBasis(ring, rank, list(ker) + image_cols)
             self.witnesses = [v for v in span.reduced() if not image.contains(v)]
+
+
+def full_complex_tor(i: int, M, N) -> TorReport:
+    """Tor_i(M, N) as the homology at F_i of the whole tensored complex
+    F_0 <- ... <- F_(i+1): every differential of the resolution to length
+    i + 1 (`syzygy_entries`, so d_(i+1) is a syzygy basis, not `tor`'s
+    generators) is tensored with N, over the fiber ring R/I for a cyclic
+    N = R/I and with N's relations in every block otherwise."""
+    mod, other = as_presented_module(M), as_presented_module(N)
+    ring = mod.ring
+    res = free_resolution(mod, i + 1)
+    if i > res.length:
+        return TorReport(i, True, ())
+    s = other.rank
+    if s == 1:
+        base, project = ring.quotient(col[0] for col in other.relations.columns)
+        n_rels = ()
+    else:
+        base, project, n_rels = ring, (lambda f: f), other.relations.columns
+    zero = base.zero()
+
+    def tensored(d: PolyMatrix) -> PolyMatrix:
+        cols = [
+            tuple(
+                project(col[k // s]) if k % s == t else zero
+                for k in range(d.nrows * s)
+            )
+            for col in d.columns
+            for t in range(s)
+        ]
+        return PolyMatrix(base, d.nrows * s, cols)
+
+    relations = [
+        [(zero,) * (pos * s) + rc + (zero,) * ((r - pos - 1) * s)
+         for pos in range(r) for rc in n_rels]
+        for r in res.ranks
+    ]
+    complex_ = ChainComplex(
+        base,
+        tuple(r * s for r in res.ranks),
+        tuple(map(tensored, res.differentials)),
+        res.complete,
+    )
+    is_zero, witnesses = homology_witnesses(complex_, i, relations)
+    lifted = tuple(
+        ModuleElement(ring, [transplant(e, ring.signature) for e in w.entries])
+        for w in witnesses
+    )
+    return TorReport(i, is_zero, lifted)
 
 
 def _send_outcome(send, fn, args) -> None:

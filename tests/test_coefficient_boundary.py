@@ -12,7 +12,9 @@ engine a term is also one packed int; every polynomial built keys its
 terms by tuples of exponents.  The values are checked too: syzygies
 compose to zero in the ring, normal forms equal the remainder of
 `divide` against the reduced basis, and at rank 1 the reduced basis
-equals sympy's.
+equals sympy's.  Sparse columns of rank 1-80 with at most three nonzero
+entries, the shape of a tensored differential's columns, round-trip
+through the packing with the same types and one shared zero.
 """
 
 import random
@@ -36,7 +38,12 @@ from flatcert import (
     tor,
 )
 from flatcert.cli import bundled_case_text
-from flatcert.modules import syzygy_entries
+from flatcert.modules import (
+    _entries_from_vp,
+    _packing,
+    _vp_from_entries,
+    syzygy_entries,
+)
 from flatcert.script import execute_text
 from helpers import basis_set, monomials_up_to, sympy_reduced_basis, to_sympy
 
@@ -219,3 +226,27 @@ def test_no_polynomial_is_built_with_packed_monomials(monkeypatch):
 
     _build_through_the_engine(monkeypatch, check)
     assert sum(built) > 100
+
+
+@pytest.mark.parametrize("order", ORDERS)
+def test_sparse_columns_round_trip_through_the_packing(order):
+    rng = random.Random(f"sparse:{order}")
+    R = fc.ring("x,y,z", order=order)
+    sig = R.signature
+    monos = monomials_up_to(3, 3)
+    pk = _packing(sig.order, sig.block, sig.nvars, 16)
+    for rank in range(1, 81):
+        for nonzero in range(min(rank, 3) + 1):
+            column = [R.zero()] * rank
+            for i in rng.sample(range(rank), nonzero):
+                k = rng.randint(1, 3)
+                terms = {rng.choice(monos): rng.choice(COEFFICIENTS) for _ in range(k)}
+                column[i] = Polynomial(sig, terms)
+            vp = _vp_from_entries(column, pk)
+            assert len(vp) == sum(len(e.terms) for e in column)
+            back = _entries_from_vp(vp, pk, sig, rank)
+            assert back == tuple(column)
+            assert _all_fractions(back)
+            assert all(type(m) is tuple for e in back for m in e.terms)
+            zeros = {id(e) for e in back if not e.terms}
+            assert len(zeros) == (rank > nonzero)

@@ -11,12 +11,17 @@ change that is meant to move these outputs, regenerate both files with
 
     PYTHONPATH=src python3 tests/test_exact_outputs.py
 
-and say in the change why they moved.
+and say in the change why they moved.  With `--check` the script writes
+nothing: it prints a unified diff of each file against the current
+outputs and exits 1 when either differs, 0 when both match.
 """
 
+import argparse
 import contextlib
+import difflib
 import hashlib
 import io
+import sys
 from importlib import resources
 from pathlib import Path
 
@@ -98,6 +103,45 @@ def test_resolutions_match_pins():
     assert resolution_pins() == RESOLUTION_PINS.read_text(encoding="utf-8")
 
 
+def regenerate(argv: list[str] | None = None) -> int:
+    parser = argparse.ArgumentParser(description="Regenerate the golden files.")
+    parser.add_argument(
+        "--check", action="store_true", help="print a diff and write nothing"
+    )
+    args = parser.parse_args(argv)
+    differs = False
+    for path, text in ((GOLDEN, exact_outputs()), (RESOLUTION_PINS, resolution_pins())):
+        if not args.check:
+            path.write_text(text, encoding="utf-8")
+            continue
+        old = path.read_text(encoding="utf-8")
+        sys.stdout.writelines(
+            difflib.unified_diff(
+                old.splitlines(True), text.splitlines(True), path.name, "now"
+            )
+        )
+        differs |= old != text
+    return int(differs)
+
+
+def test_check_prints_a_diff_and_writes_nothing(tmp_path, monkeypatch, capsys):
+    module = sys.modules[__name__]
+    golden, pins = tmp_path / "golden.txt", tmp_path / "pins.txt"
+    golden.write_text("same\n", encoding="utf-8")
+    pins.write_text("old\n", encoding="utf-8")
+    monkeypatch.setattr(module, "GOLDEN", golden)
+    monkeypatch.setattr(module, "RESOLUTION_PINS", pins)
+    monkeypatch.setattr(module, "exact_outputs", lambda: "same\n")
+    monkeypatch.setattr(module, "resolution_pins", lambda: "new\n")
+    assert regenerate(["--check"]) == 1
+    assert capsys.readouterr().out.splitlines()[-2:] == ["-old", "+new"]
+    assert pins.read_text(encoding="utf-8") == "old\n"
+    monkeypatch.setattr(module, "resolution_pins", lambda: "old\n")
+    assert regenerate(["--check"]) == 0
+    assert capsys.readouterr().out == ""
+    assert regenerate([]) == 0
+    assert pins.read_text(encoding="utf-8") == "old\n"
+
+
 if __name__ == "__main__":
-    GOLDEN.write_text(exact_outputs(), encoding="utf-8")
-    RESOLUTION_PINS.write_text(resolution_pins(), encoding="utf-8")
+    sys.exit(regenerate())

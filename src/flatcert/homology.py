@@ -277,12 +277,13 @@ def homology_witnesses(
         ker = kernel_generators(
             complex_.differential(i), relations[i - 1] if relations else ()
         )
-    image_cols: list[Entries] = []
-    if i + 1 <= complex_.length:
-        image_cols.extend(complex_.differential(i + 1).columns)
-    if relations:
-        image_cols.extend(relations[i])
-    image = MembershipBasis(ring, rank_i, image_cols)
+    # A table does not check a matrix's columns again.
+    spanning = PolyMatrix(ring, rank_i)
+    if i < complex_.length:
+        spanning = complex_.differential(i + 1)
+    if relations and relations[i]:
+        spanning = PolyMatrix(ring, rank_i, spanning.columns + tuple(relations[i]))
+    image = MembershipBasis(ring, rank_i, spanning)
     if all(image.contains(v) for v in ker):
         return True, []
     span = MembershipBasis(ring, rank_i, ker, base=image)
@@ -397,9 +398,12 @@ def tor(i: int, M: ModuleLike, N: ModuleLike) -> TorReport:
         complete,
     )
     zero_tor, witnesses = homology_witnesses(complex_, min(i, 1), relations)
-    sig = ring.signature
+    # Most witness entries are zero; they share R's zero.
+    sig, zero = ring.signature, ring.zero()
     lifted = tuple(
-        ModuleElement(ring, [transplant(e, sig) for e in w.entries])
+        ModuleElement(
+            ring, [transplant(e, sig) if e.terms else zero for e in w.entries]
+        )
         for w in witnesses
     )
     return TorReport(i, zero_tor, lifted)

@@ -24,23 +24,25 @@ Inside the engine a term, a (position, monomial) pair, is one packed
 int (`_Packing`, after Monagan and Pearce's packed exponent vectors): a
 product is an addition, a quotient a subtraction, a divisibility test a
 subtraction and a mask, and the int itself, with its degree fields
-negated, is the order key.  `_vp_from_entries` and `_defining_vps` pack
-tuple monomials on the way in, and `_entries_from_vp` unpacks them on
-the way out; no packed int leaves this module, and everywhere else a
-monomial is a tuple.  Each engine run picks its field width from the
-degrees of its inputs (`_initial_width`).  A product or lcm that
-outgrows a field raises `_Overflow`, and the run starts again at double
-width (`_packed_run`); a query that overflows a `MembershipBasis`
-rebuilds its table through `_packed_run` at double the table's width.
-So exponents of any size work, and no value depends on the width.
+complemented (`t ^ neg`), is the order key.  `_vp_from_entries` and
+`_defining_vps` pack tuple monomials on the way in, `_entries_from_vp`
+unpacks them on the way out; no packed int leaves this module, and
+everywhere else a monomial is a tuple.  Each engine run picks its field
+width from the degrees of its inputs (`_initial_width`).  A product or
+lcm that outgrows a field raises `_Overflow`, and the run starts again
+at double width (`_packed_run`); a query that overflows a
+`MembershipBasis` rebuilds its table through `_packed_run` at double the
+table's width.  So exponents of any size work, and no value depends on
+the width.
 
 Every normal form runs through `_vp_normal_form`: it keys each term
 once, when the term enters the work set, and takes the top term off a
-heap.  `MembershipBasis` is the one Groebner table per generator set: it
+heap of bare keys, so a remainder comes out lead first.
+`MembershipBasis` is the one Groebner table per generator set: it
 gives normal forms, membership (an empty packed normal form, never
 unpacked) and the reduced basis, each element a minimal lead plus the
-normal form of its tail.  A table can grow from another's basis, which
-enters settled (`base`).
+normal form of its tail.  A table enters the ring's reduced defining
+basis, or another table's basis (`base`), first and settled.
 Ideals, and rings through their defining ideal, hold one at rank 1.
 Only it and `_syzygies`, behind both syzygy functions, run
 `_module_buchberger`; only the quotient-tracking `groebner.divide` keeps
@@ -51,10 +53,11 @@ otherwise: integral coefficients enter as ints (`_small`), int products
 and sums stay ints, and making an element monic divides through
 `Fraction` only when its lead coefficient is not 1 or -1.  Every value
 is the same as with `Fraction`s throughout.  `_entries_from_vp` is the
-one exit: every coefficient leaves as a `Fraction`, the empty positions
-of a vector share one zero polynomial, and a syzygy over a quotient ring
-is already reduced modulo the ring when it gets there.  Both conversions
-skip zero entries, so they cost what the terms do, not what the rank does.
+one exit: every coefficient leaves as a `Fraction` (a small integer as a
+shared one), the empty positions of a vector share one zero polynomial,
+and a syzygy over a quotient ring is already reduced modulo the ring
+when it gets there.  Both conversions skip zero entries, so they cost
+what the terms do, not what the rank does.
 """
 
 from __future__ import annotations
@@ -175,6 +178,10 @@ class _Overflow(Exception):
     """A packed exponent or degree outgrew its field: rerun wider."""
 
 
+def _overflow() -> bool:
+    raise _Overflow  # where only an expression fits
+
+
 class _Packing:
     """(position, monomial) pairs packed into single ints at one field
     width: the engine's terms.
@@ -192,9 +199,9 @@ class _Packing:
       - t - u is the quotient when u divides t;
       - u divides t, at t's position, exactly when
         ((t | guards) - u) & guards == guards;
-      - `key(t)`, t with its degree fields negated (under lex, every
-        field), ascends as (position, `sig.descending_key()`) does: the
-        greatest term has the smallest key.  lex's degree field lies
+      - `key(t)` = t ^ neg, t with its degree fields (under lex, every
+        field) complemented, ascends as (position, `descending_key()`):
+        the greatest term has the smallest key.  lex's degree field lies
         below every exponent, where it never decides.
     """
 
@@ -248,7 +255,7 @@ class _Packing:
         return t >> self.shift, tuple([t >> s & value for s in self.var_shifts])
 
     def key(self, t: int) -> int:
-        return t - 2 * (t & self.neg)
+        return t ^ self.neg
 
     def divides(self, u: int, t: int) -> bool:
         """Whether u divides t; both at one position."""
@@ -329,18 +336,21 @@ def _vp_from_entries(entries: Sequence[Polynomial], pk: _Packing) -> VecPoly:
     return vp
 
 
+_FRACTIONS = {c: Fraction(c) for c in range(-16, 17)}
+
+
 def _entries_from_vp(vp: VecPoly, pk: _Packing, sig, rank: int) -> Entries:
     """The engine's one exit: every term leaves as a (position, tuple
-    monomial) pair and every coefficient as a `Fraction`, and the empty
-    positions share one zero polynomial (polynomials are immutable).  The
-    work follows the terms: only occupied positions are visited."""
+    monomial) pair and every coefficient as a `Fraction`, shared for small
+    integers, and the empty positions share one zero polynomial (values
+    are immutable).  Only occupied positions are visited."""
     split: dict[int, dict] = {}
     for t, c in vp.items():
         i, m = pk.unpack(t)
         d = split.get(i)
         if d is None:
             d = split[i] = {}
-        d[m] = c if type(c) is Fraction else Fraction(c)
+        d[m] = c if type(c) is Fraction else _FRACTIONS.get(c) or Fraction(c)
     out = [Polynomial._raw(sig, {})] * rank
     for i, d in split.items():
         out[i] = Polynomial._raw(sig, d)
@@ -362,20 +372,20 @@ def _vp_normal_form(
     """Full normal form against a monic basis; first match by insertion
     order within the lead position's bucket.
 
-    The top term comes off a heap of (key, term) entries.  An entry is
-    pushed when its term enters the work set, so each key is built once.
-    A term that cancels stays in the work set with coefficient 0 and is
-    skipped when popped, so no term is ever pushed twice.  A reduction
-    step only adds terms below the one it removes, so nothing is pushed
-    above the current top.  A product that sets a guard bit raises
-    `_Overflow`."""
+    The top term comes off a heap of bare keys `t ^ pk.neg` (`pk.key`),
+    each pushed when its term enters the work set.  A term that cancels
+    stays in the work set with coefficient 0 and is skipped when popped,
+    so no term is ever pushed twice.  A reduction step only adds terms
+    below the one it removes, so the remainder comes out by descending
+    term: its first key is its lead.  A product that sets a guard bit
+    raises `_Overflow`."""
     guards, neg, shift = pk.guards, pk.neg, pk.shift
     work = dict(vp)
-    heap = [(t - 2 * (t & neg), t) for t in work]
+    heap = [t ^ neg for t in work]
     heapq.heapify(heap)
     rem: VecPoly = {}
     while heap:
-        _, t = heapq.heappop(heap)
+        t = heapq.heappop(heap) ^ neg
         c = work.pop(t)
         if not c:
             continue
@@ -398,7 +408,7 @@ def _vp_normal_form(
                 work[tt] = old - c * c2
             elif tt != t:  # the monic lead of the reducer cancels t exactly
                 work[tt] = -c * c2
-                heapq.heappush(heap, (tt - 2 * (tt & neg), tt))
+                heapq.heappush(heap, tt ^ neg)
     return rem
 
 
@@ -432,21 +442,20 @@ def _module_buchberger(
     part here.  Otherwise the run returns the table
     (basis, leads, buckets).
     """
-    guards, shift, key, lcm_of = pk.guards, pk.shift, pk.key, pk.lcm
+    guards, shift, lcm_of = pk.guards, pk.shift, pk.lcm
     basis: list[VecPoly] = []
     leads: list[VecTerm] = []
     buckets: dict[int, list[int]] = {}
     heap: list[tuple[int, int, int, int]] = []
-    pending: set[tuple[int, int]] = set()
+    pending: set[int] = set()  # pair (i, j), i < j, as j << 32 | i
     collected: list[VecPoly] = []
 
     def push(i: int, j: int) -> None:
         lcm = lcm_of(leads[i], leads[j])
         heapq.heappush(heap, (pk.degree(lcm), i, j, lcm))
-        pending.add((i, j))
+        pending.add(j << 32 | i)
 
-    def add(vp: VecPoly) -> None:
-        lt = min(vp, key=key)
+    def add(vp: VecPoly, lt: VecTerm) -> None:
         c = vp[lt]
         if c == -1:
             vp = {t: -v for t, v in vp.items()}
@@ -464,21 +473,14 @@ def _module_buchberger(
                 push(k, idx)
         bucket.append(idx)
 
-    def product(vp: VecPoly, q: int) -> Iterable[tuple[int, Coefficient]]:
-        for t, c in vp.items():
-            t += q
-            if t & guards:
-                raise _Overflow
-            yield t, c
-
     for vp in gens:
         if vp:
-            add(dict(vp))
+            add(dict(vp), min(vp, key=pk.key))
     while heap:
         _, i, j, lcm = heapq.heappop(heap)
-        if (i, j) not in pending:
+        if j << 32 | i not in pending:
             continue
-        pending.discard((i, j))
+        pending.discard(j << 32 | i)
         mi, mj = leads[i], leads[j]
         # At rank 1 every position is 0, and lcm == mi + mj exactly when
         # the leads are coprime.
@@ -487,26 +489,30 @@ def _module_buchberger(
         lg = lcm | guards
         skip = False
         for k in buckets[mi >> shift]:
-            if k in (i, j) or (lg - leads[k]) & guards != guards:
+            if k == i or k == j or (lg - leads[k]) & guards != guards:
                 continue
-            if (min(i, k), max(i, k)) not in pending and (
-                min(j, k),
-                max(j, k),
+            if (k << 32 | i if k > i else i << 32 | k) not in pending and (
+                k << 32 | j if k > j else j << 32 | k
             ) not in pending:
                 skip = True
                 break
         if skip:
             continue
-        s: VecPoly = dict(product(basis[i], lcm - mi))
-        for t, c in product(basis[j], lcm - mj):
-            nc = s.get(t, 0) - c
-            if nc:
-                s[t] = nc
+        q, items = lcm - mi, basis[i].items()
+        s = {tq: c for t, c in items if not (tq := t + q) & guards or _overflow()}
+        q = lcm - mj
+        for t, c in basis[j].items():
+            t += q
+            if t & guards:
+                raise _Overflow
+            c = s.get(t, 0) - c
+            if c:
+                s[t] = c
             else:
-                s.pop(t, None)
+                del s[t]
         r = _vp_normal_form(s, basis, leads, buckets, pk)
         if r:
-            add(r)
+            add(r, next(iter(r)))  # remainders come out in descending order
     return collected if head is not None else (basis, leads, buckets)
 
 
@@ -588,6 +594,9 @@ def module_reduced_gb(sub: SubmodulePresentation) -> list[ModuleElement]:
 class MembershipBasis:
     """The Groebner basis of given columns, defining generators adjoined
     in every coordinate: normal forms, membership and the reduced basis.
+    Over a quotient ring, a table with columns enters the ring's reduced
+    defining basis first and settled; the ring's own table, which has
+    none, starts from `ring.defining`, so nothing recurses.
 
     A full normal form does not depend on which Groebner basis it is taken
     against, so one table serves every question about one generator set.
@@ -598,7 +607,8 @@ class MembershipBasis:
     (no pairs among it, see `_module_buchberger`), repacked when this run
     has another width, and only the new columns form pairs.  The reduced
     basis and every normal form are those of a table built from all the
-    columns.  The run starts at base's width at least."""
+    columns.  The run starts at base's width at least.  A `PolyMatrix`'s
+    columns were checked when it was built and are not checked again."""
 
     __slots__ = ("ring", "rank", "_build", "_table", "_reduced")
 
@@ -606,25 +616,35 @@ class MembershipBasis:
         self,
         ring: PresentedRing,
         rank: int,
-        columns: Iterable[Sequence[Polynomial]],
+        columns: PolyMatrix | Iterable[Sequence[Polynomial]],
         *,
         base: MembershipBasis | None = None,
     ):
-        columns = [_column(ring, c, rank) for c in columns]
+        if not isinstance(columns, PolyMatrix):
+            columns = [_column(ring, c, rank) for c in columns]
+        elif columns.nrows != rank or columns.ring != ring:
+            raise DimensionError("matrix over a different ring or rank")
+        else:
+            columns = columns.columns
         if base is not None and (base.ring != ring or base.rank != rank):
             raise DimensionError("base table over a different ring or rank")
+        # The ring's reduced basis also sets the width.
+        ring_basis = ring.defining_basis() if columns and ring.is_quotient else ()
 
         def run(pk: _Packing) -> tuple:
             gens = [_vp_from_entries(c, pk) for c in columns]
-            if base is None:
-                gens += _defining_vps(ring.defining, rank, pk)
-                return (pk, *_module_buchberger(gens, pk, rank))
-            old, basis = base._table[:2]
-            if old is not pk:
-                basis = [_repack(vp, old, pk) for vp in basis]
-            return (pk, *_module_buchberger(basis + gens, pk, rank, None, len(basis)))
+            if base is not None:
+                old, settled = base._table[:2]
+                if old is not pk:
+                    settled = [_repack(vp, old, pk) for vp in settled]
+            else:
+                settled = _defining_vps(ring_basis, rank, pk)
+                if not ring_basis:
+                    gens += _defining_vps(ring.defining, rank, pk)
+            gens = settled + gens
+            return (pk, *_module_buchberger(gens, pk, rank, None, len(settled)))
 
-        polys = [e for c in columns for e in c]
+        polys = [e for c in columns for e in c] + list(ring_basis)
         build = partial(_packed_run, ring, polys, run)
         object.__setattr__(self, "ring", ring)
         object.__setattr__(self, "rank", rank)

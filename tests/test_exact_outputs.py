@@ -6,14 +6,23 @@
 every bundled case.  `tests/data/resolution_pins.txt` holds the
 resolutions behind those witnesses: for francia `J` to d3 and neg2-graph
 `J` to d4, under grevlex and lex, the ranks and a sha256 of each printed
-differential.  The tests compare both files byte for byte.  After a
-change that is meant to move these outputs, regenerate both files with
+differential.  `tests/data/engine_pins.txt` pins the module engine on
+every bundled Tor and flat assertion and the two deep queries, under
+grevlex and lex, each in a fresh environment: for each run of
+`syzygy_entries` and `kernel_generators`, in call order, the number of
+`_vp_normal_form` calls the run makes, and for `kernel_generators` a
+sha256 of its printed output.  A ring's defining table is built before
+the run it would otherwise be built in, so its normal forms are not
+counted.  An engine change that keeps every S-pair and reducer choice
+leaves this file unchanged.  The tests compare all three files byte for
+byte.  After a change that is meant to move these outputs, regenerate
+them with
 
     PYTHONPATH=src python3 tests/test_exact_outputs.py
 
 and say in the change why they moved.  With `--check` the script writes
 nothing: it prints a unified diff of each file against the current
-outputs and exits 1 when either differs, 0 when both match.
+outputs and exits 1 when any differs, 0 when all match.
 """
 
 import argparse
@@ -25,13 +34,24 @@ import sys
 from importlib import resources
 from pathlib import Path
 
-from flatcert import GREVLEX, IdealHandle, LEX, free_resolution
+import flatcert.modules as modules
+from flatcert import (
+    GREVLEX,
+    IdealHandle,
+    LEX,
+    PointSpec,
+    flat_at_point,
+    free_resolution,
+    tor,
+)
 from flatcert.cli import REPRO_CHECKS, bundled_case_text, main
-from flatcert.script import execute_text
+from flatcert.parse import to_polynomial
+from flatcert.script import AssertFlat, AssertTor, execute_text, parse_script
 
 DATA = Path(__file__).resolve().parent / "data"
 GOLDEN = DATA / "exact_outputs_golden.txt"
 RESOLUTION_PINS = DATA / "resolution_pins.txt"
+ENGINE_PINS = DATA / "engine_pins.txt"
 
 TOR_QUERIES = (
     ("francia.fc", "2", "J", "L"),
@@ -72,11 +92,11 @@ def exact_outputs() -> str:
     return "".join(f"== {title}\n{_cli(argv)}" for title, argv in blocks)
 
 
-def _printed(d) -> str:
-    """A differential as text: one line per column, entries printed."""
-    return "".join(
-        "(" + ", ".join(str(e) for e in col) + ")\n" for col in d.columns
-    )
+def _digest(columns) -> str:
+    """The sha256 of the columns as text: one line per column, entries
+    printed."""
+    text = "".join("(" + ", ".join(str(e) for e in col) + ")\n" for col in columns)
+    return hashlib.sha256(text.encode("utf-8")).hexdigest()
 
 
 def resolution_pins() -> str:
@@ -90,8 +110,79 @@ def resolution_pins() -> str:
             ranks = " ".join(map(str, res.ranks))
             lines.append(f"== {order} {filename} {name} ranks {ranks}")
             for k, d in enumerate(res.differentials, start=1):
-                digest = hashlib.sha256(_printed(d).encode("utf-8")).hexdigest()
-                lines.append(f"d{k} {d.nrows}x{d.ncols} {digest}")
+                lines.append(f"d{k} {d.nrows}x{d.ncols} {_digest(d.columns)}")
+    return "".join(line + "\n" for line in lines)
+
+
+def _engine_queries(filename: str):
+    """(title, query) of each bundled tor and flat assertion of a case
+    and of its deep query: a (index, left, right) tuple or a `FlatCall`."""
+    text = bundled_case_text(filename)
+    statements = [
+        stmt
+        for stmt in parse_script(text).statements
+        if isinstance(stmt, (AssertTor, AssertFlat))
+    ]
+    for stmt in statements:
+        if isinstance(stmt, AssertTor):
+            c = stmt.call
+            yield f"tor {c.index} {c.left} {c.right}", (c.index, c.left, c.right)
+        else:
+            yield f"flat {stmt.call.name}", stmt.call
+    for query_file, index, left, right in TOR_QUERIES:
+        if query_file == filename:
+            yield f"tor {index} {left} {right}", (int(index), left, right)
+
+
+def _engine_runs(text: str, order: str, query) -> list[str]:
+    """One line per `_syzygies` run of the query over a fresh
+    environment: its kind, shape, normal-form count and, for generator
+    mode, the sha256 of its printed output."""
+    _, env = execute_text(text, order, declarations_only=True)
+    lines: list[str] = []
+    calls = [0]
+    real_nf, real_syzygies = modules._vp_normal_form, modules._syzygies
+
+    def counted_nf(*args):
+        calls[0] += 1
+        return real_nf(*args)
+
+    def counted_syzygies(columns, nrows, ring, extra_relations, generators):
+        if ring.is_quotient:
+            ring.defining_basis()  # its table's normal forms are not counted
+        calls[0] = 0
+        out = real_syzygies(columns, nrows, ring, extra_relations, generators)
+        kind = "ker" if generators else "syz"
+        line = f"{kind} {nrows}x{len(columns)}+{len(extra_relations)} nf {calls[0]}"
+        if generators:
+            line += " " + _digest(out)
+        lines.append(line)
+        return out
+
+    modules._vp_normal_form, modules._syzygies = counted_nf, counted_syzygies
+    try:
+        if isinstance(query, tuple):
+            index, left, right = query
+            tor(index, env[left], env[right])
+        else:
+            M = env[query.name]
+            gens = [to_polynomial(e, M.ring.signature) for e in query.point]
+            flat_at_point(M, PointSpec(M.ring, IdealHandle(M.ring, gens)))
+    finally:
+        modules._vp_normal_form, modules._syzygies = real_nf, real_syzygies
+    return lines
+
+
+def engine_pins() -> str:
+    """The engine runs of every bundled tor and flat assertion and of
+    the deep queries, under grevlex and lex."""
+    lines = []
+    for order in (GREVLEX, LEX):
+        for filename, _ in REPRO_CHECKS:
+            text = bundled_case_text(filename)
+            for title, query in _engine_queries(filename):
+                lines.append(f"== {order} {filename} {title}")
+                lines.extend(_engine_runs(text, order, query))
     return "".join(line + "\n" for line in lines)
 
 
@@ -103,6 +194,10 @@ def test_resolutions_match_pins():
     assert resolution_pins() == RESOLUTION_PINS.read_text(encoding="utf-8")
 
 
+def test_engine_runs_match_pins():
+    assert engine_pins() == ENGINE_PINS.read_text(encoding="utf-8")
+
+
 def regenerate(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(description="Regenerate the golden files.")
     parser.add_argument(
@@ -110,7 +205,12 @@ def regenerate(argv: list[str] | None = None) -> int:
     )
     args = parser.parse_args(argv)
     differs = False
-    for path, text in ((GOLDEN, exact_outputs()), (RESOLUTION_PINS, resolution_pins())):
+    files = (
+        (GOLDEN, exact_outputs()),
+        (RESOLUTION_PINS, resolution_pins()),
+        (ENGINE_PINS, engine_pins()),
+    )
+    for path, text in files:
         if not args.check:
             path.write_text(text, encoding="utf-8")
             continue
@@ -127,12 +227,16 @@ def regenerate(argv: list[str] | None = None) -> int:
 def test_check_prints_a_diff_and_writes_nothing(tmp_path, monkeypatch, capsys):
     module = sys.modules[__name__]
     golden, pins = tmp_path / "golden.txt", tmp_path / "pins.txt"
+    engine = tmp_path / "engine.txt"
     golden.write_text("same\n", encoding="utf-8")
     pins.write_text("old\n", encoding="utf-8")
+    engine.write_text("same\n", encoding="utf-8")
     monkeypatch.setattr(module, "GOLDEN", golden)
     monkeypatch.setattr(module, "RESOLUTION_PINS", pins)
+    monkeypatch.setattr(module, "ENGINE_PINS", engine)
     monkeypatch.setattr(module, "exact_outputs", lambda: "same\n")
     monkeypatch.setattr(module, "resolution_pins", lambda: "new\n")
+    monkeypatch.setattr(module, "engine_pins", lambda: "same\n")
     assert regenerate(["--check"]) == 1
     assert capsys.readouterr().out.splitlines()[-2:] == ["-old", "+new"]
     assert pins.read_text(encoding="utf-8") == "old\n"

@@ -74,7 +74,10 @@ def test_membership_basis(qq_xy):
     assert str(nf[0]) == "y"
 
 
-def test_membership_basis_rejects_malformed_columns(qq_xy):
+def test_membership_basis_rejects_malformed_columns(qq_xy, qq_xyz):
+    """Columns are checked where they enter the package.  A table takes a
+    `PolyMatrix`'s columns without checking them again, so every public
+    entry point keeps its own check."""
     x, y = fc.poly("x", qq_xy), fc.poly("y", qq_xy)
     lex_x = fc.poly("x", fc.ring("x,y", order="lex"))
     with pytest.raises(fc.DimensionError):
@@ -88,6 +91,30 @@ def test_membership_basis_rejects_malformed_columns(qq_xy):
         basis.normal_form((x, y))
     with pytest.raises(fc.DimensionError):
         basis.normal_form((lex_x,))
+    table = MembershipBasis(qq_xy, 2, [(x, x)])
+    entry_points = [
+        lambda col: PolyMatrix(qq_xy, 2, [col]),
+        lambda col: MembershipBasis(qq_xy, 2, [col]),
+        table.normal_form,
+        table.contains,
+    ]
+    for call in entry_points:
+        for col in [(x,), (x, x, x), (x, lex_x)]:
+            with pytest.raises(fc.DimensionError):
+                call(col)
+        call((x, y))
+    # A module element's rank is its length: only its signature can be
+    # wrong.  A matrix must match the table's ring and rank.
+    with pytest.raises(fc.DimensionError):
+        ModuleElement(qq_xy, (x, fc.poly("x", qq_xyz)))
+    m = PolyMatrix(qq_xy, 2, [(x, y)])
+    with pytest.raises(fc.DimensionError):
+        MembershipBasis(qq_xy, 3, m)
+    with pytest.raises(fc.DimensionError):
+        MembershipBasis(qq_xyz, 2, m)
+    assert MembershipBasis(qq_xy, 2, m).reduced() == MembershipBasis(
+        qq_xy, 2, m.columns
+    ).reduced()
 
 
 def test_syzygy_examples(qq_xy, dual_numbers):

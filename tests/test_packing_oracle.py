@@ -10,6 +10,10 @@ property widens as the engine does.  It then checks packed product,
 quotient, divisibility, lcm and degree against `poly.mono_*`, overflow
 detection against the exact degrees, and the order of the packed keys
 against `(position, sig.descending_key())` and `helpers.textbook_compare`.
+The heap of `_vp_normal_form` holds `t ^ pk.neg`, which must sort as
+`pk.key(t)` does; a second property draws vectors and small monic bases
+and checks that every remainder comes out by descending term, so its
+first key is its lead.
 """
 
 from fractions import Fraction
@@ -29,7 +33,7 @@ from flatcert import (
     mono_mul,
     mono_quotient,
 )
-from flatcert.modules import _Overflow, _packing
+from flatcert.modules import _Overflow, _packing, _vp_normal_form
 from helpers import textbook_compare
 
 LAYOUTS = [
@@ -97,6 +101,7 @@ def test_packed_operations_match_tuple_operations(case):
     dk = RingSignature(tuple(f"v{i}" for i in range(len(a))), order, block).descending_key()
     ka, kb = (pa, dk(a)), (pb, dk(b))
     assert _sign(pk.key(ta) - pk.key(tb)) == (ka > kb) - (ka < kb)
+    assert _sign((ta ^ pk.neg) - (tb ^ pk.neg)) == _sign(pk.key(ta) - pk.key(tb))
     if pa == pb:
         assert _sign(pk.key(tb) - pk.key(ta)) == textbook_compare(a, b, order, block)
 
@@ -122,6 +127,38 @@ def test_packed_operations_match_tuple_operations(case):
     else:
         with pytest.raises(_Overflow):
             pk.lcm(a0, b0)
+
+
+@st.composite
+def reductions(draw):
+    """A packing, a vector and a monic basis with its leads and buckets,
+    over small exponents at two positions."""
+    order, block, nvars = draw(st.sampled_from([lay for lay in LAYOUTS if lay[2]]))
+    pk = _packing(order, block, nvars, draw(st.sampled_from((8, 16))))
+    term = st.builds(
+        pk.pack,
+        st.integers(0, 1),
+        st.tuples(*[st.integers(0, 2)] * nvars),
+    )
+    coefficient = st.integers(-3, 3).filter(bool)
+    vector = st.dictionaries(term, coefficient, min_size=1, max_size=6)
+    basis, leads, buckets = [], [], {}
+    for vp in draw(st.lists(vector, max_size=3)):
+        lead = min(vp, key=pk.key)
+        basis.append({t: Fraction(c, vp[lead]) for t, c in vp.items()})
+        buckets.setdefault(lead >> pk.shift, []).append(len(leads))
+        leads.append(lead)
+    return pk, draw(vector), basis, leads, buckets
+
+
+@settings(derandomize=True, deadline=None, max_examples=300)
+@given(reductions())
+def test_remainders_come_out_by_descending_term(case):
+    pk, vp, basis, leads, buckets = case
+    rem = _vp_normal_form(vp, basis, leads, buckets, pk)
+    assert list(rem) == sorted(rem, key=pk.key)
+    if rem:
+        assert next(iter(rem)) == min(rem, key=pk.key)
 
 
 @pytest.mark.parametrize("order", (GREVLEX, LEX))

@@ -8,11 +8,12 @@ element a minimal lead plus its tail's normal form) and its normal
 forms; `buchberger` returns the same reduced basis as a list.  `divide`
 stays here as the public quotient-tracking division.  All computations
 over a quotient ring happen in the ambient polynomial ring with the
-defining generators adjoined; outputs are deterministic (selection by
-minimal lcm degree, ties by generator index, bases sorted by decreasing
-leading monomial).  A ring map's graph is built in one place,
-`RingMap.graph`: `map_kernel` eliminates the target's variables from
-it, and `flatness.graph_ideal` is the graph of a morphism's pullback.
+defining generators adjoined; outputs are deterministic (S-pairs
+selected by sugar, ties by lcm degree and then generator index, bases
+sorted by decreasing leading monomial).  A ring map's graph is built in
+one place, `RingMap.graph`: `map_kernel` eliminates the target's
+variables from it, and `flatness.graph_ideal` is the graph of a
+morphism's pullback.
 """
 
 from __future__ import annotations

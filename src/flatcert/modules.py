@@ -267,8 +267,8 @@ class _Packing:
             d += t >> group[0] & self.value
         return d
 
-    def lcm(self, a: int, b: int) -> int:
-        """The lcm of two terms at one position: each field's larger
+    def lcm(self, a: int, b: int) -> tuple[int, int]:
+        """(degree, lcm) of two terms at one position: each field's larger
         value, picked by the guard bits of (a | guards) - b, and then each
         degree field set to the sum of its exponents.  That sum is below
         2**width (it is at most deg a + deg b), so summing by one
@@ -276,12 +276,14 @@ class _Packing:
         width, value = self.width, self.value
         g = ((a | self.guards) - b) & self.guards
         t = b ^ ((a ^ b) & (g - (g >> (width - 1))))
+        degree = 0
         for s, _, low, span, ones, top in self.groups:
             d = ((t >> low & span) * ones >> top) & ((1 << width) - 1)
             if d > value:
                 raise _Overflow
             t += (d - (t >> s & value)) << s
-        return t
+            degree += d
+        return degree, t
 
 
 @lru_cache(maxsize=64)
@@ -421,6 +423,13 @@ def _module_buchberger(
 ):
     """Monic module Groebner basis (position-over-term order).
 
+    S-pairs are selected by sugar (Giovini, Mora, Niesi, Robbiano and
+    Traverso, "One sugar cube, please", 1991), ties by lcm degree and
+    then index.  An input's sugar is its largest term degree; a pair's
+    is max(ecart_i, ecart_j) + deg lcm, where an element's ecart is its
+    sugar minus its lead's degree, and the pair's remainder inherits it.
+    Under lex and on inhomogeneous input, selection by lcm degree alone
+    can run for minutes where sugar takes a second.
     S-pairs only arise between elements with the same leading position;
     the chain criterion applies there, and the coprimality criterion only
     when the ambient rank is 1 (it is invalid for genuine vectors).
@@ -442,20 +451,21 @@ def _module_buchberger(
     part here.  Otherwise the run returns the table
     (basis, leads, buckets).
     """
-    guards, shift, lcm_of = pk.guards, pk.shift, pk.lcm
+    guards, shift, lcm_of, degree = pk.guards, pk.shift, pk.lcm, pk.degree
     basis: list[VecPoly] = []
     leads: list[VecTerm] = []
+    ecarts: list[int] = []  # sugar - deg lead, per element
     buckets: dict[int, list[int]] = {}
-    heap: list[tuple[int, int, int, int]] = []
+    heap: list[tuple[int, int, int, int, int]] = []
     pending: set[int] = set()  # pair (i, j), i < j, as j << 32 | i
     collected: list[VecPoly] = []
 
     def push(i: int, j: int) -> None:
-        lcm = lcm_of(leads[i], leads[j])
-        heapq.heappush(heap, (pk.degree(lcm), i, j, lcm))
+        d, lcm = lcm_of(leads[i], leads[j])
+        heapq.heappush(heap, (max(ecarts[i], ecarts[j]) + d, d, i, j, lcm))
         pending.add(j << 32 | i)
 
-    def add(vp: VecPoly, lt: VecTerm) -> None:
+    def add(vp: VecPoly, lt: VecTerm, sugar: int) -> None:
         c = vp[lt]
         if c == -1:
             vp = {t: -v for t, v in vp.items()}
@@ -467,6 +477,7 @@ def _module_buchberger(
         idx = len(basis)
         basis.append(vp)
         leads.append(lt)
+        ecarts.append(sugar - degree(lt))
         bucket = buckets.setdefault(lt >> shift, [])
         if idx >= settled:
             for k in bucket:
@@ -475,9 +486,9 @@ def _module_buchberger(
 
     for vp in gens:
         if vp:
-            add(dict(vp), min(vp, key=pk.key))
+            add(dict(vp), min(vp, key=pk.key), max(map(degree, vp)))
     while heap:
-        _, i, j, lcm = heapq.heappop(heap)
+        sugar, _, i, j, lcm = heapq.heappop(heap)
         if j << 32 | i not in pending:
             continue
         pending.discard(j << 32 | i)
@@ -512,7 +523,7 @@ def _module_buchberger(
                 del s[t]
         r = _vp_normal_form(s, basis, leads, buckets, pk)
         if r:
-            add(r, next(iter(r)))  # remainders come out in descending order
+            add(r, next(iter(r)), sugar)  # remainders come out in descending order
     return collected if head is not None else (basis, leads, buckets)
 
 

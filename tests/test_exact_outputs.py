@@ -15,8 +15,9 @@ sha256 of its printed output.  A ring's defining table is built before
 the run it would otherwise be built in, so its normal forms are not
 counted.  An engine change that keeps every S-pair and reducer choice
 leaves this file unchanged.  The tests compare all three files byte for
-byte.  After a change that is meant to move these outputs, regenerate
-them with
+byte, each built in a child process under `helpers.run_with_deadline`,
+so an engine that loops fails instead of stalling the suite.  After a
+change that is meant to move these outputs, regenerate them with
 
     PYTHONPATH=src python3 tests/test_exact_outputs.py
 
@@ -47,6 +48,7 @@ from flatcert import (
 from flatcert.cli import REPRO_CHECKS, bundled_case_text, main
 from flatcert.parse import to_polynomial
 from flatcert.script import AssertFlat, AssertTor, execute_text, parse_script
+from helpers import run_with_deadline
 
 DATA = Path(__file__).resolve().parent / "data"
 GOLDEN = DATA / "exact_outputs_golden.txt"
@@ -186,16 +188,24 @@ def engine_pins() -> str:
     return "".join(line + "\n" for line in lines)
 
 
+# Each pin set takes seconds; the deadline turns an engine that loops
+# into a failure instead of a stalled suite.
+DEADLINE = 120
+
+
 def test_exact_outputs_match_golden():
-    assert exact_outputs() == GOLDEN.read_text(encoding="utf-8")
+    got = run_with_deadline(DEADLINE, exact_outputs)
+    assert got == GOLDEN.read_text(encoding="utf-8")
 
 
 def test_resolutions_match_pins():
-    assert resolution_pins() == RESOLUTION_PINS.read_text(encoding="utf-8")
+    got = run_with_deadline(DEADLINE, resolution_pins)
+    assert got == RESOLUTION_PINS.read_text(encoding="utf-8")
 
 
 def test_engine_runs_match_pins():
-    assert engine_pins() == ENGINE_PINS.read_text(encoding="utf-8")
+    got = run_with_deadline(DEADLINE, engine_pins)
+    assert got == ENGINE_PINS.read_text(encoding="utf-8")
 
 
 def regenerate(argv: list[str] | None = None) -> int:

@@ -23,7 +23,7 @@ from flatcert import (
 from flatcert.cli import REPRO_CHECKS, bundled_case_text
 from flatcert.parse import to_polynomial
 from flatcert.script import AssertFlat, AssertTor, execute_text, parse_script
-from helpers import RelationColumnTor, random_poly
+from helpers import RelationColumnTor, random_poly, run_with_deadline
 
 # The two deep queries of the benchmark, beside every bundled assertion.
 DEEP_QUERIES = {"francia.fc": (2, "J", "L"), "neg2_graph.fc": (3, "J", "K")}
@@ -76,8 +76,10 @@ def test_bundled_calls_agree_with_relation_columns(order):
     assert seen == 8  # six assertions and the two deep queries
 
 
-# Random generators have at most two terms: with three, some lex cases
-# run for minutes on either route, in the module Buchberger's coefficients.
+# Random generators have up to three terms.  Under lex, such generators
+# are where a weak S-pair selection (by lcm degree alone) runs for
+# minutes on either route, so each random test runs under a deadline:
+# such a regression fails instead of stalling the suite.
 
 
 def _random_ring(rng, order, cone):
@@ -98,32 +100,36 @@ def _random_fiber(rng, ring, variables):
         names = rng.sample(sig.variables, rng.randint(1, sig.nvars))
         gens = [ring.var(v).scale(rng.choice((1, -2, 3))) for v in names]
         if rng.random() < 0.5:
-            gens.append(random_poly(rng, sig, max_deg=2, max_terms=2))
+            gens.append(random_poly(rng, sig, max_deg=2, max_terms=3))
         return gens
     gens, count = [], rng.randint(1, 2)
     while len(gens) < count:
-        g = random_poly(rng, sig, max_deg=2, max_terms=2)
+        g = random_poly(rng, sig, max_deg=2, max_terms=3)
         if len(g.terms) > 1 or g.terms and sum(next(iter(g.terms))) != 1:
             gens.append(g)
     return gens
 
 
-@pytest.mark.parametrize("order", [GREVLEX, LEX, BLOCK])
-@pytest.mark.parametrize("cone", [False, True], ids=["polynomial", "cone"])
-def test_random_fibers_agree_with_relation_columns(order, cone):
+def _random_fibers_agree(order, cone):
     rng = random.Random(f"fiber-{order}-{cone}")
     for _ in range(20):
         ring = _random_ring(rng, order, cone)
         sig = ring.signature
         J = IdealHandle(
             ring,
-            [random_poly(rng, sig, max_deg=2, max_terms=2)
+            [random_poly(rng, sig, max_deg=2, max_terms=3)
              for _ in range(rng.randint(1, 3))],
         )
         i = rng.randint(0, 2)
         for variables in (True, False):
             N = PresentedModule.cyclic(ring, _random_fiber(rng, ring, variables))
             _assert_routes_agree(tor(i, J, N), i, J, N)
+
+
+@pytest.mark.parametrize("order", [GREVLEX, LEX, BLOCK])
+@pytest.mark.parametrize("cone", [False, True], ids=["polynomial", "cone"])
+def test_random_fibers_agree_with_relation_columns(order, cone):
+    run_with_deadline(60, _random_fibers_agree, order, cone)
 
 
 def test_restricted_block_order_sets_witness_leads():

@@ -7,9 +7,10 @@ two monomials with exponents at 0, at the field limit or anywhere
 between; the second may be a permutation of the first, or fill each
 degree field of the product exactly to the limit or one past it.  Where a monomial does not fit, packing must refuse it, and the
 property widens as the engine does.  It then checks packed product,
-quotient, divisibility, lcm and degree against `poly.mono_*`, overflow
-detection against the exact degrees, and the order of the packed keys
-against `(position, sig.descending_key())` and `helpers.textbook_compare`.
+quotient, divisibility, lcm (and the degree it returns) and degree
+against `poly.mono_*`, overflow detection against the exact degrees,
+and the order of the packed keys against
+`(position, sig.descending_key())` and `helpers.textbook_compare`.
 The heap of `_vp_normal_form` holds `t ^ pk.neg`, which must sort as
 `pk.key(t)` does; a second property draws vectors and small monic bases
 and checks that every remainder comes out by descending term, so its
@@ -118,10 +119,10 @@ def test_packed_operations_match_tuple_operations(case):
         assert product & pk.guards
     lcm = mono_lcm(a, b)
     if _fits(pk, lcm):
-        packed = pk.lcm(a0, b0)
+        degree, packed = pk.lcm(a0, b0)
         assert pk.unpack(packed) == (pb, lcm)
-        assert pk.degree(packed) == mono_degree(lcm)
-        assert (pk.pack(0, a) + pk.pack(0, b) == pk.lcm(pk.pack(0, a), pk.pack(0, b))) == (
+        assert degree == pk.degree(packed) == mono_degree(lcm)
+        assert (pk.pack(0, a) + pk.pack(0, b) == pk.lcm(pk.pack(0, a), pk.pack(0, b))[1]) == (
             lcm == mono_mul(a, b)
         )
     else:

@@ -120,6 +120,11 @@ class PointSpec:
             raise ArgumentError("point ideal is improper (contains 1)")
 
 
+def _used(polys: Sequence[Polynomial]) -> set[str]:
+    """The variables that occur in `polys`."""
+    return {v for q in polys for m in q.terms for v, e in zip(q.sig.variables, m) if e}
+
+
 @record
 class FlatnessVerdict:
     flat: bool
@@ -140,16 +145,27 @@ def flat_at_point(
     and are extended by the inclusion map, which must be well defined:
     the base ring's defining relations must hold in M's ring, or the
     probe raises ArgumentError rather than answer over the wrong base.
+    Without a map it also refuses when a relation of M's ring R ties the
+    point's variables (the base's, or those the point uses) to others:
+    R need not be flat over the base, and Tor over R could differ.
     """
     ring = M.ring
     pgens = p.point_ideal.generators
-    if along is None and p.ring != ring:
+    if along is None:
         base_vars = p.ring.signature.variables
-        if not set(base_vars) <= set(ring.signature.variables):
-            raise ArgumentError(
-                "point ideal does not live in the module's ring; supply a map"
-            )
-        along = RingMap(p.ring, ring, [ring.var(name) for name in base_vars])
+        if p.ring != ring:
+            if not set(base_vars) <= set(ring.signature.variables):
+                raise ArgumentError(
+                    "point ideal does not live in the module's ring; supply a map"
+                )
+            along = RingMap(p.ring, ring, [ring.var(name) for name in base_vars])
+        inside = set(base_vars) if p.ring != ring else _used(pgens)
+        for q in ring.defining:
+            if (used := _used((q,))) & inside and not used <= inside:
+                raise ArgumentError(
+                    f"relation {q} ties the point's variables to others;"
+                    " the ring need not be flat over the point's base"
+                )
     if along is None:
         # The point lives in M's ring, and PointSpec checked it is proper.
         ext = list(pgens)

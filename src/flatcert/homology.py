@@ -380,9 +380,13 @@ def tor(i: int, M: ModuleLike, N: ModuleLike) -> TorReport:
     def tensored(d: PolyMatrix) -> PolyMatrix:
         cols = []
         for col in d.columns:
+            col = tuple([project(e) if e.terms else zero for e in col])
+            if s == 1:  # the column itself, built once
+                cols.append(col)
+                continue
             for t in range(s):
                 big = [zero] * (d.nrows * s)
-                big[t::s] = [project(e) if e.terms else zero for e in col]
+                big[t::s] = col
                 cols.append(tuple(big))
         return PolyMatrix(base, d.nrows * s, cols)
 

@@ -24,8 +24,12 @@ Inside the engine a term, a (position, monomial) pair, is one packed
 int (`_Packing`, after Monagan and Pearce's packed exponent vectors): a
 product is an addition, a quotient a subtraction, a divisibility test a
 subtraction and a mask, and the int itself, with its degree fields
-complemented (`t ^ neg`), is the order key.  `_vp_from_entries` and
-`_defining_vps` pack tuple monomials on the way in, `_entries_from_vp`
+complemented (`t ^ neg`), is the order key.  Packing is one sum of
+exponents times multipliers (each sets a variable's exponent field and
+adds to its degree field), unpacking one `struct` read of the term's
+bytes and one `itemgetter`: C-level work per term.  `_vp_from_entries`
+and `_defining_vps` (each relation packed once and shifted into each
+position) pack tuple monomials on the way in, `_entries_from_vp`
 unpacks them on the way out; no packed int leaves this module, and
 everywhere else a monomial is a tuple.  Each engine run picks its field
 width from the degrees of its inputs (`_initial_width`).  A product or
@@ -35,9 +39,10 @@ at double width (`_packed_run`); a query that overflows a
 table's width.  So exponents of any size work, and no value depends on
 the width.
 
-Every normal form runs through `_vp_normal_form`: it keys each term
-once, when the term enters the work set, and takes the top term off a
-heap of bare keys, so a remainder comes out lead first.
+Every normal form runs through `_vp_normal_form`: it works on a copy
+of its input, keys each term once, when the term enters the work set,
+and takes the top term off a heap of bare keys, so a remainder comes
+out lead first.
 `MembershipBasis` is the one Groebner table per generator set: it
 gives normal forms, membership (an empty packed normal form, never
 unpacked) and the reduced basis, each element a minimal lead plus the
@@ -66,6 +71,8 @@ import heapq
 from collections.abc import Callable, Iterable, Sequence
 from fractions import Fraction
 from functools import lru_cache, partial
+from operator import mul
+from struct import Struct
 
 from .poly import (
     ArgumentError,
@@ -75,6 +82,7 @@ from .poly import (
     Monomial,
     Polynomial,
     PresentedRing,
+    picker,
 )
 from .record import record
 
@@ -206,6 +214,7 @@ class _Packing:
     """
 
     __slots__ = ("width", "shift", "value", "guards", "neg", "var_shifts", "groups")
+    __slots__ += ("mults", "mask", "nbytes", "fields", "pick")
 
     def __init__(self, order: str, block: int, nvars: int, width: int):
         # Least significant first: a variable's index, or the slice of
@@ -224,6 +233,7 @@ class _Packing:
         self.value = value
         self.guards = sum(1 << (j * width + width - 1) for j in range(len(fields)))
         self.var_shifts = [shifts[i] for i in range(nvars)]
+        self.mults = [1 << s for s in self.var_shifts]
         self.groups = []
         self.neg = 0
         for j, f in enumerate(fields):
@@ -236,23 +246,30 @@ class _Packing:
                 ones = sum(1 << (k * width) for k in range(count))
                 top = max(count - 1, 0) * width
                 self.groups.append((j * width, f, low, span, ones, top))
+                for i in range(f.start, f.stop):
+                    self.mults[i] += 1 << (j * width)
             if isinstance(f, slice) or order == LEX:
                 self.neg |= value << (j * width)
+        # `unpack` reads all fields, most significant first, and picks.
+        count, fmt = len(fields), {16: "H", 32: "I", 64: "Q"}.get(width)
+        self.mask, self.nbytes = (1 << self.shift) - 1, -(-self.shift // 8)
+        if fmt:
+            self.fields = Struct(f">{count}{fmt}").unpack
+        else:  # no struct format reads this width: shift each field out
+            self.fields = lambda b: tuple(
+                int.from_bytes(b, "big") >> j * width & value for j in range(count)[::-1]
+            )
+        self.pick = picker([count - 1 - s // width for s in self.var_shifts])
 
     def pack(self, pos: int, m: Monomial) -> int:
-        t = pos << self.shift
         for group in self.groups:
-            d = sum(m[group[1]])
-            if d > self.value:
+            if sum(m[group[1]]) > self.value:
                 raise _Overflow
-            t |= d << group[0]
-        for e, s in zip(m, self.var_shifts):
-            t |= e << s
-        return t
+        return (pos << self.shift) + sum(map(mul, m, self.mults))
 
     def unpack(self, t: int) -> tuple[int, Monomial]:
-        value = self.value
-        return t >> self.shift, tuple([t >> s & value for s in self.var_shifts])
+        m = self.pick(self.fields((t & self.mask).to_bytes(self.nbytes, "big")))
+        return t >> self.shift, m
 
     def key(self, t: int) -> int:
         return t ^ self.neg
@@ -347,11 +364,12 @@ def _entries_from_vp(vp: VecPoly, pk: _Packing, sig, rank: int) -> Entries:
     integers, and the empty positions share one zero polynomial (values
     are immutable).  Only occupied positions are visited."""
     split: dict[int, dict] = {}
+    shift, mask, nbytes, fields, pick = pk.shift, pk.mask, pk.nbytes, pk.fields, pk.pick
     for t, c in vp.items():
-        i, m = pk.unpack(t)
-        d = split.get(i)
+        m = pick(fields((t & mask).to_bytes(nbytes, "big")))
+        d = split.get(t >> shift)
         if d is None:
-            d = split[i] = {}
+            d = split[t >> shift] = {}
         d[m] = c if type(c) is Fraction else _FRACTIONS.get(c) or Fraction(c)
     out = [Polynomial._raw(sig, {})] * rank
     for i, d in split.items():
@@ -382,7 +400,7 @@ def _vp_normal_form(
     term: its first key is its lead.  A product that sets a guard bit
     raises `_Overflow`."""
     guards, neg, shift = pk.guards, pk.neg, pk.shift
-    work = dict(vp)
+    work = dict(vp)  # never vp itself: a fresh compact dict churns faster
     heap = [t ^ neg for t in work]
     heapq.heapify(heap)
     rem: VecPoly = {}
@@ -547,13 +565,12 @@ def _minimal_leads(
 def _defining_vps(
     relations: Iterable[Polynomial], rank: int, pk: _Packing
 ) -> list[VecPoly]:
-    """Each of a ring's relations in each of `rank` coordinates."""
-    pack = pk.pack
-    return [
-        {pack(i, m): _small(c) for m, c in q.terms.items()}
-        for q in relations
-        for i in range(rank)
-    ]
+    """Each of a ring's relations in each of `rank` coordinates: packed
+    once at position 0 and shifted into each."""
+    out = []
+    for vp in (_vp_from_entries((q,), pk) for q in relations):
+        out += ({t + (i << pk.shift): c for t, c in vp.items()} for i in range(rank))
+    return out
 
 
 class SubmodulePresentation:

@@ -28,7 +28,7 @@ from __future__ import annotations
 from collections.abc import Callable, Iterable, Mapping, Sequence
 from fractions import Fraction
 from functools import lru_cache
-from operator import add, le, neg, sub
+from operator import add, itemgetter, le, neg, sub
 
 from .record import record
 
@@ -173,6 +173,13 @@ def fresh_name(base: str, taken: Iterable[str]) -> str:
     return f"{base}_{k}"
 
 
+def picker(indices: Sequence[int]) -> Callable[[Sequence], tuple]:
+    """itemgetter(*indices), returning a tuple for any number of indices."""
+    if len(indices) == 1:  # itemgetter would return the bare item
+        return itemgetter(slice(indices[0], indices[0] + 1))
+    return itemgetter(*indices) if indices else itemgetter(slice(0))
+
+
 class Polynomial:
     """Immutable sparse polynomial attached to a RingSignature."""
 
@@ -195,8 +202,8 @@ class Polynomial:
     @staticmethod
     def _raw(sig: RingSignature, terms: dict[Monomial, Fraction]) -> "Polynomial":
         p = object.__new__(Polynomial)
-        object.__setattr__(p, "sig", sig)
-        object.__setattr__(p, "terms", terms)
+        _set_sig(p, sig)
+        _set_terms(p, terms)
         return p
 
     @classmethod
@@ -370,6 +377,10 @@ class Polynomial:
         return f"Polynomial({self})"
 
 
+# The slots' own setters, past the immutability guard, for `_raw`.
+_set_sig, _set_terms = Polynomial.sig.__set__, Polynomial.terms.__set__
+
+
 def transplant(
     f: Polynomial,
     new_sig: RingSignature,
@@ -489,6 +500,7 @@ class PresentedRing:
             sum(1 for i in kept if i < sig.block),
         )
         zero = Polynomial.zero(qsig)
+        pick, gone = picker(kept), picker(sorted(dropped))
 
         def project(f: Polynomial) -> Polynomial:
             if f.sig is not sig and f.sig != sig:
@@ -496,12 +508,7 @@ class PresentedRing:
             if not f.terms:
                 return zero
             return Polynomial._raw(
-                qsig,
-                {
-                    tuple(m[i] for i in kept): c
-                    for m, c in f.terms.items()
-                    if not any(m[i] for i in dropped)
-                },
+                qsig, {pick(m): c for m, c in f.terms.items() if not any(gone(m))}
             )
 
         return PresentedRing(qsig, map(project, gens + self.defining)), project

@@ -228,6 +228,25 @@ def test_flat_at_point_includes_base_into_quotient():
     assert str(verdict) == str(same_ring)
 
 
+@pytest.mark.parametrize(("generator", "flat_over_r"), [("x + y", True), ("1", True), ("y", False)])
+def test_flat_at_point_refuses_a_ring_not_flat_over_the_point(generator, flat_over_r):
+    # R = QQ[x,y]/(x*y) is not flat over QQ[x]: y is x-torsion.  So
+    # Tor^R(J, R/xR) need not be Tor over QQ[x], and without a map the
+    # probe refuses, whether the point lies in R or in QQ[x] by name.
+    # J = (x + y) is not flat over QQ[x] (x*y^2 = 0 with y^2 in J), nor
+    # is R itself; a probe that answered would read "flat" for both.
+    R = fc.ring("x,y", defining=("x*y",))
+    J = fc.ideal(R, generator)
+    base = fc.ring("x")
+    for spec in (PointSpec(R, fc.ideal(R, "x")), PointSpec(base, fc.ideal(base, "x"))):
+        with pytest.raises(ArgumentError, match="ties the point's variables to others"):
+            flat_at_point(J, spec)
+    # An explicit map keeps its meaning: Tor over R against R/xR.
+    along = RingMap(base, R, [fc.poly("x", R)])
+    verdict = flat_at_point(J, PointSpec(base, fc.ideal(base, "x")), along=along)
+    assert verdict.flat is flat_over_r
+
+
 def test_flat_at_point_rejects_improper_extension():
     # the point ideal extends to the unit ideal: no fiber to test against
     base = fc.ring("x")

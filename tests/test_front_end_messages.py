@@ -77,6 +77,10 @@ SCRIPT_MESSAGES = [
      "line 3: map does not kill the defining relation x^2"),
     ("improper-point", DECLS + "print flat(J at (1, y));\n", 3,
      "line 3: point ideal is improper (contains 1)"),
+    ("ring-not-flat-over-point",
+     "ring R = QQ[x,y] / (x*y);\nideal J = (x + y) in R;\nassert flat(J at (x));\n", 3,
+     "line 3: relation x*y ties the point's variables to others; the ring need "
+     "not be flat over the point's base"),
     ("tor-over-different-rings",
      "ring R = QQ[x];\nring S = QQ[y];\nideal J = (x) in R;\n"
      "module K = S^1 / ((y));\nassert tor(1, J, K) == 0;\n", 3,

@@ -2,7 +2,8 @@
 
 Inside `modules` a (position, monomial) pair is one int (`_Packing`).
 A derandomized hypothesis property draws a layout (grevlex, lex, or a
-block order at every split, for 0 to 5 variables), a field width, and
+block order at every split, for 0 to 5 variables), a field width (the
+`struct` widths 16, 32 and 64, and widths only the shift loop reads), and
 two monomials with exponents at 0, at the field limit or anywhere
 between; the second may be a permutation of the first, or fill each
 degree field of the product exactly to the limit or one past it.  Where a monomial does not fit, packing must refuse it, and the
@@ -14,10 +15,13 @@ and the order of the packed keys against
 The heap of `_vp_normal_form` holds `t ^ pk.neg`, which must sort as
 `pk.key(t)` does; a second property draws vectors and small monic bases
 and checks that every remainder comes out by descending term, so its
-first key is its lead.
+first key is its lead.  A table test packs and unpacks, term by term
+and through `_entries_from_vp`, every layout at every width, so both
+readers meet 0 and 1 variables and every field at its limit.
 """
 
 from fractions import Fraction
+from struct import Struct
 
 import pytest
 from hypothesis import given, settings
@@ -27,6 +31,7 @@ from flatcert import (
     BLOCK,
     GREVLEX,
     LEX,
+    Polynomial,
     RingSignature,
     mono_degree,
     mono_divides,
@@ -34,7 +39,7 @@ from flatcert import (
     mono_mul,
     mono_quotient,
 )
-from flatcert.modules import _Overflow, _packing, _vp_normal_form
+from flatcert.modules import _Overflow, _entries_from_vp, _packing, _vp_normal_form
 from helpers import textbook_compare
 
 LAYOUTS = [
@@ -43,7 +48,8 @@ LAYOUTS = [
     for order, block in [(GREVLEX, 0), (LEX, 0)]
     + [(BLOCK, k) for k in range(nvars + 1)]
 ]
-WIDTHS = (2, 3, 5, 8, 16)
+WIDTHS = (2, 3, 5, 8, 16, 32, 64, 128)
+STRUCT_WIDTHS = (16, 32, 64)
 
 
 def _fits(pk, m) -> bool:
@@ -84,7 +90,7 @@ def packed_pairs(draw):
     return order, block, pk, a, b, (pa, pb)
 
 
-@settings(derandomize=True, deadline=None, max_examples=600)
+@settings(derandomize=True, deadline=None, max_examples=900)
 @given(packed_pairs())
 def test_packed_operations_match_tuple_operations(case):
     order, block, pk, a, b, (pa, pb) = case
@@ -128,6 +134,31 @@ def test_packed_operations_match_tuple_operations(case):
     else:
         with pytest.raises(_Overflow):
             pk.lcm(a0, b0)
+
+
+@pytest.mark.parametrize("width", WIDTHS)
+def test_codec_round_trips_every_layout(width):
+    for order, block, nvars in LAYOUTS:
+        pk = _packing(order, block, nvars, width)
+        assert isinstance(getattr(pk.fields, "__self__", None), Struct) == (
+            width in STRUCT_WIDTHS
+        )
+        sig = RingSignature(tuple(f"v{i}" for i in range(nvars)), order, block)
+        limit = _complement(pk, (0,) * nvars, 0)  # every degree field full
+        distinct = tuple(range(1, nvars + 1))  # catches a permuted read
+        columns = [{} for _ in range(3)]
+        for pos in (0, 1, 2, 300):
+            for m in [(0,) * nvars, (1,) * nvars, limit, distinct]:
+                if _fits(pk, m):
+                    t = pk.pack(pos, m)
+                    assert not t & pk.guards
+                    assert pk.unpack(t) == (pos, m)
+                    assert pk.degree(t) == mono_degree(m)
+                    if pos < 3:
+                        columns[pos][m] = Fraction(pos + 1, len(m) + 1)
+        vp = {pk.pack(i, m): c for i, col in enumerate(columns) for m, c in col.items()}
+        back = _entries_from_vp(vp, pk, sig, 3)
+        assert back == tuple(Polynomial(sig, col) for col in columns)
 
 
 @st.composite

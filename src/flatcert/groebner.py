@@ -194,7 +194,7 @@ class RingMap:
     variables; well-definedness on the source's defining ideal is checked
     eagerly at construction."""
 
-    __slots__ = ("source", "target", "images", "_powers")
+    __slots__ = ("source", "target", "images")
 
     def __init__(
         self,
@@ -213,7 +213,6 @@ class RingMap:
         object.__setattr__(self, "source", source)
         object.__setattr__(self, "target", target)
         object.__setattr__(self, "images", images)
-        object.__setattr__(self, "_powers", {})
         for p in source.defining:
             if not target.reduce(self._substitute(p)).is_zero():
                 raise ArgumentError(
@@ -223,20 +222,13 @@ class RingMap:
     def __setattr__(self, name, value):  # pragma: no cover - guard only
         raise AttributeError("RingMap is immutable")
 
-    def _power(self, i: int, e: int) -> Polynomial:
-        keyed = self._powers.get((i, e))
-        if keyed is None:
-            keyed = self.images[i] ** e
-            self._powers[(i, e)] = keyed
-        return keyed
-
     def _substitute(self, f: Polynomial) -> Polynomial:
         out = Polynomial.zero(self.target.signature)
         for m, c in f.terms.items():
             term = Polynomial.constant(self.target.signature, c)
             for i, e in enumerate(m):
                 if e:
-                    term = term * self._power(i, e)
+                    term = term * self.images[i] ** e
             out = out + term
         return out
 

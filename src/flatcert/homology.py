@@ -19,13 +19,16 @@ for a submodule.  So both come from `kernel_generators`, the engine's
 cheaper generator mode, the table of kernel + image grows from the
 image's table, and the witness text is what a syzygy basis gives.
 
-Each ideal or submodule is presented at most once, and each presented
-module keeps the longest resolution built so far: a shorter request
-reads a prefix of it, a longer one extends it.  The generators `tor`
-takes for d_(i+1) are kept under d_i, unless the stored resolution
-already reaches d_(i+1).  All of it lives in one memo keyed by object
-identity that holds no strong reference, so `tor` and `flat_at_point`
-share every resolution of a module while it is alive.
+Each ideal or submodule is presented at most once, and each
+differential d keeps its next step: a matrix whose columns span ker d.
+That is the `syzygy_entries` basis once a resolution has asked for it,
+and otherwise the `kernel_generators` a `tor` took for d_(i+1); a basis
+replaces stored generators and never the other way round, so generators
+never become a differential.  A resolution walks these steps from the
+relations, so a later request reads or extends what an earlier one
+built.  All of it lives in one memo keyed by object identity that holds
+no strong reference, so `tor` and `flat_at_point` share every
+resolution of a module while it is alive.
 """
 
 from __future__ import annotations
@@ -97,10 +100,10 @@ class PresentedModule:
 ModuleLike = PresentedModule | IdealHandle | SubmodulePresentation
 
 # id(obj) -> (weak reference to obj, what was computed for it): the
-# presentation of an ideal or submodule, or the longest resolution built
-# for a presented module.  The reference's callback drops the entry as
-# obj is collected, before its id can be reused; it holds the dict
-# itself, since an object may outlive this module's globals at exit.
+# presentation of an ideal or submodule, or a differential's next step
+# with whether it is a syzygy basis.  The reference's callback drops the
+# entry as obj is collected, before its id can be reused; it holds the
+# dict itself, since an object may outlive this module's globals at exit.
 _MEMO: dict[int, tuple[weakref.ref, object]] = {}
 
 
@@ -175,46 +178,41 @@ class ChainComplex:
         return True
 
 
+def _next_step(d: PolyMatrix, basis: bool) -> PolyMatrix:
+    """A matrix whose columns span the kernel of d: the `syzygy_entries`
+    basis when `basis` is asked for or already kept under d, otherwise
+    `kernel_generators`."""
+    kept = _recall(d)
+    if kept is not None and (kept[0] or not basis):
+        return kept[1]
+    cols = syzygy_entries(d.columns, d.nrows, d.ring) if basis else kernel_generators(d)
+    step = PolyMatrix(d.ring, d.ncols, cols)
+    _remember(d, (basis, step))
+    return step
+
+
 def free_resolution(module: ModuleLike, length: int) -> ChainComplex:
     """A free resolution of the module, built by iterated syzygies:
     d_1 is the relations matrix and d_(k+1) holds the syzygies of d_k's
-    columns (`syzygy_entries`).
+    columns (`syzygy_entries`, kept under d_k).
 
-    Truncates early (and flags completion) when a syzygy step is zero;
-    over a quotient ring the resolution may never complete.  The
-    presented module keeps the longest resolution built so far: a
-    shorter request gets its first `length` differentials, a longer one
-    extends it, and the result equals that of a first call.  So
-    `complete` holds exactly when the zero syzygy step comes within
-    `length` differentials.
+    Truncates early (and flags completion) when a syzygy step is zero; a
+    free module has no differentials.  Over a quotient ring the
+    resolution may never complete.  `complete` holds exactly when the
+    zero step comes within `length` differentials, so every call equals
+    a first call.
     """
     if length < 1:
         raise ArgumentError("resolution length must be at least 1")
     mod = as_presented_module(module)
-    ring = mod.ring
-    if mod.relations.ncols == 0:
-        # free module: the resolution is the module itself
-        return ChainComplex(ring, (mod.rank,), (), True)
-    built = _recall(mod) or ChainComplex(
-        ring, (mod.rank, mod.relations.ncols), (mod.relations,), False
-    )
-    if built.length < length and not built.complete:
-        diffs, complete = list(built.differentials), False
-        while len(diffs) < length:
-            prev = diffs[-1]
-            cols = syzygy_entries(prev.columns, prev.nrows, ring)
-            if not cols:
-                complete = True
-                break
-            diffs.append(PolyMatrix(ring, prev.ncols, cols))
-        ranks = (mod.rank, *(d.ncols for d in diffs))
-        built = ChainComplex(ring, ranks, tuple(diffs), complete)
-        _remember(mod, built)
-    if built.length < length:
-        return built
-    return ChainComplex(
-        ring, built.ranks[: length + 1], built.differentials[:length], False
-    )
+    diffs, d = [], mod.relations
+    while d.ncols:
+        diffs.append(d)
+        if len(diffs) == length:
+            break
+        d = _next_step(d, basis=True)
+    ranks = (mod.rank, *(step.ncols for step in diffs))
+    return ChainComplex(mod.ring, ranks, tuple(diffs), not d.ncols)
 
 
 def koszul(sequence: Sequence[Polynomial], ring: PresentedRing) -> ChainComplex:
@@ -319,33 +317,15 @@ def _standard_basis(ring: PresentedRing, rank: int) -> list[Entries]:
     return out
 
 
-def _image_step(mod: PresentedModule, res: ChainComplex) -> PolyMatrix:
-    """A matrix whose columns span the kernel of the last differential
-    d_i of `res`, a prefix of mod's resolution.  It is the stored d_(i+1)
-    when the resolution memo has reached it (no columns once the
-    resolution is complete); otherwise the kernel's `kernel_generators`,
-    kept in the memo under d_i."""
-    i, d = res.length, res.differentials[-1]
-    built = _recall(mod)
-    if built is not None and built.length > i:
-        return built.differentials[i]
-    if built is not None and built.complete:
-        return PolyMatrix(mod.ring, d.ncols, ())
-    step = _recall(d)
-    if step is None:
-        step = PolyMatrix(mod.ring, d.ncols, kernel_generators(d))
-        _remember(d, step)
-    return step
-
-
 def tor(i: int, M: ModuleLike, N: ModuleLike) -> TorReport:
     """Tor_i(M, N) over the common presented ring R.
 
-    Resolves M to length i over R, takes generators of d_i's kernel as
-    d_(i+1) (`_image_step`), tensors d_i and d_(i+1) with N and takes
-    homology at F_i (of F_1 -> F_0 when i = 0).  F_k tensor N is
-    N^(rank F_k): each column of a differential is spread over N's s
-    coordinate blocks, and N's relations are imposed in every block.
+    Resolves M to length i over R, takes d_i's next step as d_(i+1)
+    (`kernel_generators` unless a syzygy basis is kept under d_i),
+    tensors d_i and d_(i+1) with N and takes homology at F_i (of
+    F_1 -> F_0 when i = 0).  F_k tensor N is N^(rank F_k): each column
+    of a differential is spread over N's s coordinate blocks, and N's
+    relations are imposed in every block.
     A cyclic N = R/I gives F_k/IF_k, a free module over the fiber ring
     R/I (`PresentedRing.quotient`): s = 1, the entries are projected
     there, no relation columns are needed, and homology is taken over
@@ -363,10 +343,9 @@ def tor(i: int, M: ModuleLike, N: ModuleLike) -> TorReport:
         return TorReport(i, True, ())
     # res ends at F_i (at F_1 when i = 0); only d_i and d_(i+1) meet F_i.
     lo = max(i - 1, 0)
-    ranks, diffs, complete = res.ranks[lo:], res.differentials[lo:], res.complete
+    ranks, diffs = res.ranks[lo:], res.differentials[lo:]
     if i == res.length and i:
-        last = _image_step(mod, res)
-        complete = not last.ncols
+        last = _next_step(diffs[-1], basis=False)
         if last.ncols:
             ranks, diffs = ranks + (last.ncols,), diffs + (last,)
     s = other.rank
@@ -396,10 +375,7 @@ def tor(i: int, M: ModuleLike, N: ModuleLike) -> TorReport:
         for r in ranks
     ]
     complex_ = ChainComplex(
-        base,
-        tuple(r * s for r in ranks),
-        tuple(map(tensored, diffs)),
-        complete,
+        base, tuple(r * s for r in ranks), tuple(map(tensored, diffs)), False
     )
     zero_tor, witnesses = homology_witnesses(complex_, min(i, 1), relations)
     # Most witness entries are zero; they share R's zero.

@@ -795,14 +795,14 @@ def _syzygies(
         table_leads = [min(vp, key=pk.key) for vp in table]
         buckets = dict.fromkeys(range(m), list(range(len(table))))
         out: list[Entries] = []
-        seen: dict[frozenset, list[VecPoly]] = {}  # support -> vectors
+        seen: set[frozenset] = set()
         for vp in tracked:
             vp = {t - head: c for t, c in vp.items()}
             if table:
                 vp = _vp_normal_form(vp, table, table_leads, buckets, pk)
-            same = seen.setdefault(frozenset(vp), [])
-            if vp and vp not in same:
-                same.append(vp)
+            key = frozenset(vp.items())
+            if vp and key not in seen:
+                seen.add(key)
                 out.append(_entries_from_vp(vp, pk, sig, m))
         return out
 

@@ -21,3 +21,63 @@ def test_no_module_imports_another_modules_private_names():
                     if alias.name.startswith("_")
                 ]
     assert offenders == []
+
+
+def _modules():
+    package = Path(flatcert.__file__).parent
+    return {
+        path.name: ast.parse(path.read_text(encoding="utf-8"))
+        for path in sorted(package.glob("*.py"))
+    }
+
+
+def _read_names(tree):
+    """Every name the tree reads, as a variable or as an attribute."""
+    out = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name) and not isinstance(node.ctx, ast.Store):
+            out.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            out.add(node.attr)
+    return out
+
+
+def test_every_private_module_level_name_is_used():
+    modules = _modules()
+    used = set().union(*map(_read_names, modules.values()))
+    unused = []
+    for name, tree in modules.items():
+        for node in tree.body:
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+                defined = [node.name]
+            elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+                assign = isinstance(node, ast.Assign)
+                targets = node.targets if assign else [node.target]
+                defined = [t.id for t in targets if isinstance(t, ast.Name)]
+            else:
+                continue
+            unused += [
+                f"{name}: {d}"
+                for d in defined
+                if d.startswith("_") and not d.startswith("__") and d not in used
+            ]
+    assert unused == []
+
+
+def test_every_import_is_used_in_its_module():
+    unused = []
+    for name, tree in _modules().items():
+        if name == "__init__.py":
+            continue
+        used = _read_names(tree)
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ImportFrom) and node.module == "__future__":
+                continue
+            if isinstance(node, (ast.Import, ast.ImportFrom)):
+                unused += [
+                    f"{name}: {bound}"
+                    for alias in node.names
+                    if (bound := (alias.asname or alias.name).split(".")[0])
+                    not in used
+                ]
+    assert unused == []

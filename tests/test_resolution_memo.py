@@ -1,7 +1,8 @@
-"""Each module is presented and resolved at most once: `as_presented_module`
-and `free_resolution` keep what they built for a module object while it
-lives, and every complex they hand back equals the one a first call on a
-separately built, equal module returns."""
+"""Each module is presented and each resolution step taken at most once:
+`as_presented_module` keeps a module object's presentation and each
+differential its next step while they live, and every complex
+`free_resolution` hands back equals the one a first call on a separately
+built, equal module returns."""
 
 import gc
 import weakref
@@ -30,7 +31,9 @@ def _cone_ideal():
     return fc.ideal(R, "x - u", "z - u*v", "y - u*v^2")
 
 
-def test_two_tors_on_one_ideal_resolve_it_once(monkeypatch):
+def _count_steps(monkeypatch):
+    """Record each `syzygy_entries` and `kernel_generators` call that
+    `homology` makes, in order, in the returned list."""
     calls = []
     real_syzygies, real_kernel = homology.syzygy_entries, homology.kernel_generators
 
@@ -44,6 +47,11 @@ def test_two_tors_on_one_ideal_resolve_it_once(monkeypatch):
 
     monkeypatch.setattr(homology, "syzygy_entries", counted_syzygies)
     monkeypatch.setattr(homology, "kernel_generators", counted_kernel)
+    return calls
+
+
+def test_two_tors_on_one_ideal_resolve_it_once(monkeypatch):
+    calls = _count_steps(monkeypatch)
     J = _cone_ideal()
     R = J.ring
     first = tor(1, J, fc.ideal(R, "x", "y", "z"))
@@ -92,19 +100,38 @@ def test_the_memo_keeps_no_module_alive():
     sub = fc.SubmodulePresentation(J.ring, 1, [(g,) for g in J.generators])
     tor(1, J, fc.ideal(J.ring, "x", "y", "z"))
     free_resolution(sub, 2)
-    # J and sub, sub's presented module with its resolution, and d_1 of
-    # J's presented module with generators of its kernel (a length-1
-    # resolution is d_1 itself, so it is not stored)
-    relations = as_presented_module(J).relations
-    assert set(homology._MEMO) - before == {
-        id(J), id(sub), id(as_presented_module(sub)), id(relations)
-    }
-    del relations
+    # J and sub with their presentations, d_1 of sub's presented module
+    # with its syzygy basis d_2, and d_1 of J's presented module with the
+    # generators of its kernel that the tor took
+    sub_d1 = as_presented_module(sub).relations
+    J_d1 = as_presented_module(J).relations
+    assert set(homology._MEMO) - before == {id(J), id(sub), id(sub_d1), id(J_d1)}
+    del sub_d1, J_d1
     alive = weakref.ref(J), weakref.ref(as_presented_module(J))
     del J, sub
     gc.collect()
     assert [ref() for ref in alive] == [None, None]
     assert set(homology._MEMO) == before
+
+
+def test_a_basis_replaces_the_generators_a_tor_kept(monkeypatch):
+    J = _cone_ideal()
+    R = J.ring
+    K, K2 = fc.ideal(R, "x", "y", "z"), fc.ideal(R, "u", "v")
+    fresh = free_resolution(_cone_ideal(), 2)
+    # present J, K and K2 first so that only J's next steps are counted
+    for module in (J, K, K2):
+        as_presented_module(module)
+    calls = _count_steps(monkeypatch)
+    tor(1, J, K)
+    # the tor took generators of ker d_1; the resolution asks for the
+    # basis, which replaces them
+    assert calls == ["kernel", "tensored kernel"]
+    assert free_resolution(J, 2) == fresh
+    assert calls[2:] == ["syzygies"]
+    # d_2 is now the kept basis: the next tor takes no kernel of d_1
+    tor(1, J, K2)
+    assert calls[3:] == ["tensored kernel"]
 
 
 @pytest.mark.parametrize("order", [GREVLEX, LEX])

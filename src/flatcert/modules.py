@@ -32,12 +32,12 @@ and `_defining_vps` (each relation packed once and shifted into each
 position) pack tuple monomials on the way in, `_entries_from_vp`
 unpacks them on the way out; no packed int leaves this module, and
 everywhere else a monomial is a tuple.  Each engine run picks its field
-width from the degrees of its inputs (`_initial_width`).  A product or
-lcm that outgrows a field raises `_Overflow`, and the run starts again
-at double width (`_packed_run`); a query that overflows a
-`MembershipBasis` rebuilds its table through `_packed_run` at double the
-table's width.  So exponents of any size work, and no value depends on
-the width.
+width from the degrees of what it packs (`_initial_width`) and, when a
+product or lcm outgrows a field (`_Overflow`), runs again at double
+width (`_packed_run`).  Every widening is such a run: a query that
+overflows a `MembershipBasis` rebuilds it at double width, and a table
+wider than its `base` rebuilds base's at its own.  So exponents of any
+size work, and no value depends on the width.
 
 Every normal form runs through `_vp_normal_form`: it works on a copy
 of its input, keys each term once, when the term enters the work set,
@@ -46,9 +46,9 @@ out lead first.
 `MembershipBasis` is the one Groebner table per generator set: it
 gives normal forms, membership (an empty packed normal form, never
 unpacked) and the reduced basis, each element a minimal lead plus the
-normal form of its tail.  A table enters the ring's reduced defining
-basis, or another table's basis (`base`), first and settled.
-Ideals, and rings through their defining ideal, hold one at rank 1.
+normal form of its tail.  Every table enters the ring's reduced
+defining basis, or `base`'s basis, first and settled.  Ideals hold one
+at rank 1; a ring's is its defining ideal's, in the polynomial ring.
 Only it and `_syzygies`, behind both syzygy functions, run
 `_module_buchberger`; only the quotient-tracking `groebner.divide` keeps
 a normal-form loop of its own.
@@ -325,12 +325,11 @@ def _packed_run(
     width: int = 0,
 ):
     """run(packing) over the ring's signature, first at the initial width
-    for the degrees of `polys` and the defining generators, or at `width`
-    if that is wider, and again at double width each time a field
-    overflows.  Values never depend on the width, so a rerun returns what
-    a wide enough first run would."""
+    for the degrees of `polys`, which are what the run packs, or at `width`
+    if wider, and again at double width each time a field overflows.
+    Values never depend on the width, and a run that fits one width fits
+    every wider one, so a rerun returns what a first run would."""
     sig = ring.signature
-    polys = polys + list(ring.defining)
     degree = max((sum(m) for p in polys for m in p.terms), default=0)
     width = max(width, _initial_width(degree))
     while True:
@@ -375,11 +374,6 @@ def _entries_from_vp(vp: VecPoly, pk: _Packing, sig, rank: int) -> Entries:
     for i, d in split.items():
         out[i] = Polynomial._raw(sig, d)
     return tuple(out)
-
-
-def _repack(vp: VecPoly, old: _Packing, new: _Packing) -> VecPoly:
-    pack, unpack = new.pack, old.unpack
-    return {pack(*unpack(t)): c for t, c in vp.items()}
 
 
 def _vp_normal_form(
@@ -507,9 +501,7 @@ def _module_buchberger(
             add(dict(vp), min(vp, key=pk.key), max(map(degree, vp)))
     while heap:
         sugar, _, i, j, lcm = heapq.heappop(heap)
-        if j << 32 | i not in pending:
-            continue
-        pending.discard(j << 32 | i)
+        pending.remove(j << 32 | i)
         mi, mj = leads[i], leads[j]
         # At rank 1 every position is 0, and lcm == mi + mj exactly when
         # the leads are coprime.
@@ -622,9 +614,9 @@ def module_reduced_gb(sub: SubmodulePresentation) -> list[ModuleElement]:
 class MembershipBasis:
     """The Groebner basis of given columns, defining generators adjoined
     in every coordinate: normal forms, membership and the reduced basis.
-    Over a quotient ring, a table with columns enters the ring's reduced
-    defining basis first and settled; the ring's own table, which has
-    none, starts from `ring.defining`, so nothing recurses.
+    Every table enters the ring's reduced defining basis first, settled, in
+    every coordinate; that basis comes from the defining ideal's table, in
+    the polynomial ring, so nothing recurses.
 
     A full normal form does not depend on which Groebner basis it is taken
     against, so one table serves every question about one generator set.
@@ -632,10 +624,11 @@ class MembershipBasis:
     Given `base`, a table over the same ring and rank, the table is that
     of `columns` plus base's submodule: base's basis, already a Groebner
     basis with the defining generators in it, enters first and settled
-    (no pairs among it, see `_module_buchberger`), repacked when this run
-    has another width, and only the new columns form pairs.  The reduced
-    basis and every normal form are those of a table built from all the
-    columns.  The run starts at base's width at least.  A `PolyMatrix`'s
+    (no pairs among it, see `_module_buchberger`), and only the new
+    columns form pairs.  The run starts at base's width at least; at a
+    wider one it takes base's basis from `base._build` at its own width,
+    the rebuild `_query` makes.  The reduced basis and every normal form
+    are those of a table built from all the columns.  A `PolyMatrix`'s
     columns were checked when it was built and are not checked again."""
 
     __slots__ = ("ring", "rank", "_build", "_table", "_reduced")
@@ -657,19 +650,17 @@ class MembershipBasis:
         if base is not None and (base.ring != ring or base.rank != rank):
             raise DimensionError("base table over a different ring or rank")
         # The ring's reduced basis also sets the width.
-        ring_basis = ring.defining_basis() if columns and ring.is_quotient else ()
+        ring_basis = ring.defining_basis() if ring.is_quotient else ()
 
         def run(pk: _Packing) -> tuple:
-            gens = [_vp_from_entries(c, pk) for c in columns]
-            if base is not None:
-                old, settled = base._table[:2]
-                if old is not pk:
-                    settled = [_repack(vp, old, pk) for vp in settled]
-            else:
+            if base is None:
                 settled = _defining_vps(ring_basis, rank, pk)
-                if not ring_basis:
-                    gens += _defining_vps(ring.defining, rank, pk)
-            gens = settled + gens
+            else:
+                table = base._table
+                if table[0] is not pk:
+                    table = base._build(width=pk.width)
+                settled = table[1]
+            gens = settled + [_vp_from_entries(c, pk) for c in columns]
             return (pk, *_module_buchberger(gens, pk, rank, None, len(settled)))
 
         polys = [e for c in columns for e in c] + list(ring_basis)
@@ -806,8 +797,10 @@ def _syzygies(
                 out.append(_entries_from_vp(vp, pk, sig, m))
         return out
 
-    polys = [e for col in (*columns, *extra_relations) for e in col]
-    return _packed_run(ring, polys + list(ring_basis), run)
+    polys = [e for col in (*columns, *extra_relations) for e in col] + list(ring_basis)
+    if not generators:
+        polys += ring.defining
+    return _packed_run(ring, polys, run)
 
 
 def syzygy_entries(

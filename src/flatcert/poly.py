@@ -17,10 +17,10 @@ Each monomial order has one sort key, `RingSignature.descending_key()`,
 which descends with the order: the greatest monomial has the smallest
 key.  Leading terms, printing, `compare_monomials` and every division
 and normal form read the order through it; normal forms compute it once
-per term and select the top term with a heap.  `PresentedRing.reduce`
-goes through the ring's defining ideal, a `groebner.IdealHandle` whose
-one Groebner table also gives `defining_basis`.  `tensor_with_renaming`
-builds the product ring that ring maps and morphisms are taken in.
+per term and select the top term with a heap.  A `PresentedRing`'s
+defining ideal is a `groebner.IdealHandle` in the polynomial ring; its
+one Groebner table serves `reduce` and `defining_basis`.  The product
+ring of ring maps and morphisms is `tensor_with_renaming`'s.
 """
 
 from __future__ import annotations
@@ -425,10 +425,10 @@ def transplant(
 class PresentedRing:
     """QQ[variables]/(defining generators).
 
-    Instances are immutable in practice.  The defining ideal's
-    `groebner.IdealHandle`, whose table serves `defining_basis` and
-    `reduce`, is computed at most once and reused by every later call, so
-    sharing a ring between threads is safe.
+    Instances are immutable in practice.  The defining ideal, a
+    `groebner.IdealHandle` in the polynomial ring of the same signature,
+    serves `defining_basis` and `reduce`; it is built at most once and
+    reused by every later call, so sharing a ring between threads is safe.
     """
 
     __slots__ = ("signature", "defining", "_ideal")
@@ -455,7 +455,8 @@ class PresentedRing:
         if self._ideal is None:
             from .groebner import IdealHandle
 
-            object.__setattr__(self, "_ideal", IdealHandle(self, ()))
+            ambient = PresentedRing(self.signature)
+            object.__setattr__(self, "_ideal", IdealHandle(ambient, self.defining))
         return self._ideal
 
     def defining_basis(self) -> tuple[Polynomial, ...]:

@@ -1,5 +1,6 @@
 """Command-line interface: subcommands, exit statuses, report formats."""
 
+import re
 import time
 from pathlib import Path
 
@@ -177,6 +178,25 @@ def test_run_missing_file(capsys):
 
 def test_run_quiet_suppresses_output(passing_script, capsys):
     assert main(["run", "--quiet", passing_script]) == 0
+    assert capsys.readouterr().out == ""
+
+
+def test_run_writes_the_print_lines_before_the_assertion_lines(tmp_path, capsys):
+    path = tmp_path / "prints.fc"
+    prints = "print J;\nprint tor(1, J, K);\nprint flat(J at (x, y, z));\n"
+    path.write_text(PASSING + prints, encoding="utf-8")
+    assert main(["run", str(path)]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    witnesses = "witnesses: (0, 1, 0, 0, 0); (0, 0, 0, v, 1)"
+    # The assertion on line 4 is reported after the prints of lines 5-7.
+    assert lines[:3] == [
+        "J = ideal(x - u, -u*v + z, -u*v^2 + y)",
+        f"tor(1, J, K): Tor_1 != 0, {witnesses}",
+        f"flat(J at (x, y, z)): not flat (Tor_1 != 0, {witnesses})",
+    ]
+    assertion = r"assert@4: tor\(1, J, K\) != 0 \.\.\. pass \(\d+\.\d\ds\)"
+    assert len(lines) == 4 and re.fullmatch(assertion, lines[3])
+    assert main(["run", "--quiet", str(path)]) == 0
     assert capsys.readouterr().out == ""
 
 

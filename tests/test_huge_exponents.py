@@ -141,7 +141,7 @@ def test_forced_widening_on_huge_exponents(order, block, monkeypatch):
         assert _basis(text, order, block)[1] == basis
 
 
-def test_a_table_repacks_for_a_query_wider_than_itself():
+def test_a_table_rebuilds_for_a_query_wider_than_itself():
     from flatcert import MembershipBasis
 
     R = fc.ring("x,y,z", ["x*y - z^2"])

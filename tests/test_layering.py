@@ -81,3 +81,27 @@ def test_every_import_is_used_in_its_module():
                     not in used
                 ]
     assert unused == []
+
+
+def test_packed_terms_have_one_entry_and_one_exit():
+    """Outside `_Packing`, only `_vp_from_entries` packs a monomial and
+    only `_entries_from_vp` unpacks a term, so no other code depends on
+    the packed layout."""
+    readers = {
+        "pack": "_vp_from_entries",
+        "fields": "_entries_from_vp",
+        "unpack": "_entries_from_vp",
+    }
+    offenders = []
+    for name, tree in _modules().items():
+        for top in tree.body:
+            owner = getattr(top, "name", "<module>")
+            if owner == "_Packing":
+                continue
+            offenders += [
+                f"{name}: {owner} reads .{node.attr}"
+                for node in ast.walk(top)
+                if isinstance(node, ast.Attribute)
+                and readers.get(node.attr, owner) != owner
+            ]
+    assert offenders == []

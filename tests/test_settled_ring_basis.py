@@ -1,17 +1,18 @@
 """A membership table over a quotient ring against explicit relations.
 
-A `MembershipBasis` with columns over a quotient ring enters the ring's
-reduced defining basis first, in every coordinate, settled: it is a
-Groebner basis, so no pair is formed among it.  A table over the
-polynomial ring of the same signature, given the columns and every
-defining relation in every coordinate as explicit columns, spans the
-same submodule.  Reduced bases and normal forms are unique for a
-submodule, so the two tables must give the same `reduced()`,
+A `MembershipBasis` over a quotient ring, with or without columns,
+enters the ring's reduced defining basis first, in every coordinate,
+settled: it is a Groebner basis, so no pair is formed among it.  A
+table over the polynomial ring of the same signature, given the columns
+and every defining relation in every coordinate as explicit columns,
+spans the same submodule.  Reduced bases and normal forms are unique
+for a submodule, so the two tables must give the same `reduced()`,
 `normal_form` and `contains`.  This is checked over every quotient ring
 of the bundled cases (the declared rings and the fiber rings their Tor
-and flat assertions take homology over), under grevlex and lex, and over
-the rings of `test_syzygy_reduction`, under its four orders, and over a
-ring whose relations are no Groebner basis.
+and flat assertions take homology over), under grevlex and lex, with no
+columns too (`homology_witnesses` builds such a table as the image when
+d_(i+1) is zero), over the rings of `test_syzygy_reduction`, under its
+four orders, and over a ring whose relations are no Groebner basis.
 """
 
 import pytest
@@ -43,8 +44,8 @@ def _variable_columns(ring, rank):
 
 def _bundled_tables(order):
     """(ring, rank, columns) over every quotient ring of the bundled
-    cases: their ideals' generators, the ring's variables at ranks 1
-    and 2, and for each cyclic module its fiber ring."""
+    cases: their ideals' generators, no columns and the ring's variables
+    at ranks 1 and 2, and for each cyclic module its fiber ring."""
     for filename, _ in REPRO_CHECKS:
         text = bundled_case_text(filename)
         _, env = execute_text(text, order, declarations_only=True)
@@ -60,6 +61,7 @@ def _bundled_tables(order):
                 if isinstance(obj, IdealHandle) and obj.ring is ring:
                     yield ring, 1, [(g,) for g in obj.generators]
             for rank in (1, 2):
+                yield ring, rank, []
                 yield ring, rank, _variable_columns(ring, rank)
 
 
@@ -118,12 +120,14 @@ def test_relations_that_are_no_groebner_basis(order):
     _assert_settled_matches_explicit(R, 1, [(z,)])
     _assert_settled_matches_explicit(R, 2, [(x, R.zero())])
     for rank in (1, 2):
+        _assert_settled_matches_explicit(R, rank, [])
         _assert_settled_matches_explicit(R, rank, _variable_columns(R, rank))
 
 
 def test_the_defining_ideal_table_does_not_recurse(monkeypatch):
-    """The ring's own table starts from `ring.defining`; a table with
-    columns builds it first, once."""
+    """The ring's own table is its defining ideal's, over the polynomial
+    ring of the same signature; a table over the ring builds it first,
+    once."""
     import flatcert.modules as modules
 
     runs = []
@@ -138,7 +142,8 @@ def test_the_defining_ideal_table_does_not_recurse(monkeypatch):
     x, z = fc.poly("x", R), fc.poly("z", R)
     MembershipBasis(R, 2, [(x, z)])
     MembershipBasis(R, 1, [(z,)])
-    # The ring's run settles nothing; each table settles the ring's
-    # reduced basis in each of its coordinates.
+    MembershipBasis(R, 2, [])
+    # The ring's run settles nothing; each table, with columns or without,
+    # settles the ring's reduced basis in each of its coordinates.
     basis = R.defining_basis()
-    assert runs == [0, 2 * len(basis), len(basis)]
+    assert runs == [0, 2 * len(basis), len(basis), 2 * len(basis)]

@@ -9,8 +9,8 @@ exactly as a table built from scratch on all the columns.  This is
 checked on the kernel and image of every bundled Tor and flat assertion
 and the deep queries, under grevlex and lex, whatever the verdict.  A
 grown table starts at its base's width; with every engine run started
-at the narrowest field width, a constructed case makes it repack its
-base's basis wider, once for its own columns and again for a query.
+at the narrowest field width, a constructed case makes it rebuild its
+base's table wider, once for its own columns and again for a query.
 That case runs in a child process with a deadline: a table that mixed
 two widths could loop instead of failing.
 """
@@ -97,21 +97,22 @@ def _grown_and_fresh_at_narrow_widths(order):
     narrowest widths the image's table of degree-1 columns over the cone
     is narrower than the degree-33 kernel column needs, and a degree-70
     query rebuilds the grown table wider still.  Returns the base's width
-    and the (old, new) width of every repack."""
+    and the (asked, built) width of every rebuild of the base's table."""
     R = fc.ring("x,y,z", ["x*y - z^2"], order=order)
     x, y, z = (fc.poly(v, R) for v in "xyz")
     image_cols = [(x, y - z), (z, x + y)]
     ker = [(fc.poly("y^32 + x*z^30", R), fc.poly("x*z^32 - y^33", R))]
     wide = (fc.poly("y^70 + z^67", R), fc.poly("x^69*z", R))
-    repacks = []
-    real = modules._repack
+    builds = []
+    real = modules._packed_run
 
-    def recorded(vp, old, new):
-        repacks.append((old.width, new.width))
-        return real(vp, old, new)
+    def recorded(ring, polys, run, width=0):
+        table = real(ring, polys, run, width)
+        builds.append((run, width, table[0].width))
+        return table
 
     modules._initial_width = _narrowest
-    modules._repack = recorded
+    modules._packed_run = recorded
     image = MembershipBasis(R, 2, image_cols)
     grown = MembershipBasis(R, 2, ker, base=image)
     fresh = MembershipBasis(R, 2, ker + image_cols)
@@ -120,12 +121,16 @@ def _grown_and_fresh_at_narrow_widths(order):
     for v in [*ker, *image_cols, *fresh.reduced()]:
         assert grown.contains(v) and fresh.contains(v)
     assert not grown.contains(wide)
-    return image._table[0].width, repacks
+    base_run = image._build.args[2]
+    rebuilds = [(asked, built) for run, asked, built in builds if run is base_run]
+    return image._table[0].width, rebuilds[1:]  # the first built the base
 
 
 @pytest.mark.parametrize("order", [GREVLEX, LEX])
-def test_a_grown_table_repacks_wider_than_its_base(order):
+def test_a_grown_table_rebuilds_its_base_wider(order):
     case = _grown_and_fresh_at_narrow_widths
-    base_width, repacks = run_with_deadline(20, case, order)
-    # Once for the kernel column, once for the query.
-    assert len({new for old, new in repacks if old == base_width < new}) >= 2
+    base_width, rebuilds = run_with_deadline(20, case, order)
+    # Each rebuild packs at exactly the width the grown run asked for:
+    # once for the kernel column, once for the query.
+    assert all(asked == built for asked, built in rebuilds)
+    assert len({asked for asked, _ in rebuilds if asked > base_width}) >= 2

@@ -14,7 +14,8 @@ full Groebner basis with minimal leads.  `kernel_generators`, for callers
 that need only the submodule, runs the engine in generator mode: an
 element that falls into the tracker block is collected and never enters
 the basis, so no S-pair between two syzygies is reduced, and the ring's
-reduced defining basis enters first with no pairs among itself.  Over a
+reduced defining basis enters first with no pairs among itself, nor (as
+in tables) with an element whose lead is coprime to its lead.  Over a
 quotient ring each syzygy is reduced modulo the ring inside the same
 run, by one packed normal form against the ring's reduced defining
 basis, so its entries leave the engine as normal forms and syzygies
@@ -36,17 +37,17 @@ width from the degrees of what it packs (`_initial_width`) and, when a
 product or lcm outgrows a field (`_Overflow`), runs again at double
 width (`_packed_run`).  Every widening is such a run: a query that
 overflows a `MembershipBasis` rebuilds it at double width, and a table
-wider than its `base` rebuilds base's at its own.  So exponents of any
-size work, and no value depends on the width.
+wider than its `base` rebuilds base's at its own, which base keeps.  So
+exponents of any size work, and no value depends on the width.
 
-Every normal form runs through `_vp_normal_form`: it works on a copy
-of its input, keys each term once, when the term enters the work set,
-and takes the top term off a heap of bare keys, so a remainder comes
-out lead first.
-`MembershipBasis` is the one Groebner table per generator set: it
-gives normal forms, membership (an empty packed normal form, never
-unpacked) and the reduced basis, each element a minimal lead plus the
-normal form of its tail.  Every table enters the ring's reduced
+Every normal form runs through `_vp_normal_form`: its input, a fresh
+dict from every caller, is its work set; it keys each term once, takes
+the top term off a heap of bare keys, so a remainder comes out lead
+first, and reduces by tails, each element's (term, -coefficient) pairs
+without its lead.  `MembershipBasis` is the one Groebner table per
+generator set: it gives normal forms, membership (an empty packed normal
+form, never unpacked) and the reduced basis, each element a minimal lead
+plus the normal form of its tail.  Every table enters the ring's reduced
 defining basis, or `base`'s basis, first and settled.  Ideals hold one
 at rank 1; a ring's is its defining ideal's, in the polynomial ring.
 Only it and `_syzygies`, behind both syzygy functions, run
@@ -89,6 +90,7 @@ from .record import record
 VecTerm = int  # a packed (position, monomial) pair, see `_Packing`
 Coefficient = int | Fraction
 VecPoly = dict[VecTerm, Coefficient]
+Tail = tuple[tuple[VecTerm, Coefficient], ...]  # a monic element's, negated
 Entries = tuple[Polynomial, ...]
 
 
@@ -250,7 +252,7 @@ class _Packing:
                     self.mults[i] += 1 << (j * width)
             if isinstance(f, slice) or order == LEX:
                 self.neg |= value << (j * width)
-        # `unpack` reads all fields, most significant first, and picks.
+        # `_entries_from_vp` reads all fields, most significant first.
         count, fmt = len(fields), {16: "H", 32: "I", 64: "Q"}.get(width)
         self.mask, self.nbytes = (1 << self.shift) - 1, -(-self.shift // 8)
         if fmt:
@@ -266,10 +268,6 @@ class _Packing:
             if sum(m[group[1]]) > self.value:
                 raise _Overflow
         return (pos << self.shift) + sum(map(mul, m, self.mults))
-
-    def unpack(self, t: int) -> tuple[int, Monomial]:
-        m = self.pick(self.fields((t & self.mask).to_bytes(self.nbytes, "big")))
-        return t >> self.shift, m
 
     def key(self, t: int) -> int:
         return t ^ self.neg
@@ -378,13 +376,14 @@ def _entries_from_vp(vp: VecPoly, pk: _Packing, sig, rank: int) -> Entries:
 
 def _vp_normal_form(
     vp: VecPoly,
-    basis: list[VecPoly],
+    tails: list[Tail],
     leads: list[VecTerm],
     buckets: dict[int, list[int]],
     pk: _Packing,
 ) -> VecPoly:
-    """Full normal form against a monic basis; first match by insertion
-    order within the lead position's bucket.
+    """Full normal form against a monic basis given by its tails and
+    leads; first match by insertion order within the lead position's
+    bucket.  `vp` is the work set: pass a dict no one else holds.
 
     The top term comes off a heap of bare keys `t ^ pk.neg` (`pk.key`),
     each pushed when its term enters the work set.  A term that cancels
@@ -394,36 +393,38 @@ def _vp_normal_form(
     term: its first key is its lead.  A product that sets a guard bit
     raises `_Overflow`."""
     guards, neg, shift = pk.guards, pk.neg, pk.shift
-    work = dict(vp)  # never vp itself: a fresh compact dict churns faster
-    heap = [t ^ neg for t in work]
+    heap = [t ^ neg for t in vp]
     heapq.heapify(heap)
     rem: VecPoly = {}
     while heap:
         t = heapq.heappop(heap) ^ neg
-        c = work.pop(t)
+        c = vp.pop(t)
         if not c:
             continue
         tg = t | guards
-        hit = -1
         for k in buckets.get(t >> shift, ()):
             if (tg - leads[k]) & guards == guards:
-                hit = k
                 break
-        if hit < 0:
+        else:
             rem[t] = c
             continue
-        q = t - leads[hit]
-        for t2, c2 in basis[hit].items():
+        q = t - leads[k]
+        for t2, c2 in tails[k]:  # c2 is minus the reducer's coefficient
             tt = t2 + q
             if tt & guards:
                 raise _Overflow
-            old = work.get(tt)
-            if old is not None:
-                work[tt] = old - c * c2
-            elif tt != t:  # the monic lead of the reducer cancels t exactly
-                work[tt] = -c * c2
+            old = vp.get(tt)
+            if old is None:
+                vp[tt] = c * c2
                 heapq.heappush(heap, tt ^ neg)
+            else:
+                vp[tt] = old + c * c2
     return rem
+
+
+def _tail(vp: VecPoly, lt: VecTerm) -> Tail:
+    """A monic element's (term, -coefficient) pairs, its lead lt left out."""
+    return tuple((t, -c) for t, c in vp.items() if t != lt)
 
 
 def _module_buchberger(
@@ -432,6 +433,7 @@ def _module_buchberger(
     rank: int,
     head: int | None = None,
     settled: int = 0,
+    relations: int = 0,
 ):
     """Monic module Groebner basis (position-over-term order).
 
@@ -449,6 +451,18 @@ def _module_buchberger(
     a Groebner basis there, and since those elements come first in every
     bucket and the first divisor wins, each of their S-polynomials would
     reduce to zero through them alone.
+    The first `relations` of them are ring relations g*e_p, and no pair
+    is pushed between g*e_p and an element c whose lead m*e_p is coprime
+    to lt(g): the product criterion, valid with the chain criterion (Cox,
+    Little and O'Shea, Ideals, Varieties, and Algorithms, 2.9).  With
+    g = lt(g) + g' and c = (m + c_p')*e_p + (entries at other positions),
+      lt(g)*c - m*g*e_p = sum c_q*(g*e_q) - g'*c + c_p'*(g*e_p) + g*r,
+    the sum over the other positions q that carry g, r the part of c at
+    those that do not.  A table carries g everywhere, so r = 0 and this
+    is a standard representation; in generator mode r is c's tracker
+    part, and g*r a syzygy that is zero in the ring.  A full syzygy
+    basis is the run's own elements: `syzygy_entries` keeps every pair.
+    S-polynomials and reductions read each element's tail (`_tail`).
     A term or lcm that outgrows its field raises `_Overflow`.
 
     Given `head`, the packed position where a tracker block begins, the
@@ -458,13 +472,13 @@ def _module_buchberger(
     pair between two of them is ever formed, and the run returns the
     collected elements.  They generate the elements of the module that
     lie in the tracker block (Schreyer; Eisenbud Thm 15.10): every pair
-    of head elements is reduced or dropped by the chain criterion, and
-    each one that reduces to zero in the head leaves its lift's tracker
-    part here.  Otherwise the run returns the table
-    (basis, leads, buckets).
+    of head elements is reduced or dropped by a criterion, and each one
+    that reduces to zero in the head leaves its lift's tracker part here.
+    Otherwise the run returns the table (basis, tails, leads, buckets).
     """
     guards, shift, lcm_of, degree = pk.guards, pk.shift, pk.lcm, pk.degree
     basis: list[VecPoly] = []
+    tails: list[Tail] = []
     leads: list[VecTerm] = []
     ecarts: list[int] = []  # sugar - deg lead, per element
     buckets: dict[int, list[int]] = {}
@@ -474,6 +488,8 @@ def _module_buchberger(
 
     def push(i: int, j: int) -> None:
         d, lcm = lcm_of(leads[i], leads[j])
+        if i < relations and lcm - leads[i] == leads[j] & pk.mask:
+            return  # coprime to a ring relation's lead
         heapq.heappush(heap, (max(ecarts[i], ecarts[j]) + d, d, i, j, lcm))
         pending.add(j << 32 | i)
 
@@ -488,6 +504,7 @@ def _module_buchberger(
             return
         idx = len(basis)
         basis.append(vp)
+        tails.append(_tail(vp, lt))
         leads.append(lt)
         ecarts.append(sugar - degree(lt))
         bucket = buckets.setdefault(lt >> shift, [])
@@ -519,22 +536,19 @@ def _module_buchberger(
                 break
         if skip:
             continue
-        q, items = lcm - mi, basis[i].items()
-        s = {tq: c for t, c in items if not (tq := t + q) & guards or _overflow()}
-        q = lcm - mj
-        for t, c in basis[j].items():
+        q = lcm - mj  # (lcm/mi)*basis[i] - (lcm/mj)*basis[j], zeros kept
+        s = {tq: c for t, c in tails[j] if not (tq := t + q) & guards or _overflow()}
+        q = lcm - mi
+        for t, c in tails[i]:
             t += q
             if t & guards:
                 raise _Overflow
-            c = s.get(t, 0) - c
-            if c:
-                s[t] = c
-            else:
-                del s[t]
-        r = _vp_normal_form(s, basis, leads, buckets, pk)
+            s[t] = s.get(t, 0) - c
+        # Reduce a compact copy: s itself, grown by insertion, reduces slower.
+        r = _vp_normal_form(dict(s), tails, leads, buckets, pk)
         if r:
             add(r, next(iter(r)), sugar)  # remainders come out in descending order
-    return collected if head is not None else (basis, leads, buckets)
+    return collected if head is not None else (basis, tails, leads, buckets)
 
 
 def _minimal_leads(
@@ -627,9 +641,10 @@ class MembershipBasis:
     (no pairs among it, see `_module_buchberger`), and only the new
     columns form pairs.  The run starts at base's width at least; at a
     wider one it takes base's basis from `base._build` at its own width,
-    the rebuild `_query` makes.  The reduced basis and every normal form
-    are those of a table built from all the columns.  A `PolyMatrix`'s
-    columns were checked when it was built and are not checked again."""
+    and base keeps it, as `_query` keeps its rebuilds.  The reduced basis
+    and every normal form are those of a table built from all the
+    columns.  A `PolyMatrix`'s columns, checked when it was built, are
+    not checked again."""
 
     __slots__ = ("ring", "rank", "_build", "_table", "_reduced")
 
@@ -659,9 +674,13 @@ class MembershipBasis:
                 table = base._table
                 if table[0] is not pk:
                     table = base._build(width=pk.width)
+                    if pk.width > base._table[0].width:  # kept, as `_query` does
+                        object.__setattr__(base, "_table", table)
                 settled = table[1]
             gens = settled + [_vp_from_entries(c, pk) for c in columns]
-            return (pk, *_module_buchberger(gens, pk, rank, None, len(settled)))
+            relations = rank * len(ring_basis)  # base's basis starts with them too
+            table = _module_buchberger(gens, pk, rank, None, len(settled), relations)
+            return (pk, *table)
 
         polys = [e for c in columns for e in c] + list(ring_basis)
         build = partial(_packed_run, ring, polys, run)
@@ -675,7 +694,7 @@ class MembershipBasis:
         raise AttributeError("MembershipBasis is immutable")
 
     def _query(self, question: Callable[..., object]):
-        """question(packing, basis, leads, buckets) against the table,
+        """question(packing, basis, tails, leads, buckets) against the table,
         which is rebuilt at double width while the question overflows a
         field.  The table is swapped in as one tuple, so a concurrent
         reader sees the old packing or the new one whole."""
@@ -690,8 +709,8 @@ class MembershipBasis:
     def normal_form(self, entries: Sequence[Polynomial]) -> Entries:
         entries = _column(self.ring, entries, self.rank)
 
-        def question(pk, *table) -> Entries:
-            nf = _vp_normal_form(_vp_from_entries(entries, pk), *table, pk)
+        def question(pk, basis, *reducers) -> Entries:
+            nf = _vp_normal_form(_vp_from_entries(entries, pk), *reducers, pk)
             return _entries_from_vp(nf, pk, self.ring.signature, self.rank)
 
         return self._query(question)
@@ -701,8 +720,8 @@ class MembershipBasis:
         without unpacking it."""
         entries = _column(self.ring, entries, self.rank)
 
-        def question(pk, *table) -> bool:
-            return not _vp_normal_form(_vp_from_entries(entries, pk), *table, pk)
+        def question(pk, basis, *reducers) -> bool:
+            return not _vp_normal_form(_vp_from_entries(entries, pk), *reducers, pk)
 
         return self._query(question)
 
@@ -715,12 +734,12 @@ class MembershipBasis:
         if self._reduced is None:
             sig = self.ring.signature
 
-            def question(pk, basis, leads, buckets) -> tuple[Entries, ...]:
+            def question(pk, basis, *reducers) -> tuple[Entries, ...]:
+                tails, leads = reducers[:2]
                 reduced = []
-                for vp, lt in _minimal_leads(zip(basis, leads), pk):
-                    tail = dict(vp)
-                    element = {lt: tail.pop(lt)}
-                    element.update(_vp_normal_form(tail, basis, leads, buckets, pk))
+                for tail, lt in _minimal_leads(zip(tails, leads), pk):
+                    rest = {t: -c for t, c in tail}
+                    element = {lt: 1, **_vp_normal_form(rest, *reducers, pk)}
                     reduced.append(_entries_from_vp(element, pk, sig, self.rank))
                 return tuple(reduced)
 
@@ -768,10 +787,10 @@ def _syzygies(
         for col in extra_relations:
             gens.append(_vp_from_entries(col, pk))
         if generators:
-            tracked = _module_buchberger(gens, pk, nrows + m, head, settled)
+            tracked = _module_buchberger(gens, pk, nrows + m, head, settled, settled)
         else:
             gens += _defining_vps(ring.defining, nrows, pk)
-            basis, leads, _ = _module_buchberger(gens, pk, nrows + m)
+            basis, _, leads, _ = _module_buchberger(gens, pk, nrows + m)
             tracked = [
                 vp
                 for vp, _ in _minimal_leads(
@@ -784,13 +803,14 @@ def _syzygies(
         # out as `ring.reduce` would give it.
         table = [_vp_from_entries((q,), pk) for q in ring_basis]
         table_leads = [min(vp, key=pk.key) for vp in table]
+        table_tails = list(map(_tail, table, table_leads))
         buckets = dict.fromkeys(range(m), list(range(len(table))))
         out: list[Entries] = []
         seen: set[frozenset] = set()
         for vp in tracked:
             vp = {t - head: c for t, c in vp.items()}
             if table:
-                vp = _vp_normal_form(vp, table, table_leads, buckets, pk)
+                vp = _vp_normal_form(vp, table_tails, table_leads, buckets, pk)
             key = frozenset(vp.items())
             if vp and key not in seen:
                 seen.add(key)

@@ -30,7 +30,7 @@ from flatcert import (
 from flatcert.modules import syzygy_entries
 from helpers import run_with_deadline
 from test_fiber_route import _bundled_calls
-from test_syzygy_reduction import ORDERS, _cases, _parse
+from test_syzygy_reduction import ORDERS, _cases, _parse, _ring
 
 
 def _assert_same_span(ring, rank, left, right):
@@ -63,6 +63,19 @@ def test_generators_span_the_syzygy_basis(order, block):
                     assert unit in generators
                 seen += 1
     assert seen == 20
+
+
+@pytest.mark.parametrize("order,block", ORDERS)
+def test_generators_span_the_basis_where_relation_pairs_are_skipped(order, block):
+    """Generator mode skips the pairs between the ring's relation and a
+    head element whose lead is coprime to the relation's lead; the
+    syzygy basis keeps them.  These columns have such leads and entries
+    below them, and the extra relations add head elements of their own."""
+    ring = _ring("xyzw", ["x*y - z^2"], order, block)
+    columns = [["w^2 + z", "x"], ["z*w", "y^2 - x"], ["0", "w*z + y"], ["w", "z"]]
+    matrix = PolyMatrix(ring, 2, _parse(ring, columns))
+    for extra in ((), _parse(ring, [["z", "0"], ["0", "w^2"]])):
+        assert _assert_routes_span_alike(matrix, extra)
 
 
 @pytest.mark.parametrize("order", [GREVLEX, LEX])

@@ -167,20 +167,21 @@ def _syzygies_spied(columns, nrows, ring, monkeypatch):
     widths, overflows, finished = [], [], []
     engine, normal_form = modules._module_buchberger, modules._vp_normal_form
 
-    def spied_engine(gens, pk, rank):
+    def spied_engine(gens, pk, *rest):
         widths.append(pk.width)
         finished.clear()
         try:
-            result = engine(gens, pk, rank)
+            result = engine(gens, pk, *rest)
         except modules._Overflow:
             overflows.append(("engine", pk.width))
             raise
         finished.append(pk.width)
         return result
 
-    def spied_normal_form(vp, basis, leads, buckets, pk):
+    def spied_normal_form(*args):
+        pk = args[-1]
         try:
-            return normal_form(vp, basis, leads, buckets, pk)
+            return normal_form(*args)
         except modules._Overflow:
             if finished:
                 overflows.append(("ring", pk.width))

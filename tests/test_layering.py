@@ -90,7 +90,6 @@ def test_packed_terms_have_one_entry_and_one_exit():
     readers = {
         "pack": "_vp_from_entries",
         "fields": "_entries_from_vp",
-        "unpack": "_entries_from_vp",
     }
     offenders = []
     for name, tree in _modules().items():
@@ -105,3 +104,39 @@ def test_packed_terms_have_one_entry_and_one_exit():
                 and readers.get(node.attr, owner) != owner
             ]
     assert offenders == []
+
+
+def test_only_tables_and_generator_mode_pass_a_relation_count():
+    """The product criterion for ring relations holds where only the span
+    of the run counts: `MembershipBasis` tables and generator mode.  A
+    full syzygy basis is the run's own elements, so `syzygy_entries`'
+    branch of `_syzygies` must not pass `_module_buchberger` a relation
+    count, and no other caller may."""
+    tree = _modules()["modules.py"]
+    parents = {
+        child: node for node in ast.walk(tree) for child in ast.iter_child_nodes(node)
+    }
+
+    def where(node):
+        """The definitions around the node, the nested `run` left out,
+        and whether the node lies in the body of an `if generators:`."""
+        names, in_generators = [], False
+        while node in parents:
+            parent = parents[node]
+            if isinstance(parent, (ast.FunctionDef, ast.ClassDef)) and parent.name != "run":
+                names.insert(0, parent.name)
+            if isinstance(parent, ast.If) and node in parent.body:
+                in_generators |= getattr(parent.test, "id", None) == "generators"
+            node = parent
+        return ".".join(names), in_generators
+
+    passing, calls = [], 0
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Call) and getattr(node.func, "id", None) == (
+            "_module_buchberger"
+        ):
+            calls += 1
+            if len(node.args) > 5 or any(k.arg == "relations" for k in node.keywords):
+                passing.append(where(node))
+    assert calls == 3
+    assert sorted(passing) == [("MembershipBasis.__init__", False), ("_syzygies", True)]

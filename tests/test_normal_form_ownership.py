@@ -1,10 +1,11 @@
 """No query changes a table or its caller's input.
 
-`_vp_normal_form` takes the top term off its work set, so it must never
-work on a dict someone else holds: a table's basis elements, leads and
-buckets, and the caller's own columns must come out of every query as
-they went in.  It works on a copy of its input; a change that let it
-take ownership of its input instead would have to keep this true.
+`_vp_normal_form` takes the top term off its work set, and its work set
+is its input, so it must never be handed a dict someone else holds: a
+table's basis elements, tails, leads and buckets, and the caller's own
+columns must come out of every query as they went in.  Every caller
+passes a fresh dict (packed entries, an S-polynomial, a negated tail or
+a shifted syzygy), which these tests keep true.
 These tests snapshot a table over a quotient ring (where the ring's
 reduced basis enters settled) and the columns behind it, run each query
 twice, and check that nothing moved and that the second answers equal
@@ -17,11 +18,17 @@ from flatcert.modules import syzygy_entries
 
 
 def _table_state(table):
-    """A deep copy of a table's packing, basis, leads and buckets, and the
-    identities of its containers."""
-    pk, basis, leads, buckets = table._table
-    copy = (pk, [dict(vp) for vp in basis], list(leads), {k: list(v) for k, v in buckets.items()})
-    return copy, [id(vp) for vp in basis]
+    """A deep copy of a table's packing, basis, tails, leads and buckets,
+    and the identities of its containers."""
+    pk, basis, tails, leads, buckets = table._table
+    copy = (
+        pk,
+        [dict(vp) for vp in basis],
+        [list(tail) for tail in tails],
+        list(leads),
+        {k: list(v) for k, v in buckets.items()},
+    )
+    return copy, [id(vp) for vp in basis], [id(tail) for tail in tails]
 
 
 def _terms(columns):

@@ -130,12 +130,13 @@ def test_the_defining_ideal_table_does_not_recurse(monkeypatch):
     once."""
     import flatcert.modules as modules
 
-    runs = []
+    runs, relations = [], []
     engine = modules._module_buchberger
 
-    def counted(gens, pk, rank, head=None, settled=0):
+    def counted(gens, pk, rank, head=None, settled=0, *rest):
         runs.append(settled)
-        return engine(gens, pk, rank, head, settled)
+        relations.append(rest[0] if rest else 0)
+        return engine(gens, pk, rank, head, settled, *rest)
 
     monkeypatch.setattr(modules, "_module_buchberger", counted)
     R = fc.ring("x,y,z", ["x*y - z^2", "x^2 - y*z"])
@@ -147,3 +148,5 @@ def test_the_defining_ideal_table_does_not_recurse(monkeypatch):
     # settles the ring's reduced basis in each of its coordinates.
     basis = R.defining_basis()
     assert runs == [0, 2 * len(basis), len(basis), 2 * len(basis)]
+    # Everything a table settles there is a ring relation.
+    assert relations == runs

@@ -11,8 +11,10 @@ and the deep queries, under grevlex and lex, whatever the verdict.  A
 grown table starts at its base's width; with every engine run started
 at the narrowest field width, a constructed case makes it rebuild its
 base's table wider, once for its own columns and again for a query.
-That case runs in a child process with a deadline: a table that mixed
-two widths could loop instead of failing.
+The base keeps each wider rebuild, so a second grown table starts at
+that width and does not rebuild the base again.  Those cases run in a
+child process with a deadline: a table that mixed two widths could loop
+instead of failing.
 """
 
 import pytest
@@ -96,8 +98,8 @@ def _grown_and_fresh_at_narrow_widths(order):
     """Run in a child process, so the patched widths stay there.  At the
     narrowest widths the image's table of degree-1 columns over the cone
     is narrower than the degree-33 kernel column needs, and a degree-70
-    query rebuilds the grown table wider still.  Returns the base's width
-    and the (asked, built) width of every rebuild of the base's table."""
+    query rebuilds the grown table wider still.  Returns the base's first
+    width and the (asked, built) width of every rebuild of its table."""
     R = fc.ring("x,y,z", ["x*y - z^2"], order=order)
     x, y, z = (fc.poly(v, R) for v in "xyz")
     image_cols = [(x, y - z), (z, x + y)]
@@ -114,6 +116,7 @@ def _grown_and_fresh_at_narrow_widths(order):
     modules._initial_width = _narrowest
     modules._packed_run = recorded
     image = MembershipBasis(R, 2, image_cols)
+    base_width = image._table[0].width
     grown = MembershipBasis(R, 2, ker, base=image)
     fresh = MembershipBasis(R, 2, ker + image_cols)
     assert grown.normal_form(wide) == fresh.normal_form(wide)
@@ -123,7 +126,7 @@ def _grown_and_fresh_at_narrow_widths(order):
     assert not grown.contains(wide)
     base_run = image._build.args[2]
     rebuilds = [(asked, built) for run, asked, built in builds if run is base_run]
-    return image._table[0].width, rebuilds[1:]  # the first built the base
+    return base_width, rebuilds[1:]  # the first built the base
 
 
 @pytest.mark.parametrize("order", [GREVLEX, LEX])
@@ -134,3 +137,42 @@ def test_a_grown_table_rebuilds_its_base_wider(order):
     # once for the kernel column, once for the query.
     assert all(asked == built for asked, built in rebuilds)
     assert len({asked for asked, _ in rebuilds if asked > base_width}) >= 2
+
+
+def _second_grown_table_at_narrow_widths(order):
+    """Run in a child process, as above.  Returns the base's width before
+    and after the first grown table, that table's width, and the number
+    of runs of the base's table that a second grown table made."""
+    R = fc.ring("x,y,z", ["x*y - z^2"], order=order)
+    x, y, z = (fc.poly(v, R) for v in "xyz")
+    image_cols = [(x, y - z), (z, x + y)]
+    ker = [(fc.poly("y^32 + x*z^30", R), fc.poly("x*z^32 - y^33", R))]
+    runs = []
+    real = modules._packed_run
+
+    def recorded(ring, polys, run, width=0):
+        runs.append(run)
+        return real(ring, polys, run, width)
+
+    modules._initial_width = _narrowest
+    modules._packed_run = recorded
+    image = MembershipBasis(R, 2, image_cols)
+    before = image._table[0].width
+    first = MembershipBasis(R, 2, ker, base=image)
+    after = image._table[0].width
+    base_run = image._build.args[2]
+    runs.clear()
+    second = MembershipBasis(R, 2, ker, base=image)
+    assert second.reduced() == first.reduced()
+    assert second._table[0].width == first._table[0].width
+    return before, after, first._table[0].width, runs.count(base_run)
+
+
+@pytest.mark.parametrize("order", [GREVLEX, LEX])
+def test_a_grown_table_keeps_its_base_rebuild(order):
+    case = _second_grown_table_at_narrow_widths
+    before, after, width, base_runs = run_with_deadline(20, case, order)
+    # The first grown table rebuilt its base at its own, wider width and
+    # left it there, so the second one reuses it.
+    assert before < after == width
+    assert base_runs == 0

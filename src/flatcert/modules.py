@@ -32,13 +32,14 @@ bytes and one `itemgetter`: C-level work per term.  `_vp_from_entries`
 and `_defining_vps` (each relation packed once and shifted into each
 position) pack tuple monomials on the way in, `_entries_from_vp`
 unpacks them on the way out; no packed int leaves this module, and
-everywhere else a monomial is a tuple.  Each engine run picks its field
-width from the degrees of what it packs (`_initial_width`) and, when a
-product or lcm outgrows a field (`_Overflow`), runs again at double
-width (`_packed_run`).  Every widening is such a run: a query that
-overflows a `MembershipBasis` rebuilds it at double width, and a table
-wider than its `base` rebuilds base's at its own, which base keeps.  So
-exponents of any size work, and no value depends on the width.
+everywhere else a monomial is a tuple.  Each engine run starts at
+16-bit fields, or at the width its caller asks for, and when an input,
+a product or an lcm outgrows a field (`_Overflow`), runs again at
+double width (`_packed_run`).  Every widening is such a run: a query
+that overflows a `MembershipBasis` rebuilds it at double width, and a
+table wider than its `base` rebuilds base's at its own, which base
+keeps.  So exponents of any size work, and no value depends on the
+width.
 
 Every normal form runs through `_vp_normal_form`: its input, a fresh
 dict from every caller, is its work set; it keys each term once, takes
@@ -306,30 +307,14 @@ def _packing(order: str, block: int, nvars: int, width: int) -> _Packing:
     return _Packing(order, block, nvars, width)
 
 
-def _initial_width(degree: int) -> int:
-    """The field width an engine run starts at when no input term has a
-    degree above `degree`: a power of two, at least 16, with three bits
-    of headroom above `degree` besides the guard bit."""
-    width = 16
-    while width < degree.bit_length() + 4:
-        width *= 2
-    return width
-
-
-def _packed_run(
-    ring: PresentedRing,
-    polys: list[Polynomial],
-    run: Callable[[_Packing], object],
-    width: int = 0,
-):
-    """run(packing) over the ring's signature, first at the initial width
-    for the degrees of `polys`, which are what the run packs, or at `width`
-    if wider, and again at double width each time a field overflows.
+def _packed_run(ring: PresentedRing, run: Callable[[_Packing], object], width=16):
+    """run(packing) over the ring's signature, first at `width` and again
+    at double width each time a field overflows, in packing an input as
+    in any product or lcm after it.  Each run packs its inputs before its
+    Buchberger run, so an input that does not fit costs no engine work.
     Values never depend on the width, and a run that fits one width fits
     every wider one, so a rerun returns what a first run would."""
     sig = ring.signature
-    degree = max((sum(m) for p in polys for m in p.terms), default=0)
-    width = max(width, _initial_width(degree))
     while True:
         try:
             return run(_packing(sig.order, sig.block, sig.nvars, width))
@@ -445,8 +430,10 @@ def _module_buchberger(
     Under lex and on inhomogeneous input, selection by lcm degree alone
     can run for minutes where sugar takes a second.
     S-pairs only arise between elements with the same leading position;
-    the chain criterion applies there, and the coprimality criterion only
-    when the ambient rank is 1 (it is invalid for genuine vectors).
+    the chain criterion applies there.  At rank 1 no pair with coprime
+    leads is pushed (Buchberger's product criterion, invalid for genuine
+    vectors); such a pair has a standard representation, so the chain
+    criterion counts a pair never pushed as treated.
     No pair is formed among the first `settled` inputs: the caller passes
     a Groebner basis there, and since those elements come first in every
     bucket and the first divisor wins, each of their S-polynomials would
@@ -488,8 +475,8 @@ def _module_buchberger(
 
     def push(i: int, j: int) -> None:
         d, lcm = lcm_of(leads[i], leads[j])
-        if i < relations and lcm - leads[i] == leads[j] & pk.mask:
-            return  # coprime to a ring relation's lead
+        if (rank == 1 or i < relations) and lcm - leads[i] == leads[j] & pk.mask:
+            return  # coprime leads, at rank 1 or to a ring relation's lead
         heapq.heappush(heap, (max(ecarts[i], ecarts[j]) + d, d, i, j, lcm))
         pending.add(j << 32 | i)
 
@@ -520,10 +507,6 @@ def _module_buchberger(
         sugar, _, i, j, lcm = heapq.heappop(heap)
         pending.remove(j << 32 | i)
         mi, mj = leads[i], leads[j]
-        # At rank 1 every position is 0, and lcm == mi + mj exactly when
-        # the leads are coprime.
-        if rank == 1 and lcm == mi + mj:
-            continue
         lg = lcm | guards
         skip = False
         for k in buckets[mi >> shift]:
@@ -639,9 +622,10 @@ class MembershipBasis:
     of `columns` plus base's submodule: base's basis, already a Groebner
     basis with the defining generators in it, enters first and settled
     (no pairs among it, see `_module_buchberger`), and only the new
-    columns form pairs.  The run starts at base's width at least; at a
-    wider one it takes base's basis from `base._build` at its own width,
-    and base keeps it, as `_query` keeps its rebuilds.  The reduced basis
+    columns form pairs.  The run starts at base's width and packs its
+    columns before it reads base's table; at another width it takes
+    base's basis from `base._build` at its own width, and base keeps a
+    wider one, as `_query` keeps its rebuilds.  The reduced basis
     and every normal form are those of a table built from all the
     columns.  A `PolyMatrix`'s columns, checked when it was built, are
     not checked again."""
@@ -664,30 +648,31 @@ class MembershipBasis:
             columns = columns.columns
         if base is not None and (base.ring != ring or base.rank != rank):
             raise DimensionError("base table over a different ring or rank")
-        # The ring's reduced basis also sets the width.
         ring_basis = ring.defining_basis() if ring.is_quotient else ()
 
         def run(pk: _Packing) -> tuple:
+            # Packed first: a column that does not fit costs no base run.
+            cols = [_vp_from_entries(c, pk) for c in columns]
             if base is None:
                 settled = _defining_vps(ring_basis, rank, pk)
             else:
                 table = base._table
-                if table[0] is not pk:
+                if table[0].width != pk.width:
                     table = base._build(width=pk.width)
                     if pk.width > base._table[0].width:  # kept, as `_query` does
                         object.__setattr__(base, "_table", table)
                 settled = table[1]
-            gens = settled + [_vp_from_entries(c, pk) for c in columns]
+            gens = settled + cols
             relations = rank * len(ring_basis)  # base's basis starts with them too
             table = _module_buchberger(gens, pk, rank, None, len(settled), relations)
             return (pk, *table)
 
-        polys = [e for c in columns for e in c] + list(ring_basis)
-        build = partial(_packed_run, ring, polys, run)
+        build = partial(_packed_run, ring, run)
+        table = build(base._table[0].width) if base else build()
         object.__setattr__(self, "ring", ring)
         object.__setattr__(self, "rank", rank)
         object.__setattr__(self, "_build", build)
-        object.__setattr__(self, "_table", build(base._table[0].width if base else 0))
+        object.__setattr__(self, "_table", table)
         object.__setattr__(self, "_reduced", None)
 
     def __setattr__(self, name, value):  # pragma: no cover - guard only
@@ -764,17 +749,24 @@ def _syzygies(
     `ring.reduce` of itself), and no vector is zero in the ring or repeats
     another (two syzygies can reduce to one).  The reduction runs inside
     the engine: one packed normal form per syzygy against the ring's
-    reduced defining basis, which sets the run's width with the inputs."""
+    reduced defining basis.  That basis can be of higher degree than the
+    inputs, and it is packed with them, before the Buchberger run, so a
+    basis that outgrows the run's width reruns it before any engine work."""
     m = len(columns)
     if m == 0:
         return []
     sig = ring.signature
-
-    # A reduced basis can be of higher degree than the generators, so it
-    # joins the polynomials that set the width.
     ring_basis = ring.defining_basis() if ring.is_quotient else ()
 
     def run(pk: _Packing) -> list[Entries]:
+        # The ring's basis, packed at position 0, reduces every position:
+        # the divisibility test ignores the position bits, and t - lead
+        # keeps them.  A full normal form is unique, so each entry comes
+        # out as `ring.reduce` would give it.
+        table = [_vp_from_entries((q,), pk) for q in ring_basis]
+        table_leads = [min(vp, key=pk.key) for vp in table]
+        table_tails = list(map(_tail, table, table_leads))
+        buckets = dict.fromkeys(range(m), list(range(len(table))))
         # The tracker block is ordered below every head position, so a
         # lead in the tracker block means the whole element lies there.
         head = nrows << pk.shift
@@ -797,14 +789,6 @@ def _syzygies(
                     ((vp, lt) for vp, lt in zip(basis, leads) if lt >= head), pk
                 )
             ]
-        # The ring's basis, packed at position 0, reduces every position:
-        # the divisibility test ignores the position bits, and t - lead
-        # keeps them.  A full normal form is unique, so each entry comes
-        # out as `ring.reduce` would give it.
-        table = [_vp_from_entries((q,), pk) for q in ring_basis]
-        table_leads = [min(vp, key=pk.key) for vp in table]
-        table_tails = list(map(_tail, table, table_leads))
-        buckets = dict.fromkeys(range(m), list(range(len(table))))
         out: list[Entries] = []
         seen: set[frozenset] = set()
         for vp in tracked:
@@ -817,10 +801,7 @@ def _syzygies(
                 out.append(_entries_from_vp(vp, pk, sig, m))
         return out
 
-    polys = [e for col in (*columns, *extra_relations) for e in col] + list(ring_basis)
-    if not generators:
-        polys += ring.defining
-    return _packed_run(ring, polys, run)
+    return _packed_run(ring, run)
 
 
 def syzygy_entries(

@@ -99,10 +99,18 @@ def test_tor_over_a_ring_with_a_large_exponent_relation(order):
     assert tor(2, M2, N2).is_zero
 
 
-def _narrowest(degree: int) -> int:
-    """A field width that just holds `degree`, so that nearly every
-    engine run overflows and restarts at double width."""
-    return max(2, degree.bit_length() + 1)
+def _narrowest_packed_run(ring, run, width=2):
+    """`modules._packed_run` from width 2 and one bit wider per overflow:
+    each run packs its inputs at the narrowest width that holds them, so
+    nearly every engine run overflows and restarts."""
+    import flatcert.modules as modules
+
+    sig = ring.signature
+    while True:
+        try:
+            return run(modules._packing(sig.order, sig.block, sig.nvars, width))
+        except modules._Overflow:
+            width += 1
 
 
 def test_forced_widening_leaves_exact_outputs_byte_identical(monkeypatch):
@@ -124,7 +132,7 @@ def test_forced_widening_leaves_exact_outputs_byte_identical(monkeypatch):
             restarts.append(pk.width)
             raise
 
-    monkeypatch.setattr(modules, "_initial_width", _narrowest)
+    monkeypatch.setattr(modules, "_packed_run", _narrowest_packed_run)
     monkeypatch.setattr(modules, "_module_buchberger", spied)
     assert exact_outputs() == GOLDEN.read_text(encoding="utf-8")
     assert resolution_pins() == RESOLUTION_PINS.read_text(encoding="utf-8")
@@ -136,7 +144,7 @@ def test_forced_widening_on_huge_exponents(order, block, monkeypatch):
     import flatcert.modules as modules
 
     expected = {text: _basis(text, order, block)[1] for text in CASES}
-    monkeypatch.setattr(modules, "_initial_width", _narrowest)
+    monkeypatch.setattr(modules, "_packed_run", _narrowest_packed_run)
     for text, basis in expected.items():
         assert _basis(text, order, block)[1] == basis
 

@@ -140,3 +140,28 @@ def test_only_tables_and_generator_mode_pass_a_relation_count():
                 passing.append(where(node))
     assert calls == 3
     assert sorted(passing) == [("MembershipBasis.__init__", False), ("_syzygies", True)]
+
+
+def test_only_packed_run_picks_a_width():
+    """One width rule: only `_packed_run` reads `_packing`, and it takes
+    no polynomial list to scan for degrees, so every engine run starts
+    at the width its caller names and widens only on an overflow."""
+    import inspect
+
+    import flatcert.modules as modules
+
+    readers = []
+    for name, tree in _modules().items():
+        for top in tree.body:
+            owner = getattr(top, "name", "<module>")
+            readers += [
+                f"{name}: {owner}"
+                for node in ast.walk(top)
+                if getattr(node, "id", getattr(node, "attr", None)) == "_packing"
+            ]
+    assert readers == ["modules.py: _packed_run"]
+    assert list(inspect.signature(modules._packed_run).parameters) == [
+        "ring",
+        "run",
+        "width",
+    ]

@@ -9,7 +9,8 @@ exactly as a table built from scratch on all the columns.  This is
 checked on the kernel and image of every bundled Tor and flat assertion
 and the deep queries, under grevlex and lex, whatever the verdict.  A
 grown table starts at its base's width; with every engine run started
-at the narrowest field width, a constructed case makes it rebuild its
+at width 2 and widened one bit per overflow (each then packs at the
+narrowest width that holds it), a constructed case makes it rebuild its
 base's table wider, once for its own columns and again for a query.
 The base keeps each wider rebuild, so a second grown table starts at
 that width and does not rebuild the base again.  Those cases run in a
@@ -25,7 +26,7 @@ import flatcert.modules as modules
 from flatcert import GREVLEX, LEX, MembershipBasis, kernel_generators, tor
 from helpers import run_with_deadline
 from test_fiber_route import _bundled_calls
-from test_huge_exponents import _narrowest
+from test_huge_exponents import _narrowest_packed_run
 
 
 def _homology_questions(calls, monkeypatch):
@@ -106,14 +107,12 @@ def _grown_and_fresh_at_narrow_widths(order):
     ker = [(fc.poly("y^32 + x*z^30", R), fc.poly("x*z^32 - y^33", R))]
     wide = (fc.poly("y^70 + z^67", R), fc.poly("x^69*z", R))
     builds = []
-    real = modules._packed_run
 
-    def recorded(ring, polys, run, width=0):
-        table = real(ring, polys, run, width)
+    def recorded(ring, run, width=2):
+        table = _narrowest_packed_run(ring, run, width)
         builds.append((run, width, table[0].width))
         return table
 
-    modules._initial_width = _narrowest
     modules._packed_run = recorded
     image = MembershipBasis(R, 2, image_cols)
     base_width = image._table[0].width
@@ -124,7 +123,7 @@ def _grown_and_fresh_at_narrow_widths(order):
     for v in [*ker, *image_cols, *fresh.reduced()]:
         assert grown.contains(v) and fresh.contains(v)
     assert not grown.contains(wide)
-    base_run = image._build.args[2]
+    base_run = image._build.args[1]
     rebuilds = [(asked, built) for run, asked, built in builds if run is base_run]
     return base_width, rebuilds[1:]  # the first built the base
 
@@ -148,19 +147,17 @@ def _second_grown_table_at_narrow_widths(order):
     image_cols = [(x, y - z), (z, x + y)]
     ker = [(fc.poly("y^32 + x*z^30", R), fc.poly("x*z^32 - y^33", R))]
     runs = []
-    real = modules._packed_run
 
-    def recorded(ring, polys, run, width=0):
+    def recorded(ring, run, width=2):
         runs.append(run)
-        return real(ring, polys, run, width)
+        return _narrowest_packed_run(ring, run, width)
 
-    modules._initial_width = _narrowest
     modules._packed_run = recorded
     image = MembershipBasis(R, 2, image_cols)
     before = image._table[0].width
     first = MembershipBasis(R, 2, ker, base=image)
     after = image._table[0].width
-    base_run = image._build.args[2]
+    base_run = image._build.args[1]
     runs.clear()
     second = MembershipBasis(R, 2, ker, base=image)
     assert second.reduced() == first.reduced()

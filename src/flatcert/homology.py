@@ -12,7 +12,8 @@ over R.  Verdicts are zero or nonzero with canonical witness generators
 (see `homology_witnesses`), never dimension counts.
 
 The steps d_1..d_i come from `syzygy_entries`, the syzygy module's
-Groebner basis: they fix the basis of F_i, the witnesses' coordinates.
+reduced Groebner basis: they fix the basis of F_i, the witnesses'
+coordinates, whatever the order of the ring's defining generators.
 d_(i+1) and the kernel at i enter the homology only as the submodules
 they span, through membership tables and a reduced basis, both unique
 for a submodule.  So both come from `kernel_generators`, the engine's

@@ -5,18 +5,19 @@ through it at rank 1.  Module terms are (position, monomial) pairs
 compared position-over-term: a lower position index dominates, ties are
 broken by the ring's monomial order.  Syzygies are computed by
 Schreyer-style tracked elimination: each input column is augmented with a
-unit tracker in a trailing block of positions, relation columns (defining
-generators of a quotient ring, and any caller-supplied relations) enter
-untracked, and basis elements whose terms all lie in the tracker block
-project onto syzygy generators.  `syzygy_entries`, which builds the
-resolution's differentials, returns the tracker block's elements of the
-full Groebner basis with minimal leads.  `kernel_generators`, for callers
-that need only the submodule, runs the engine in generator mode: an
-element that falls into the tracker block is collected and never enters
-the basis, so no S-pair between two syzygies is reduced, and the ring's
-reduced defining basis enters first with no pairs among itself, nor (as
-in tables) with an element whose lead is coprime to its lead.  Over a
-quotient ring each syzygy is reduced modulo the ring inside the same
+unit tracker in a trailing block of positions, relation columns (the
+ring's reduced defining basis in every coordinate, first and settled as
+in every run, then any caller-supplied relations) enter untracked, and
+basis elements whose terms all lie in the tracker block project onto
+syzygy generators.  `syzygy_entries`, which builds the resolution's
+differentials, returns the tracker block's part of the run's reduced
+basis: the syzygy module's, unique for the order, whatever the order of
+the generators.  `kernel_generators`, for callers that need only the
+submodule, runs the engine in generator mode: an element that falls
+into the tracker block is collected and never enters the basis, so no
+S-pair between two syzygies is reduced, nor (as in tables) one between
+a ring relation and an element whose lead is coprime to its lead.  Over
+a quotient ring each syzygy is reduced modulo the ring inside the same
 run, by one packed normal form against the ring's reduced defining
 basis, so its entries leave the engine as normal forms and syzygies
 that vanish in the ring never leave.
@@ -47,10 +48,10 @@ the top term off a heap of bare keys, so a remainder comes out lead
 first, and reduces by tails, each element's (term, -coefficient) pairs
 without its lead.  `MembershipBasis` is the one Groebner table per
 generator set: it gives normal forms, membership (an empty packed normal
-form, never unpacked) and the reduced basis, each element a minimal lead
-plus the normal form of its tail.  Every table enters the ring's reduced
-defining basis, or `base`'s basis, first and settled.  Ideals hold one
-at rank 1; a ring's is its defining ideal's, in the polynomial ring.
+form, never unpacked) and the reduced basis (`_reduced`, which gives
+syzygy bases too).  Every table enters the ring's reduced defining
+basis, or `base`'s basis, first and settled.  Ideals hold one at rank 1;
+a ring's is its defining ideal's, in the polynomial ring.
 Only it and `_syzygies`, behind both syzygy functions, run
 `_module_buchberger`; only the quotient-tracking `groebner.divide` keeps
 a normal-form loop of its own.
@@ -461,10 +462,9 @@ def _module_buchberger(
     lie in the tracker block (Schreyer; Eisenbud Thm 15.10): every pair
     of head elements is reduced or dropped by a criterion, and each one
     that reduces to zero in the head leaves its lift's tracker part here.
-    Otherwise the run returns the table (basis, tails, leads, buckets).
+    Otherwise the run returns the table (tails, leads, buckets).
     """
     guards, shift, lcm_of, degree = pk.guards, pk.shift, pk.lcm, pk.degree
-    basis: list[VecPoly] = []
     tails: list[Tail] = []
     leads: list[VecTerm] = []
     ecarts: list[int] = []  # sugar - deg lead, per element
@@ -489,8 +489,7 @@ def _module_buchberger(
         if head is not None and lt >= head:
             collected.append(vp)
             return
-        idx = len(basis)
-        basis.append(vp)
+        idx = len(leads)
         tails.append(_tail(vp, lt))
         leads.append(lt)
         ecarts.append(sugar - degree(lt))
@@ -519,7 +518,7 @@ def _module_buchberger(
                 break
         if skip:
             continue
-        q = lcm - mj  # (lcm/mi)*basis[i] - (lcm/mj)*basis[j], zeros kept
+        q = lcm - mj  # (lcm/mi)*element i - (lcm/mj)*element j, zeros kept
         s = {tq: c for t, c in tails[j] if not (tq := t + q) & guards or _overflow()}
         q = lcm - mi
         for t, c in tails[i]:
@@ -531,24 +530,29 @@ def _module_buchberger(
         r = _vp_normal_form(dict(s), tails, leads, buckets, pk)
         if r:
             add(r, next(iter(r)), sugar)  # remainders come out in descending order
-    return collected if head is not None else (basis, tails, leads, buckets)
+    return collected if head is not None else (tails, leads, buckets)
 
 
-def _minimal_leads(
-    pairs: Iterable[tuple[VecPoly, VecTerm]], pk: _Packing
-) -> list[tuple[VecPoly, VecTerm]]:
-    """The (element, lead) pairs whose lead no other kept lead divides,
-    by decreasing lead: the scan runs by ascending lead, ties in input
-    order (reverse sorts are stable), and the kept leads are distinct."""
-    kept: list[tuple[VecPoly, VecTerm]] = []
-    kept_leads: dict[int, list[VecTerm]] = {}  # by position
-    for vp, lt in sorted(pairs, key=lambda p: pk.key(p[1]), reverse=True):
-        same = kept_leads.setdefault(lt >> pk.shift, [])
+def _reduced(
+    tails: list[Tail], leads: list[VecTerm], buckets: dict, pk: _Packing, low: int = 0
+) -> list[VecPoly]:
+    """A table's reduced basis, by decreasing lead, from position
+    `low >> pk.shift` on: each minimal lead L plus the normal form of
+    the tail of a (monic) table element with lead L, which is unique and
+    only has terms below L.  So it depends only on the span and order."""
+    kept: dict[int, list[VecTerm]] = {}  # minimal leads, by position
+    reduced: list[VecPoly] = []
+    candidates = [k for k, lt in enumerate(leads) if lt >= low]
+    # By ascending lead, so that a divisor comes before its multiples.
+    for k in sorted(candidates, key=lambda k: pk.key(leads[k]), reverse=True):
+        lt = leads[k]
+        same = kept.setdefault(lt >> pk.shift, [])
         if not any(pk.divides(lm, lt) for lm in same):
             same.append(lt)
-            kept.append((vp, lt))
-    kept.reverse()
-    return kept
+            rest = {t: -c for t, c in tails[k]}
+            reduced.append({lt: 1, **_vp_normal_form(rest, tails, leads, buckets, pk)})
+    reduced.reverse()
+    return reduced
 
 
 def _defining_vps(
@@ -576,13 +580,15 @@ class SubmodulePresentation:
     ):
         if ambient_rank < 0:
             raise ArgumentError("negative ambient rank")
-        gens = []
-        for g in generators:
-            entries = g.entries if isinstance(g, ModuleElement) else g
-            gens.append(ModuleElement(ring, _column(ring, entries, ambient_rank)))
+        gens = tuple(
+            ModuleElement(ring, g.entries if isinstance(g, ModuleElement) else g)
+            for g in generators
+        )
+        if any(g.rank != ambient_rank for g in gens):
+            raise DimensionError(f"a generator's length is not {ambient_rank}")
         object.__setattr__(self, "ring", ring)
         object.__setattr__(self, "ambient_rank", ambient_rank)
-        object.__setattr__(self, "generators", tuple(gens))
+        object.__setattr__(self, "generators", gens)
 
     def __setattr__(self, name, value):  # pragma: no cover - guard only
         raise AttributeError("SubmodulePresentation is immutable")
@@ -661,7 +667,9 @@ class MembershipBasis:
                     table = base._build(width=pk.width)
                     if pk.width > base._table[0].width:  # kept, as `_query` does
                         object.__setattr__(base, "_table", table)
-                settled = table[1]
+                settled = [
+                    {lt: 1, **{t: -c for t, c in tail}} for tail, lt in zip(*table[1:3])
+                ]
             gens = settled + cols
             relations = rank * len(ring_basis)  # base's basis starts with them too
             table = _module_buchberger(gens, pk, rank, None, len(settled), relations)
@@ -679,7 +687,7 @@ class MembershipBasis:
         raise AttributeError("MembershipBasis is immutable")
 
     def _query(self, question: Callable[..., object]):
-        """question(packing, basis, tails, leads, buckets) against the table,
+        """question(packing, tails, leads, buckets) against the table,
         which is rebuilt at double width while the question overflows a
         field.  The table is swapped in as one tuple, so a concurrent
         reader sees the old packing or the new one whole."""
@@ -694,7 +702,7 @@ class MembershipBasis:
     def normal_form(self, entries: Sequence[Polynomial]) -> Entries:
         entries = _column(self.ring, entries, self.rank)
 
-        def question(pk, basis, *reducers) -> Entries:
+        def question(pk, *reducers) -> Entries:
             nf = _vp_normal_form(_vp_from_entries(entries, pk), *reducers, pk)
             return _entries_from_vp(nf, pk, self.ring.signature, self.rank)
 
@@ -705,28 +713,20 @@ class MembershipBasis:
         without unpacking it."""
         entries = _column(self.ring, entries, self.rank)
 
-        def question(pk, basis, *reducers) -> bool:
+        def question(pk, *reducers) -> bool:
             return not _vp_normal_form(_vp_from_entries(entries, pk), *reducers, pk)
 
         return self._query(question)
 
     def reduced(self) -> tuple[Entries, ...]:
-        """The unique reduced Groebner basis, as entry tuples sorted by
-        decreasing lead term (computed once).  Its element with minimal
-        lead L is L plus the normal form of the tail of a table element
-        with lead L: table elements are monic, and the normal form, unique
-        against any Groebner basis, only has terms below L."""
+        """The unique reduced Groebner basis (`_reduced`), as entry tuples
+        sorted by decreasing lead term (computed once)."""
         if self._reduced is None:
             sig = self.ring.signature
 
-            def question(pk, basis, *reducers) -> tuple[Entries, ...]:
-                tails, leads = reducers[:2]
-                reduced = []
-                for tail, lt in _minimal_leads(zip(tails, leads), pk):
-                    rest = {t: -c for t, c in tail}
-                    element = {lt: 1, **_vp_normal_form(rest, *reducers, pk)}
-                    reduced.append(_entries_from_vp(element, pk, sig, self.rank))
-                return tuple(reduced)
+            def question(pk, *reducers) -> tuple[Entries, ...]:
+                reduced = _reduced(*reducers, pk)
+                return tuple(_entries_from_vp(vp, pk, sig, self.rank) for vp in reduced)
 
             object.__setattr__(self, "_reduced", self._query(question))
         return self._reduced
@@ -741,9 +741,9 @@ def _syzygies(
 ) -> list[Entries]:
     """The syzygies of `columns` over `ring`, relative to the span of
     `extra_relations` and the defining generators in every coordinate:
-    the reduced basis's minimal elements of the tracker block, or with
-    `generators` the engine's generator mode (see `_module_buchberger`),
-    which enters the ring's reduced defining basis first and settled.
+    the tracker block's part of the run's reduced basis, or with
+    `generators` the engine's generator mode (see `_module_buchberger`).
+    Both runs enter the ring's reduced defining basis first and settled.
 
     Either way every entry is reduced modulo the ring (it equals
     `ring.reduce` of itself), and no vector is zero in the ring or repeats
@@ -770,7 +770,7 @@ def _syzygies(
         # The tracker block is ordered below every head position, so a
         # lead in the tracker block means the whole element lies there.
         head = nrows << pk.shift
-        gens = _defining_vps(ring_basis, nrows, pk) if generators else []
+        gens = _defining_vps(ring_basis, nrows, pk)
         settled = len(gens)
         for j, col in enumerate(columns):
             vp = _vp_from_entries(col, pk)
@@ -781,14 +781,8 @@ def _syzygies(
         if generators:
             tracked = _module_buchberger(gens, pk, nrows + m, head, settled, settled)
         else:
-            gens += _defining_vps(ring.defining, nrows, pk)
-            basis, _, leads, _ = _module_buchberger(gens, pk, nrows + m)
-            tracked = [
-                vp
-                for vp, _ in _minimal_leads(
-                    ((vp, lt) for vp, lt in zip(basis, leads) if lt >= head), pk
-                )
-            ]
+            run_table = _module_buchberger(gens, pk, nrows + m, None, settled)
+            tracked = _reduced(*run_table, pk, head)
         out: list[Entries] = []
         seen: set[frozenset] = set()
         for vp in tracked:
@@ -812,10 +806,11 @@ def syzygy_entries(
 ) -> list[Entries]:
     """Generators of the syzygy module of the given columns over `ring`,
     relative to the span of `extra_relations` (and the defining
-    generators in every coordinate): the elements of its Groebner basis
-    with minimal leads, one per lead, each reduced modulo the ring.
-    `free_resolution` builds its differentials from them, so they fix the
-    resolution's ranks and the basis of each free module."""
+    generators in every coordinate): its reduced Groebner basis, unique
+    for the order whatever the order of any generators, by decreasing
+    lead, each element reduced modulo the ring.  `free_resolution` builds
+    its differentials from it, so it fixes the resolution's ranks and the
+    basis of each free module."""
     return _syzygies(columns, nrows, ring, extra_relations, generators=False)
 
 

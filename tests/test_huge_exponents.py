@@ -164,12 +164,15 @@ def test_a_table_rebuilds_for_a_query_wider_than_itself():
     assert table.contains((fc.poly("x", R), fc.poly("y - z", R)))
 
 
-def _syzygies_spied(columns, nrows, ring, monkeypatch):
-    """syzygy_entries(columns, nrows, ring), with the width of each engine
+def _syzygies_spied(columns, nrows, ring, monkeypatch, generators=False):
+    """syzygy_entries(columns, nrows, ring), or with `generators` the
+    kernel generators of the same columns, with the width of each engine
     run and each `_Overflow` recorded: ("engine", width) from the
     Buchberger run, ("ring", width) from a normal form taken after it,
-    which is the reduction modulo the ring."""
+    which is the reduction modulo the ring (and in `syzygy_entries` the
+    reduction of each basis element's tail before it)."""
     import flatcert.modules as modules
+    from flatcert import PolyMatrix, kernel_generators
     from flatcert.modules import syzygy_entries
 
     widths, overflows, finished = [], [], []
@@ -199,7 +202,10 @@ def _syzygies_spied(columns, nrows, ring, monkeypatch):
     with monkeypatch.context() as patch:
         patch.setattr(modules, "_module_buchberger", spied_engine)
         patch.setattr(modules, "_vp_normal_form", spied_normal_form)
-        out = syzygy_entries(columns, nrows, ring)
+        if generators:
+            out = kernel_generators(PolyMatrix(ring, nrows, columns))
+        else:
+            out = syzygy_entries(columns, nrows, ring)
     return out, widths, overflows
 
 
@@ -243,11 +249,28 @@ def test_the_reduced_ring_basis_sets_the_width_of_a_syzygy_run(monkeypatch):
     assert (widths, overflows) == ([32], [])
 
 
+# `syzygy_entries`' run holds the ring's basis in every head coordinate,
+# so its syzygy basis holds a divisor of lt(g)*e_j for each basis element
+# g and tracker vector e_j, and each element's tail, reduced against the
+# run's table, is already reduced modulo the ring: a field that the ring
+# outgrows overflows before the reduction modulo the ring runs.
 def test_a_syzygy_reduction_that_overflows_reruns_wider(monkeypatch):
     R = fc.ring("x,y,z", ["y - z^200"], order=LEX)
     columns = [(fc.poly("y", R),), (fc.poly("x - y^200", R),)]
     out, widths, overflows = _syzygies_spied(columns, 1, R, monkeypatch)
     assert [tuple(map(str, v)) for v in out] == [("x - z^40000", "-z^200")]
+    assert out == _reduced_entry_by_entry(columns, 1, R)
+    assert (widths, overflows) == ([16, 32], [("engine", 16)])
+
+
+# Generator mode reduces no tracker part inside the run: the S-pair of
+# (x) and (x*y^200) leaves y^200*e_1 - e_2, which fits 16 bits, and only
+# the reduction modulo the ring turns y^200 into z^40000.
+def test_a_kernel_generator_reduction_that_overflows_reruns_wider(monkeypatch):
+    R = fc.ring("x,y,z", ["y - z^200"], order=LEX)
+    columns = [(fc.poly("x", R),), (fc.poly("x*y^200", R),)]
+    out, widths, overflows = _syzygies_spied(columns, 1, R, monkeypatch, True)
+    assert [tuple(map(str, v)) for v in out] == [("z^40000", "-1")]
     assert out == _reduced_entry_by_entry(columns, 1, R)
     assert (widths, overflows) == ([16, 32], [("ring", 16)])
 

@@ -142,6 +142,26 @@ def test_only_tables_and_generator_mode_pass_a_relation_count():
     assert sorted(passing) == [("MembershipBasis.__init__", False), ("_syzygies", True)]
 
 
+def test_every_engine_run_seeds_from_the_reduced_ring_basis():
+    """One seeding rule: every `_module_buchberger` call passes a settled
+    count, the ring's reduced basis (or a table's basis, which starts
+    with it) entered first, and `modules.py` never reads a ring's raw
+    `.defining` generators, only `defining_basis()`."""
+    tree = _modules()["modules.py"]
+    calls = [
+        node
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Call)
+        and getattr(node.func, "id", None) == "_module_buchberger"
+    ]
+    assert len(calls) == 3
+    assert all(
+        len(call.args) >= 5 or any(k.arg == "settled" for k in call.keywords)
+        for call in calls
+    )
+    assert "defining" not in _read_names(tree)
+
+
 def test_only_packed_run_picks_a_width():
     """One width rule: only `_packed_run` reads `_packing`, and it takes
     no polynomial list to scan for degrees, so every engine run starts

@@ -95,6 +95,7 @@ def test_membership_basis_rejects_malformed_columns(qq_xy, qq_xyz):
     entry_points = [
         lambda col: PolyMatrix(qq_xy, 2, [col]),
         lambda col: MembershipBasis(qq_xy, 2, [col]),
+        lambda col: SubmodulePresentation(qq_xy, 2, [col]),
         table.normal_form,
         table.contains,
     ]
@@ -115,6 +116,25 @@ def test_membership_basis_rejects_malformed_columns(qq_xy, qq_xyz):
     assert MembershipBasis(qq_xy, 2, m).reduced() == MembershipBasis(
         qq_xy, 2, m.columns
     ).reduced()
+    with pytest.raises(fc.DimensionError):
+        SubmodulePresentation(qq_xy, 3, [ModuleElement(qq_xy, (x, y))])
+
+
+def test_a_submodule_checks_each_generator_once(qq_xy, monkeypatch):
+    import flatcert.modules as modules
+
+    x, y = fc.poly("x", qq_xy), fc.poly("y", qq_xy)
+    checked = []
+    column = modules._column
+
+    def counted(ring, entries, rank=None):
+        checked.append(rank)
+        return column(ring, entries, rank)
+
+    monkeypatch.setattr(modules, "_column", counted)
+    sub = SubmodulePresentation(qq_xy, 2, [(x, y), ModuleElement(qq_xy, (y, x))])
+    assert len(checked) == 3  # the ModuleElement's own, then one per generator
+    assert [g.entries for g in sub.generators] == [(x, y), (y, x)]
 
 
 def test_syzygy_examples(qq_xy, dual_numbers):

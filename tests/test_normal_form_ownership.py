@@ -2,10 +2,10 @@
 
 `_vp_normal_form` takes the top term off its work set, and its work set
 is its input, so it must never be handed a dict someone else holds: a
-table's basis elements, tails, leads and buckets, and the caller's own
-columns must come out of every query as they went in.  Every caller
-passes a fresh dict (packed entries, an S-polynomial, a negated tail or
-a shifted syzygy), which these tests keep true.
+table's tails, leads and buckets, and the caller's own columns must come
+out of every query as they went in.  Every caller passes a fresh dict
+(packed entries, an S-polynomial, a negated tail or a shifted syzygy),
+which these tests keep true.
 These tests snapshot a table over a quotient ring (where the ring's
 reduced basis enters settled) and the columns behind it, run each query
 twice, and check that nothing moved and that the second answers equal
@@ -18,17 +18,16 @@ from flatcert.modules import syzygy_entries
 
 
 def _table_state(table):
-    """A deep copy of a table's packing, basis, tails, leads and buckets,
-    and the identities of its containers."""
-    pk, basis, tails, leads, buckets = table._table
+    """A deep copy of a table's packing, tails, leads and buckets, and the
+    identities of its containers."""
+    pk, tails, leads, buckets = table._table
     copy = (
         pk,
-        [dict(vp) for vp in basis],
         [list(tail) for tail in tails],
         list(leads),
         {k: list(v) for k, v in buckets.items()},
     )
-    return copy, [id(vp) for vp in basis], [id(tail) for tail in tails]
+    return copy, [id(tail) for tail in tails], id(leads), id(buckets)
 
 
 def _terms(columns):

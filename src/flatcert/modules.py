@@ -9,18 +9,21 @@ unit tracker in a trailing block of positions, relation columns (the
 ring's reduced defining basis in every coordinate, first and settled as
 in every run, then any caller-supplied relations) enter untracked, and
 basis elements whose terms all lie in the tracker block project onto
-syzygy generators.  `syzygy_entries`, which builds the resolution's
-differentials, returns the tracker block's part of the run's reduced
-basis: the syzygy module's, unique for the order, whatever the order of
-the generators.  `kernel_generators`, for callers that need only the
-submodule, runs the engine in generator mode: an element that falls
-into the tracker block is collected and never enters the basis, so no
-S-pair between two syzygies is reduced, nor (as in tables) one between
-a ring relation and an element whose lead is coprime to its lead.  Over
-a quotient ring each syzygy is reduced modulo the ring inside the same
-run, by one packed normal form against the ring's reduced defining
-basis, so its entries leave the engine as normal forms and syzygies
-that vanish in the ring never leave.
+syzygy generators.  Every syzygy run is in generator mode: an element
+that falls into the tracker block is collected and never enters the
+basis, so no S-pair between two syzygies is reduced, nor (as in tables)
+one between a ring relation and an element whose lead is coprime to its
+lead.  `kernel_generators`, for callers that need only the submodule,
+returns the collected syzygies, each reduced modulo the ring by one
+packed normal form against the ring's reduced defining basis.
+`syzygy_entries`, which builds the resolution's differentials, enters
+them, moved to positions 0..m-1, in a rank-m table, seeded as every
+table is, in the same packed run; that table's reduced basis is the
+syzygy module's, unique for the order whatever the order of the
+generators, and a lead lookup reduces it modulo the ring.  Either way
+the entries leave the engine as normal forms, and syzygies that vanish
+in the ring never leave.  So the engine has two kinds of run: tables
+and generator mode.
 
 Inside the engine a term, a (position, monomial) pair, is one packed
 int (`_Packing`, after Monagan and Pearce's packed exponent vectors): a
@@ -417,9 +420,9 @@ def _module_buchberger(
     gens: Iterable[VecPoly],
     pk: _Packing,
     rank: int,
-    head: int | None = None,
-    settled: int = 0,
-    relations: int = 0,
+    head: int | None,
+    settled: int,
+    relations: int,
 ):
     """Monic module Groebner basis (position-over-term order).
 
@@ -448,8 +451,9 @@ def _module_buchberger(
     the sum over the other positions q that carry g, r the part of c at
     those that do not.  A table carries g everywhere, so r = 0 and this
     is a standard representation; in generator mode r is c's tracker
-    part, and g*r a syzygy that is zero in the ring.  A full syzygy
-    basis is the run's own elements: `syzygy_entries` keeps every pair.
+    part, and g*r a syzygy that is zero in the ring.  Every run passes
+    its relation count: a syzygy basis is a table of the collected
+    syzygies at rank m, which carries g in every position (`_syzygies`).
     S-polynomials and reductions read each element's tail (`_tail`).
     A term or lcm that outgrows its field raises `_Overflow`.
 
@@ -534,17 +538,17 @@ def _module_buchberger(
 
 
 def _reduced(
-    tails: list[Tail], leads: list[VecTerm], buckets: dict, pk: _Packing, low: int = 0
+    tails: list[Tail], leads: list[VecTerm], buckets: dict, pk: _Packing
 ) -> list[VecPoly]:
-    """A table's reduced basis, by decreasing lead, from position
-    `low >> pk.shift` on: each minimal lead L plus the normal form of
-    the tail of a (monic) table element with lead L, which is unique and
-    only has terms below L.  So it depends only on the span and order."""
+    """A table's reduced basis, by decreasing lead: each minimal lead L
+    plus the normal form of the tail of a (monic) table element with
+    lead L, which is unique and only has terms below L.  So it depends
+    only on the span and order."""
     kept: dict[int, list[VecTerm]] = {}  # minimal leads, by position
     reduced: list[VecPoly] = []
-    candidates = [k for k, lt in enumerate(leads) if lt >= low]
+    key = pk.key
     # By ascending lead, so that a divisor comes before its multiples.
-    for k in sorted(candidates, key=lambda k: pk.key(leads[k]), reverse=True):
+    for k in sorted(range(len(leads)), key=lambda k: key(leads[k]), reverse=True):
         lt = leads[k]
         same = kept.setdefault(lt >> pk.shift, [])
         if not any(pk.divides(lm, lt) for lm in same):
@@ -740,18 +744,22 @@ def _syzygies(
     generators: bool,
 ) -> list[Entries]:
     """The syzygies of `columns` over `ring`, relative to the span of
-    `extra_relations` and the defining generators in every coordinate:
-    the tracker block's part of the run's reduced basis, or with
-    `generators` the engine's generator mode (see `_module_buchberger`).
-    Both runs enter the ring's reduced defining basis first and settled.
+    `extra_relations` and the defining generators in every coordinate.
+    An augmented run in generator mode (see `_module_buchberger`)
+    collects generators, which `generators` asks for.  Otherwise they
+    enter a rank-m table in the same packed run, and the answer is its
+    reduced basis (`_reduced`): the syzygy module's, unique for the
+    order.  Both runs enter the ring's reduced defining basis first and
+    settled.
 
     Either way every entry is reduced modulo the ring (it equals
     `ring.reduce` of itself), and no vector is zero in the ring or repeats
     another (two syzygies can reduce to one).  The reduction runs inside
-    the engine: one packed normal form per syzygy against the ring's
-    reduced defining basis.  That basis can be of higher degree than the
-    inputs, and it is packed with them, before the Buchberger run, so a
-    basis that outgrows the run's width reruns it before any engine work."""
+    the engine: one packed normal form per generator against the ring's
+    reduced defining basis, or a lead lookup per basis element.  That
+    basis can be of higher degree than the inputs, and it is packed with
+    them, before the Buchberger runs, so a basis that outgrows the width
+    reruns before any engine work."""
     m = len(columns)
     if m == 0:
         return []
@@ -763,10 +771,9 @@ def _syzygies(
         # the divisibility test ignores the position bits, and t - lead
         # keeps them.  A full normal form is unique, so each entry comes
         # out as `ring.reduce` would give it.
-        table = [_vp_from_entries((q,), pk) for q in ring_basis]
-        table_leads = [min(vp, key=pk.key) for vp in table]
-        table_tails = list(map(_tail, table, table_leads))
-        buckets = dict.fromkeys(range(m), list(range(len(table))))
+        ring_vps = _defining_vps(ring_basis, 1, pk)
+        ring_leads = [min(vp, key=pk.key) for vp in ring_vps]
+        ring_tails = list(map(_tail, ring_vps, ring_leads))
         # The tracker block is ordered below every head position, so a
         # lead in the tracker block means the whole element lies there.
         head = nrows << pk.shift
@@ -778,17 +785,36 @@ def _syzygies(
             gens.append(vp)
         for col in extra_relations:
             gens.append(_vp_from_entries(col, pk))
-        if generators:
-            tracked = _module_buchberger(gens, pk, nrows + m, head, settled, settled)
-        else:
-            run_table = _module_buchberger(gens, pk, nrows + m, None, settled)
-            tracked = _reduced(*run_table, pk, head)
+        found = _module_buchberger(gens, pk, nrows + m, head, settled, settled)
+        tracked = [{t - head: c for t, c in vp.items()} for vp in found]
+        if not generators:
+            seed = _defining_vps(ring_basis, m, pk)
+            n = len(seed)  # settled, and all ring relations
+            table = _module_buchberger(seed + tracked, pk, m, None, n, n)
+            tracked = _reduced(*table, pk)
+            # The table holds g*e_j for each ring basis element g, so each
+            # tail is reduced modulo the ring, and a minimal lead that
+            # lt(g)*e_j divides is lt(g)*e_j itself.  The normal form of
+            # such an element modulo the ring is the element minus g*e_j,
+            # as g's tail is reduced too (g lies in a reduced basis); it
+            # is kept lead first, as a normal form comes out.
+            ring_at = dict(zip(ring_leads, ring_tails))
+            for k, vp in enumerate(tracked):
+                lt = next(iter(vp))
+                tail = ring_at.get(lt & pk.mask)
+                if tail is not None:
+                    at = lt - (lt & pk.mask)  # lt's position
+                    del vp[lt]
+                    for t, c in tail:
+                        vp[t + at] = vp.get(t + at, 0) + c
+                    tracked[k] = {t: vp[t] for t in sorted(vp, key=pk.key) if vp[t]}
+        elif ring_vps:
+            buckets = dict.fromkeys(range(m), list(range(len(ring_vps))))
+            reducers = (ring_tails, ring_leads, buckets, pk)
+            tracked = [_vp_normal_form(vp, *reducers) for vp in tracked]
         out: list[Entries] = []
         seen: set[frozenset] = set()
         for vp in tracked:
-            vp = {t - head: c for t, c in vp.items()}
-            if table:
-                vp = _vp_normal_form(vp, table_tails, table_leads, buckets, pk)
             key = frozenset(vp.items())
             if vp and key not in seen:
                 seen.add(key)
@@ -808,9 +834,10 @@ def syzygy_entries(
     relative to the span of `extra_relations` (and the defining
     generators in every coordinate): its reduced Groebner basis, unique
     for the order whatever the order of any generators, by decreasing
-    lead, each element reduced modulo the ring.  `free_resolution` builds
-    its differentials from it, so it fixes the resolution's ranks and the
-    basis of each free module."""
+    lead, each element reduced modulo the ring.  The basis comes from
+    generator mode's syzygies and a rank-m table of them (`_syzygies`).
+    `free_resolution` builds its differentials from it, so it fixes the
+    resolution's ranks and the basis of each free module."""
     return _syzygies(columns, nrows, ring, extra_relations, generators=False)
 
 

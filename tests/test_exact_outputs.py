@@ -10,10 +10,9 @@ differential.  `tests/data/engine_pins.txt` pins the module engine on
 every bundled Tor and flat assertion and the two deep queries, under
 grevlex and lex, each in a fresh environment: for each run of
 `syzygy_entries` and `kernel_generators`, in call order, the number of
-`_vp_normal_form` calls the run makes, and for `kernel_generators` a
-sha256 of its printed output.  A ring's defining table is built before
-the run it would otherwise be built in, so its normal forms are not
-counted.  An engine change that keeps every S-pair and reducer choice
+`_vp_normal_form` calls the run makes and a sha256 of its printed
+output.  A ring's defining table is built before the run it would
+otherwise be built in, so its normal forms are not counted.  An engine change that keeps every S-pair and reducer choice
 leaves this file unchanged.  The tests compare all three files byte for
 byte, each built in a child process under `helpers.run_with_deadline`,
 so an engine that loops fails instead of stalling the suite.  After a
@@ -138,8 +137,8 @@ def _engine_queries(filename: str):
 
 def _engine_runs(text: str, order: str, query) -> list[str]:
     """One line per `_syzygies` run of the query over a fresh
-    environment: its kind, shape, normal-form count and, for generator
-    mode, the sha256 of its printed output."""
+    environment: its kind, shape, normal-form count and the sha256 of its
+    printed output."""
     _, env = execute_text(text, order, declarations_only=True)
     lines: list[str] = []
     calls = [0]
@@ -155,10 +154,8 @@ def _engine_runs(text: str, order: str, query) -> list[str]:
         calls[0] = 0
         out = real_syzygies(columns, nrows, ring, extra_relations, generators)
         kind = "ker" if generators else "syz"
-        line = f"{kind} {nrows}x{len(columns)}+{len(extra_relations)} nf {calls[0]}"
-        if generators:
-            line += " " + _digest(out)
-        lines.append(line)
+        shape = f"{nrows}x{len(columns)}+{len(extra_relations)}"
+        lines.append(f"{kind} {shape} nf {calls[0]} {_digest(out)}")
         return out
 
     modules._vp_normal_form, modules._syzygies = counted_nf, counted_syzygies

@@ -1,11 +1,11 @@
 """`kernel_generators` takes syzygies as generators: the module engine's
 generator mode collects each element whose lead falls in the tracker
-block instead of adding it to the basis.  `syzygy_entries` still returns
-the syzygy module's Groebner basis elements.  Both must span one
-submodule, checked by membership both ways, over the rings, orders and
-extra relations of `test_syzygy_reduction` (each also with a zero
-column, which only generator mode collects as an input) and over every
-kernel that `tor` asks for on the bundled Tor inputs.
+block instead of adding it to the basis.  `syzygy_entries` returns the
+syzygy module's reduced Groebner basis, from a table of those syzygies.
+Both must span one submodule, checked by membership both ways, over the
+rings, orders and extra relations of `test_syzygy_reduction` (each also
+with a zero column, which only generator mode collects as an input) and
+over every kernel that `tor` asks for on the bundled Tor inputs.
 
 A lex case that used to run for minutes in the syzygy basis now answers
 at once; it runs in a child process with a deadline, so a regression
@@ -68,8 +68,10 @@ def test_generators_span_the_syzygy_basis(order, block):
 @pytest.mark.parametrize("order,block", ORDERS)
 def test_generators_span_the_basis_where_relation_pairs_are_skipped(order, block):
     """Generator mode skips the pairs between the ring's relation and a
-    head element whose lead is coprime to the relation's lead; the
-    syzygy basis keeps them.  These columns have such leads and entries
+    head element whose lead is coprime to the relation's lead, for the
+    syzygy basis as for the kernel generators; the basis's table of
+    syzygies then carries the relation in every position, where the
+    criterion holds.  These columns have such leads and entries
     below them, and the extra relations add head elements of their own."""
     ring = _ring("xyzw", ["x*y - z^2"], order, block)
     columns = [["w^2 + z", "x"], ["z*w", "y^2 - x"], ["0", "w*z + y"], ["w", "z"]]

@@ -167,10 +167,12 @@ def test_a_table_rebuilds_for_a_query_wider_than_itself():
 def _syzygies_spied(columns, nrows, ring, monkeypatch, generators=False):
     """syzygy_entries(columns, nrows, ring), or with `generators` the
     kernel generators of the same columns, with the width of each engine
-    run and each `_Overflow` recorded: ("engine", width) from the
-    Buchberger run, ("ring", width) from a normal form taken after it,
-    which is the reduction modulo the ring (and in `syzygy_entries` the
-    reduction of each basis element's tail before it)."""
+    run and each `_Overflow` recorded: ("engine", width) from a
+    Buchberger run, ("ring", width) from a normal form taken after one,
+    which is the reduction modulo the ring in `kernel_generators` and
+    the reduction of each basis element's tail in `syzygy_entries`.
+    `syzygy_entries` makes two engine runs per width, generator mode and
+    then the rank-m table of its syzygies."""
     import flatcert.modules as modules
     from flatcert import PolyMatrix, kernel_generators
     from flatcert.modules import syzygy_entries
@@ -246,21 +248,20 @@ def test_the_reduced_ring_basis_sets_the_width_of_a_syzygy_run(monkeypatch):
         ("z^39800", "-1"),
     ]
     assert out == _reduced_entry_by_entry(columns, 1, R)
-    assert (widths, overflows) == ([32], [])
+    assert (widths, overflows) == ([32, 32], [])
 
 
-# `syzygy_entries`' run holds the ring's basis in every head coordinate,
-# so its syzygy basis holds a divisor of lt(g)*e_j for each basis element
-# g and tracker vector e_j, and each element's tail, reduced against the
-# run's table, is already reduced modulo the ring: a field that the ring
-# outgrows overflows before the reduction modulo the ring runs.
+# `syzygy_entries`' table of syzygies holds g*e_j for each ring basis
+# element g and each position j, so each basis element's tail, reduced
+# against that table, is already reduced modulo the ring, and a field
+# that the ring outgrows overflows in an engine run.
 def test_a_syzygy_reduction_that_overflows_reruns_wider(monkeypatch):
     R = fc.ring("x,y,z", ["y - z^200"], order=LEX)
     columns = [(fc.poly("y", R),), (fc.poly("x - y^200", R),)]
     out, widths, overflows = _syzygies_spied(columns, 1, R, monkeypatch)
     assert [tuple(map(str, v)) for v in out] == [("x - z^40000", "-z^200")]
     assert out == _reduced_entry_by_entry(columns, 1, R)
-    assert (widths, overflows) == ([16, 32], [("engine", 16)])
+    assert (widths, overflows) == ([16, 32, 32], [("engine", 16)])
 
 
 # Generator mode reduces no tracker part inside the run: the S-pair of

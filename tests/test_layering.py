@@ -106,40 +106,35 @@ def test_packed_terms_have_one_entry_and_one_exit():
     assert offenders == []
 
 
-def test_only_tables_and_generator_mode_pass_a_relation_count():
-    """The product criterion for ring relations holds where only the span
-    of the run counts: `MembershipBasis` tables and generator mode.  A
-    full syzygy basis is the run's own elements, so `syzygy_entries`'
-    branch of `_syzygies` must not pass `_module_buchberger` a relation
-    count, and no other caller may."""
-    tree = _modules()["modules.py"]
-    parents = {
-        child: node for node in ast.walk(tree) for child in ast.iter_child_nodes(node)
-    }
+def _engine_calls() -> list[ast.Call]:
+    """Every `_module_buchberger` call in `modules.py`."""
+    return [
+        node
+        for node in ast.walk(_modules()["modules.py"])
+        if isinstance(node, ast.Call)
+        and getattr(node.func, "id", None) == "_module_buchberger"
+    ]
 
-    def where(node):
-        """The definitions around the node, the nested `run` left out,
-        and whether the node lies in the body of an `if generators:`."""
-        names, in_generators = [], False
-        while node in parents:
-            parent = parents[node]
-            if isinstance(parent, (ast.FunctionDef, ast.ClassDef)) and parent.name != "run":
-                names.insert(0, parent.name)
-            if isinstance(parent, ast.If) and node in parent.body:
-                in_generators |= getattr(parent.test, "id", None) == "generators"
-            node = parent
-        return ".".join(names), in_generators
 
-    passing, calls = [], 0
-    for node in ast.walk(tree):
-        if isinstance(node, ast.Call) and getattr(node.func, "id", None) == (
-            "_module_buchberger"
-        ):
-            calls += 1
-            if len(node.args) > 5 or any(k.arg == "relations" for k in node.keywords):
-                passing.append(where(node))
-    assert calls == 3
-    assert sorted(passing) == [("MembershipBasis.__init__", False), ("_syzygies", True)]
+def test_every_engine_run_passes_a_relation_count():
+    """The engine has two kinds of run, tables and generator mode, and
+    the product criterion for ring relations holds in both, since only
+    the span of the run counts: every `_module_buchberger` call passes a
+    relation count, and the engine takes no default for it.  A syzygy
+    basis is a table of generator mode's syzygies, not an augmented table
+    that would need every pair."""
+    import inspect
+
+    import flatcert.modules as modules
+
+    calls = _engine_calls()
+    assert len(calls) == 3
+    assert all(
+        len(call.args) == 6 or any(k.arg == "relations" for k in call.keywords)
+        for call in calls
+    )
+    parameter = inspect.signature(modules._module_buchberger).parameters["relations"]
+    assert parameter.default is inspect.Parameter.empty
 
 
 def test_every_engine_run_seeds_from_the_reduced_ring_basis():
@@ -147,19 +142,13 @@ def test_every_engine_run_seeds_from_the_reduced_ring_basis():
     count, the ring's reduced basis (or a table's basis, which starts
     with it) entered first, and `modules.py` never reads a ring's raw
     `.defining` generators, only `defining_basis()`."""
-    tree = _modules()["modules.py"]
-    calls = [
-        node
-        for node in ast.walk(tree)
-        if isinstance(node, ast.Call)
-        and getattr(node.func, "id", None) == "_module_buchberger"
-    ]
+    calls = _engine_calls()
     assert len(calls) == 3
     assert all(
         len(call.args) >= 5 or any(k.arg == "settled" for k in call.keywords)
         for call in calls
     )
-    assert "defining" not in _read_names(tree)
+    assert "defining" not in _read_names(_modules()["modules.py"])
 
 
 def test_only_packed_run_picks_a_width():

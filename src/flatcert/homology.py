@@ -17,8 +17,8 @@ coordinates, whatever the order of the ring's defining generators.
 d_(i+1) and the kernel at i enter the homology only as the submodules
 they span, through membership tables and a reduced basis, both unique
 for a submodule.  So both come from `kernel_generators`, the engine's
-cheaper generator mode, the table of kernel + image grows from the
-image's table, and the witness text is what a syzygy basis gives.
+cheaper generator mode, and the witness text is what a syzygy basis
+gives.
 
 Each ideal or submodule is presented at most once, and each
 differential d keeps its next step: a matrix whose columns span ker d.
@@ -285,7 +285,7 @@ def homology_witnesses(
     image = MembershipBasis(ring, rank_i, spanning)
     if all(image.contains(v) for v in ker):
         return True, []
-    span = MembershipBasis(ring, rank_i, ker, base=image)
+    span = MembershipBasis(ring, rank_i, [*spanning.columns, *ker])
     return False, [
         ModuleElement(ring, v) for v in span.reduced() if not image.contains(v)
     ]

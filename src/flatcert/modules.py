@@ -6,8 +6,8 @@ compared position-over-term: a lower position index dominates, ties are
 broken by the ring's monomial order.  Syzygies are computed by
 Schreyer-style tracked elimination: each input column is augmented with a
 unit tracker in a trailing block of positions, relation columns (the
-ring's reduced defining basis in every coordinate, first and settled as
-in every run, then any caller-supplied relations) enter untracked, and
+ring's reduced defining basis in every coordinate, first as in every
+run, then any caller-supplied relations) enter untracked, and
 basis elements whose terms all lie in the tracker block project onto
 syzygy generators.  Every syzygy run is in generator mode: an element
 that falls into the tracker block is collected and never enters the
@@ -40,10 +40,9 @@ everywhere else a monomial is a tuple.  Each engine run starts at
 16-bit fields, or at the width its caller asks for, and when an input,
 a product or an lcm outgrows a field (`_Overflow`), runs again at
 double width (`_packed_run`).  Every widening is such a run: a query
-that overflows a `MembershipBasis` rebuilds it at double width, and a
-table wider than its `base` rebuilds base's at its own, which base
-keeps.  So exponents of any size work, and no value depends on the
-width.
+that overflows a `MembershipBasis` rebuilds it at double width, and no
+table reads another's packing.  So exponents of any size work, and no
+value depends on the width.
 
 Every normal form runs through `_vp_normal_form`: its input, a fresh
 dict from every caller, is its work set; it keys each term once, takes
@@ -53,8 +52,9 @@ without its lead.  `MembershipBasis` is the one Groebner table per
 generator set: it gives normal forms, membership (an empty packed normal
 form, never unpacked) and the reduced basis (`_reduced`, which gives
 syzygy bases too).  Every table enters the ring's reduced defining
-basis, or `base`'s basis, first and settled.  Ideals hold one at rank 1;
-a ring's is its defining ideal's, in the polynomial ring.
+basis first, as its relations, and then its own columns alone.  Ideals
+hold one at rank 1; a ring's is its defining ideal's, in the polynomial
+ring.
 Only it and `_syzygies`, behind both syzygy functions, run
 `_module_buchberger`; only the quotient-tracking `groebner.divide` keeps
 a normal-form loop of its own.
@@ -421,7 +421,6 @@ def _module_buchberger(
     pk: _Packing,
     rank: int,
     head: int | None,
-    settled: int,
     relations: int,
 ):
     """Monic module Groebner basis (position-over-term order).
@@ -438,14 +437,15 @@ def _module_buchberger(
     leads is pushed (Buchberger's product criterion, invalid for genuine
     vectors); such a pair has a standard representation, so the chain
     criterion counts a pair never pushed as treated.
-    No pair is formed among the first `settled` inputs: the caller passes
-    a Groebner basis there, and since those elements come first in every
-    bucket and the first divisor wins, each of their S-polynomials would
-    reduce to zero through them alone.
-    The first `relations` of them are ring relations g*e_p, and no pair
-    is pushed between g*e_p and an element c whose lead m*e_p is coprime
-    to lt(g): the product criterion, valid with the chain criterion (Cox,
-    Little and O'Shea, Ideals, Varieties, and Algorithms, 2.9).  With
+    The first `relations` inputs are ring relations g*e_p: the ring's
+    reduced defining basis, entered first in every run.  No pair is
+    formed among them: they are a Groebner basis, and since they come
+    first in every bucket and the first divisor wins, each of their
+    S-polynomials would reduce to zero through them alone.  Nor is a
+    pair pushed between g*e_p and an element c whose lead m*e_p is
+    coprime to lt(g): the product criterion, valid with the chain
+    criterion (Cox, Little and O'Shea, Ideals, Varieties, and
+    Algorithms, 2.9).  With
     g = lt(g) + g' and c = (m + c_p')*e_p + (entries at other positions),
       lt(g)*c - m*g*e_p = sum c_q*(g*e_q) - g'*c + c_p'*(g*e_p) + g*r,
     the sum over the other positions q that carry g, r the part of c at
@@ -498,7 +498,7 @@ def _module_buchberger(
         leads.append(lt)
         ecarts.append(sugar - degree(lt))
         bucket = buckets.setdefault(lt >> shift, [])
-        if idx >= settled:
+        if idx >= relations:
             for k in bucket:
                 push(k, idx)
         bucket.append(idx)
@@ -621,24 +621,15 @@ def module_reduced_gb(sub: SubmodulePresentation) -> list[ModuleElement]:
 class MembershipBasis:
     """The Groebner basis of given columns, defining generators adjoined
     in every coordinate: normal forms, membership and the reduced basis.
-    Every table enters the ring's reduced defining basis first, settled, in
-    every coordinate; that basis comes from the defining ideal's table, in
-    the polynomial ring, so nothing recurses.
+    Every table enters the ring's reduced defining basis first in every
+    coordinate, as the run's relations (see `_module_buchberger`); that
+    basis comes from the defining ideal's table, in the polynomial ring,
+    so nothing recurses.
 
     A full normal form does not depend on which Groebner basis it is taken
     against, so one table serves every question about one generator set.
-
-    Given `base`, a table over the same ring and rank, the table is that
-    of `columns` plus base's submodule: base's basis, already a Groebner
-    basis with the defining generators in it, enters first and settled
-    (no pairs among it, see `_module_buchberger`), and only the new
-    columns form pairs.  The run starts at base's width and packs its
-    columns before it reads base's table; at another width it takes
-    base's basis from `base._build` at its own width, and base keeps a
-    wider one, as `_query` keeps its rebuilds.  The reduced basis
-    and every normal form are those of a table built from all the
-    columns.  A `PolyMatrix`'s columns, checked when it was built, are
-    not checked again."""
+    A `PolyMatrix`'s columns, checked when it was built, are not checked
+    again."""
 
     __slots__ = ("ring", "rank", "_build", "_table", "_reduced")
 
@@ -647,8 +638,6 @@ class MembershipBasis:
         ring: PresentedRing,
         rank: int,
         columns: PolyMatrix | Iterable[Sequence[Polynomial]],
-        *,
-        base: MembershipBasis | None = None,
     ):
         if not isinstance(columns, PolyMatrix):
             columns = [_column(ring, c, rank) for c in columns]
@@ -656,31 +645,16 @@ class MembershipBasis:
             raise DimensionError("matrix over a different ring or rank")
         else:
             columns = columns.columns
-        if base is not None and (base.ring != ring or base.rank != rank):
-            raise DimensionError("base table over a different ring or rank")
         ring_basis = ring.defining_basis() if ring.is_quotient else ()
 
         def run(pk: _Packing) -> tuple:
-            # Packed first: a column that does not fit costs no base run.
-            cols = [_vp_from_entries(c, pk) for c in columns]
-            if base is None:
-                settled = _defining_vps(ring_basis, rank, pk)
-            else:
-                table = base._table
-                if table[0].width != pk.width:
-                    table = base._build(width=pk.width)
-                    if pk.width > base._table[0].width:  # kept, as `_query` does
-                        object.__setattr__(base, "_table", table)
-                settled = [
-                    {lt: 1, **{t: -c for t, c in tail}} for tail, lt in zip(*table[1:3])
-                ]
-            gens = settled + cols
-            relations = rank * len(ring_basis)  # base's basis starts with them too
-            table = _module_buchberger(gens, pk, rank, None, len(settled), relations)
-            return (pk, *table)
+            gens = _defining_vps(ring_basis, rank, pk)
+            relations = len(gens)
+            gens += [_vp_from_entries(c, pk) for c in columns]
+            return (pk, *_module_buchberger(gens, pk, rank, None, relations))
 
         build = partial(_packed_run, ring, run)
-        table = build(base._table[0].width) if base else build()
+        table = build()
         object.__setattr__(self, "ring", ring)
         object.__setattr__(self, "rank", rank)
         object.__setattr__(self, "_build", build)
@@ -749,8 +723,8 @@ def _syzygies(
     collects generators, which `generators` asks for.  Otherwise they
     enter a rank-m table in the same packed run, and the answer is its
     reduced basis (`_reduced`): the syzygy module's, unique for the
-    order.  Both runs enter the ring's reduced defining basis first and
-    settled.
+    order.  Both runs enter the ring's reduced defining basis first, as
+    their relations.
 
     Either way every entry is reduced modulo the ring (it equals
     `ring.reduce` of itself), and no vector is zero in the ring or repeats
@@ -778,19 +752,18 @@ def _syzygies(
         # lead in the tracker block means the whole element lies there.
         head = nrows << pk.shift
         gens = _defining_vps(ring_basis, nrows, pk)
-        settled = len(gens)
+        relations = len(gens)
         for j, col in enumerate(columns):
             vp = _vp_from_entries(col, pk)
             vp[(nrows + j) << pk.shift] = 1
             gens.append(vp)
         for col in extra_relations:
             gens.append(_vp_from_entries(col, pk))
-        found = _module_buchberger(gens, pk, nrows + m, head, settled, settled)
+        found = _module_buchberger(gens, pk, nrows + m, head, relations)
         tracked = [{t - head: c for t, c in vp.items()} for vp in found]
         if not generators:
             seed = _defining_vps(ring_basis, m, pk)
-            n = len(seed)  # settled, and all ring relations
-            table = _module_buchberger(seed + tracked, pk, m, None, n, n)
+            table = _module_buchberger(seed + tracked, pk, m, None, len(seed))
             tracked = _reduced(*table, pk)
             # The table holds g*e_j for each ring basis element g, so each
             # tail is reduced modulo the ring, and a minimal lead that

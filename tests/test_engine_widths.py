@@ -5,8 +5,9 @@ caller asks for, and reruns it at double width whenever a field
 overflows, also when an input does not fit.  These tests check that the
 bundled workloads never widen, that inputs of moderate degree (between
 2^12 and 2^15, which fit 16-bit fields) give the values of a run started
-at width 32, and that a grown table reuses its base's table at equal
-width even after the packing cache has dropped that packing.
+at width 32, and that a table makes exactly one run at 16 bits even
+after the packing cache has dropped that packing, whatever other table
+of the same ring came first.
 """
 
 import pytest
@@ -92,7 +93,7 @@ def test_syzygies_over_a_moderate_degree_relation_fit_16_bit_fields(
 
 
 @pytest.mark.parametrize("order", [GREVLEX, LEX])
-def test_a_grown_table_reuses_its_base_after_the_packing_cache_evicts(
+def test_a_span_table_makes_one_run_after_the_packing_cache_evicts(
     order, monkeypatch
 ):
     R = fc.ring("x,y,z", ["x*y - z^2"], order=order)
@@ -100,6 +101,7 @@ def test_a_grown_table_reuses_its_base_after_the_packing_cache_evicts(
     image_cols = [(x, y - z), (z, x + y)]
     ker = [(y**2 + x * z, x * z - y**2)]
     image = MembershipBasis(R, 2, image_cols)
+    image_table = image._table
     modules._packing.cache_clear()  # as if 64 other packings came since
     runs = []
     engine = modules._module_buchberger
@@ -110,6 +112,7 @@ def test_a_grown_table_reuses_its_base_after_the_packing_cache_evicts(
 
     with monkeypatch.context() as patch:
         patch.setattr(modules, "_module_buchberger", spied)
-        grown = MembershipBasis(R, 2, ker, base=image)
-    assert runs == [16]  # the grown run alone: base's table is reused
-    assert grown.reduced() == MembershipBasis(R, 2, ker + image_cols).reduced()
+        span = MembershipBasis(R, 2, [*image_cols, *ker])
+    assert runs == [16]  # the span table's own run alone
+    assert image._table is image_table
+    assert span.reduced() == MembershipBasis(R, 2, ker + image_cols).reduced()

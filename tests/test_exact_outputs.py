@@ -11,11 +11,15 @@ every bundled Tor and flat assertion and the two deep queries, under
 grevlex and lex, each in a fresh environment: for each run of
 `syzygy_entries` and `kernel_generators`, in call order, the number of
 `_vp_normal_form` calls the run makes and a sha256 of its printed
-output.  A ring's defining table is built before the run it would
-otherwise be built in, so its normal forms are not counted.  An engine change that keeps every S-pair and reducer choice
-leaves this file unchanged.  The tests compare all three files byte for
-byte, each built in a child process under `helpers.run_with_deadline`,
-so an engine that loops fails instead of stalling the suite.  After a
+output, and for each table that `homology_witnesses` builds (`tab`
+lines, the image's and, when the homology is nonzero, that of kernel +
+image) the number of `_vp_normal_form` calls its build makes.  A ring's
+defining table is built before the run it would otherwise be built in,
+so its normal forms are not counted.  An engine change that keeps every
+S-pair and reducer choice leaves this file unchanged.  The tests compare
+all three files byte for byte, each built in a child process under
+`helpers.run_with_deadline`, so an engine that loops fails instead of
+stalling the suite.  After a
 change that is meant to move these outputs, regenerate them with
 
     PYTHONPATH=src python3 tests/test_exact_outputs.py
@@ -34,12 +38,14 @@ import sys
 from importlib import resources
 from pathlib import Path
 
+import flatcert.homology as homology
 import flatcert.modules as modules
 from flatcert import (
     GREVLEX,
     IdealHandle,
     LEX,
     PointSpec,
+    PolyMatrix,
     flat_at_point,
     free_resolution,
     tor,
@@ -138,11 +144,13 @@ def _engine_queries(filename: str):
 def _engine_runs(text: str, order: str, query) -> list[str]:
     """One line per `_syzygies` run of the query over a fresh
     environment: its kind, shape, normal-form count and the sha256 of its
-    printed output."""
+    printed output; and one per table that `homology_witnesses` builds:
+    its rank, column count and the normal-form count of its build."""
     _, env = execute_text(text, order, declarations_only=True)
     lines: list[str] = []
     calls = [0]
     real_nf, real_syzygies = modules._vp_normal_form, modules._syzygies
+    real_table = homology.MembershipBasis
 
     def counted_nf(*args):
         calls[0] += 1
@@ -158,7 +166,17 @@ def _engine_runs(text: str, order: str, query) -> list[str]:
         lines.append(f"{kind} {shape} nf {calls[0]} {_digest(out)}")
         return out
 
+    def counted_table(ring, rank, columns):
+        if ring.is_quotient:
+            ring.defining_basis()  # as above
+        calls[0] = 0
+        table = real_table(ring, rank, columns)
+        ncols = columns.ncols if isinstance(columns, PolyMatrix) else len(columns)
+        lines.append(f"tab {rank}x{ncols} nf {calls[0]}")
+        return table
+
     modules._vp_normal_form, modules._syzygies = counted_nf, counted_syzygies
+    homology.MembershipBasis = counted_table
     try:
         if isinstance(query, tuple):
             index, left, right = query
@@ -169,6 +187,7 @@ def _engine_runs(text: str, order: str, query) -> list[str]:
             flat_at_point(M, PointSpec(M.ring, IdealHandle(M.ring, gens)))
     finally:
         modules._vp_normal_form, modules._syzygies = real_nf, real_syzygies
+        homology.MembershipBasis = real_table
     return lines
 
 

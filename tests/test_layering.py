@@ -130,7 +130,7 @@ def test_every_engine_run_passes_a_relation_count():
     calls = _engine_calls()
     assert len(calls) == 3
     assert all(
-        len(call.args) == 6 or any(k.arg == "relations" for k in call.keywords)
+        len(call.args) == 5 or any(k.arg == "relations" for k in call.keywords)
         for call in calls
     )
     parameter = inspect.signature(modules._module_buchberger).parameters["relations"]
@@ -138,17 +138,38 @@ def test_every_engine_run_passes_a_relation_count():
 
 
 def test_every_engine_run_seeds_from_the_reduced_ring_basis():
-    """One seeding rule: every `_module_buchberger` call passes a settled
-    count, the ring's reduced basis (or a table's basis, which starts
-    with it) entered first, and `modules.py` never reads a ring's raw
-    `.defining` generators, only `defining_basis()`."""
-    calls = _engine_calls()
-    assert len(calls) == 3
-    assert all(
-        len(call.args) >= 5 or any(k.arg == "settled" for k in call.keywords)
-        for call in calls
-    )
+    """One seeding rule: the ring's reduced basis enters first, as the
+    run's relations, so the engine takes one count, the relation count,
+    and no separate count of settled inputs; `modules.py` never reads a
+    ring's raw `.defining` generators, only `defining_basis()`."""
+    import inspect
+
+    import flatcert.modules as modules
+
+    assert list(inspect.signature(modules._module_buchberger).parameters) == [
+        "gens",
+        "pk",
+        "rank",
+        "head",
+        "relations",
+    ]
     assert "defining" not in _read_names(_modules()["modules.py"])
+
+
+def test_no_table_reads_another_tables_packing():
+    """A table's packed state (`_table`) and its rebuild (`_build`) are
+    read only through `self`, so no table is built from another's
+    packing and a table widens only through its own `_query`."""
+    offenders = []
+    for name, tree in _modules().items():
+        offenders += [
+            f"{name}:{node.lineno} reads .{node.attr}"
+            for node in ast.walk(tree)
+            if isinstance(node, ast.Attribute)
+            and node.attr in ("_table", "_build")
+            and getattr(node.value, "id", None) != "self"
+        ]
+    assert offenders == []
 
 
 def test_only_packed_run_picks_a_width():

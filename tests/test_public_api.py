@@ -4,6 +4,8 @@ that README names."""
 import re
 from pathlib import Path
 
+import pytest
+
 import flatcert as fc
 
 README = Path(__file__).resolve().parents[1] / "README.md"
@@ -45,3 +47,15 @@ def test_readme_entry_points_resolve():
         for part in name.split("."):
             assert hasattr(obj, part), name
             obj = getattr(obj, part)
+
+
+def test_membership_tables_take_no_base():
+    """README's API note: a table is built from its own columns alone, and
+    the table of old plus new columns is one table of all of them."""
+    R = fc.ring("x,y", ["x*y"])
+    x, y = fc.poly("x", R), fc.poly("y", R)
+    old = fc.MembershipBasis(R, 1, [(x,)])
+    with pytest.raises(TypeError):
+        fc.MembershipBasis(R, 1, [(y,)], base=old)
+    both = fc.MembershipBasis(R, 1, [(x,), (y,)])
+    assert both.contains((x + y,)) and not old.contains((y,))

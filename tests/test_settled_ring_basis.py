@@ -2,17 +2,18 @@
 
 A `MembershipBasis` over a quotient ring, with or without columns,
 enters the ring's reduced defining basis first, in every coordinate,
-settled: it is a Groebner basis, so no pair is formed among it.  A
-table over the polynomial ring of the same signature, given the columns
-and every defining relation in every coordinate as explicit columns,
-spans the same submodule.  Reduced bases and normal forms are unique
-for a submodule, so the two tables must give the same `reduced()`,
-`normal_form` and `contains`.  This is checked over every quotient ring
-of the bundled cases (the declared rings and the fiber rings their Tor
-and flat assertions take homology over), under grevlex and lex, with no
-columns too (`homology_witnesses` builds such a table as the image when
-d_(i+1) is zero), over the rings of `test_syzygy_reduction`, under its
-four orders, and over a ring whose relations are no Groebner basis.
+as the run's relations: it is a Groebner basis, so no pair is formed
+among it.  A table over the polynomial ring of the same signature,
+given the columns and every defining relation in every coordinate as
+explicit columns, spans the same submodule.  Reduced bases and normal
+forms are unique for a submodule, so the two tables must give the same
+`reduced()`, `normal_form` and `contains`.  This is checked over every
+quotient ring of the bundled cases (the declared rings and the fiber
+rings their Tor and flat assertions take homology over), under grevlex
+and lex, with no columns too (`homology_witnesses` builds such a table
+as the image when d_(i+1) is zero), over the rings of
+`test_syzygy_reduction`, under its four orders, and over a ring whose
+relations are no Groebner basis.
 """
 
 import pytest
@@ -130,13 +131,12 @@ def test_the_defining_ideal_table_does_not_recurse(monkeypatch):
     once."""
     import flatcert.modules as modules
 
-    runs, relations = [], []
+    relations = []
     engine = modules._module_buchberger
 
-    def counted(gens, pk, rank, head=None, settled=0, *rest):
-        runs.append(settled)
-        relations.append(rest[0] if rest else 0)
-        return engine(gens, pk, rank, head, settled, *rest)
+    def counted(gens, pk, rank, head, count):
+        relations.append(count)
+        return engine(gens, pk, rank, head, count)
 
     monkeypatch.setattr(modules, "_module_buchberger", counted)
     R = fc.ring("x,y,z", ["x*y - z^2", "x^2 - y*z"])
@@ -144,9 +144,7 @@ def test_the_defining_ideal_table_does_not_recurse(monkeypatch):
     MembershipBasis(R, 2, [(x, z)])
     MembershipBasis(R, 1, [(z,)])
     MembershipBasis(R, 2, [])
-    # The ring's run settles nothing; each table, with columns or without,
-    # settles the ring's reduced basis in each of its coordinates.
+    # The ring's run has no relations; each table, with columns or
+    # without, enters the ring's reduced basis in each of its coordinates.
     basis = R.defining_basis()
-    assert runs == [0, 2 * len(basis), len(basis), 2 * len(basis)]
-    # Everything a table settles there is a ring relation.
-    assert relations == runs
+    assert relations == [0, 2 * len(basis), len(basis), 2 * len(basis)]

@@ -1,20 +1,19 @@
-"""A membership table grown from another one against a fresh table.
+"""Homology witnesses against a span table built here, kernel first.
 
-`homology_witnesses` builds the image's table first and, when Tor is
-nonzero, grows the table of kernel + image from it: the image table's
-basis enters settled, and only the kernel generators form pairs
-(`MembershipBasis(..., base=image)`).  The reduced basis and every
-normal form are unique for a submodule, so the grown table must answer
-exactly as a table built from scratch on all the columns.  This is
-checked on the kernel and image of every bundled Tor and flat assertion
-and the deep queries, under grevlex and lex, whatever the verdict.  A
-grown table starts at its base's width; with every engine run started
-at width 2 and widened one bit per overflow (each then packs at the
-narrowest width that holds it), a constructed case makes it rebuild its
-base's table wider, once for its own columns and again for a query.
-The base keeps each wider rebuild, so a second grown table starts at
-that width and does not rebuild the base again.  Those cases run in a
-child process with a deadline: a table that mixed two widths could loop
+`homology_witnesses` builds the image's table and, when Tor is nonzero,
+a table of image + kernel; its witnesses are the elements of that
+table's reduced basis outside the image.  The reduced basis is unique
+for a submodule and order, so a table built here from the kernel
+generators first and the image columns after must give the same
+elements, and the witnesses must be exactly those outside the image.
+This is checked on the kernel and image of every bundled Tor and flat
+assertion and the deep queries, under grevlex and lex, whatever the
+verdict.  A table widens only through its own `_query` rebuild: with
+every engine run started at width 2 and widened one bit per overflow
+(each then packs at the narrowest width that holds it), a constructed
+case makes the span table rebuild itself wider for a query, while the
+image table keeps its own packed table.  That case runs in a child
+process with a deadline: a table that mixed two widths could loop
 instead of failing.
 """
 
@@ -63,20 +62,10 @@ def _kernel_and_image(complex_, i, relations):
     return ring, rank, ker, image_cols
 
 
-def _assert_grown_matches_fresh(complex_, i, relations, answer):
+def _assert_witnesses_outside_the_image(complex_, i, relations, answer):
     ring, rank, ker, image_cols = _kernel_and_image(complex_, i, relations)
     image = MembershipBasis(ring, rank, image_cols)
-    grown = MembershipBasis(ring, rank, ker, base=image)
-    fresh = MembershipBasis(ring, rank, ker + image_cols)
-    reduced = fresh.reduced()
-    assert grown.reduced() == reduced
-    for v in [*ker, *reduced]:
-        assert grown.contains(v) == fresh.contains(v)
-    one, zero = ring.one(), ring.zero()
-    for j in range(rank):
-        unit = tuple(one if k == j else zero for k in range(rank))
-        assert grown.normal_form(unit) == fresh.normal_form(unit)
-    # The witnesses are the reduced elements outside the image.
+    reduced = MembershipBasis(ring, rank, ker + image_cols).reduced()
     is_zero, found = answer
     witnesses = [v for v in reduced if not image.contains(v)]
     assert is_zero == (not witnesses)
@@ -84,7 +73,9 @@ def _assert_grown_matches_fresh(complex_, i, relations, answer):
 
 
 @pytest.mark.parametrize("order", [GREVLEX, LEX])
-def test_grown_span_tables_match_fresh_ones(order, monkeypatch):
+def test_witnesses_are_the_span_tables_reduced_elements_outside_the_image(
+    order, monkeypatch
+):
     calls = [(i, M, N) for i, M, N, _ in _bundled_calls(order)]
     asked = _homology_questions(calls, monkeypatch)
     # Six assertions and the two deep queries; segre-chart's J is
@@ -92,15 +83,17 @@ def test_grown_span_tables_match_fresh_ones(order, monkeypatch):
     assert len(asked) == 7
     assert sum(not answer[0] for *_, answer in asked) >= 3
     for question in asked:
-        _assert_grown_matches_fresh(*question)
+        _assert_witnesses_outside_the_image(*question)
 
 
-def _grown_and_fresh_at_narrow_widths(order):
+def _span_table_at_narrow_widths(order):
     """Run in a child process, so the patched widths stay there.  At the
     narrowest widths the image's table of degree-1 columns over the cone
     is narrower than the degree-33 kernel column needs, and a degree-70
-    query rebuilds the grown table wider still.  Returns the base's first
-    width and the (asked, built) width of every rebuild of its table."""
+    query makes the span table rebuild itself wider still.  Returns the
+    (asked, built) width of each of the span table's builds, whether the
+    image table still holds its first packed table, how many times the
+    image's run ran, and the image and span widths at the end."""
     R = fc.ring("x,y,z", ["x*y - z^2"], order=order)
     x, y, z = (fc.poly(v, R) for v in "xyz")
     image_cols = [(x, y - z), (z, x + y)]
@@ -115,61 +108,42 @@ def _grown_and_fresh_at_narrow_widths(order):
 
     modules._packed_run = recorded
     image = MembershipBasis(R, 2, image_cols)
-    base_width = image._table[0].width
-    grown = MembershipBasis(R, 2, ker, base=image)
-    fresh = MembershipBasis(R, 2, ker + image_cols)
-    assert grown.normal_form(wide) == fresh.normal_form(wide)
-    assert grown.reduced() == fresh.reduced()
+    image_table = image._table
+    span = MembershipBasis(R, 2, [*image_cols, *ker])
+    fresh = MembershipBasis(R, 2, [*ker, *image_cols])
+    assert span.normal_form(wide) == fresh.normal_form(wide)
+    assert span.reduced() == fresh.reduced()
     for v in [*ker, *image_cols, *fresh.reduced()]:
-        assert grown.contains(v) and fresh.contains(v)
-    assert not grown.contains(wide)
-    base_run = image._build.args[1]
-    rebuilds = [(asked, built) for run, asked, built in builds if run is base_run]
-    return base_width, rebuilds[1:]  # the first built the base
+        assert span.contains(v)
+    assert not span.contains(wide)
+    span_run, image_run = span._build.args[1], image._build.args[1]
+    return {
+        "span": [(asked, built) for run, asked, built in builds if run is span_run],
+        "image kept": image._table is image_table,
+        "image runs": sum(run is image_run for run, *_ in builds),
+        "widths": (image._table[0].width, span._table[0].width),
+    }
 
 
 @pytest.mark.parametrize("order", [GREVLEX, LEX])
-def test_a_grown_table_rebuilds_its_base_wider(order):
-    case = _grown_and_fresh_at_narrow_widths
-    base_width, rebuilds = run_with_deadline(20, case, order)
-    # Each rebuild packs at exactly the width the grown run asked for:
-    # once for the kernel column, once for the query.
+def test_a_span_table_rebuilds_itself_wider_for_a_query(order):
+    facts = run_with_deadline(20, _span_table_at_narrow_widths, order)
+    (first, _), *rebuilds = facts["span"]
+    # Each rebuild is the span table's own `_query` rebuild, at double
+    # the width that overflowed, and packs at exactly that width.
+    assert rebuilds
     assert all(asked == built for asked, built in rebuilds)
-    assert len({asked for asked, _ in rebuilds if asked > base_width}) >= 2
-
-
-def _second_grown_table_at_narrow_widths(order):
-    """Run in a child process, as above.  Returns the base's width before
-    and after the first grown table, that table's width, and the number
-    of runs of the base's table that a second grown table made."""
-    R = fc.ring("x,y,z", ["x*y - z^2"], order=order)
-    x, y, z = (fc.poly(v, R) for v in "xyz")
-    image_cols = [(x, y - z), (z, x + y)]
-    ker = [(fc.poly("y^32 + x*z^30", R), fc.poly("x*z^32 - y^33", R))]
-    runs = []
-
-    def recorded(ring, run, width=2):
-        runs.append(run)
-        return _narrowest_packed_run(ring, run, width)
-
-    modules._packed_run = recorded
-    image = MembershipBasis(R, 2, image_cols)
-    before = image._table[0].width
-    first = MembershipBasis(R, 2, ker, base=image)
-    after = image._table[0].width
-    base_run = image._build.args[1]
-    runs.clear()
-    second = MembershipBasis(R, 2, ker, base=image)
-    assert second.reduced() == first.reduced()
-    assert second._table[0].width == first._table[0].width
-    return before, after, first._table[0].width, runs.count(base_run)
+    assert rebuilds[0][0] > first
+    assert facts["widths"][1] == rebuilds[-1][1]
 
 
 @pytest.mark.parametrize("order", [GREVLEX, LEX])
-def test_a_grown_table_keeps_its_base_rebuild(order):
-    case = _second_grown_table_at_narrow_widths
-    before, after, width, base_runs = run_with_deadline(20, case, order)
-    # The first grown table rebuilt its base at its own, wider width and
-    # left it there, so the second one reuses it.
-    assert before < after == width
-    assert base_runs == 0
+def test_a_span_table_leaves_the_image_table_alone(order):
+    facts = run_with_deadline(20, _span_table_at_narrow_widths, order)
+    # The span table recomputes the image's basis in its own run: the
+    # image table ran once, keeps its narrower packed table, and is
+    # neither read nor rebuilt by the span table.
+    assert facts["image kept"]
+    assert facts["image runs"] == 1
+    image_width, span_width = facts["widths"]
+    assert image_width < span_width

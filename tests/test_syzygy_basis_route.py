@@ -38,20 +38,20 @@ from helpers import random_poly
 
 def augmented_table_syzygies(columns, nrows, ring, extra_relations=()):
     """The syzygy basis by one augmented table that keeps every pair
-    (relation count 0), reduced modulo the ring entry by entry."""
+    (relation count 0, so even the ring's basis forms pairs), reduced
+    modulo the ring entry by entry."""
     m = len(columns)
     ring_basis = ring.defining_basis() if ring.is_quotient else ()
 
     def run(pk):
         head = nrows << pk.shift
         gens = modules._defining_vps(ring_basis, nrows, pk)
-        settled = len(gens)
         for j, col in enumerate(columns):
             vp = modules._vp_from_entries(col, pk)
             vp[(nrows + j) << pk.shift] = 1
             gens.append(vp)
         gens += [modules._vp_from_entries(col, pk) for col in extra_relations]
-        table = modules._module_buchberger(gens, pk, nrows + m, None, settled, 0)
+        table = modules._module_buchberger(gens, pk, nrows + m, None, 0)
         return [
             modules._entries_from_vp(
                 {t - head: c for t, c in vp.items()}, pk, ring.signature, m

@@ -20,6 +20,14 @@ for a submodule.  So both come from `kernel_generators`, the engine's
 cheaper generator mode, and the witness text is what a syzygy basis
 gives.
 
+The matrices pass from one engine run to the next packed: the
+differentials and kernels are the engine's own `PolyMatrix`es, `tor`
+tensors them with a cyclic N by `PolyMatrix.projected`, which maps
+packed columns into the fiber ring, and `homology_witnesses` asks its
+tables about packed columns (`MembershipBasis.spans` and `.outside`),
+so only the witnesses are unpacked.  Tensoring with an N of rank s > 1
+still builds polynomial columns.
+
 Each ideal or submodule is presented at most once, and each
 differential d keeps its next step: a matrix whose columns span ker d.
 That is the `syzygy_entries` basis once a resolution has asked for it,
@@ -136,8 +144,7 @@ def as_presented_module(obj: ModuleLike) -> PresentedModule:
         gens, nrows = [g.entries for g in obj.generators], obj.ambient_rank
     else:
         raise ArgumentError(f"cannot present {type(obj).__name__} as a module")
-    cols = syzygy_entries(gens, nrows, obj.ring)
-    mod = PresentedModule(obj.ring, len(gens), PolyMatrix(obj.ring, len(gens), cols))
+    mod = PresentedModule(obj.ring, len(gens), syzygy_entries(gens, nrows, obj.ring))
     _remember(obj, mod)
     return mod
 
@@ -186,8 +193,7 @@ def _next_step(d: PolyMatrix, basis: bool) -> PolyMatrix:
     kept = _recall(d)
     if kept is not None and (kept[0] or not basis):
         return kept[1]
-    cols = syzygy_entries(d.columns, d.nrows, d.ring) if basis else kernel_generators(d)
-    step = PolyMatrix(d.ring, d.ncols, cols)
+    step = syzygy_entries(d, d.nrows, d.ring) if basis else kernel_generators(d)
     _remember(d, (basis, step))
     return step
 
@@ -261,6 +267,10 @@ def homology_witnesses(
     `relations`, when given, holds one list of relation columns per
     position k, and F_k is read as F_k modulo their span: the kernel at i
     is taken relative to relations[i-1], and relations[i] join the image.
+
+    The kernel, the image and the span's reduced basis stay packed: the
+    tables are asked about whole matrices (`MembershipBasis.spans` and
+    `.outside`), and only the witnesses are unpacked.
     """
     if not 0 <= i <= complex_.length:
         raise ArgumentError(f"no homology position {i}")
@@ -271,24 +281,21 @@ def homology_witnesses(
     if rank_i == 0:
         return True, []
     if i == 0:
-        ker = _standard_basis(ring, rank_i)
+        ker = PolyMatrix(ring, rank_i, _standard_basis(ring, rank_i))
     else:
         ker = kernel_generators(
             complex_.differential(i), relations[i - 1] if relations else ()
         )
-    # A table does not check a matrix's columns again.
     spanning = PolyMatrix(ring, rank_i)
     if i < complex_.length:
         spanning = complex_.differential(i + 1)
     if relations and relations[i]:
-        spanning = PolyMatrix(ring, rank_i, spanning.columns + tuple(relations[i]))
+        spanning = spanning.beside(PolyMatrix(ring, rank_i, relations[i]))
     image = MembershipBasis(ring, rank_i, spanning)
-    if all(image.contains(v) for v in ker):
+    if image.spans(ker):
         return True, []
-    span = MembershipBasis(ring, rank_i, [*spanning.columns, *ker])
-    return False, [
-        ModuleElement(ring, v) for v in span.reduced() if not image.contains(v)
-    ]
+    span = MembershipBasis(ring, rank_i, spanning.beside(ker))
+    return False, [ModuleElement(ring, v) for v in image.outside(span.reduced_matrix())]
 
 
 @record
@@ -329,8 +336,9 @@ def tor(i: int, M: ModuleLike, N: ModuleLike) -> TorReport:
     relations are imposed in every block.
     A cyclic N = R/I gives F_k/IF_k, a free module over the fiber ring
     R/I (`PresentedRing.quotient`): s = 1, the entries are projected
-    there, no relation columns are needed, and homology is taken over
-    R/I; the witnesses are lifted back to R.
+    there (`PolyMatrix.projected`, on packed columns), no relation
+    columns are needed, and homology is taken over R/I; the witnesses
+    are lifted back to R.
     """
     if i < 0:
         raise ArgumentError("negative Tor index")
@@ -354,16 +362,14 @@ def tor(i: int, M: ModuleLike, N: ModuleLike) -> TorReport:
         base, project = ring.quotient(col[0] for col in other.relations.columns)
         n_rels = ()
     else:
-        base, project, n_rels = ring, lambda f: f, other.relations.columns
+        base, n_rels = ring, other.relations.columns
     zero = base.zero()
 
     def tensored(d: PolyMatrix) -> PolyMatrix:
+        if s == 1:
+            return d.projected(base, project)
         cols = []
         for col in d.columns:
-            col = tuple([project(e) if e.terms else zero for e in col])
-            if s == 1:  # the column itself, built once
-                cols.append(col)
-                continue
             for t in range(s):
                 big = [zero] * (d.nrows * s)
                 big[t::s] = col

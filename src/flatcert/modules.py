@@ -44,6 +44,21 @@ that overflows a `MembershipBasis` rebuilds it at double width, and no
 table reads another's packing.  So exponents of any size work, and no
 value depends on the width.
 
+A matrix the engine makes keeps its columns packed (`PolyMatrix`):
+`syzygy_entries`, `kernel_generators`, `MembershipBasis.reduced_matrix`
+and `.outside` hand their packed result, with its packing, to a matrix
+that unpacks it through `_entries_from_vp` only when its `columns` are
+first read.  Every engine run that takes a matrix (`_syzygies`, a
+table's build, `MembershipBasis.spans` and `.outside`) reads packed
+columns as they are when they are at the run's packing, and packs
+`columns` otherwise.  A matrix projected to a fiber ring
+(`PolyMatrix.projected`) keeps the packed columns of the matrix it
+projects, and a run over the fiber ring at their width cuts the dropped
+variables' fields out of them (`_Packing.compact`): every layout keeps
+the order of its fields, so that is the fiber ring's packing.  So a
+resolution and a Tor against a cyclic module pass from run to run
+packed, and only what a caller reads is unpacked.
+
 Every normal form runs through `_vp_normal_form`: its input, a fresh
 dict from every caller, is its work set; it keys each term once, takes
 the top term off a heap of bare keys, so a remainder comes out lead
@@ -88,6 +103,7 @@ from .poly import (
     Monomial,
     Polynomial,
     PresentedRing,
+    RingSignature,
     picker,
 )
 from .record import record
@@ -97,6 +113,7 @@ Coefficient = int | Fraction
 VecPoly = dict[VecTerm, Coefficient]
 Tail = tuple[tuple[VecTerm, Coefficient], ...]  # a monic element's, negated
 Entries = tuple[Polynomial, ...]
+Segment = tuple  # (packing, data, signature, projection): `_segment_columns`
 
 
 def _column(
@@ -140,12 +157,27 @@ class ModuleElement:
 
 
 @record
-class PolyMatrix:
-    """A matrix over a presented ring, stored by columns."""
+class PolyMatrix(Sequence):
+    """A matrix over a presented ring, stored by columns: a sized sequence
+    of its columns.
+
+    A matrix the engine makes (`syzygy_entries`, `kernel_generators`,
+    `MembershipBasis.reduced_matrix` and `.outside`), its projection to a fiber
+    ring (`projected`) and a join (`beside`) keep their columns packed,
+    in `_packed` segments, and unpack them only on the first public read
+    of `columns` (an item or an iteration reads it too); `nrows`, `ncols`
+    and `len` read no column.  Such a matrix equals, hashes, prints and
+    answers like `PolyMatrix(ring, nrows, columns)`, and its columns are
+    not checked again: only the public constructor runs `_column`.  An
+    engine run that takes a matrix reads its packed columns when they are
+    at the run's packing (`_segment_at`)."""
 
     ring: PresentedRing
     nrows: int
     columns: tuple[Entries, ...] = ()
+
+    # A matrix built packed: its segments (not a field: no annotation).
+    _packed = None
 
     def __post_init__(self) -> None:
         if self.nrows < 0:
@@ -153,9 +185,69 @@ class PolyMatrix:
         cols = tuple(_column(self.ring, col, self.nrows) for col in self.columns)
         object.__setattr__(self, "columns", cols)
 
+    def __getattr__(self, name: str):
+        # Only a matrix built packed lacks `columns` (the class keeps no
+        # default, see below): they are unpacked once, on first read.
+        if name != "columns" or self._packed is None:
+            raise AttributeError(f"'PolyMatrix' object has no attribute {name!r}")
+        cols = tuple(
+            col for seg in self._packed for col in _segment_columns(seg, self.nrows)
+        )
+        object.__setattr__(self, "columns", cols)
+        return cols
+
+    def __len__(self) -> int:
+        if self._packed is None:
+            return len(self.columns)
+        return sum(len(seg[1]) for seg in self._packed)
+
+    def __getitem__(self, k):
+        return self.columns[k]
+
+    def __iter__(self):
+        return iter(self.columns)
+
     @property
     def ncols(self) -> int:
-        return len(self.columns)
+        return len(self)
+
+    def _segments(self) -> tuple[Segment, ...]:
+        return self._packed or ((None, self.columns, None, None),)
+
+    def _at(self, pk: _Packing) -> list[VecPoly]:
+        """The columns packed at `pk`, the packing of this matrix's ring in
+        the engine run that asks; callers must not change them."""
+        sig, out = self.ring.signature, []
+        for seg in self._segments():
+            out += _segment_at(seg, self.nrows, pk, sig)
+        return out
+
+    def beside(self, other: "PolyMatrix") -> "PolyMatrix":
+        """[self | other]: other's columns after this matrix's, kept as
+        they are held, packed or not."""
+        _check_shape(other, self.ring, self.nrows)
+        return _packed_matrix(self.ring, self.nrows, self._segments() + other._segments())
+
+    def projected(
+        self, ring: PresentedRing, project: Callable[[Polynomial], Polynomial]
+    ) -> "PolyMatrix":
+        """This matrix over a fiber ring, `ring, project =
+        self.ring.quotient(gens)`, with every entry projected.  Packed
+        columns stay packed: an engine run over `ring` at their width
+        cuts the dropped variables' fields out of them (`_Packing.compact`)
+        with no polynomial built, and any other run packs the projected
+        columns."""
+        sig, fiber = self.ring.signature, ring.signature
+        kept = [sig.index(v) for v in fiber.variables]
+        block = sum(i < sig.block for i in kept)
+        if kept != sorted(kept) or fiber != RingSignature(fiber.variables, sig.order, block):
+            raise ArgumentError("not a fiber ring of this matrix's ring")
+        segments = []
+        for seg in self._segments():
+            if seg[3] is not None:  # projected already: project its columns
+                seg = (None, _segment_columns(seg, self.nrows), None, None)
+            segments.append((seg[0], seg[1], sig, project))
+        return _packed_matrix(ring, self.nrows, segments)
 
     def apply(self, vector: Sequence[Polynomial]) -> Entries:
         """Matrix times column vector (length ncols), unreduced."""
@@ -187,6 +279,53 @@ class PolyMatrix:
 
     def __repr__(self) -> str:
         return f"PolyMatrix({self.nrows}x{self.ncols})"
+
+
+# `record` has taken the default of `columns`; without a class attribute
+# of that name, a matrix built packed reaches `__getattr__` on first read.
+del PolyMatrix.columns
+
+
+def _check_shape(matrix: PolyMatrix, ring: PresentedRing, nrows: int) -> None:
+    if matrix.nrows != nrows or matrix.ring != ring:
+        raise DimensionError("matrix over a different ring or row count")
+
+
+def _packed_matrix(
+    ring: PresentedRing, nrows: int, segments: Iterable[Segment]
+) -> PolyMatrix:
+    """A matrix that holds its columns as segments, unchecked."""
+    matrix = object.__new__(PolyMatrix)
+    for name, value in (("ring", ring), ("nrows", nrows), ("_packed", tuple(segments))):
+        object.__setattr__(matrix, name, value)
+    return matrix
+
+
+def _segment_columns(segment: Segment, nrows: int) -> list[Entries]:
+    """A segment (pk, data, sig, project) of a matrix's columns: vps packed
+    at pk over the signature sig, or, when pk is None, checked entry
+    tuples; mapped into the matrix's ring by `project` when it is not
+    None.  Its columns, unpacked."""
+    pk, data, sig, project = segment
+    cols = data if pk is None else [_entries_from_vp(vp, pk, sig, nrows) for vp in data]
+    if project is not None:
+        cols = [tuple(map(project, col)) for col in cols]
+    return cols
+
+
+def _segment_at(
+    segment: Segment, nrows: int, pk: _Packing, sig: RingSignature
+) -> list[VecPoly]:
+    """A segment's columns packed at `pk`, the packing of the matrix's
+    ring (signature `sig`) in the run that asks: packed columns as they
+    are at their own packing, and compacted at the same width into a
+    fiber ring; any other columns are packed."""
+    own, data, source, project = segment
+    if own is not None and project is None and own is pk:
+        return data
+    if own is not None and project is not None and own.width == pk.width:
+        return own.compact(data, {source.index(v) for v in sig.variables})
+    return [_vp_from_entries(col, pk) for col in _segment_columns(segment, nrows)]
 
 
 class _Overflow(Exception):
@@ -304,6 +443,31 @@ class _Packing:
             t += (d - (t >> s & value)) << s
             degree += d
         return degree, t
+
+    def compact(self, vps: Iterable[VecPoly], keep: set[int]) -> list[VecPoly]:
+        """vps projected to the ring of the variables in `keep`, at the
+        packing of that ring (`PresentedRing.quotient`) at this width: a
+        term in which another variable has a nonzero exponent is dropped,
+        and those variables' fields are cut out of the others, each field
+        above them shifted down.  Every layout keeps the order of the kept
+        variables' fields and of the degree fields, and a kept term's
+        degree fields sum kept exponents only, so the result is how the
+        fiber ring packs the projected terms."""
+        width = self.width
+        dropped = sorted(s for i, s in enumerate(self.var_shifts) if i not in keep)
+        drop = sum(((1 << width) - 1) << s for s in dropped)
+        # (mask, shift): a run of kept fields and how far it moves down;
+        # the last run holds the position too.
+        runs, start = [], 0
+        for down, s in enumerate(dropped):
+            if s > start:
+                runs.append(((1 << s) - (1 << start), down * width))
+            start = s + width
+        runs.append((-1 << start, len(dropped) * width))
+        return [
+            {sum((t & m) >> d for m, d in runs): c for t, c in vp.items() if not t & drop}
+            for vp in vps
+        ]
 
 
 @lru_cache(maxsize=64)
@@ -629,7 +793,9 @@ class MembershipBasis:
     A full normal form does not depend on which Groebner basis it is taken
     against, so one table serves every question about one generator set.
     A `PolyMatrix`'s columns, checked when it was built, are not checked
-    again."""
+    again, and its packed columns enter the run as they are when they are
+    at its packing; so do those of a matrix that `outside` asks about.
+    `reduced_matrix` and `outside` answer with matrices that stay packed."""
 
     __slots__ = ("ring", "rank", "_build", "_table", "_reduced")
 
@@ -641,16 +807,14 @@ class MembershipBasis:
     ):
         if not isinstance(columns, PolyMatrix):
             columns = [_column(ring, c, rank) for c in columns]
-        elif columns.nrows != rank or columns.ring != ring:
-            raise DimensionError("matrix over a different ring or rank")
         else:
-            columns = columns.columns
+            _check_shape(columns, ring, rank)
         ring_basis = ring.defining_basis() if ring.is_quotient else ()
 
         def run(pk: _Packing) -> tuple:
             gens = _defining_vps(ring_basis, rank, pk)
             relations = len(gens)
-            gens += [_vp_from_entries(c, pk) for c in columns]
+            gens += _packed_columns(columns, pk)
             return (pk, *_module_buchberger(gens, pk, rank, None, relations))
 
         build = partial(_packed_run, ring, run)
@@ -696,18 +860,56 @@ class MembershipBasis:
 
         return self._query(question)
 
+    def spans(self, matrix: PolyMatrix) -> bool:
+        """Whether every column of `matrix` lies in the span, read off
+        packed normal forms up to the first that is not zero."""
+        _check_shape(matrix, self.ring, self.rank)
+
+        def question(pk, *reducers) -> bool:
+            vps = matrix._at(pk)
+            return not any(_vp_normal_form(dict(vp), *reducers, pk) for vp in vps)
+
+        return self._query(question)
+
+    def outside(self, matrix: PolyMatrix) -> PolyMatrix:
+        """The columns of `matrix` whose normal form is not zero, in order,
+        as a matrix that stays packed: none is unpacked to answer."""
+        _check_shape(matrix, self.ring, self.rank)
+        sig = self.ring.signature
+
+        def question(pk, *reducers) -> PolyMatrix:
+            vps = [
+                vp for vp in matrix._at(pk) if _vp_normal_form(dict(vp), *reducers, pk)
+            ]
+            return _packed_matrix(self.ring, self.rank, [(pk, vps, sig, None)])
+
+        return self._query(question)
+
     def reduced(self) -> tuple[Entries, ...]:
         """The unique reduced Groebner basis (`_reduced`), as entry tuples
         sorted by decreasing lead term (computed once)."""
+        return self.reduced_matrix().columns
+
+    def reduced_matrix(self) -> PolyMatrix:
+        """The reduced basis as the columns of a matrix, which stays packed
+        until they are read (computed once)."""
         if self._reduced is None:
             sig = self.ring.signature
 
-            def question(pk, *reducers) -> tuple[Entries, ...]:
-                reduced = _reduced(*reducers, pk)
-                return tuple(_entries_from_vp(vp, pk, sig, self.rank) for vp in reduced)
+            def question(pk, *reducers) -> PolyMatrix:
+                segment = (pk, _reduced(*reducers, pk), sig, None)
+                return _packed_matrix(self.ring, self.rank, [segment])
 
             object.__setattr__(self, "_reduced", self._query(question))
         return self._reduced
+
+
+def _packed_columns(columns: Sequence[Entries], pk: _Packing) -> list[VecPoly]:
+    """Columns packed at pk: a matrix's as `PolyMatrix._at` gives them (do
+    not change them), others packed afresh."""
+    if isinstance(columns, PolyMatrix):
+        return columns._at(pk)
+    return [_vp_from_entries(c, pk) for c in columns]
 
 
 def _syzygies(
@@ -716,7 +918,7 @@ def _syzygies(
     ring: PresentedRing,
     extra_relations: Sequence[Entries],
     generators: bool,
-) -> list[Entries]:
+) -> PolyMatrix:
     """The syzygies of `columns` over `ring`, relative to the span of
     `extra_relations` and the defining generators in every coordinate.
     An augmented run in generator mode (see `_module_buchberger`)
@@ -733,14 +935,16 @@ def _syzygies(
     reduced defining basis, or a lead lookup per basis element.  That
     basis can be of higher degree than the inputs, and it is packed with
     them, before the Buchberger runs, so a basis that outgrows the width
-    reruns before any engine work."""
+    reruns before any engine work.  The syzygies leave as a matrix that
+    stays packed (see `PolyMatrix`), and a `PolyMatrix` of columns enters
+    as it is held."""
     m = len(columns)
     if m == 0:
-        return []
+        return PolyMatrix(ring, 0)
     sig = ring.signature
     ring_basis = ring.defining_basis() if ring.is_quotient else ()
 
-    def run(pk: _Packing) -> list[Entries]:
+    def run(pk: _Packing) -> tuple[_Packing, list[VecPoly]]:
         # The ring's basis, packed at position 0, reduces every position:
         # the divisibility test ignores the position bits, and t - lead
         # keeps them.  A full normal form is unique, so each entry comes
@@ -753,12 +957,9 @@ def _syzygies(
         head = nrows << pk.shift
         gens = _defining_vps(ring_basis, nrows, pk)
         relations = len(gens)
-        for j, col in enumerate(columns):
-            vp = _vp_from_entries(col, pk)
-            vp[(nrows + j) << pk.shift] = 1
-            gens.append(vp)
-        for col in extra_relations:
-            gens.append(_vp_from_entries(col, pk))
+        for j, vp in enumerate(_packed_columns(columns, pk)):
+            gens.append({**vp, (nrows + j) << pk.shift: 1})
+        gens += _packed_columns(extra_relations, pk)
         found = _module_buchberger(gens, pk, nrows + m, head, relations)
         tracked = [{t - head: c for t, c in vp.items()} for vp in found]
         if not generators:
@@ -785,16 +986,17 @@ def _syzygies(
             buckets = dict.fromkeys(range(m), list(range(len(ring_vps))))
             reducers = (ring_tails, ring_leads, buckets, pk)
             tracked = [_vp_normal_form(vp, *reducers) for vp in tracked]
-        out: list[Entries] = []
+        out: list[VecPoly] = []
         seen: set[frozenset] = set()
         for vp in tracked:
             key = frozenset(vp.items())
             if vp and key not in seen:
                 seen.add(key)
-                out.append(_entries_from_vp(vp, pk, sig, m))
-        return out
+                out.append(vp)
+        return pk, out
 
-    return _packed_run(ring, run)
+    pk, vps = _packed_run(ring, run)
+    return _packed_matrix(ring, m, [(pk, vps, sig, None)])
 
 
 def syzygy_entries(
@@ -802,7 +1004,7 @@ def syzygy_entries(
     nrows: int,
     ring: PresentedRing,
     extra_relations: Sequence[Entries] = (),
-) -> list[Entries]:
+) -> PolyMatrix:
     """Generators of the syzygy module of the given columns over `ring`,
     relative to the span of `extra_relations` (and the defining
     generators in every coordinate): its reduced Groebner basis, unique
@@ -810,7 +1012,10 @@ def syzygy_entries(
     lead, each element reduced modulo the ring.  The basis comes from
     generator mode's syzygies and a rank-m table of them (`_syzygies`).
     `free_resolution` builds its differentials from it, so it fixes the
-    resolution's ranks and the basis of each free module."""
+    resolution's ranks and the basis of each free module.  The basis is
+    the columns of a matrix with one row per input column, which stays
+    packed until they are read; `columns` may be a `PolyMatrix`, whose
+    packed columns enter as they are."""
     return _syzygies(columns, nrows, ring, extra_relations, generators=False)
 
 
@@ -820,13 +1025,12 @@ def syzygy_matrix(matrix: PolyMatrix) -> PolyMatrix:
     every coordinate."""
     if matrix.ncols == 0:
         raise ArgumentError("syzygies of an empty column list")
-    cols = syzygy_entries(matrix.columns, matrix.nrows, matrix.ring)
-    return PolyMatrix(matrix.ring, matrix.ncols, cols)
+    return syzygy_entries(matrix, matrix.nrows, matrix.ring)
 
 
 def kernel_generators(
     matrix: PolyMatrix, extra_relations: Sequence[Entries] = ()
-) -> list[Entries]:
+) -> PolyMatrix:
     """Generators of the kernel of the map defined by `matrix`, relative
     to the submodule of the target spanned by `extra_relations` (plus the
     defining generators in every coordinate).
@@ -835,7 +1039,7 @@ def kernel_generators(
     and need not be minimal: they are the engine's generator-mode output
     (see `_module_buchberger`), which skips every S-pair between two
     syzygies.  Reduced modulo the ring, nonzero there and without
-    repeats, as `syzygy_entries`."""
+    repeats, and returned as a matrix, as by `syzygy_entries`."""
     return _syzygies(
-        matrix.columns, matrix.nrows, matrix.ring, extra_relations, generators=True
+        matrix, matrix.nrows, matrix.ring, extra_relations, generators=True
     )

@@ -34,6 +34,7 @@ from flatcert import (
     RingSignature,
     SubmodulePresentation,
     divide,
+    free_resolution,
     module_reduced_gb,
     tor,
 )
@@ -195,10 +196,14 @@ def _build_through_the_engine(monkeypatch, check):
     table = MembershipBasis(R, 2, columns)
     table.reduced()
     [table.normal_form(v) for v in vectors]
-    syzygy_entries(columns, 2, R)
+    # Engine-made matrices stay packed until their columns are read, so
+    # the outputs are read: the syzygies and the resolution the Tor built.
+    syzygy_entries(columns, 2, R).columns
     _, env = execute_text(bundled_case_text("neg2_graph.fc"), declarations_only=True)
     report = tor(3, env["J"], env["K"])
     assert report.witness_generators
+    for d in free_resolution(env["J"], 3).differentials:
+        d.columns
     return report
 
 

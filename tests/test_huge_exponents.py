@@ -208,7 +208,7 @@ def _syzygies_spied(columns, nrows, ring, monkeypatch, generators=False):
             out = kernel_generators(PolyMatrix(ring, nrows, columns))
         else:
             out = syzygy_entries(columns, nrows, ring)
-    return out, widths, overflows
+    return list(out), widths, overflows
 
 
 def _reduced_entry_by_entry(columns, nrows, ring):

@@ -81,5 +81,5 @@ def test_syzygy_runs_leave_their_columns_unchanged():
     # The answers are unchanged by the runs as well: every syzygy maps to
     # zero modulo the relations and the ring.
     image = MembershipBasis(R, 2, relations)
-    for syz in runs[0][0] + runs[0][1]:
+    for syz in [*runs[0][0], *runs[0][1]]:
         assert image.contains(matrix.apply(syz))

@@ -54,7 +54,7 @@ def _kernel_and_image(complex_, i, relations):
         one, zero = ring.one(), ring.zero()
         ker = [tuple(one if k == j else zero for k in range(rank)) for j in range(rank)]
     else:
-        ker = kernel_generators(complex_.differential(i), relations[i - 1])
+        ker = list(kernel_generators(complex_.differential(i), relations[i - 1]))
     image_cols = []
     if i < complex_.length:
         image_cols += complex_.differential(i + 1).columns

@@ -126,7 +126,7 @@ def test_a_syzygy_call_makes_no_table_queries(monkeypatch):
         return normal_form(self, entries)
 
     monkeypatch.setattr(MembershipBasis, "normal_form", counted)
-    out = syzygy_entries(columns, 2, R)
+    out = list(syzygy_entries(columns, 2, R))
     assert calls == []
     # Reducing the same output entry by entry queries the table once per
     # nonzero entry.

@@ -108,7 +108,12 @@ def invariant_presentation(
 
 @record
 class PointSpec:
-    """A point of Spec(ring), given by a proper ideal of the ring."""
+    """A point of Spec(ring), given by a proper ideal of the ring whose
+    reduced basis, that of I + D in the ring's polynomial ring (D the
+    defining ideal), has degree at most 1.  The quotient by I + D is then
+    a polynomial ring, so I is prime.  Any other ideal is refused: Tor_1
+    against R/I vanishing says nothing of flatness at the points of V(I)
+    when I is not prime, as for (x*y) in QQ[x,y]."""
 
     ring: PresentedRing
     point_ideal: IdealHandle
@@ -118,6 +123,11 @@ class PointSpec:
             raise DimensionError("point ideal over a different ring")
         if not self.point_ideal.is_proper():
             raise ArgumentError("point ideal is improper (contains 1)")
+        basis = self.point_ideal.groebner_basis()
+        if any(sum(m) > 1 for g in basis for m in g.terms):
+            raise ArgumentError(
+                "point ideal is not a point (reduced basis of degree above 1)"
+            )
 
 
 def _used(polys: Sequence[Polynomial]) -> set[str]:

@@ -28,6 +28,14 @@ tables about packed columns (`MembershipBasis.spans` and `.outside`),
 so only the witnesses are unpacked.  Tensoring with an N of rank s > 1
 still builds polynomial columns.
 
+The verdict comes first: it needs only the kernel generators and the
+image's table.  `tor` builds the witnesses (the table of image +
+kernel, its reduced basis, the elements outside the image, and their
+lift back to R) on the first read of `TorReport.witness_generators`,
+so a caller that only asks whether Tor vanishes never builds them.
+Equality, hashing, `repr` and `str` of a report read its witnesses.
+`homology_witnesses` builds them at once.
+
 Each ideal or submodule is presented at most once, and each
 differential d keeps its next step: a matrix whose columns span ker d.
 That is the `syzygy_entries` basis once a resolution has asked for it,
@@ -43,7 +51,7 @@ resolution of a module while it is alive.
 from __future__ import annotations
 
 import weakref
-from collections.abc import Sequence
+from collections.abc import Callable, Sequence
 from itertools import combinations
 from math import comb
 
@@ -272,6 +280,17 @@ def homology_witnesses(
     tables are asked about whole matrices (`MembershipBasis.spans` and
     `.outside`), and only the witnesses are unpacked.
     """
+    is_zero, later = _homology(complex_, i, relations)
+    return is_zero, later()
+
+
+def _homology(
+    complex_: ChainComplex, i: int, relations: Sequence[Sequence[Entries]]
+) -> tuple[bool, Callable[[], list[ModuleElement]]]:
+    """`homology_witnesses` in two steps: the verdict, from the kernel
+    generators and the image's table, and a function that builds the
+    witnesses when called: the table of image + kernel, its reduced
+    basis, and the elements of it outside the image."""
     if not 0 <= i <= complex_.length:
         raise ArgumentError(f"no homology position {i}")
     if relations and len(relations) != len(complex_.ranks):
@@ -279,7 +298,7 @@ def homology_witnesses(
     ring = complex_.ring
     rank_i = complex_.ranks[i]
     if rank_i == 0:
-        return True, []
+        return True, list
     if i == 0:
         ker = PolyMatrix(ring, rank_i, _standard_basis(ring, rank_i))
     else:
@@ -293,25 +312,60 @@ def homology_witnesses(
         spanning = spanning.beside(PolyMatrix(ring, rank_i, relations[i]))
     image = MembershipBasis(ring, rank_i, spanning)
     if image.spans(ker):
-        return True, []
-    span = MembershipBasis(ring, rank_i, spanning.beside(ker))
-    return False, [ModuleElement(ring, v) for v in image.outside(span.reduced_matrix())]
+        return True, list
+
+    def witnesses() -> list[ModuleElement]:
+        span = MembershipBasis(ring, rank_i, spanning.beside(ker))
+        return [ModuleElement(ring, v) for v in image.outside(span.reduced_matrix())]
+
+    return False, witnesses
 
 
 @record
 class TorReport:
     """Zero-or-nonzero verdict for Tor_i(M, N), with witness generators
-    spanning the homology when nonzero."""
+    spanning the homology when nonzero.
+
+    A nonzero report that `tor` makes holds its verdict and builds its
+    witnesses on the first read of `witness_generators`: until then the
+    field is unset and `_pending` holds the function that builds them.
+    Equality, hashing, `repr` and `str` read the field, so such a report
+    equals, hashes and prints like `TorReport(index, False, witnesses)`."""
 
     index: int
     is_zero: bool
     witness_generators: tuple[ModuleElement, ...]
+
+    # A report built pending: what builds its witnesses (not a field: no
+    # annotation).
+    _pending = None
+
+    def __getattr__(self, name: str):
+        # Only a report built pending lacks `witness_generators` (the
+        # field has no default, hence no class attribute): its witnesses
+        # are built once, and the builder goes with the tables it holds.
+        if name != "witness_generators" or self._pending is None:
+            raise AttributeError(f"'TorReport' object has no attribute {name!r}")
+        witnesses = self._pending()
+        object.__setattr__(self, "witness_generators", witnesses)
+        object.__setattr__(self, "_pending", None)
+        return witnesses
 
     def __str__(self) -> str:
         if self.is_zero:
             return f"Tor_{self.index} = 0"
         wits = "; ".join(str(w) for w in self.witness_generators)
         return f"Tor_{self.index} != 0, witnesses: {wits}"
+
+
+def _pending_report(
+    index: int, witnesses: Callable[[], tuple[ModuleElement, ...]]
+) -> TorReport:
+    """A nonzero report whose witnesses `witnesses()` builds on first read."""
+    report = object.__new__(TorReport)
+    for name, value in (("index", index), ("is_zero", False), ("_pending", witnesses)):
+        object.__setattr__(report, name, value)
+    return report
 
 
 def _standard_basis(ring: PresentedRing, rank: int) -> list[Entries]:
@@ -339,6 +393,9 @@ def tor(i: int, M: ModuleLike, N: ModuleLike) -> TorReport:
     there (`PolyMatrix.projected`, on packed columns), no relation
     columns are needed, and homology is taken over R/I; the witnesses
     are lifted back to R.
+
+    The verdict is decided here; a nonzero report builds its witnesses
+    on the first read of `witness_generators` (see `TorReport`).
     """
     if i < 0:
         raise ArgumentError("negative Tor index")
@@ -384,13 +441,18 @@ def tor(i: int, M: ModuleLike, N: ModuleLike) -> TorReport:
     complex_ = ChainComplex(
         base, tuple(r * s for r in ranks), tuple(map(tensored, diffs)), False
     )
-    zero_tor, witnesses = homology_witnesses(complex_, min(i, 1), relations)
-    # Most witness entries are zero; they share R's zero.
-    sig, zero = ring.signature, ring.zero()
-    lifted = tuple(
-        ModuleElement(
-            ring, [transplant(e, sig) if e.terms else zero for e in w.entries]
+    is_zero, witnesses = _homology(complex_, min(i, 1), relations)
+    if is_zero:
+        return TorReport(i, True, ())
+
+    def lifted() -> tuple[ModuleElement, ...]:
+        # Most witness entries are zero; they share R's zero.
+        sig, zero = ring.signature, ring.zero()
+        return tuple(
+            ModuleElement(
+                ring, [transplant(e, sig) if e.terms else zero for e in w.entries]
+            )
+            for w in witnesses()
         )
-        for w in witnesses
-    )
-    return TorReport(i, zero_tor, lifted)
+
+    return _pending_report(i, lifted)

@@ -728,8 +728,14 @@ def _defining_vps(
 ) -> list[VecPoly]:
     """Each of a ring's relations in each of `rank` coordinates: packed
     once at position 0 and shifted into each."""
+    return _in_each_position([_vp_from_entries((q,), pk) for q in relations], rank, pk)
+
+
+def _in_each_position(vps: Iterable[VecPoly], rank: int, pk: _Packing) -> list[VecPoly]:
+    """Copies of packed vectors at position 0, shifted into each of `rank`
+    positions: each vector's copies in turn."""
     out = []
-    for vp in (_vp_from_entries((q,), pk) for q in relations):
+    for vp in vps:
         out += ({t + (i << pk.shift): c for t, c in vp.items()} for i in range(rank))
     return out
 
@@ -949,13 +955,13 @@ def _syzygies(
         # the divisibility test ignores the position bits, and t - lead
         # keeps them.  A full normal form is unique, so each entry comes
         # out as `ring.reduce` would give it.
-        ring_vps = _defining_vps(ring_basis, 1, pk)
+        ring_vps = [_vp_from_entries((q,), pk) for q in ring_basis]
         ring_leads = [min(vp, key=pk.key) for vp in ring_vps]
         ring_tails = list(map(_tail, ring_vps, ring_leads))
         # The tracker block is ordered below every head position, so a
         # lead in the tracker block means the whole element lies there.
         head = nrows << pk.shift
-        gens = _defining_vps(ring_basis, nrows, pk)
+        gens = _in_each_position(ring_vps, nrows, pk)
         relations = len(gens)
         for j, vp in enumerate(_packed_columns(columns, pk)):
             gens.append({**vp, (nrows + j) << pk.shift: 1})
@@ -963,7 +969,7 @@ def _syzygies(
         found = _module_buchberger(gens, pk, nrows + m, head, relations)
         tracked = [{t - head: c for t, c in vp.items()} for vp in found]
         if not generators:
-            seed = _defining_vps(ring_basis, m, pk)
+            seed = _in_each_position(ring_vps, m, pk)
             table = _module_buchberger(seed + tracked, pk, m, None, len(seed))
             tracked = _reduced(*table, pk)
             # The table holds g*e_j for each ring basis element g, so each

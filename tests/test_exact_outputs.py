@@ -13,7 +13,9 @@ grevlex and lex, each in a fresh environment: for each run of
 `_vp_normal_form` calls the run makes and a sha256 of its printed
 output, and for each table that `homology_witnesses` builds (`tab`
 lines, the image's and, when the homology is nonzero, that of kernel +
-image) the number of `_vp_normal_form` calls its build makes.  A ring's
+image) the number of `_vp_normal_form` calls its build makes.  Each
+query's witnesses are read before the count ends, since a `tor` report
+builds the kernel + image table on that first read.  A ring's
 defining table is built before the run it would otherwise be built in,
 so its normal forms are not counted.  An engine change that keeps every
 S-pair and reducer choice leaves this file unchanged.  The tests compare
@@ -180,11 +182,15 @@ def _engine_runs(text: str, order: str, query) -> list[str]:
     try:
         if isinstance(query, tuple):
             index, left, right = query
-            tor(index, env[left], env[right])
+            report = tor(index, env[left], env[right])
         else:
             M = env[query.name]
             gens = [to_polynomial(e, M.ring.signature) for e in query.point]
-            flat_at_point(M, PointSpec(M.ring, IdealHandle(M.ring, gens)))
+            point = PointSpec(M.ring, IdealHandle(M.ring, gens))
+            report = flat_at_point(M, point).tor_witness
+        # A nonzero report builds its witnesses, and so its span table,
+        # on first read: read them here, while the engine is counted.
+        report.witness_generators
     finally:
         modules._vp_normal_form, modules._syzygies = real_nf, real_syzygies
         homology.MembershipBasis = real_table

@@ -146,6 +146,37 @@ def test_point_spec_requires_proper_ideal(qq_xy):
     assert spec.ring is qq_xy
 
 
+# (variables, defining relations, point generators) of points like the
+# bundled and tested ones, each with a reduced basis of I + D of degree 1.
+POINTS = (
+    ("x,y", (), ("x", "y")),
+    ("u1,v1,u2,v2", (), ("u1", "v1")),
+    ("x,y", (), ("x", "y - 1")),
+    ("a,b,c", (), ("a",)),
+    ("x,y,z", ("x*y - z^2",), ("x", "y", "z")),
+)
+
+
+@pytest.mark.parametrize(("variables", "defining", "point"), POINTS)
+def test_a_point_ideal_of_degree_one_is_a_point(variables, defining, point):
+    R = fc.ring(variables, defining=defining)
+    spec = PointSpec(R, fc.ideal(R, *point))
+    assert all(sum(m) <= 1 for g in spec.point_ideal.groebner_basis() for m in g.terms)
+
+
+@pytest.mark.parametrize(
+    ("defining", "point"),
+    # The origin lies on V(x*y), where J = (x, y) is not flat, yet
+    # Tor_1(J, R/(x*y)) vanishes.  Over QQ[x,y]/(x*y), R/(x - y) is
+    # QQ[x]/(x^2): I + D has the basis x - y, y^2.
+    [((), "x*y"), (("x*y",), "x - y")],
+)
+def test_a_point_ideal_that_is_not_a_point_is_refused(defining, point):
+    R = fc.ring("x,y", defining=defining)
+    with pytest.raises(ArgumentError, match="point ideal is not a point"):
+        PointSpec(R, fc.ideal(R, point))
+
+
 def test_flat_at_point_identity_extension(qq_xy):
     # a free (principal over a domain) ideal is flat everywhere
     P = fc.ring("x,y,t")

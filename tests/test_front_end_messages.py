@@ -77,6 +77,8 @@ SCRIPT_MESSAGES = [
      "line 3: map does not kill the defining relation x^2"),
     ("improper-point", DECLS + "print flat(J at (1, y));\n", 3,
      "line 3: point ideal is improper (contains 1)"),
+    ("not-a-point", "ring R = QQ[x,y];\nideal J = (x, y) in R;\nprint flat(J at (x*y));\n", 3,
+     "line 3: point ideal is not a point (reduced basis of degree above 1)"),
     ("ring-not-flat-over-point",
      "ring R = QQ[x,y] / (x*y);\nideal J = (x + y) in R;\nassert flat(J at (x));\n", 3,
      "line 3: relation x*y ties the point's variables to others; the ring need "

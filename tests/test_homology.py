@@ -1,6 +1,7 @@
 """Free resolutions, Koszul complexes, homology, and Tor."""
 
 import random
+from math import comb
 
 import pytest
 
@@ -16,6 +17,7 @@ from flatcert import (
     koszul,
     tor,
 )
+from flatcert.script import execute_text
 from helpers import random_poly
 
 
@@ -242,3 +244,31 @@ def test_tor_across_reordered_ring_presentations():
     S = fc.ring("x,y,z", defining=("x - y", "x*y - z^2"))
     report = tor(1, _cyclic(R, "x"), _cyclic(S, "z"))
     assert report == tor(1, _cyclic(R, "x"), _cyclic(R, "z"))
+
+
+def _koszul_dual_series(r, terms):
+    """The first coefficients of 1/H(-t), H(t) = sum_d C(r*d + 2, 2) t^d
+    the Hilbert series of the cone over the r-th Veronese of P^2.  The
+    ring is Koszul, so they are dim Tor_i(k, k)."""
+    h = [comb(r * d + 2, 2) * (-1) ** d for d in range(terms)]
+    inverse = [1]
+    for n in range(1, terms):
+        inverse.append(-sum(h[d] * inverse[n - d] for d in range(1, n + 1)))
+    return inverse
+
+
+def test_tor_of_the_veronese_residue_field_counts_the_koszul_dual_series():
+    # V_2 = QQ[monomials of degree 2 in e, g, h], k = V/(its variables):
+    # the fiber ring is QQ, so the witnesses of Tor_i(k, k) are a basis.
+    monomials = ("e^2", "e*g", "e*h", "g^2", "g*h", "h^2")
+    names = [f"m{j}" for j in range(len(monomials))]
+    text = (
+        f"ring R = QQ[{', '.join(names)}];\nring S = QQ[e,g,h];\n"
+        f"map F : R -> S = {{{', '.join(monomials)}}};\nring V = image F;\n"
+        f"module k = V^1 / ({', '.join(f'({n})' for n in names)});\n"
+    )
+    report, env = execute_text(text)
+    assert report.status == 0
+    k = env["k"]
+    counts = [len(tor(i, k, k).witness_generators) for i in range(5)]
+    assert counts == _koszul_dual_series(2, 5) == [1, 6, 21, 64, 192]

@@ -21,7 +21,14 @@ two matrices as they are held.  Checked here:
   public constructors (each witness as a `ModuleElement`, and the fiber
   rings' defining generators as an ideal's table), and no column of a
   resolution, a kernel or a tensored differential is unpacked: only the
-  witnesses and the fiber rings' rank-1 bases are.
+  witnesses and the fiber rings' rank-1 bases are;
+- on those queries, a `tor` whose witnesses are not read builds only
+  the image's table and unpacks no column; the first read of
+  `witness_generators` builds the span table and gives the pinned
+  witness text, and a second read does no engine work;
+- a report whose witnesses are still to be built equals, hashes and
+  prints like the report of its witnesses, and each of those reads
+  builds them.
 """
 
 import random
@@ -38,18 +45,22 @@ from flatcert import (
     GREVLEX,
     LEX,
     ChainComplex,
+    FlatnessVerdict,
     MembershipBasis,
     PolyMatrix,
     PresentedModule,
     PresentedRing,
     RingSignature,
+    TorReport,
     kernel_generators,
     tor,
 )
+import flatcert.homology as homology
 from flatcert.cli import bundled_case_text
 from flatcert.modules import _packed_matrix, _packing, _vp_from_entries, syzygy_entries
 from flatcert.script import execute_text
 from helpers import random_poly
+from test_exact_outputs import GOLDEN
 from test_fiber_route import _assert_routes_agree
 
 ORDERS = ((GREVLEX, 0), (LEX, 0), (BLOCK, 1), (BLOCK, 2))
@@ -268,3 +279,96 @@ def test_deep_tors_check_and_unpack_only_what_leaves(order, monkeypatch):
     # Only the witnesses leave the engine, and the fiber rings' rank-1
     # bases: no resolution, kernel or tensored column is unpacked.
     assert sum(len(entries) > 1 for entries in unpacked) == witnesses
+
+
+def _golden_tor_text(order):
+    """The pinned `flatcert tor` text of the deep queries under `order`."""
+    lines = GOLDEN.read_text(encoding="utf-8").splitlines()
+    titles = ("francia.fc 2 J L", "neg2_graph.fc 3 J K")
+    return [
+        lines[lines.index(f"== tor --order {order} {title}") + 2] for title in titles
+    ]
+
+
+@pytest.mark.parametrize("order", [GREVLEX, LEX])
+def test_a_verdict_only_tor_builds_no_span_table(order, monkeypatch):
+    queries = _deep_queries(order)
+    tables, runs = [], []
+    real_table, real_run = homology.MembershipBasis, modules._packed_run
+
+    def table(ring, rank, columns):
+        tables.append(columns.ncols)
+        return real_table(ring, rank, columns)
+
+    def run(*args):
+        runs.append(args)
+        return real_run(*args)
+
+    monkeypatch.setattr(homology, "MembershipBasis", table)
+    monkeypatch.setattr(modules, "_packed_run", run)
+    unpacked = _spy_unpacks(monkeypatch)
+    reports = [tor(i, M, N) for i, M, N in queries]
+    # Both are nonzero: each built the image's table, and no column of a
+    # matrix was unpacked (only the fiber rings' rank-1 bases were).
+    assert [r.is_zero for r in reports] == [False, False]
+    assert len(tables) == 2
+    assert all(len(entries) == 1 for entries in unpacked)
+    assert all("witness_generators" not in vars(r) for r in reports)
+    # The first read builds one span table per report, of image +
+    # kernel, and gives the pinned witnesses.
+    del unpacked[:]
+    witnesses = [r.witness_generators for r in reports]
+    assert len(tables) == 4 and all(new > old for old, new in zip(tables, tables[2:]))
+    assert sum(len(entries) > 1 for entries in unpacked) == sum(map(len, witnesses))
+    assert [str(r) for r in reports] == _golden_tor_text(order)
+    # A second read does no engine work.
+    del unpacked[:], runs[:]
+    assert [r.witness_generators for r in reports] == witnesses
+    assert all(r.witness_generators is w for r, w in zip(reports, witnesses))
+    assert (len(tables), runs, unpacked) == (4, [], [])
+
+
+def _pending_and_eager():
+    """A Tor report whose witnesses are not built yet, and the report of
+    the same witnesses built eagerly: Tor_1(R/(x, y), R/(x, y)) over
+    QQ[x,y], whose witnesses are (1, 0) and (0, 1)."""
+    R = fc.ring("x,y")
+    k = PresentedModule.cyclic(R, [R.var("x"), R.var("y")])
+    pending = tor(1, k, k)
+    assert "witness_generators" not in vars(pending)
+    witnesses = tor(1, k, k).witness_generators
+    assert [str(w) for w in witnesses] == ["(1, 0)", "(0, 1)"]
+    return pending, TorReport(1, False, witnesses)
+
+
+def _hashed(report):
+    """The report's hash, or the error hashing raises: a witness holds its
+    ring, which is unhashable, so a nonzero report is too."""
+    try:
+        return hash(report)
+    except TypeError as error:
+        return str(error)
+
+
+@pytest.mark.parametrize(
+    "read",
+    [
+        lambda pending, eager: pending == eager and eager == pending,
+        lambda pending, eager: _hashed(pending) == _hashed(eager),
+        lambda pending, eager: repr(pending) == repr(eager),
+        lambda pending, eager: str(pending) == str(eager),
+        lambda pending, eager: FlatnessVerdict(False, pending) == FlatnessVerdict(False, eager),
+        lambda pending, eager: str(FlatnessVerdict(False, pending))
+        == str(FlatnessVerdict(False, eager)),
+    ],
+    ids=["eq", "hash", "repr", "str", "verdict-eq", "verdict-str"],
+)
+def test_a_pending_report_is_the_record_of_its_witnesses(read):
+    pending, eager = _pending_and_eager()
+    assert read(pending, eager)
+    assert vars(pending)["witness_generators"] == eager.witness_generators
+    assert pending._pending is None
+    with pytest.raises(AttributeError):
+        pending.witness_generators = ()
+    with pytest.raises(AttributeError):
+        pending.missing

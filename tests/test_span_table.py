@@ -1,7 +1,8 @@
 """Homology witnesses against a span table built here, kernel first.
 
 `homology_witnesses` builds the image's table and, when Tor is nonzero,
-a table of image + kernel; its witnesses are the elements of that
+a table of image + kernel (`tor` builds it on the first read of its
+report's witnesses); its witnesses are the elements of that
 table's reduced basis outside the image.  The reduced basis is unique
 for a submodule and order, so a table built here from the kernel
 generators first and the image columns after must give the same
@@ -30,19 +31,27 @@ from test_huge_exponents import _narrowest_packed_run
 
 def _homology_questions(calls, monkeypatch):
     """(complex, position, relations, answer) of every homology that the
-    given Tor calls ask."""
+    given Tor calls ask, the answer as `homology_witnesses` gives it:
+    each report's witnesses are read inside the patched window, so the
+    deferred witnesses of a nonzero homology are built and recorded."""
     asked = []
-    real = homology.homology_witnesses
+    real = homology._homology
 
     def recorded(complex_, i, relations=()):
-        answer = real(complex_, i, relations)
-        asked.append((complex_, i, relations, answer))
-        return answer
+        is_zero, later = real(complex_, i, relations)
+        question = [complex_, i, relations, (is_zero, [])]
+
+        def built():
+            question[3] = (is_zero, later())
+            return question[3][1]
+
+        asked.append(question)
+        return is_zero, built
 
     with monkeypatch.context() as patch:
-        patch.setattr(homology, "homology_witnesses", recorded)
+        patch.setattr(homology, "_homology", recorded)
         for i, M, N in calls:
-            tor(i, M, N)
+            tor(i, M, N).witness_generators
     return asked
 
 

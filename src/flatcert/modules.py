@@ -6,16 +6,17 @@ compared position-over-term: a lower position index dominates, ties are
 broken by the ring's monomial order.  Syzygies are computed by
 Schreyer-style tracked elimination: each input column is augmented with a
 unit tracker in a trailing block of positions, relation columns (the
-ring's reduced defining basis in every coordinate, first as in every
-run, then any caller-supplied relations) enter untracked, and
-basis elements whose terms all lie in the tracker block project onto
-syzygy generators.  Every syzygy run is in generator mode: an element
-that falls into the tracker block is collected and never enters the
-basis, so no S-pair between two syzygies is reduced, nor (as in tables)
-one between a ring relation and an element whose lead is coprime to its
-lead.  `kernel_generators`, for callers that need only the submodule,
-returns the collected syzygies, each reduced modulo the ring by one
-packed normal form against the ring's reduced defining basis.
+ring's reduced defining basis, first as in every run and carried in
+every head coordinate, then any caller-supplied relations) enter
+untracked, and basis elements whose terms all lie in the tracker block
+project onto syzygy generators.  Every syzygy run is in generator mode:
+an element that falls into the tracker block is collected and never
+enters the basis, so no S-pair between two syzygies is reduced, nor
+(as in tables) one between a ring relation and an element whose lead is
+coprime to its lead.  `kernel_generators`, for callers that need only
+the submodule, returns the collected syzygies, each reduced modulo the
+ring by one packed normal form against the ring's reduced defining
+basis.
 `syzygy_entries`, which builds the resolution's differentials, enters
 them, moved to positions 0..m-1, in a rank-m table, seeded as every
 table is, in the same packed run; that table's reduced basis is the
@@ -33,10 +34,10 @@ complemented (`t ^ neg`), is the order key.  Packing is one sum of
 exponents times multipliers (each sets a variable's exponent field and
 adds to its degree field), unpacking one `struct` read of the term's
 bytes and one `itemgetter`: C-level work per term.  `_vp_from_entries`
-and `_defining_vps` (each relation packed once and shifted into each
-position) pack tuple monomials on the way in, `_entries_from_vp`
-unpacks them on the way out; no packed int leaves this module, and
-everywhere else a monomial is a tuple.  Each engine run starts at
+and `_defining_vps` (each ring relation packed once per run, at position
+0, for every position's bucket to hold) pack tuple monomials on the way
+in, `_entries_from_vp` unpacks them on the way out; no packed int leaves
+this module, and everywhere else a monomial is a tuple.  Each engine run starts at
 16-bit fields, or at the width its caller asks for, and when an input,
 a product or an lcm outgrows a field (`_Overflow`), runs again at
 double width (`_packed_run`).  Every widening is such a run: a query
@@ -67,9 +68,9 @@ without its lead.  `MembershipBasis` is the one Groebner table per
 generator set: it gives normal forms, membership (an empty packed normal
 form, never unpacked) and the reduced basis (`_reduced`, which gives
 syzygy bases too).  Every table enters the ring's reduced defining
-basis first, as its relations, and then its own columns alone.  Ideals
-hold one at rank 1; a ring's is its defining ideal's, in the polynomial
-ring.
+basis first, once, as its relations, and then its own columns alone.
+Ideals hold one at rank 1; a ring's is its defining ideal's, in the
+polynomial ring.
 Only it and `_syzygies`, behind both syzygy functions, run
 `_module_buchberger`; only the quotient-tracking `groebner.divide` keeps
 a normal-form loop of its own.
@@ -356,11 +357,17 @@ class _Packing:
       - `key(t)` = t ^ neg, t with its degree fields (under lex, every
         field) complemented, ascends as (position, `descending_key()`):
         the greatest term has the smallest key.  lex's degree field lies
-        below every exponent, where it never decides.
+        below every exponent, where it never decides;
+      - `support(t)` = ((t & var_fields) + var_fields) & var_guards has
+        the guard bit of each variable whose exponent in t is nonzero
+        (var_fields holds `value` in each exponent field), so t and u
+        are coprime, at any positions, exactly when
+        support(t) & support(u) == 0.
     """
 
     __slots__ = ("width", "shift", "value", "guards", "neg", "var_shifts", "groups")
     __slots__ += ("mults", "mask", "nbytes", "fields", "pick")
+    __slots__ += ("var_fields", "var_guards")
 
     def __init__(self, order: str, block: int, nvars: int, width: int):
         # Least significant first: a variable's index, or the slice of
@@ -406,6 +413,8 @@ class _Packing:
                 int.from_bytes(b, "big") >> j * width & value for j in range(count)[::-1]
             )
         self.pick = picker([count - 1 - s // width for s in self.var_shifts])
+        self.var_fields = sum(value << s for s in self.var_shifts)
+        self.var_guards = sum(1 << (s + width - 1) for s in self.var_shifts)
 
     def pack(self, pos: int, m: Monomial) -> int:
         for group in self.groups:
@@ -419,6 +428,10 @@ class _Packing:
     def divides(self, u: int, t: int) -> bool:
         """Whether u divides t; both at one position."""
         return ((t | self.guards) - u) & self.guards == self.guards
+
+    def support(self, t: int) -> int:
+        """The guard bits of the variables that divide t."""
+        return ((t & self.var_fields) + self.var_fields) & self.var_guards
 
     def degree(self, t: int) -> int:
         d = 0
@@ -600,14 +613,20 @@ def _module_buchberger(
     the chain criterion applies there.  At rank 1 no pair with coprime
     leads is pushed (Buchberger's product criterion, invalid for genuine
     vectors); such a pair has a standard representation, so the chain
-    criterion counts a pair never pushed as treated.
-    The first `relations` inputs are ring relations g*e_p: the ring's
-    reduced defining basis, entered first in every run.  No pair is
-    formed among them: they are a Groebner basis, and since they come
-    first in every bucket and the first divisor wins, each of their
-    S-polynomials would reduce to zero through them alone.  Nor is a
-    pair pushed between g*e_p and an element c whose lead m*e_p is
-    coprime to lt(g): the product criterion, valid with the chain
+    criterion counts a pair never pushed as treated.  Coprime leads are
+    told apart by their support masks (`_Packing.support`, after
+    Bachmann and Schoenemann's monomial masks), before any lcm is formed.
+    The first `relations` inputs are the ring's relations: its reduced
+    defining basis, entered once, at position 0.  Each relation g stands
+    for g*e_p at every position p that carries the relations (every
+    position of a table, every head position in generator mode): it
+    opens each such position's bucket, in order, and reduces there, as
+    the divisibility test ignores the position bits and t - lt(g) keeps
+    t's.  No pair is formed among them: they are a Groebner basis, and
+    since they come first in every bucket and the first divisor wins,
+    each of their S-polynomials would reduce to zero through them alone.
+    Nor is a pair pushed between g*e_p and an element c whose lead m*e_p
+    is coprime to lt(g): the product criterion, valid with the chain
     criterion (Cox, Little and O'Shea, Ideals, Varieties, and
     Algorithms, 2.9).  With
     g = lt(g) + g' and c = (m + c_p')*e_p + (entries at other positions),
@@ -618,6 +637,10 @@ def _module_buchberger(
     part, and g*r a syzygy that is zero in the ring.  Every run passes
     its relation count: a syzygy basis is a table of the collected
     syzygies at rank m, which carries g in every position (`_syzygies`).
+    The heap orders a pair with g*e_p by the index r*npos + p that copy
+    would have as the r-th relation's copy in each of npos positions,
+    shifted below every input's index, so pairs come off as they would
+    with one copy per position.
     S-polynomials and reductions read each element's tail (`_tail`).
     A term or lcm that outgrows its field raises `_Overflow`.
 
@@ -633,20 +656,15 @@ def _module_buchberger(
     Otherwise the run returns the table (tails, leads, buckets).
     """
     guards, shift, lcm_of, degree = pk.guards, pk.shift, pk.lcm, pk.degree
+    npos = rank if head is None else head >> shift  # positions with relations
     tails: list[Tail] = []
     leads: list[VecTerm] = []
     ecarts: list[int] = []  # sugar - deg lead, per element
+    supports: list[int] = []  # `_Packing.support` of each lead
     buckets: dict[int, list[int]] = {}
     heap: list[tuple[int, int, int, int, int]] = []
     pending: set[int] = set()  # pair (i, j), i < j, as j << 32 | i
     collected: list[VecPoly] = []
-
-    def push(i: int, j: int) -> None:
-        d, lcm = lcm_of(leads[i], leads[j])
-        if (rank == 1 or i < relations) and lcm - leads[i] == leads[j] & pk.mask:
-            return  # coprime leads, at rank 1 or to a ring relation's lead
-        heapq.heappush(heap, (max(ecarts[i], ecarts[j]) + d, d, i, j, lcm))
-        pending.add(j << 32 | i)
 
     def add(vp: VecPoly, lt: VecTerm, sugar: int) -> None:
         c = vp[lt]
@@ -654,17 +672,28 @@ def _module_buchberger(
             vp = {t: -v for t, v in vp.items()}
         elif c != 1:
             vp = {t: _small(Fraction(v, c)) for t, v in vp.items()}
-        if head is not None and lt >= head:
+        idx = len(leads)
+        if idx >= relations and head is not None and lt >= head:
             collected.append(vp)
             return
-        idx = len(leads)
+        ecart, support = sugar - degree(lt), pk.support(lt)
         tails.append(_tail(vp, lt))
         leads.append(lt)
-        ecarts.append(sugar - degree(lt))
-        bucket = buckets.setdefault(lt >> shift, [])
-        if idx >= relations:
-            for k in bucket:
-                push(k, idx)
+        ecarts.append(ecart)
+        supports.append(support)
+        if idx < relations:
+            for p in range(npos):
+                buckets.setdefault(p, []).append(idx)
+            return
+        p = lt >> shift
+        bucket = buckets.setdefault(p, [])
+        for k in bucket:
+            if (k < relations or rank == 1) and not supports[k] & support:
+                continue  # coprime leads, to a ring relation's lead or at rank 1
+            d, lcm = lcm_of(leads[k], lt)  # at lt's position
+            key = k if k >= relations else (k - relations) * npos + p
+            heapq.heappush(heap, (max(ecarts[k], ecart) + d, d, key, idx, lcm))
+            pending.add(idx << 32 | k)
         bucket.append(idx)
 
     for vp in gens:
@@ -672,11 +701,13 @@ def _module_buchberger(
             add(dict(vp), min(vp, key=pk.key), max(map(degree, vp)))
     while heap:
         sugar, _, i, j, lcm = heapq.heappop(heap)
+        if i < 0:  # relation r's key, (r - relations) * npos + p
+            i = i // npos + relations
         pending.remove(j << 32 | i)
         mi, mj = leads[i], leads[j]
         lg = lcm | guards
         skip = False
-        for k in buckets[mi >> shift]:
+        for k in buckets[lcm >> shift]:
             if k == i or k == j or (lg - leads[k]) & guards != guards:
                 continue
             if (k << 32 | i if k > i else i << 32 | k) not in pending and (
@@ -688,7 +719,7 @@ def _module_buchberger(
             continue
         q = lcm - mj  # (lcm/mi)*element i - (lcm/mj)*element j, zeros kept
         s = {tq: c for t, c in tails[j] if not (tq := t + q) & guards or _overflow()}
-        q = lcm - mi
+        q = lcm - mi  # with lcm's position when i is a relation
         for t, c in tails[i]:
             t += q
             if t & guards:
@@ -707,37 +738,40 @@ def _reduced(
     """A table's reduced basis, by decreasing lead: each minimal lead L
     plus the normal form of the tail of a (monic) table element with
     lead L, which is unique and only has terms below L.  So it depends
-    only on the span and order."""
-    kept: dict[int, list[VecTerm]] = {}  # minimal leads, by position
+    only on the span and order.  A ring relation g, which every
+    position's bucket holds, gives g*e_p at each position p where its
+    lead is minimal.  Each tail is reduced against the reduced elements
+    built before it: every lead that divides a term below L is a
+    multiple of a minimal lead below L, so that is the same normal
+    form."""
+    shift, key, divides = pk.shift, pk.key, pk.divides
+    # (lead, element) at each position, by ascending lead, so that a
+    # divisor comes before its multiples.
+    entries = [(leads[k] | p << shift, k) for p, ks in buckets.items() for k in ks]
+    entries.sort(key=lambda e: key(e[0]), reverse=True)
+    rtails: list[Tail] = []
+    rleads: list[VecTerm] = []
+    rbuckets: dict[int, list[int]] = {}
     reduced: list[VecPoly] = []
-    key = pk.key
-    # By ascending lead, so that a divisor comes before its multiples.
-    for k in sorted(range(len(leads)), key=lambda k: key(leads[k]), reverse=True):
-        lt = leads[k]
-        same = kept.setdefault(lt >> pk.shift, [])
-        if not any(pk.divides(lm, lt) for lm in same):
-            same.append(lt)
-            rest = {t: -c for t, c in tails[k]}
-            reduced.append({lt: 1, **_vp_normal_form(rest, tails, leads, buckets, pk)})
+    for lt, k in entries:
+        same = rbuckets.setdefault(lt >> shift, [])
+        if any(divides(rleads[m], lt) for m in same):
+            continue
+        at = lt - leads[k]  # a relation's position, or 0
+        rest = {t + at: -c for t, c in tails[k]}
+        nf = _vp_normal_form(rest, rtails, rleads, rbuckets, pk)
+        same.append(len(rleads))
+        rtails.append(tuple((t, -c) for t, c in nf.items()))
+        rleads.append(lt)
+        reduced.append({lt: 1, **nf})
     reduced.reverse()
     return reduced
 
 
-def _defining_vps(
-    relations: Iterable[Polynomial], rank: int, pk: _Packing
-) -> list[VecPoly]:
-    """Each of a ring's relations in each of `rank` coordinates: packed
-    once at position 0 and shifted into each."""
-    return _in_each_position([_vp_from_entries((q,), pk) for q in relations], rank, pk)
-
-
-def _in_each_position(vps: Iterable[VecPoly], rank: int, pk: _Packing) -> list[VecPoly]:
-    """Copies of packed vectors at position 0, shifted into each of `rank`
-    positions: each vector's copies in turn."""
-    out = []
-    for vp in vps:
-        out += ({t + (i << pk.shift): c for t, c in vp.items()} for i in range(rank))
-    return out
+def _defining_vps(relations: Iterable[Polynomial], pk: _Packing) -> list[VecPoly]:
+    """A ring's relations packed at position 0, as `_module_buchberger`
+    takes them."""
+    return [_vp_from_entries((q,), pk) for q in relations]
 
 
 class SubmodulePresentation:
@@ -789,12 +823,12 @@ def module_reduced_gb(sub: SubmodulePresentation) -> list[ModuleElement]:
 
 
 class MembershipBasis:
-    """The Groebner basis of given columns, defining generators adjoined
-    in every coordinate: normal forms, membership and the reduced basis.
-    Every table enters the ring's reduced defining basis first in every
-    coordinate, as the run's relations (see `_module_buchberger`); that
-    basis comes from the defining ideal's table, in the polynomial ring,
-    so nothing recurses.
+    """The Groebner basis of given columns and the ring's relations in
+    every coordinate: normal forms, membership and the reduced basis.
+    Every table enters the ring's reduced defining basis first, once, as
+    the run's relations, which every coordinate's bucket holds (see
+    `_module_buchberger`); that basis comes from the defining ideal's
+    table, in the polynomial ring, so nothing recurses.
 
     A full normal form does not depend on which Groebner basis it is taken
     against, so one table serves every question about one generator set.
@@ -818,7 +852,7 @@ class MembershipBasis:
         ring_basis = ring.defining_basis() if ring.is_quotient else ()
 
         def run(pk: _Packing) -> tuple:
-            gens = _defining_vps(ring_basis, rank, pk)
+            gens = _defining_vps(ring_basis, pk)
             relations = len(gens)
             gens += _packed_columns(columns, pk)
             return (pk, *_module_buchberger(gens, pk, rank, None, relations))
@@ -955,29 +989,28 @@ def _syzygies(
         # the divisibility test ignores the position bits, and t - lead
         # keeps them.  A full normal form is unique, so each entry comes
         # out as `ring.reduce` would give it.
-        ring_vps = [_vp_from_entries((q,), pk) for q in ring_basis]
+        ring_vps = _defining_vps(ring_basis, pk)
         ring_leads = [min(vp, key=pk.key) for vp in ring_vps]
         ring_tails = list(map(_tail, ring_vps, ring_leads))
         # The tracker block is ordered below every head position, so a
         # lead in the tracker block means the whole element lies there.
         head = nrows << pk.shift
-        gens = _in_each_position(ring_vps, nrows, pk)
-        relations = len(gens)
+        gens = list(ring_vps)
         for j, vp in enumerate(_packed_columns(columns, pk)):
             gens.append({**vp, (nrows + j) << pk.shift: 1})
         gens += _packed_columns(extra_relations, pk)
-        found = _module_buchberger(gens, pk, nrows + m, head, relations)
+        found = _module_buchberger(gens, pk, nrows + m, head, len(ring_vps))
         tracked = [{t - head: c for t, c in vp.items()} for vp in found]
         if not generators:
-            seed = _in_each_position(ring_vps, m, pk)
-            table = _module_buchberger(seed + tracked, pk, m, None, len(seed))
+            table = _module_buchberger(ring_vps + tracked, pk, m, None, len(ring_vps))
             tracked = _reduced(*table, pk)
-            # The table holds g*e_j for each ring basis element g, so each
-            # tail is reduced modulo the ring, and a minimal lead that
-            # lt(g)*e_j divides is lt(g)*e_j itself.  The normal form of
-            # such an element modulo the ring is the element minus g*e_j,
-            # as g's tail is reduced too (g lies in a reduced basis); it
-            # is kept lead first, as a normal form comes out.
+            # The table carries g*e_j for each ring basis element g (every
+            # bucket holds g), so each tail is reduced modulo the ring,
+            # and a minimal lead that lt(g)*e_j divides is lt(g)*e_j
+            # itself.  The normal form of such an element modulo the ring
+            # is the element minus g*e_j, as g's tail is reduced too (g
+            # lies in a reduced basis); it is kept lead first, as a normal
+            # form comes out.
             ring_at = dict(zip(ring_leads, ring_tails))
             for k, vp in enumerate(tracked):
                 lt = next(iter(vp))

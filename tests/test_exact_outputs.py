@@ -7,8 +7,10 @@ every bundled case.  `tests/data/resolution_pins.txt` holds the
 resolutions behind those witnesses: for francia `J` to d3 and neg2-graph
 `J` to d4, under grevlex and lex, the ranks and a sha256 of each printed
 differential.  `tests/data/engine_pins.txt` pins the module engine on
-every bundled Tor and flat assertion and the two deep queries, under
-grevlex and lex, each in a fresh environment: for each run of
+every bundled Tor and flat assertion, the two deep queries and
+`tor(4, k, k)` over the cone on the Veronese surface of degree 2 (six
+quadric relations), under grevlex and lex, each in a fresh
+environment: for each run of
 `syzygy_entries` and `kernel_generators`, in call order, the number of
 `_vp_normal_form` calls the run makes and a sha256 of its printed
 output, and for each table that `homology_witnesses` builds (`tab`
@@ -143,6 +145,17 @@ def _engine_queries(filename: str):
             yield f"tor {index} {left} {right}", (int(index), left, right)
 
 
+# The cone on the degree-2 Veronese surface, V = QQ[e^2, ..., h^2], and
+# its residue field k: a quotient ring of six quadrics.
+VERONESE = """\
+ring R = QQ[m0, m1, m2, m3, m4, m5];
+ring S = QQ[e, g, h];
+map F : R -> S = {e^2, e*g, e*h, g^2, g*h, h^2};
+ring V = image F;
+module k = V^1 / ((m0), (m1), (m2), (m3), (m4), (m5));
+"""
+
+
 def _engine_runs(text: str, order: str, query) -> list[str]:
     """One line per `_syzygies` run of the query over a fresh
     environment: its kind, shape, normal-form count and the sha256 of its
@@ -198,8 +211,9 @@ def _engine_runs(text: str, order: str, query) -> list[str]:
 
 
 def engine_pins() -> str:
-    """The engine runs of every bundled tor and flat assertion and of
-    the deep queries, under grevlex and lex."""
+    """The engine runs of every bundled tor and flat assertion, of the
+    deep queries and of the Veronese `tor(4, k, k)`, under grevlex and
+    lex."""
     lines = []
     for order in (GREVLEX, LEX):
         for filename, _ in REPRO_CHECKS:
@@ -207,6 +221,9 @@ def engine_pins() -> str:
             for title, query in _engine_queries(filename):
                 lines.append(f"== {order} {filename} {title}")
                 lines.extend(_engine_runs(text, order, query))
+    for order in (GREVLEX, LEX):
+        lines.append(f"== {order} veronese-2 tor 4 k k")
+        lines.extend(_engine_runs(VERONESE, order, (4, "k", "k")))
     return "".join(line + "\n" for line in lines)
 
 

@@ -156,6 +156,36 @@ def test_every_engine_run_seeds_from_the_reduced_ring_basis():
     assert "defining" not in _read_names(_modules()["modules.py"])
 
 
+def test_ring_relations_enter_once_per_run(monkeypatch):
+    """Each engine run over a quotient ring enters the ring's reduced
+    defining basis once, packed at position 0, as its relations, whatever
+    its rank: a table, generator mode and the rank-m table of a syzygy
+    basis each pass `len(defining_basis())`, and no helper copies the
+    relations into each position (`_in_each_position` is gone)."""
+    import flatcert as fc
+    import flatcert.modules as modules
+
+    runs = []
+    engine = modules._module_buchberger
+
+    def spied(gens, pk, rank, head, relations):
+        gens = list(gens)
+        at_zero = all(t >> pk.shift == 0 for vp in gens[:relations] for t in vp)
+        runs.append((relations, at_zero))
+        return engine(gens, pk, rank, head, relations)
+
+    R = fc.ring("x,y,z", ["x*y - z^2", "x^2 - y*z"])
+    basis = R.defining_basis()  # the ring's own run, outside the spy
+    x, y, z = (fc.poly(v, R) for v in "xyz")
+    columns = [(x, z, y), (z, y, x), (y * z, x, R.zero())]
+    monkeypatch.setattr(modules, "_module_buchberger", spied)
+    modules.MembershipBasis(R, 3, columns)
+    modules.syzygy_entries(columns, 3, R)
+    modules.kernel_generators(modules.PolyMatrix(R, 3, columns))
+    assert runs == [(len(basis), True)] * 4
+    assert not hasattr(modules, "_in_each_position")
+
+
 def test_no_table_reads_another_tables_packing():
     """A table's packed state (`_table`) and its rebuild (`_build`) are
     read only through `self`, so no table is built from another's

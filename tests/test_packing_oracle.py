@@ -12,6 +12,9 @@ quotient, divisibility, lcm (and the degree it returns) and degree
 against `poly.mono_*`, overflow detection against the exact degrees,
 and the order of the packed keys against
 `(position, sig.descending_key())` and `helpers.textbook_compare`.
+A third property checks the support masks that decide coprime leads
+against the lcm test they replaced, for a ring relation at position 0
+against an element at any position, at the `struct` widths.
 The heap of `_vp_normal_form` holds `t ^ pk.neg`, which must sort as
 `pk.key(t)` does; a second property draws vectors and small monic bases
 and checks that every remainder comes out by descending term, so its
@@ -169,6 +172,54 @@ def test_codec_round_trips_every_layout(width):
         vp = {pk.pack(i, m): c for i, col in enumerate(columns) for m, c in col.items()}
         back = _entries_from_vp(vp, pk, sig, 3)
         assert back == tuple(Polynomial(sig, col) for col in columns)
+
+
+@st.composite
+def support_pairs(draw):
+    """A packing at a `struct` width, a lead a at position 0 (a ring
+    relation's) and a lead b at position p, 0 to 3, with exponents that
+    are mostly 0 and otherwise 1, at the field limit or anywhere."""
+    order, block, nvars = draw(st.sampled_from(LAYOUTS))
+    pk = _packing(order, block, nvars, draw(st.sampled_from(STRUCT_WIDTHS)))
+    exponent = st.one_of(
+        st.just(0), st.sampled_from((1, pk.value)), st.integers(0, pk.value)
+    )
+
+    def monomial():
+        # Keep each degree field within its limit: cut the group's first
+        # exponents down until the sum fits.
+        m = [draw(exponent) for _ in range(nvars)]
+        for group in pk.groups:
+            for i in range(nvars)[group[1]]:
+                m[i] -= min(m[i], max(0, sum(m[group[1]]) - pk.value))
+        return tuple(m)
+
+    return order, block, pk, monomial(), monomial(), draw(st.integers(0, 3))
+
+
+@settings(derandomize=True, deadline=None, max_examples=900)
+@given(support_pairs())
+def test_support_masks_decide_coprimality_as_the_lcm_did(case):
+    """The engine drops a pair with coprime leads, at rank 1 or between
+    a ring relation at position 0 and an element at position p, on
+    `support(a) & support(b) == 0`, before any lcm.  That agrees with
+    the test it replaced, lcm - a == b & mask on the relation's copy
+    a*e_p, wherever that lcm fits, and with the exponent tuples always;
+    the lcm of a at position 0 and b at p, in that order, is the copy's
+    lcm at p."""
+    order, block, pk, a, b, p = case
+    coprime = all(not (x and y) for x, y in zip(a, b))
+    relation, element = pk.pack(0, a), pk.pack(p, b)
+    assert (not pk.support(relation) & pk.support(element)) == coprime
+    assert pk.support(relation) == pk.support(pk.pack(p, a))
+    copy = pk.pack(p, a)
+    if _fits(pk, mono_lcm(a, b)):
+        _, lcm = pk.lcm(copy, element)
+        assert (lcm - copy == element & pk.mask) == coprime
+        assert pk.lcm(relation, element) == pk.lcm(copy, element)
+    else:
+        with pytest.raises(_Overflow):
+            pk.lcm(relation, element)
 
 
 @st.composite

@@ -1,7 +1,8 @@
 """The product criterion for ring relations, against tables that never use it.
 
-Over a quotient ring a `MembershipBasis` enters the ring's relations
-g*e_q in every coordinate, and the engine pushes no pair between g*e_q
+Over a quotient ring a `MembershipBasis` enters each of the ring's
+relations g once and carries it as g*e_q in every coordinate q, and
+the engine pushes no pair between g*e_q
 and an element whose lead at q is coprime to lt(g).  Over the polynomial
 ring of the same signature the same submodule is the table of the same
 columns plus each relation g*e_q as an ordinary column; there the

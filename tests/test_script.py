@@ -66,6 +66,20 @@ def test_parse_map_image_tensor_flat_print():
     assert kinds[7] is PrintStmt and kinds[8] is PrintStmt
     call = script.statements[8].subject
     assert call.right == FreeModuleArg("T", 2)
+    # `**` renames both factors' variables, so `a` is unknown in T.
+    assert "unknown variable 'a'" in execute_text(text)[0].error
+    # The same script over T's own names runs.  By hand: F sends a to
+    # t^2, so V = image F is QQ[a] (t^2 satisfies no relation) and
+    # T = QQ[a1, a2], a domain.  There J = (a1) is principal, so J is
+    # isomorphic to T, free of rank 1: J is flat at every point, and
+    # Tor_1 of J against any module, free(T, 2) too, is 0.
+    report, env = execute_text(text.replace("(a)", "(a1)"))
+    T = env["T"]
+    assert T.signature.variables == ("a1", "a2") and not T.is_quotient
+    assert report.status == 0 and report.error is None
+    [flat] = report.assertions
+    assert flat.description == "flat(J at (a1))" and flat.passed
+    assert report.prints == ["J = ideal(a1)", "tor(1, J, free(T, 2)): Tor_1 = 0"]
 
 
 def test_pretty_round_trip():

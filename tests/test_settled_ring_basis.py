@@ -1,9 +1,9 @@
 """A membership table over a quotient ring against explicit relations.
 
 A `MembershipBasis` over a quotient ring, with or without columns,
-enters the ring's reduced defining basis first, in every coordinate,
-as the run's relations: it is a Groebner basis, so no pair is formed
-among it.  A table over the polynomial ring of the same signature,
+enters the ring's reduced defining basis first, once, as the run's
+relations, and carries it in every coordinate: it is a Groebner basis,
+so no pair is formed among it.  A table over the polynomial ring of the same signature,
 given the columns and every defining relation in every coordinate as
 explicit columns, spans the same submodule.  Reduced bases and normal
 forms are unique for a submodule, so the two tables must give the same
@@ -26,6 +26,7 @@ from flatcert import (
     MembershipBasis,
     PresentedModule,
     PresentedRing,
+    mono_divides,
 )
 from flatcert.cli import REPRO_CHECKS, bundled_case_text
 from flatcert.script import execute_text
@@ -145,6 +146,42 @@ def test_the_defining_ideal_table_does_not_recurse(monkeypatch):
     MembershipBasis(R, 1, [(z,)])
     MembershipBasis(R, 2, [])
     # The ring's run has no relations; each table, with columns or
-    # without, enters the ring's reduced basis in each of its coordinates.
+    # without and at any rank, enters the ring's reduced basis once.
     basis = R.defining_basis()
-    assert relations == [0, 2 * len(basis), len(basis), 2 * len(basis)]
+    assert relations == [0, len(basis), len(basis), len(basis)]
+
+
+def _lead(vector):
+    """(position, leading monomial) of a vector: the first nonzero
+    position dominates."""
+    p = next(i for i, e in enumerate(vector) if not e.is_zero())
+    return p, vector[p].leading_monomial()
+
+
+@pytest.mark.parametrize("order", [GREVLEX, LEX])
+@pytest.mark.parametrize("rank", [2, 3])
+def test_reduced_lists_every_minimal_relation_copy(order, rank):
+    """A table enters each ring relation g once; its reduced basis still
+    holds an element with lead lt(g)*e_p at every position p where that
+    lead is minimal, and g*e_p itself at a position no column reaches.
+    The column (0, y, z), cut to the rank, is zero at position 0, and no
+    S-pair brings an element there, so position 0 holds the ring's
+    reduced basis alone; at position 1 the column's lead y divides x*y,
+    so x*y - z^2 does not survive there."""
+    R = fc.ring("x,y,z", ["x*y - z^2", "x^2 - y*z"], order=order)
+    y, z, zero = fc.poly("y", R), fc.poly("z", R), R.zero()
+    columns = [(zero, y, z)[:rank]]
+    basis = R.defining_basis()
+    xy = fc.poly("x*y - z^2", R)
+    assert xy in basis
+    reduced = MembershipBasis(R, rank, columns).reduced()
+    _assert_settled_matches_explicit(R, rank, columns)
+    at_zero = [v for v in reduced if _lead(v)[0] == 0]
+    assert at_zero == [(g,) + (zero,) * (rank - 1) for g in basis]
+    leads = {_lead(v) for v in reduced}
+    for p in range(rank):
+        for g in basis:
+            lt = g.leading_monomial()
+            below = [m for q, m in leads if q == p and m != lt and mono_divides(m, lt)]
+            assert ((p, lt) in leads) == (not below)
+    assert (zero, xy, zero)[:rank] not in reduced

@@ -1,11 +1,12 @@
 """`syzygy_entries` against the full augmented table it replaced.
 
 `syzygy_entries` takes the syzygies that the engine's generator mode
-collects, enters them in a rank-m table after the ring's reduced basis
-in every coordinate, and reads off that table's reduced basis; an
-element whose lead is lt(g)*e_j for a ring basis element g loses g*e_j.
-The reference here is the earlier route: one table over the augmented
-columns (each column with a unit tracker below it, the ring's basis in
+collects, enters them in a rank-m table that carries the ring's reduced
+basis in every coordinate (entered once, as the run's relations), and
+reads off that table's reduced basis; an element whose lead is
+lt(g)*e_j for a ring basis element g loses g*e_j.  The reference here
+is the earlier route: one table over the augmented columns (each column
+with a unit tracker below it, an explicit copy of the ring's basis in
 every head coordinate, then the extra relations), which keeps every
 S-pair, its reduced basis elements with a lead in the tracker block,
 and `ring.reduce` on each of their entries, with vectors that vanish in
@@ -38,14 +39,20 @@ from helpers import random_poly
 
 def augmented_table_syzygies(columns, nrows, ring, extra_relations=()):
     """The syzygy basis by one augmented table that keeps every pair
-    (relation count 0, so even the ring's basis forms pairs), reduced
-    modulo the ring entry by entry."""
+    (relation count 0, so even the ring's basis, copied into each head
+    position, forms pairs), reduced modulo the ring entry by entry."""
     m = len(columns)
     ring_basis = ring.defining_basis() if ring.is_quotient else ()
 
     def run(pk):
         head = nrows << pk.shift
-        gens = modules._defining_vps(ring_basis, nrows, pk)
+        # Explicit copies g*e_p of each ring basis element, one per head
+        # position, entered as ordinary inputs.
+        gens = [
+            {t + (p << pk.shift): c for t, c in vp.items()}
+            for vp in modules._defining_vps(ring_basis, pk)
+            for p in range(nrows)
+        ]
         for j, col in enumerate(columns):
             vp = modules._vp_from_entries(col, pk)
             vp[(nrows + j) << pk.shift] = 1

@@ -1,6 +1,13 @@
 """flatcert: an exact commutative-algebra kernel over QQ that certifies
 flatness of ideals and modules via Groebner bases, syzygies, free
-resolutions, and Tor, plus a small script language and CLI."""
+resolutions, and Tor, plus a small script language and CLI.
+
+`import flatcert` loads only the Groebner core: the submodules `poly`,
+`record`, `parse`, `groebner` and `modules`.  The public names of
+`homology`, `flatness` and `script` load with their submodule on first
+use (PEP 562): `flatcert.tor` and `from flatcert import tor` work as
+ever, and a caller that never asks for them never compiles those
+submodules."""
 
 from __future__ import annotations
 
@@ -47,28 +54,54 @@ from .modules import (
     module_reduced_gb,
     syzygy_matrix,
 )
-from .homology import (
-    ChainComplex,
-    PresentedModule,
-    TorReport,
-    as_presented_module,
-    free_resolution,
-    homology_witnesses,
-    koszul,
-    tor,
-)
-from .flatness import (
-    AffineMorphism,
-    FlatnessVerdict,
-    PointSpec,
-    fibered_product_ideal,
-    flat_at_point,
-    graph_ideal,
-    invariant_presentation,
-    tensor_with_renaming,
-    trim_generators,
-)
-from .script import ScriptReport, parse_script, pretty_script, run_script
+
+# The public names loaded on first use, by the submodule that defines them.
+_LAZY = {
+    **dict.fromkeys(
+        (
+            "ChainComplex",
+            "PresentedModule",
+            "TorReport",
+            "as_presented_module",
+            "free_resolution",
+            "homology_witnesses",
+            "koszul",
+            "tor",
+        ),
+        "homology",
+    ),
+    **dict.fromkeys(
+        (
+            "AffineMorphism",
+            "FlatnessVerdict",
+            "PointSpec",
+            "fibered_product_ideal",
+            "flat_at_point",
+            "graph_ideal",
+            "invariant_presentation",
+            "tensor_with_renaming",
+            "trim_generators",
+        ),
+        "flatness",
+    ),
+    **dict.fromkeys(
+        ("ScriptReport", "parse_script", "pretty_script", "run_script"), "script"
+    ),
+}
+
+
+def __getattr__(name: str):
+    submodule = _LAZY.get(name)
+    if submodule is None:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    from importlib import import_module
+
+    value = globals()[name] = getattr(import_module(f".{submodule}", __name__), name)
+    return value
+
+
+def __dir__() -> list[str]:
+    return sorted({*globals(), *_LAZY})
 
 
 def ring(
@@ -101,9 +134,12 @@ def ideal(R: PresentedRing, *gens: str | Polynomial) -> IdealHandle:
 
 
 __all__ = sorted(
-    name
-    for name, value in globals().items()
-    if not name.startswith("_")
-    and name not in _NOT_EXPORTED
-    and not isinstance(value, ModuleType)
+    [
+        name
+        for name, value in globals().items()
+        if not name.startswith("_")
+        and name not in _NOT_EXPORTED
+        and not isinstance(value, ModuleType)
+    ]
+    + list(_LAZY)
 )

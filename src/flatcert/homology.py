@@ -316,7 +316,8 @@ def _homology(
 
     def witnesses() -> list[ModuleElement]:
         span = MembershipBasis(ring, rank_i, spanning.beside(ker))
-        return [ModuleElement(ring, v) for v in image.outside(span.reduced_matrix())]
+        outside = image.outside(span.reduced_matrix())
+        return [ModuleElement._raw(ring, v) for v in outside]
 
     return False, witnesses
 
@@ -446,11 +447,13 @@ def tor(i: int, M: ModuleLike, N: ModuleLike) -> TorReport:
         return TorReport(i, True, ())
 
     def lifted() -> tuple[ModuleElement, ...]:
-        # Most witness entries are zero; they share R's zero.
+        # Most witness entries are zero; they share R's zero.  Every entry
+        # is R's by construction, so none is checked again.
         sig, zero = ring.signature, ring.zero()
         return tuple(
-            ModuleElement(
-                ring, [transplant(e, sig) if e.terms else zero for e in w.entries]
+            ModuleElement._raw(
+                ring,
+                tuple([transplant(e, sig) if e.terms else zero for e in w.entries]),
             )
             for w in witnesses()
         )

@@ -143,6 +143,15 @@ class ModuleElement:
     def __post_init__(self) -> None:
         object.__setattr__(self, "entries", _column(self.ring, self.entries))
 
+    @staticmethod
+    def _raw(ring: PresentedRing, entries: Entries) -> "ModuleElement":
+        """An element from an entry tuple already over the ring's
+        signature, such as a column the engine made: not checked again."""
+        element = object.__new__(ModuleElement)
+        object.__setattr__(element, "ring", ring)
+        object.__setattr__(element, "entries", entries)
+        return element
+
     @property
     def rank(self) -> int:
         return len(self.entries)

@@ -17,11 +17,13 @@ two matrices as they are held.  Checked here:
 - an engine-made matrix as a record: equal to, printed and hashed like
   the matrix of its columns, with shape reads that unpack nothing and
   one unpack per column on the first read;
-- over the benchmark's two deep Tor queries, `_column` runs only in
-  public constructors (each witness as a `ModuleElement`, and the fiber
-  rings' defining generators as an ideal's table), and no column of a
-  resolution, a kernel or a tensored differential is unpacked: only the
-  witnesses and the fiber rings' rank-1 bases are;
+- over the benchmark's two deep Tor queries, `_column` runs only on
+  the fiber rings' defining generators, given to an ideal's table: no
+  witness is checked, neither as the engine makes it nor lifted to R,
+  and no column of a resolution, a kernel or a tensored differential
+  is unpacked: only the witnesses and the fiber rings' rank-1 bases are;
+- building francia `tor(2, J, L)`'s witnesses runs no `_column`, while
+  the public `ModuleElement` constructor still checks;
 - on those queries, a `tor` whose witnesses are not read builds only
   the image's table and unpacks no column; the first read of
   `witness_generators` builds the span table and gives the pinned
@@ -271,14 +273,36 @@ def test_deep_tors_check_and_unpack_only_what_leaves(order, monkeypatch):
     reports = [tor(i, M, N) for i, M, N in queries]
     witnesses = sum(len(r.witness_generators) for r in reports)
     assert witnesses
-    # Each witness is checked as a ModuleElement over the fiber and again
-    # lifted to R; the rest are the fiber rings' defining generators,
-    # given to their ideals' tables as raw columns.  No matrix is checked.
-    assert checked.pop("ModuleElement.__post_init__") == 2 * witnesses
+    # The witnesses are engine-made and their lift to R is R's by
+    # construction, so neither is checked: the only checks are the fiber
+    # rings' defining generators, given to their ideals' tables as raw
+    # columns.  No matrix is checked.
     assert set(checked) == {"MembershipBasis.__init__"}
     # Only the witnesses leave the engine, and the fiber rings' rank-1
     # bases: no resolution, kernel or tensored column is unpacked.
     assert sum(len(entries) > 1 for entries in unpacked) == witnesses
+
+
+def test_building_witnesses_checks_no_entry(monkeypatch):
+    (i, J, L), _ = _deep_queries(GREVLEX)
+    report = tor(i, J, L)
+    calls = []
+    real = modules._column
+
+    def spied(ring, entries, rank=None):
+        calls.append(rank)
+        return real(ring, entries, rank)
+
+    monkeypatch.setattr(modules, "_column", spied)
+    witnesses = report.witness_generators
+    assert witnesses and calls == []
+    # The public constructor still checks every entry.
+    R = J.ring
+    assert fc.ModuleElement(R, witnesses[0].entries) == witnesses[0]
+    assert calls == [None]
+    other = fc.ring("x,y")
+    with pytest.raises(fc.DimensionError):
+        fc.ModuleElement(R, (other.one(),))
 
 
 def _golden_tor_text(order):

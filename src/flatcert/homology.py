@@ -32,8 +32,9 @@ The verdict comes first: it needs only the kernel generators and the
 image's table.  `tor` builds the witnesses (the table of image +
 kernel, its reduced basis, the elements outside the image, and their
 lift back to R) on the first read of `TorReport.witness_generators`,
-so a caller that only asks whether Tor vanishes never builds them.
-Equality, hashing, `repr` and `str` of a report read its witnesses.
+so a caller that only asks whether Tor vanishes never builds them: the
+report is a `deferred` record, as a packed `PolyMatrix` is.  Equality,
+hashing, `repr` and `str` of a report read its witnesses.
 `homology_witnesses` builds them at once.
 
 Each ideal or submodule is presented at most once, and each
@@ -72,7 +73,7 @@ from .poly import (
     PresentedRing,
     transplant,
 )
-from .record import record
+from .record import deferred, record
 
 
 @record
@@ -328,45 +329,20 @@ class TorReport:
     spanning the homology when nonzero.
 
     A nonzero report that `tor` makes holds its verdict and builds its
-    witnesses on the first read of `witness_generators`: until then the
-    field is unset and `_pending` holds the function that builds them.
-    Equality, hashing, `repr` and `str` read the field, so such a report
-    equals, hashes and prints like `TorReport(index, False, witnesses)`."""
+    witnesses on the first read of `witness_generators`: it is a
+    `deferred` record, that field its unset one.  Equality, hashing,
+    `repr` and `str` read the field, so such a report equals, hashes and
+    prints like `TorReport(index, False, witnesses)`."""
 
     index: int
     is_zero: bool
     witness_generators: tuple[ModuleElement, ...]
-
-    # A report built pending: what builds its witnesses (not a field: no
-    # annotation).
-    _pending = None
-
-    def __getattr__(self, name: str):
-        # Only a report built pending lacks `witness_generators` (the
-        # field has no default, hence no class attribute): its witnesses
-        # are built once, and the builder goes with the tables it holds.
-        if name != "witness_generators" or self._pending is None:
-            raise AttributeError(f"'TorReport' object has no attribute {name!r}")
-        witnesses = self._pending()
-        object.__setattr__(self, "witness_generators", witnesses)
-        object.__setattr__(self, "_pending", None)
-        return witnesses
 
     def __str__(self) -> str:
         if self.is_zero:
             return f"Tor_{self.index} = 0"
         wits = "; ".join(str(w) for w in self.witness_generators)
         return f"Tor_{self.index} != 0, witnesses: {wits}"
-
-
-def _pending_report(
-    index: int, witnesses: Callable[[], tuple[ModuleElement, ...]]
-) -> TorReport:
-    """A nonzero report whose witnesses `witnesses()` builds on first read."""
-    report = object.__new__(TorReport)
-    for name, value in (("index", index), ("is_zero", False), ("_pending", witnesses)):
-        object.__setattr__(report, name, value)
-    return report
 
 
 def _standard_basis(ring: PresentedRing, rank: int) -> list[Entries]:
@@ -458,4 +434,6 @@ def tor(i: int, M: ModuleLike, N: ModuleLike) -> TorReport:
             for w in witnesses()
         )
 
-    return _pending_report(i, lifted)
+    return deferred(
+        TorReport, lambda _: {"witness_generators": lifted()}, index=i, is_zero=False
+    )

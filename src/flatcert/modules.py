@@ -49,14 +49,14 @@ A matrix the engine makes keeps its columns packed (`PolyMatrix`):
 `syzygy_entries`, `kernel_generators`, `MembershipBasis.reduced_matrix`
 and `.outside` hand their packed result, with its packing, to a matrix
 that unpacks it through `_entries_from_vp` only when its `columns` are
-first read.  Every engine run that takes a matrix (`_syzygies`, a
-table's build, `MembershipBasis.spans` and `.outside`) reads packed
-columns as they are when they are at the run's packing, and packs
-`columns` otherwise.  A matrix projected to a fiber ring
-(`PolyMatrix.projected`) keeps the packed columns of the matrix it
-projects, and a run over the fiber ring at their width cuts the dropped
-variables' fields out of them (`_Packing.compact`): every layout keeps
-the order of its fields, so that is the fiber ring's packing.  So a
+first read (a `deferred` record).  Every engine run that takes a matrix
+(`_syzygies`, a table's build, `MembershipBasis.spans` and `.outside`)
+reads packed columns as they are held when they are at the run's width,
+and unpacks and packs them otherwise.  A matrix projected to a fiber
+ring (`PolyMatrix.projected`) is compacted at once: the dropped
+variables' fields are cut out of its packed columns at their width
+(`_Packing.compact`), and since every layout keeps the order of its
+fields, that is the fiber ring's packing at that width.  So a
 resolution and a Tor against a cyclic module pass from run to run
 packed, and only what a caller reads is unpacked.
 
@@ -107,14 +107,14 @@ from .poly import (
     RingSignature,
     picker,
 )
-from .record import record
+from .record import deferred, record
 
 VecTerm = int  # a packed (position, monomial) pair, see `_Packing`
 Coefficient = int | Fraction
 VecPoly = dict[VecTerm, Coefficient]
 Tail = tuple[tuple[VecTerm, Coefficient], ...]  # a monic element's, negated
 Entries = tuple[Polynomial, ...]
-Segment = tuple  # (packing, data, signature, projection): `_segment_columns`
+Segment = tuple  # (packing, data): see `PolyMatrix`
 
 
 def _column(
@@ -175,12 +175,15 @@ class PolyMatrix(Sequence):
     `MembershipBasis.reduced_matrix` and `.outside`), its projection to a fiber
     ring (`projected`) and a join (`beside`) keep their columns packed,
     in `_packed` segments, and unpack them only on the first public read
-    of `columns` (an item or an iteration reads it too); `nrows`, `ncols`
-    and `len` read no column.  Such a matrix equals, hashes, prints and
+    of `columns` (an item or an iteration reads it too): it is a
+    `deferred` record, `columns` its unset field.  `nrows`, `ncols` and
+    `len` read no column.  Such a matrix equals, hashes, prints and
     answers like `PolyMatrix(ring, nrows, columns)`, and its columns are
-    not checked again: only the public constructor runs `_column`.  An
-    engine run that takes a matrix reads its packed columns when they are
-    at the run's packing (`_segment_at`)."""
+    not checked again: only the public constructor runs `_column`.  A
+    segment is (packing, data): vps packed at a packing of the matrix's
+    ring, or (None, entry tuples).  An engine run that takes a matrix
+    reads packed columns as they are held when they are at the run's
+    width (`_segment_at`)."""
 
     ring: PresentedRing
     nrows: int
@@ -194,17 +197,6 @@ class PolyMatrix(Sequence):
             raise ArgumentError("negative row count")
         cols = tuple(_column(self.ring, col, self.nrows) for col in self.columns)
         object.__setattr__(self, "columns", cols)
-
-    def __getattr__(self, name: str):
-        # Only a matrix built packed lacks `columns` (the class keeps no
-        # default, see below): they are unpacked once, on first read.
-        if name != "columns" or self._packed is None:
-            raise AttributeError(f"'PolyMatrix' object has no attribute {name!r}")
-        cols = tuple(
-            col for seg in self._packed for col in _segment_columns(seg, self.nrows)
-        )
-        object.__setattr__(self, "columns", cols)
-        return cols
 
     def __len__(self) -> int:
         if self._packed is None:
@@ -222,7 +214,7 @@ class PolyMatrix(Sequence):
         return len(self)
 
     def _segments(self) -> tuple[Segment, ...]:
-        return self._packed or ((None, self.columns, None, None),)
+        return self._packed or ((None, self.columns),)
 
     def _at(self, pk: _Packing) -> list[VecPoly]:
         """The columns packed at `pk`, the packing of this matrix's ring in
@@ -242,21 +234,23 @@ class PolyMatrix(Sequence):
         self, ring: PresentedRing, project: Callable[[Polynomial], Polynomial]
     ) -> "PolyMatrix":
         """This matrix over a fiber ring, `ring, project =
-        self.ring.quotient(gens)`, with every entry projected.  Packed
-        columns stay packed: an engine run over `ring` at their width
-        cuts the dropped variables' fields out of them (`_Packing.compact`)
-        with no polynomial built, and any other run packs the projected
-        columns."""
+        self.ring.quotient(gens)`, with every entry projected at once.
+        Packed columns stay packed: the dropped variables' fields are cut
+        out of them at their own width (`_Packing.compact`), which gives
+        the fiber ring's packing at that width, with no polynomial built;
+        columns held as entry tuples are mapped by `project`."""
         sig, fiber = self.ring.signature, ring.signature
         kept = [sig.index(v) for v in fiber.variables]
         block = sum(i < sig.block for i in kept)
         if kept != sorted(kept) or fiber != RingSignature(fiber.variables, sig.order, block):
             raise ArgumentError("not a fiber ring of this matrix's ring")
         segments = []
-        for seg in self._segments():
-            if seg[3] is not None:  # projected already: project its columns
-                seg = (None, _segment_columns(seg, self.nrows), None, None)
-            segments.append((seg[0], seg[1], sig, project))
+        for pk, data in self._segments():
+            if pk is None:
+                segments.append((None, [tuple(map(project, col)) for col in data]))
+            else:  # compacting never overflows: one run, at pk's width
+                cut = pk.compact(data, set(kept))
+                segments.append(_packed_run(ring, lambda fpk: (fpk, cut), pk.width))
         return _packed_matrix(ring, self.nrows, segments)
 
     def apply(self, vector: Sequence[Polynomial]) -> Entries:
@@ -291,11 +285,6 @@ class PolyMatrix(Sequence):
         return f"PolyMatrix({self.nrows}x{self.ncols})"
 
 
-# `record` has taken the default of `columns`; without a class attribute
-# of that name, a matrix built packed reaches `__getattr__` on first read.
-del PolyMatrix.columns
-
-
 def _check_shape(matrix: PolyMatrix, ring: PresentedRing, nrows: int) -> None:
     if matrix.nrows != nrows or matrix.ring != ring:
         raise DimensionError("matrix over a different ring or row count")
@@ -304,38 +293,36 @@ def _check_shape(matrix: PolyMatrix, ring: PresentedRing, nrows: int) -> None:
 def _packed_matrix(
     ring: PresentedRing, nrows: int, segments: Iterable[Segment]
 ) -> PolyMatrix:
-    """A matrix that holds its columns as segments, unchecked."""
-    matrix = object.__new__(PolyMatrix)
-    for name, value in (("ring", ring), ("nrows", nrows), ("_packed", tuple(segments))):
-        object.__setattr__(matrix, name, value)
-    return matrix
+    """A matrix that holds its columns as segments, unchecked, and
+    unpacks them on the first read of `columns`."""
+    return deferred(PolyMatrix, _unpacked, ring=ring, nrows=nrows, _packed=tuple(segments))
 
 
-def _segment_columns(segment: Segment, nrows: int) -> list[Entries]:
-    """A segment (pk, data, sig, project) of a matrix's columns: vps packed
-    at pk over the signature sig, or, when pk is None, checked entry
-    tuples; mapped into the matrix's ring by `project` when it is not
-    None.  Its columns, unpacked."""
-    pk, data, sig, project = segment
-    cols = data if pk is None else [_entries_from_vp(vp, pk, sig, nrows) for vp in data]
-    if project is not None:
-        cols = [tuple(map(project, col)) for col in cols]
-    return cols
+def _unpacked(matrix: PolyMatrix) -> dict[str, tuple[Entries, ...]]:
+    """The `columns` of a matrix built packed."""
+    sig, n = matrix.ring.signature, matrix.nrows
+    return {"columns": tuple(c for s in matrix._packed for c in _segment_columns(s, sig, n))}
+
+
+def _segment_columns(segment: Segment, sig: RingSignature, nrows: int) -> list[Entries]:
+    """A segment (pk, data) of the columns of a matrix over signature
+    sig: vps packed at pk or, when pk is None, checked entry tuples.  Its
+    columns, unpacked."""
+    pk, data = segment
+    return data if pk is None else [_entries_from_vp(vp, pk, sig, nrows) for vp in data]
 
 
 def _segment_at(
     segment: Segment, nrows: int, pk: _Packing, sig: RingSignature
 ) -> list[VecPoly]:
     """A segment's columns packed at `pk`, the packing of the matrix's
-    ring (signature `sig`) in the run that asks: packed columns as they
-    are at their own packing, and compacted at the same width into a
-    fiber ring; any other columns are packed."""
-    own, data, source, project = segment
-    if own is not None and project is None and own is pk:
+    ring (signature `sig`) in the run that asks: packed columns at pk's
+    width as they are held (one ring packs one way at each width), and
+    any other columns unpacked and packed."""
+    own, data = segment
+    if own is not None and own.width == pk.width:
         return data
-    if own is not None and project is not None and own.width == pk.width:
-        return own.compact(data, {source.index(v) for v in sig.variables})
-    return [_vp_from_entries(col, pk) for col in _segment_columns(segment, nrows)]
+    return [_vp_from_entries(col, pk) for col in _segment_columns(segment, sig, nrows)]
 
 
 class _Overflow(Exception):
@@ -842,8 +829,9 @@ class MembershipBasis:
     A full normal form does not depend on which Groebner basis it is taken
     against, so one table serves every question about one generator set.
     A `PolyMatrix`'s columns, checked when it was built, are not checked
-    again, and its packed columns enter the run as they are when they are
-    at its packing; so do those of a matrix that `outside` asks about.
+    again, and its packed columns enter the run as they are held when
+    they are at the run's width; so do those of a matrix that `outside`
+    asks about.
     `reduced_matrix` and `outside` answer with matrices that stay packed."""
 
     __slots__ = ("ring", "rank", "_build", "_table", "_reduced")
@@ -924,13 +912,12 @@ class MembershipBasis:
         """The columns of `matrix` whose normal form is not zero, in order,
         as a matrix that stays packed: none is unpacked to answer."""
         _check_shape(matrix, self.ring, self.rank)
-        sig = self.ring.signature
 
         def question(pk, *reducers) -> PolyMatrix:
             vps = [
                 vp for vp in matrix._at(pk) if _vp_normal_form(dict(vp), *reducers, pk)
             ]
-            return _packed_matrix(self.ring, self.rank, [(pk, vps, sig, None)])
+            return _packed_matrix(self.ring, self.rank, [(pk, vps)])
 
         return self._query(question)
 
@@ -943,10 +930,9 @@ class MembershipBasis:
         """The reduced basis as the columns of a matrix, which stays packed
         until they are read (computed once)."""
         if self._reduced is None:
-            sig = self.ring.signature
 
             def question(pk, *reducers) -> PolyMatrix:
-                segment = (pk, _reduced(*reducers, pk), sig, None)
+                segment = (pk, _reduced(*reducers, pk))
                 return _packed_matrix(self.ring, self.rank, [segment])
 
             object.__setattr__(self, "_reduced", self._query(question))
@@ -990,7 +976,6 @@ def _syzygies(
     m = len(columns)
     if m == 0:
         return PolyMatrix(ring, 0)
-    sig = ring.signature
     ring_basis = ring.defining_basis() if ring.is_quotient else ()
 
     def run(pk: _Packing) -> tuple[_Packing, list[VecPoly]]:
@@ -1043,8 +1028,7 @@ def _syzygies(
                 out.append(vp)
         return pk, out
 
-    pk, vps = _packed_run(ring, run)
-    return _packed_matrix(ring, m, [(pk, vps, sig, None)])
+    return _packed_matrix(ring, m, [_packed_run(ring, run)])
 
 
 def syzygy_entries(

@@ -1,12 +1,17 @@
 """`@record` gives a class of annotated fields `__init__`, `__eq__`,
-`__hash__` and, unless the class defines its own, `__repr__` as
-closures over the field names: defining a record compiles no code.
-Fields are the class's own annotations, in order; a class attribute
-gives a default; `__post_init__` runs last.  Fields in `uncompared` are
-left out of equality and hashing.  A frozen record (the default)
-refuses assignment; a mutable one is unhashable."""
+`__hash__`, `__getattr__` and, unless the class defines its own,
+`__repr__` as closures over the field names: defining a record compiles
+no code.  Fields are the class's own annotations, in order; a class
+attribute gives a default, which the class then drops for the
+constructor alone to fill in; `__post_init__` runs last.  Fields in
+`uncompared` are left out of equality and hashing.  A frozen record
+(the default) refuses assignment; a mutable one is unhashable.
+`deferred` makes a record whose unset fields one fill sets when first
+read: equality, hashing and `repr` read them too."""
 
 from operator import attrgetter
+
+_FILL = "_fill"  # a deferred record's fill, until its first read
 
 
 def record(cls=None, /, *, frozen=True, uncompared=()):
@@ -38,6 +43,18 @@ def record(cls=None, /, *, frozen=True, uncompared=()):
         if post_init is not None:
             post_init(self)
 
+    def __getattr__(self, name):
+        # Reached only for a name the record does not hold: an unset
+        # field of a deferred record, or no attribute at all.
+        fill = vars(self).get(_FILL) if name in names else None
+        if fill is None:
+            message = f"'{type(self).__name__}' object has no attribute '{name}'"
+            raise AttributeError(message, name=name, obj=self)
+        for field, value in fill(self).items():
+            set_field(self, field, value)
+        vars(self).pop(_FILL, None)
+        return getattr(self, name)
+
     def __eq__(self, other):
         if other.__class__ is not self.__class__:
             return NotImplemented
@@ -50,10 +67,22 @@ def record(cls=None, /, *, frozen=True, uncompared=()):
     def refuse(self, name, value=None):
         raise AttributeError(f"{self.__class__.__name__} is immutable")
 
-    cls.__init__, cls.__eq__ = __init__, __eq__
+    for name in defaults:
+        delattr(cls, name)
+    cls.__init__, cls.__eq__, cls.__getattr__ = __init__, __eq__, __getattr__
     if "__repr__" not in cls.__dict__:
         cls.__repr__ = __repr__
     cls.__hash__ = (lambda self: hash(key(self))) if frozen else None
     if frozen:
         cls.__setattr__ = cls.__delattr__ = refuse
     return cls
+
+
+def deferred(cls, fill, **values):
+    """A record of `cls` holding `values` (fields or other attributes,
+    unchecked) with the other fields unset: the first read of one sets
+    them all to what `fill(record)` returns by name, and drops `fill`."""
+    made = object.__new__(cls)
+    for name, value in {**values, _FILL: fill}.items():
+        object.__setattr__(made, name, value)
+    return made

@@ -5,9 +5,10 @@ caller asks for, and reruns it at double width whenever a field
 overflows, also when an input does not fit.  These tests check that the
 bundled workloads never widen, that inputs of moderate degree (between
 2^12 and 2^15, which fit 16-bit fields) give the values of a run started
-at width 32, and that a table makes exactly one run at 16 bits even
+at width 32, that a table makes exactly one run at 16 bits even
 after the packing cache has dropped that packing, whatever other table
-of the same ring came first.
+of the same ring came first, and that a matrix held packed enters a run
+at its width as it is held after that packing was dropped.
 """
 
 import pytest
@@ -116,3 +117,30 @@ def test_a_span_table_makes_one_run_after_the_packing_cache_evicts(
     assert runs == [16]  # the span table's own run alone
     assert image._table is image_table
     assert span.reduced() == MembershipBasis(R, 2, ker + image_cols).reduced()
+
+
+@pytest.mark.parametrize("order", [GREVLEX, LEX])
+def test_a_held_matrix_enters_a_run_at_its_width_after_the_packing_cache_evicts(
+    order, monkeypatch
+):
+    """A segment is read as held when its width is the run's: the run's
+    packing of the same ring need not be the object that packed it."""
+    R = fc.ring("x,y,z,w", ["x*y - z^2"], order=order)
+    p = lambda text: fc.poly(text, R)  # noqa: E731
+    columns = [(p("x"), p("z")), (p("z"), p("y")), (p("w"), p("x + w")), (p("y*w"), p("0"))]
+    made = syzygy_entries(columns, 2, R)
+    modules._packing.cache_clear()  # as if 64 other packings came since
+    unpacked = []
+    real = modules._entries_from_vp
+
+    def spied(vp, pk, sig, rank):
+        unpacked.append(rank)
+        return real(vp, pk, sig, rank)
+
+    with monkeypatch.context() as patch:
+        patch.setattr(modules, "_entries_from_vp", spied)
+        table = MembershipBasis(R, made.nrows, made)
+        kernel = kernel_generators(made)
+    assert unpacked == []
+    assert table.reduced() == MembershipBasis(R, made.nrows, list(made)).reduced()
+    assert kernel == kernel_generators(fc.PolyMatrix(R, made.nrows, made))

@@ -225,3 +225,36 @@ def test_only_packed_run_picks_a_width():
         "run",
         "width",
     ]
+
+
+def test_no_class_writes_its_own_getattr():
+    """One deferred-field idiom: `record` installs the one `__getattr__`,
+    which `deferred` records fill through; no class writes its own."""
+    offenders = [
+        f"{name}: {node.name}"
+        for name, tree in _modules().items()
+        for node in ast.walk(tree)
+        if isinstance(node, ast.ClassDef)
+        and any(getattr(member, "name", None) == "__getattr__" for member in node.body)
+    ]
+    assert offenders == []
+
+
+def test_only_a_projection_compacts():
+    """A packed segment is compacted once, as `PolyMatrix.projected`
+    makes it, never again as a run reads it."""
+    callers = []
+    for name, tree in _modules().items():
+        for top in tree.body:
+            members = top.body if isinstance(top, ast.ClassDef) else [top]
+            for member in members:
+                owner = getattr(member, "name", "<body>")
+                if isinstance(top, ast.ClassDef):
+                    owner = f"{top.name}.{owner}"
+                callers += [
+                    f"{name}: {owner}"
+                    for node in ast.walk(member)
+                    if isinstance(node, ast.Call)
+                    and getattr(node.func, "attr", None) == "compact"
+                ]
+    assert callers == ["modules.py: PolyMatrix.projected"]

@@ -11,9 +11,12 @@ two matrices as they are held.  Checked here:
   (`_vp_from_entries(project(e))` at the fiber's packing), on seeded
   random columns over a quotient ring under grevlex, lex and block
   orders, for every set of dropped variables and at several widths;
+- francia `tor(2, J, L)` compacts d2 and d3 once each, as they are
+  projected, also when its witnesses are read;
 - a Tor whose resolution needs 32-bit fields over R while its fiber
-  runs at 16 bits: the projection falls back to packing the projected
-  columns, and the witnesses are those of the relation-column route;
+  runs at 16 bits: the projection compacts at 32 bits, the fiber's runs
+  unpack and pack those columns, and the witnesses are those of the
+  relation-column route;
 - an engine-made matrix as a record: equal to, printed and hashed like
   the matrix of its columns, with shape reads that unpack nothing and
   one unpack per column on the first read;
@@ -113,7 +116,7 @@ def test_compaction_packs_as_the_fiber_ring_does(order, block):
             assert pk.compact(vps, keep) == expected
             # The same through a matrix: packed at R's width, read at the
             # fiber's, and unpacked as the projected columns.
-            matrix = _packed_matrix(R, rank, [(pk, vps, R.signature, None)])
+            matrix = _packed_matrix(R, rank, [(pk, vps)])
             fibered = matrix.projected(base, project)
             assert fibered._at(fiber) == expected
             assert fibered.columns == tuple(tuple(map(project, c)) for c in columns)
@@ -161,8 +164,10 @@ def _wide_tor(monkeypatch):
 
 
 def test_a_projection_at_another_width_packs_the_projected_columns(monkeypatch):
+    # d2 is compacted once, at its own width, as it is projected; the
+    # fiber's 16-bit runs unpack and pack those 32-bit columns.
     report, M, N, compactions = _wide_tor(monkeypatch)
-    assert compactions == []
+    assert compactions == [32]
     assert not report.is_zero
     _assert_routes_agree(report, 1, M, N)
 
@@ -181,6 +186,24 @@ def test_a_projection_at_its_own_width_compacts(monkeypatch):
     report = tor(1, M, N)
     assert compactions and set(compactions) == {16}
     _assert_routes_agree(report, 1, M, N)
+
+
+def test_a_tor_compacts_each_projected_differential_once(monkeypatch):
+    """francia tor(2, J, L) projects d2 and d3 to the fiber ring, and
+    each is compacted as it is projected: the image's table, the kernel
+    and the span table that the witnesses need read the fiber's packed
+    columns as they are held."""
+    (i, J, L), _ = _deep_queries(GREVLEX)
+    compactions = []
+    real = modules._Packing.compact
+    monkeypatch.setattr(
+        modules._Packing,
+        "compact",
+        lambda pk, vps, keep: compactions.append(pk.width) or real(pk, vps, keep),
+    )
+    report = tor(i, J, L)
+    assert report.witness_generators
+    assert compactions == [16, 16]
 
 
 def _spy_unpacks(monkeypatch):
@@ -390,8 +413,9 @@ def _hashed(report):
 def test_a_pending_report_is_the_record_of_its_witnesses(read):
     pending, eager = _pending_and_eager()
     assert read(pending, eager)
-    assert vars(pending)["witness_generators"] == eager.witness_generators
-    assert pending._pending is None
+    # After the first read the report holds what the eager one does: its
+    # fill is dropped.
+    assert vars(pending) == vars(eager)
     with pytest.raises(AttributeError):
         pending.witness_generators = ()
     with pytest.raises(AttributeError):

@@ -1,5 +1,6 @@
 """The behaviour of the package's record classes: construction, equality
-and hashing, repr, immutability and validation."""
+and hashing, repr, immutability and validation, and the contract of a
+`deferred` record, whose unset fields one fill sets on first read."""
 
 from fractions import Fraction
 
@@ -22,6 +23,7 @@ from flatcert import (
 )
 from flatcert.cli import ReproCheck, ReproReport
 from flatcert.parse import BinOp, Neg, Num, Pow, Token, Var, tokenize
+from flatcert.record import deferred, record
 from flatcert.script import (
     AssertFlat,
     AssertionRecord,
@@ -275,3 +277,79 @@ def test_vector_and_matrix_reprs_are_pinned():
     x = fc.poly("x", R)
     assert repr(ModuleElement(R, [x])) == "ModuleElement(x)"
     assert repr(PolyMatrix(R, 1, [[x]])) == "PolyMatrix(1x1)"
+
+
+@record
+class Pair:
+    left: int
+    middle: int
+    right: int = 0
+
+
+def _deferred_pair(fills):
+    """Pair(1, 2, 3) with `middle` and `right` unset; each fill is
+    appended to `fills`."""
+
+    def fill(pair):
+        fills.append(pair)
+        return {"middle": 2, "right": 3}
+
+    return deferred(Pair, fill, left=1)
+
+
+def test_a_deferred_record_fills_once():
+    fills = []
+    pair = _deferred_pair(fills)
+    assert pair.left == 1 and "middle" not in vars(pair) and fills == []
+    assert pair.right == 3 and fills == [pair]
+    assert (pair.middle, pair.right) == (2, 3) and len(fills) == 1
+    # The fill is dropped: the record holds what an eager one does.
+    assert vars(pair) == vars(Pair(1, 2, 3))
+
+
+@pytest.mark.parametrize(
+    "read",
+    [
+        lambda record: record == Pair(1, 2, 3) and Pair(1, 2, 3) == record,
+        lambda record: record != Pair(1, 2, 4),
+        hash,
+        repr,
+        str,
+    ],
+    ids=["eq", "ne", "hash", "repr", "str"],
+)
+def test_a_deferred_record_reads_like_an_eager_one(read):
+    fills = []
+    pair = _deferred_pair(fills)
+    with pytest.raises(AttributeError):
+        pair.middle = 5  # refused before the fill, which it does not run
+    assert fills == []
+    assert read(pair) == read(Pair(1, 2, 3))
+    assert len(fills) == 1
+    with pytest.raises(AttributeError):
+        pair.right = 4
+    assert pair.right == 3
+
+
+def test_an_unknown_name_raises_the_standard_attribute_error():
+    class Plain:
+        pass
+
+    with pytest.raises(AttributeError) as plain:
+        Plain().missing
+    fills = []
+    for pair in (Pair(1, 2), _deferred_pair(fills)):
+        with pytest.raises(AttributeError) as caught:
+            pair.missing
+        assert str(caught.value) == str(plain.value).replace("Plain", "Pair")
+        assert (caught.value.name, caught.value.obj) == ("missing", pair)
+        assert not hasattr(pair, "_private")
+    assert fills == []
+
+
+def test_a_default_is_filled_in_by_the_constructor_alone():
+    assert Pair(1, 2) == Pair(1, 2, 0) and Pair(1, 2).right == 0
+    assert Pair(1, 2, right=5).right == 5
+    assert "right" not in vars(Pair) and not hasattr(Pair, "right")
+    assert Var("x").line == 0 and not hasattr(Var, "line")
+    assert PolyMatrix(fc.ring("x"), 1).columns == () and not hasattr(PolyMatrix, "columns")

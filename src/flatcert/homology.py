@@ -14,6 +14,12 @@ over R.  Verdicts are zero or nonzero with canonical witness generators
 The steps d_1..d_i come from `syzygy_entries`, the syzygy module's
 reduced Groebner basis: they fix the basis of F_i, the witnesses'
 coordinates, whatever the order of the ring's defining generators.
+The first basis of a resolution (a presentation, or the step after a
+user's relation matrix) is the table route's, for position-over-term;
+it records that order, so every step after it is a Schreyer step, the
+reduced basis for the order that the step before induces, with no
+second Buchberger run.  Those orders are fixed by the canonical first
+basis, so the resolution stays canonical.
 d_(i+1) and the kernel at i enter the homology only as the submodules
 they span, through membership tables and a reduced basis, both unique
 for a submodule.  So both come from `kernel_generators`, the engine's
@@ -198,7 +204,9 @@ class ChainComplex:
 def _next_step(d: PolyMatrix, basis: bool) -> PolyMatrix:
     """A matrix whose columns span the kernel of d: the `syzygy_entries`
     basis when `basis` is asked for or already kept under d, otherwise
-    `kernel_generators`."""
+    `kernel_generators`.  The basis is a Schreyer step exactly when d
+    records the order its columns are a basis for, as every basis
+    `syzygy_entries` makes does."""
     kept = _recall(d)
     if kept is not None and (kept[0] or not basis):
         return kept[1]
@@ -210,7 +218,10 @@ def _next_step(d: PolyMatrix, basis: bool) -> PolyMatrix:
 def free_resolution(module: ModuleLike, length: int) -> ChainComplex:
     """A free resolution of the module, built by iterated syzygies:
     d_1 is the relations matrix and d_(k+1) holds the syzygies of d_k's
-    columns (`syzygy_entries`, kept under d_k).
+    columns (`syzygy_entries`, kept under d_k): the table route's basis
+    for position-over-term after a matrix that records no order, and a
+    Schreyer step, the reduced basis for the order d_k's leads induce,
+    after one that does.  Such a resolution need not be minimal.
 
     Truncates early (and flags completion) when a syzygy step is zero; a
     free module has no differentials.  Over a quotient ring the

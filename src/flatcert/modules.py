@@ -26,6 +26,18 @@ the entries leave the engine as normal forms, and syzygies that vanish
 in the ring never leave.  So the engine has two kinds of run: tables
 and generator mode.
 
+A syzygy basis records the order its columns are a reduced basis for
+(`Order`: position-over-term for a table's).  Given such a matrix d,
+`syzygy_entries` takes a Schreyer step instead (`_schreyer`): the
+reduced basis of d's syzygies for the order d's leads induce, read off
+a frame of lcm quotients (Schreyer 1980; La Scala and Stillman 1998),
+each generator lifted and the lifts interreduced by normal forms, with
+no Buchberger run.  It records that induced order in turn, so a
+resolution takes the table route once, at its first basis, and Schreyer
+steps after it.  Its terms are packed in an order of their own
+(`_Induced`), which the one normal-form loop reads as it reads any
+packing.
+
 Inside the engine a term, a (position, monomial) pair, is one packed
 int (`_Packing`, after Monagan and Pearce's packed exponent vectors): a
 product is an addition, a quotient a subtraction, a divisibility test a
@@ -36,7 +48,8 @@ adds to its degree field), unpacking one `struct` read of the term's
 bytes and one `itemgetter`: C-level work per term.  `_vp_from_entries`
 and `_defining_vps` (each ring relation packed once per run, at position
 0, for every position's bucket to hold) pack tuple monomials on the way
-in, `_entries_from_vp` unpacks them on the way out; no packed int leaves
+in, `_entries_from_vp` unpacks them on the way out (and `_Packing`
+packs and unpacks an `Order`'s leads itself); no packed int leaves
 this module, and everywhere else a monomial is a tuple.  Each engine run starts at
 16-bit fields, or at the width its caller asks for, and when an input,
 a product or an lcm outgrows a field (`_Overflow`), runs again at
@@ -115,6 +128,10 @@ VecPoly = dict[VecTerm, Coefficient]
 Tail = tuple[tuple[VecTerm, Coefficient], ...]  # a monic element's, negated
 Entries = tuple[Polynomial, ...]
 Segment = tuple  # (packing, data): see `PolyMatrix`
+# A free module's induced order, per basis vector e_p (a row of the
+# matrix that holds it): (F_0 positions, total leads in F_0, tie ranks).
+# Width-free: `_schreyer` packs it per run (`_Induced`).
+Order = tuple[tuple[int, ...], tuple[Monomial, ...], tuple[int, ...]]
 
 
 def _column(
@@ -191,6 +208,9 @@ class PolyMatrix(Sequence):
 
     # A matrix built packed: its segments (not a field: no annotation).
     _packed = None
+    # A syzygy basis the engine made: the order its columns are a reduced
+    # basis for (an `Order`, not a field), which `_schreyer` reads.
+    _order = None
 
     def __post_init__(self) -> None:
         if self.nrows < 0:
@@ -291,11 +311,14 @@ def _check_shape(matrix: PolyMatrix, ring: PresentedRing, nrows: int) -> None:
 
 
 def _packed_matrix(
-    ring: PresentedRing, nrows: int, segments: Iterable[Segment]
+    ring: PresentedRing, nrows: int, segments: Iterable[Segment], order=None
 ) -> PolyMatrix:
     """A matrix that holds its columns as segments, unchecked, and
-    unpacks them on the first read of `columns`."""
-    return deferred(PolyMatrix, _unpacked, ring=ring, nrows=nrows, _packed=tuple(segments))
+    unpacks them on the first read of `columns`; `order`, when given, is
+    the `Order` its columns are a reduced basis for."""
+    return deferred(
+        PolyMatrix, _unpacked, ring=ring, nrows=nrows, _packed=tuple(segments), _order=order
+    )
 
 
 def _unpacked(matrix: PolyMatrix) -> dict[str, tuple[Entries, ...]]:
@@ -421,6 +444,14 @@ class _Packing:
     def key(self, t: int) -> int:
         return t ^ self.neg
 
+    def packed(self, monomials: Iterable[Monomial]) -> list[int]:
+        """Monomials packed at position 0: an `Order`'s leads, per run."""
+        return [self.pack(0, m) for m in monomials]
+
+    def monomial(self, t: int) -> Monomial:
+        """The monomial of a packed term: an `Order`'s lead."""
+        return self.pick(self.fields((t & self.mask).to_bytes(self.nbytes, "big")))
+
     def divides(self, u: int, t: int) -> bool:
         """Whether u divides t; both at one position."""
         return ((t | self.guards) - u) & self.guards == self.guards
@@ -499,9 +530,79 @@ def _packed_run(ring: PresentedRing, run: Callable[[_Packing], object], width=16
             width *= 2
 
 
+class _Induced:
+    """The terms of one resolution step packed in its induced (Schreyer)
+    order, at a `_Packing`'s width: what `_schreyer` reduces in.
+
+    A basis vector e of a free module F_k has a total lead L*E_P in F_0:
+    the lead of the column of d_k it stands for, pushed down the
+    resolution (F_0 is position-over-term, so there e_P is 1*E_P), and a
+    tie rank r, its lead chain's rank (see `Order`).  The term m*e is,
+    most significant first,
+        P | m*L | r | R - r | m,
+    with R = value, both monomials laid out as the ring's packing lays
+    out a monomial, every field with its guard bit.  So
+      - `key` (t ^ neg, both monomials' degree fields, under lex every
+        exponent field, complemented) ascends as (P, m*L in the ring's
+        order, r): the induced order, ties to the smaller rank.  The last
+        block never decides: equal P, m*L and r mean one e and one m;
+      - a term u divides a term t, in the engine's guard test, exactly
+        when their rank fields are equal (r_u <= r_t and R - r_u <=
+        R - r_t) and u's monomials divide t's; a ring relation, packed
+        with zero rank fields and each monomial in both blocks
+        (`monomial`), reduces every rank, as a relation at position 0
+        reduces every position of a table;
+      - t + monomial(q) is q*t, which overflowed if it sets a guard bit.
+    """
+
+    __slots__ = ("width", "mask", "value", "top", "shift", "guards", "neg")
+
+    def __init__(self, pk: _Packing):
+        width, bits = pk.width, pk.shift
+        self.width, self.mask, self.value = width, pk.mask, pk.value
+        self.top = bits + 2 * width  # where the total monomial m*L starts
+        self.shift = self.top + bits  # where the position starts
+        ranks = (1 << (bits + width - 1)) | (1 << (bits + 2 * width - 1))
+        self.guards = (pk.guards << self.top) | ranks | pk.guards
+        self.neg = (pk.neg << self.top) | pk.neg
+
+    def key(self, t: int) -> int:
+        return t ^ self.neg
+
+    def monomial(self, q: int) -> int:
+        """A packed monomial (position 0) in both blocks: a multiplier."""
+        return (q << self.top) + q
+
+    def basis(self, pos: int, lead: int, rank: int) -> int:
+        """1*e for a basis vector e of total lead `lead` (a packed
+        monomial) at F_0 position `pos`, of tie rank `rank`."""
+        if rank > self.value:
+            raise _Overflow
+        ranks = (rank << self.width) + self.value - rank
+        ranks <<= self.top - 2 * self.width
+        return (pos << self.shift) + (lead << self.top) + ranks
+
+    def rank(self, t: int) -> int:
+        return t >> (self.top - self.width) & self.value
+
+    def lead(self, t: int) -> int:
+        """The total monomial m*L of a term, packed as the ring packs it."""
+        return t >> self.top & self.mask
+
+
 def _small(c: Coefficient) -> Coefficient:
     """An integral coefficient as an int, any other unchanged."""
     return c.numerator if c.denominator == 1 else c
+
+
+def _monic(vp: VecPoly, lt: VecTerm) -> VecPoly:
+    """vp divided by its coefficient at lt (vp itself when that is 1)."""
+    c = vp[lt]
+    if c == -1:
+        return {t: -v for t, v in vp.items()}
+    if c != 1:
+        return {t: _small(Fraction(v, c)) for t, v in vp.items()}
+    return vp
 
 
 def _vp_from_entries(entries: Sequence[Polynomial], pk: _Packing) -> VecPoly:
@@ -663,11 +764,7 @@ def _module_buchberger(
     collected: list[VecPoly] = []
 
     def add(vp: VecPoly, lt: VecTerm, sugar: int) -> None:
-        c = vp[lt]
-        if c == -1:
-            vp = {t: -v for t, v in vp.items()}
-        elif c != 1:
-            vp = {t: _small(Fraction(v, c)) for t, v in vp.items()}
+        vp = _monic(vp, lt)
         idx = len(leads)
         if idx >= relations and head is not None and lt >= head:
             collected.append(vp)
@@ -961,7 +1058,9 @@ def _syzygies(
     enter a rank-m table in the same packed run, and the answer is its
     reduced basis (`_reduced`): the syzygy module's, unique for the
     order.  Both runs enter the ring's reduced defining basis first, as
-    their relations.
+    their relations.  That basis records position-over-term as its
+    order.  A basis asked for of a matrix that records an order, with no
+    extra relations, is a Schreyer step (`_schreyer`) instead.
 
     Either way every entry is reduced modulo the ring (it equals
     `ring.reduce` of itself), and no vector is zero in the ring or repeats
@@ -976,6 +1075,8 @@ def _syzygies(
     m = len(columns)
     if m == 0:
         return PolyMatrix(ring, 0)
+    if not (generators or extra_relations) and getattr(columns, "_order", None):
+        return _schreyer(columns, ring)
     ring_basis = ring.defining_basis() if ring.is_quotient else ()
 
     def run(pk: _Packing) -> tuple[_Packing, list[VecPoly]]:
@@ -1028,7 +1129,158 @@ def _syzygies(
                 out.append(vp)
         return pk, out
 
-    return _packed_matrix(ring, m, [_packed_run(ring, run)])
+    if generators:
+        return _packed_matrix(ring, m, [_packed_run(ring, run)])
+    # A basis for position-over-term, which is F_0's order for a step.
+    pot = (tuple(range(m)), ((0,) * ring.signature.nvars,) * m, tuple(range(m)))
+    return _packed_matrix(ring, m, [_packed_run(ring, run)], pot)
+
+
+def _schreyer(matrix: PolyMatrix, ring: PresentedRing) -> PolyMatrix:
+    """The syzygies of d = `matrix`, whose columns c_1..c_m are, with the
+    ring's relations in every coordinate, a Groebner basis for the order
+    d records (`Order`; a basis the engine made): their module's reduced
+    basis for the order that d's leads induce on F = ring^m, where m*e_i
+    is compared as m*lt(c_i) and ties go to the smaller tie rank
+    (Schreyer; La Scala and Stillman 1998).  No Buchberger run: by
+    Schreyer's theorem the lifts of a frame are a Groebner basis.
+
+    With the ring's reduced relations g, the c's and every g*e_p are a
+    Groebner basis of d's span plus the relations, so the syzygy module
+    (plus g*e_i for every g and i) has, at each e_i, the leads generated
+    by lcm(lt c_i, lt c_j)/lt c_i over j > i with lt c_j at lt c_i's
+    position and by lcm(lt c_i, lt g)/lt c_i over the g's.  The frame
+    holds the minimal ones.  A g coprime to lt c_i gives lt(g)*e_i, the
+    lead of g*e_i, which is zero in the ring: it prunes but is not
+    lifted.  Each other generator is lifted by reducing its S-pair
+    against the columns, each augmented with its unit e_j in a tracker
+    block below F_0, and the relations; the head reduces to zero and the
+    tracker part is a syzygy with that lead.  One `_Induced` packing
+    holds the head and, shifted into the tracker block, F's terms.
+    So the lifts and the g*e_i span the syzygies plus the relations, and
+    their leads are the module's.  The lifts are interreduced by
+    increasing lead, modulo the ring too (the relations reduce every
+    e_i), one normal form each, as in `_reduced`, and leave by decreasing
+    lead, reduced modulo the ring, as a packed matrix that records F's
+    order: e_i's total lead is lt(c_i)'s, its tie rank the rank of (tie
+    rank of lt(c_i)'s basis vector, i)."""
+    positions, leads, ranks = matrix._order
+    ring_basis = ring.defining_basis() if ring.is_quotient else ()
+    m = matrix.ncols
+
+    def run(pk: _Packing) -> tuple:
+        ind = _Induced(pk)
+        shift, mask, key = pk.shift, pk.mask, ind.key
+        # d's columns in F_(k-1)'s induced order, and their leads.
+        rows = list(map(ind.basis, positions, pk.packed(leads), ranks))
+        cols = []
+        for vp in matrix._at(pk):
+            col: VecPoly = {}
+            for t, c in vp.items():
+                u = rows[t >> shift] + ind.monomial(t & mask)
+                if u & ind.guards:
+                    raise _Overflow
+                col[u] = c
+            cols.append(col)
+        lts = [min(col, key=key) for col in cols]
+        # F's basis: e_i's total lead is lt(c_i)'s, its rank that of its
+        # lead chain, (rank of lt(c_i)'s row, i).
+        chain = sorted(range(m), key=lambda i: (ind.rank(lts[i]), i))
+        rank = [0] * m
+        for r, i in enumerate(chain):
+            rank[i] = r
+        basis = [
+            ind.basis(lt >> ind.shift, ind.lead(lt), rank[i]) for i, lt in enumerate(lts)
+        ]
+        # The reducers: the relations, at every F_0 position, then the
+        # columns with their trackers, in a block below F_0.
+        npos = max(positions) + 1
+        block = npos << ind.shift
+        relations = [
+            {ind.monomial(t): c for t, c in vp.items()}
+            for vp in _defining_vps(ring_basis, pk)
+        ]
+        tails: list[Tail] = []
+        rleads: list[VecTerm] = []
+        for vp in relations:
+            rleads.append(min(vp, key=key))
+            tails.append(_tail(vp, rleads[-1]))
+        nrel = len(relations)
+        buckets = {p: list(range(nrel)) for p in range(npos)}
+        same_row: dict[int, list[int]] = {}  # by lead's rank, in order
+        for i, (col, lt) in enumerate(zip(cols, lts)):
+            col[basis[i] + block] = 1
+            tails.append(_tail(_monic(col, lt), lt))
+            rleads.append(lt)
+            buckets[lt >> ind.shift].append(nrel + i)
+            same_row.setdefault(ind.rank(lt), []).append(i)
+
+        def lift(i: int, q: int, partner: int) -> tuple[VecTerm, VecPoly]:
+            """The syzygy of q*(column i) and the reducer `partner` at
+            their lcm, lead first, made monic."""
+            qi = ind.monomial(q)
+            lcm = lts[i] + qi
+            s = {t + lcm - rleads[partner]: c for t, c in tails[partner]}
+            for t, c in tails[nrel + i]:
+                s[t + qi] = s.get(t + qi, 0) - c
+            if lcm & ind.guards or any(t & ind.guards for t in s):
+                raise _Overflow
+            syzygy = _vp_normal_form(s, tails, rleads, buckets, ind)
+            syzygy = {t - block: c for t, c in syzygy.items()}
+            lead = next(iter(syzygy))
+            return lead, _monic(syzygy, lead)
+
+        # The frame: at each e_i, the minimal lcm quotients, smallest
+        # first; a coprime relation's (partner < 0) first among equals.
+        rel_leads = [lt & mask for lt in rleads[:nrel]]
+        lifts: list[tuple[VecTerm, VecPoly]] = []
+        for row in same_row.values():
+            for a, i in enumerate(row):
+                lt = lts[i]
+                mi, quotients = lt & mask, []
+                for j in row[a + 1 :]:
+                    d, lcm = pk.lcm(mi, lts[j] & mask)
+                    quotients.append((d, 1, lcm - mi, nrel + j))
+                for g, lg in enumerate(rel_leads):
+                    d, lcm = pk.lcm(mi, lg)
+                    q = lcm - mi
+                    quotients.append((d, int(q != lg), q, g if q != lg else -1 - g))
+                quotients.sort(key=lambda e: e[:2])
+                kept: list[int] = []
+                for _, _, q, partner in quotients:
+                    if any(pk.divides(k, q) for k in kept):
+                        continue
+                    kept.append(q)
+                    if partner >= 0:  # else lt(g)*e_i, of g*e_i: zero in the ring
+                        lifts.append(lift(i, q, partner))
+        # Interreduction by increasing lead, modulo the ring.
+        lifts.sort(key=lambda e: key(e[0]), reverse=True)
+        del tails[nrel:], rleads[nrel:]
+        buckets = {p: list(range(nrel)) for p in range(npos)}
+        out = []
+        for lt, vp in lifts:
+            del vp[lt]
+            nf = _vp_normal_form(vp, tails, rleads, buckets, ind)
+            buckets[lt >> ind.shift].append(len(rleads))
+            tails.append(tuple((t, -c) for t, c in nf.items()))
+            rleads.append(lt)
+            out.append({lt: 1, **nf})
+        out.reverse()
+        # Back to the ring's packing, at the rows of F (e_i's rank r
+        # is chain[r]'s).
+        packed = [
+            {(chain[ind.rank(t)] << shift) + (t & mask): c for t, c in vp.items()}
+            for vp in out
+        ]
+        order = (
+            tuple(lt >> ind.shift for lt in lts),
+            tuple(pk.monomial(ind.lead(lt)) for lt in lts),
+            tuple(rank),
+        )
+        return pk, packed, order
+
+    pk, packed, order = _packed_run(ring, run)
+    return _packed_matrix(ring, m, [(pk, packed)], order)
 
 
 def syzygy_entries(
@@ -1041,8 +1293,13 @@ def syzygy_entries(
     relative to the span of `extra_relations` (and the defining
     generators in every coordinate): its reduced Groebner basis, unique
     for the order whatever the order of any generators, by decreasing
-    lead, each element reduced modulo the ring.  The basis comes from
-    generator mode's syzygies and a rank-m table of them (`_syzygies`).
+    lead, each element reduced modulo the ring.  The order is
+    position-over-term, and the basis comes from generator mode's
+    syzygies and a rank-m table of them (`_syzygies`); but when
+    `columns` is a syzygy basis this function made, which records the
+    order it is a basis for, and there are no extra relations, the order
+    is the one its leads induce, and the basis a Schreyer step's
+    (`_schreyer`), which records that order in turn.
     `free_resolution` builds its differentials from it, so it fixes the
     resolution's ranks and the basis of each free module.  The basis is
     the columns of a matrix with one row per input column, which stays

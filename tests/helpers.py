@@ -10,9 +10,11 @@ must agree with.  It takes its kernel from `syzygy_entries`, the
 Groebner basis of the syzygy module, not from `tor`'s generator route.
 `full_complex_tor` is the same kind of reference for `tor`'s truncated
 tensoring: it tensors every differential d_1..d_(i+1) of the canonical
-resolution, not only the two that meet F_i.  `run_with_deadline` runs a
-computation that could hang in a child process, so a regression fails
-the suite instead of stalling it.
+resolution, not only the two that meet F_i.  `schreyer_certificate`
+checks a resolution step against the induced order read off its
+definition (`induced_orders`), by naive division on tuple monomials.
+`run_with_deadline` runs a computation that could hang in a child
+process, so a regression fails the suite instead of stalling it.
 """
 
 from __future__ import annotations
@@ -412,3 +414,135 @@ def run_with_deadline(seconds: float, fn, *args):
     if not finished:
         raise AssertionError(f"{fn.__name__} raised:\n{value}")
     return value
+
+
+def _textbook_key(m: tuple[int, ...], order: str) -> tuple:
+    """A sort key that ascends with `textbook_compare` under grevlex or
+    lex: the higher degree, then the smaller last differing exponent,
+    wins under grevlex; the first differing exponent decides under lex."""
+    if order == "lex":
+        return m
+    return (sum(m), tuple(-e for e in reversed(m)))
+
+
+def induced_orders(differentials, order: str) -> list[list[tuple]]:
+    """The order that a chain d_1, d_2, ... induces on its free modules,
+    read off the definition (Schreyer; Eisenbud 15.5): F_0 is
+    position-over-term, and m*e_i in F_k is compared as m*lt(c_i) in
+    F_(k-1), c_i d_k's i-th column and lt its lead there, ties to the
+    smaller i.  Unrolled, m*e_i is compared by its image in F_0 (position,
+    then monomial), then by its chain of indices (lead positions from F_1
+    up to i itself), lexicographically, the smaller first.  Returns, per
+    F_k, per basis vector: (F_0 position, total lead monomial, chain)."""
+    nvars = differentials[0].ring.signature.nvars
+    levels = [[(p, (0,) * nvars, ()) for p in range(differentials[0].nrows)]]
+    for d in differentials:
+        below = levels[-1]
+        here = []
+        for i, col in enumerate(d.columns):
+            terms = [(p, m) for p, e in enumerate(col) for m in e.terms]
+            p, m = max(terms, key=lambda t: induced_key(below, t, order))
+            p0, total, chain = below[p]
+            here.append((p0, tuple(a + b for a, b in zip(m, total)), chain + (i,)))
+        levels.append(here)
+    return levels
+
+
+def induced_key(level: list[tuple], term: tuple, order: str) -> tuple:
+    """A sort key of the term (i, m) of a free module whose induced order
+    `level` gives (see `induced_orders`): the greater term, the greater key."""
+    i, m = term
+    p0, total, chain = level[i]
+    image = tuple(a + b for a, b in zip(m, total))
+    return (-p0, _textbook_key(image, order), tuple(-c for c in chain))
+
+
+def _induced_remainder(vec: dict, divisors: dict, level, order: str) -> dict:
+    """The remainder of vec, {(i, m): c}, on division by `divisors`,
+    {i: [(lead monomial, vector)]} of monic vectors, in the induced
+    order: the top term is reduced by the first divisor at its position
+    whose lead divides it, or else moved to the remainder."""
+    vec, rem = dict(vec), {}
+    while vec:
+        i, m = top = max(vec, key=lambda t: induced_key(level, t, order))
+        c = vec.pop(top)
+        for lead, divisor in divisors.get(i, ()):
+            if all(a >= b for a, b in zip(m, lead)):
+                q = tuple(a - b for a, b in zip(m, lead))
+                for (j, n), v in divisor.items():
+                    t = (j, tuple(a + b for a, b in zip(n, q)))
+                    if t != top:
+                        vec[t] = vec.get(t, 0) - c * v
+                        if not vec[t]:
+                            del vec[t]
+                break
+        else:
+            rem[top] = c
+    return rem
+
+
+def schreyer_certificate(d, following, level, order: str) -> bool:
+    """Whether `following`'s columns, with the ring's reduced relations g
+    in every coordinate, are a Groebner basis for the induced order
+    `level` on their rows (F_k, the columns of d): every S-pair of two
+    columns with leads at one position, and of a column with g*e_p at
+    its lead's position p, reduces to zero.  Also checks d * following
+    = 0 in the ring, that `following` spans what the table route of
+    `syzygy_entries` gives for d's columns, both ways, and that the
+    basis is reduced: monic, by decreasing lead, and no term of a column
+    divisible by another column's lead or by a relation's lead."""
+    ring = d.ring
+    if not d.compose(following).is_zero_in_ring():
+        return False
+    table_route = syzygy_entries(list(d), d.nrows, ring)
+    rank = following.nrows
+    if not MembershipBasis(ring, rank, table_route).spans(following):
+        return False
+    if not MembershipBasis(ring, rank, following).spans(table_route):
+        return False
+    relations = ring.defining_basis() if ring.is_quotient else ()
+    elements = []  # (position, lead monomial, monic vector)
+    for col in following.columns:
+        vec = {(i, m): c for i, e in enumerate(col) for m, c in e.terms.items()}
+        i, m = max(vec, key=lambda t: induced_key(level, t, order))
+        lc = vec[(i, m)]
+        elements.append((i, m, {t: c / lc for t, c in vec.items()}))
+    columns = len(elements)
+    keys = [induced_key(level, (i, m), order) for i, m, _ in elements]
+    if keys != sorted(keys, reverse=True):
+        return False
+    leads_at: dict[int, list] = {}
+    for a, (i, m, _) in enumerate(elements):
+        leads_at.setdefault(i, []).append((a, m))
+    ring_leads = [max(g.terms, key=lambda m: _textbook_key(m, order)) for g in relations]
+    for a, (i, m, vec) in enumerate(elements):
+        if following.columns[a][i].terms[m] != 1:
+            return False
+        for j, n in vec:
+            divisors = [m2 for b, m2 in leads_at.get(j, ()) if b != a] + ring_leads
+            if any(all(x >= y for x, y in zip(n, m2)) for m2 in divisors):
+                return False
+    for g in relations:
+        lead = max(g.terms, key=lambda m: _textbook_key(m, order))
+        for i in range(rank):
+            vec = {(i, m): c / g.terms[lead] for m, c in g.terms.items()}
+            elements.append((i, lead, vec))
+    divisors: dict[int, list] = {}
+    for i, lead, vec in elements:
+        divisors.setdefault(i, []).append((lead, vec))
+    for a in range(columns):
+        for b in range(a + 1, len(elements)):
+            (i, ma, va), (j, mb, vb) = elements[a], elements[b]
+            if i != j:
+                continue
+            lcm = tuple(map(max, ma, mb))
+            spair = {}
+            for vec, lead, sign in ((va, ma, 1), (vb, mb, -1)):
+                q = tuple(x - y for x, y in zip(lcm, lead))
+                for (k, n), c in vec.items():
+                    t = (k, tuple(x + y for x, y in zip(n, q)))
+                    spair[t] = spair.get(t, 0) + sign * c
+            spair = {t: c for t, c in spair.items() if c}
+            if _induced_remainder(spair, divisors, level, order):
+                return False
+    return True

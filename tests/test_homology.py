@@ -1,6 +1,7 @@
 """Free resolutions, Koszul complexes, homology, and Tor."""
 
 import random
+from itertools import combinations_with_replacement
 from math import comb
 
 import pytest
@@ -257,10 +258,10 @@ def _koszul_dual_series(r, terms):
     return inverse
 
 
-def test_tor_of_the_veronese_residue_field_counts_the_koszul_dual_series():
-    # V_2 = QQ[monomials of degree 2 in e, g, h], k = V/(its variables):
-    # the fiber ring is QQ, so the witnesses of Tor_i(k, k) are a basis.
-    monomials = ("e^2", "e*g", "e*h", "g^2", "g*h", "h^2")
+def _veronese_residue_field(r):
+    """k = V/(its variables), V_r = QQ[monomials of degree r in e, g, h]:
+    the fiber ring is QQ, so the witnesses of Tor_i(k, k) are a basis."""
+    monomials = ["*".join(m) for m in combinations_with_replacement("egh", r)]
     names = [f"m{j}" for j in range(len(monomials))]
     text = (
         f"ring R = QQ[{', '.join(names)}];\nring S = QQ[e,g,h];\n"
@@ -269,6 +270,21 @@ def test_tor_of_the_veronese_residue_field_counts_the_koszul_dual_series():
     )
     report, env = execute_text(text)
     assert report.status == 0
-    k = env["k"]
-    counts = [len(tor(i, k, k).witness_generators) for i in range(5)]
-    assert counts == _koszul_dual_series(2, 5) == [1, 6, 21, 64, 192]
+    return env["k"]
+
+
+def _check_koszul_dual_counts(r, counts):
+    k = _veronese_residue_field(r)
+    found = [len(tor(i, k, k).witness_generators) for i in range(len(counts))]
+    assert found == _koszul_dual_series(r, len(counts)) == counts
+
+
+def test_tor_of_the_veronese_residue_field_counts_the_koszul_dual_series():
+    # Six Tor indices: from d_3 on each resolution step is a Schreyer
+    # step, at ranks up to 576.
+    _check_koszul_dual_counts(2, [1, 6, 21, 64, 192, 576])
+
+
+def test_tor_of_the_cubic_veronese_residue_field_counts_the_koszul_dual_series():
+    # V_3, ten variables and 27 quadrics: ranks up to 495.
+    _check_koszul_dual_counts(3, [1, 10, 72, 495])

@@ -19,12 +19,12 @@ ring by one packed normal form against the ring's reduced defining
 basis.
 `syzygy_entries`, which builds the resolution's differentials, enters
 them, moved to positions 0..m-1, in a rank-m table, seeded as every
-table is, in the same packed run; that table's reduced basis is the
-syzygy module's, unique for the order whatever the order of the
-generators, and a lead lookup reduces it modulo the ring.  Either way
-the entries leave the engine as normal forms, and syzygies that vanish
-in the ring never leave.  So the engine has two kinds of run: tables
-and generator mode.
+table is, in the same packed run; that table's reduced basis, less the
+elements led by lt(g)*e_j for a ring basis element g (the ring's own
+g*e_j), is the syzygy module's modulo the ring, unique for the order
+whatever the order of the generators.  Either way the entries leave the
+engine as normal forms, and syzygies that vanish in the ring never
+leave.  So the engine has two kinds of run: tables and generator mode.
 
 A syzygy basis records the order its columns are a reduced basis for
 (`Order`: position-over-term for a table's).  Given such a matrix d,
@@ -1056,22 +1056,24 @@ def _syzygies(
     An augmented run in generator mode (see `_module_buchberger`)
     collects generators, which `generators` asks for.  Otherwise they
     enter a rank-m table in the same packed run, and the answer is its
-    reduced basis (`_reduced`): the syzygy module's, unique for the
-    order.  Both runs enter the ring's reduced defining basis first, as
-    their relations.  That basis records position-over-term as its
-    order.  A basis asked for of a matrix that records an order, with no
-    extra relations, is a Schreyer step (`_schreyer`) instead.
+    reduced basis (`_reduced`) without the elements led by lt(g)*e_j for
+    a ring basis element g: the syzygy module's modulo the ring, unique
+    for the order.  Both runs enter the ring's reduced defining basis
+    first, as their relations.  That basis records position-over-term as
+    its order.  A basis asked for of a matrix that records an order,
+    with no extra relations, is a Schreyer step (`_schreyer`) instead.
 
     Either way every entry is reduced modulo the ring (it equals
-    `ring.reduce` of itself), and no vector is zero in the ring or repeats
-    another (two syzygies can reduce to one).  The reduction runs inside
-    the engine: one packed normal form per generator against the ring's
-    reduced defining basis, or a lead lookup per basis element.  That
-    basis can be of higher degree than the inputs, and it is packed with
-    them, before the Buchberger runs, so a basis that outgrows the width
-    reruns before any engine work.  The syzygies leave as a matrix that
-    stays packed (see `PolyMatrix`), and a `PolyMatrix` of columns enters
-    as it is held."""
+    `ring.reduce` of itself), and no vector is zero in the ring or
+    repeats another (two generators can reduce to one).  The reduction
+    runs inside the engine: one packed normal form per generator against
+    the ring's reduced defining basis, and none for a basis, whose tails
+    the table reduces against every g*e_j.  That basis can be of higher
+    degree than the inputs, and it is packed with them, before the
+    Buchberger runs, so a basis that outgrows the width reruns before
+    any engine work.  The syzygies leave as a matrix that stays packed
+    (see `PolyMatrix`), and a `PolyMatrix` of columns enters as it is
+    held."""
     m = len(columns)
     if m == 0:
         return PolyMatrix(ring, 0)
@@ -1098,24 +1100,13 @@ def _syzygies(
         tracked = [{t - head: c for t, c in vp.items()} for vp in found]
         if not generators:
             table = _module_buchberger(ring_vps + tracked, pk, m, None, len(ring_vps))
-            tracked = _reduced(*table, pk)
             # The table carries g*e_j for each ring basis element g (every
-            # bucket holds g), so each tail is reduced modulo the ring,
-            # and a minimal lead that lt(g)*e_j divides is lt(g)*e_j
-            # itself.  The normal form of such an element modulo the ring
-            # is the element minus g*e_j, as g's tail is reduced too (g
-            # lies in a reduced basis); it is kept lead first, as a normal
-            # form comes out.
-            ring_at = dict(zip(ring_leads, ring_tails))
-            for k, vp in enumerate(tracked):
-                lt = next(iter(vp))
-                tail = ring_at.get(lt & pk.mask)
-                if tail is not None:
-                    at = lt - (lt & pk.mask)  # lt's position
-                    del vp[lt]
-                    for t, c in tail:
-                        vp[t + at] = vp.get(t + at, 0) + c
-                    tracked[k] = {t: vp[t] for t in sorted(vp, key=pk.key) if vp[t]}
+            # bucket holds g), so every tail is reduced modulo the ring, and
+            # the element led by lt(g)*e_j is that relation's: it is dropped.
+            tracked = [
+                vp for vp in _reduced(*table, pk)
+                if next(iter(vp)) & pk.mask not in ring_leads
+            ]
         elif ring_vps:
             buckets = dict.fromkeys(range(m), list(range(len(ring_vps))))
             reducers = (ring_tails, ring_leads, buckets, pk)
@@ -1291,9 +1282,11 @@ def syzygy_entries(
 ) -> PolyMatrix:
     """Generators of the syzygy module of the given columns over `ring`,
     relative to the span of `extra_relations` (and the defining
-    generators in every coordinate): its reduced Groebner basis, unique
-    for the order whatever the order of any generators, by decreasing
-    lead, each element reduced modulo the ring.  The order is
+    generators in every coordinate): its reduced Groebner basis modulo
+    the ring, unique for the order whatever the order of any generators,
+    by decreasing lead.  With the ring's relations g*e_j it is a
+    Groebner basis, and no term of an element is divisible by another
+    element's lead or by an lt(g)*e_j.  The order is
     position-over-term, and the basis comes from generator mode's
     syzygies and a rank-m table of them (`_syzygies`); but when
     `columns` is a syzygy basis this function made, which records the

@@ -22,6 +22,7 @@ from __future__ import annotations
 import multiprocessing
 import traceback
 from fractions import Fraction
+from functools import cmp_to_key
 
 from flatcert import (
     ChainComplex,
@@ -267,6 +268,34 @@ def is_reduced_basis(basis) -> bool:
             if any(mono_divides(lg, m) for m in f.terms):
                 return False
     return True
+
+
+def pot_lead(column, order: str, block: int = 0) -> tuple[int, tuple[int, ...]]:
+    """The position-over-term lead (position, monomial) of a nonzero
+    column: its first nonzero entry, the lowest position dominating, and
+    that entry's greatest monomial by `textbook_compare`."""
+    p = next(i for i, e in enumerate(column) if not e.is_zero())
+    key = cmp_to_key(lambda a, b: textbook_compare(a, b, order, block))
+    return p, max(column[p].terms, key=key)
+
+
+def assert_reduced_modulo_ring(columns, ring) -> None:
+    """Checks that `columns`, with the ring's reduced relations g in every
+    coordinate, form a reduced basis for position-over-term: no column's
+    lead divides another's, no lead of g divides a column's lead, every
+    entry equals `ring.reduce` of itself, and the leads strictly
+    decrease (a lower position, then a greater monomial, is greater)."""
+    sig = ring.signature
+    relations = ring.defining_basis() if ring.is_quotient else ()
+    leads = [pot_lead(tuple(c), sig.order, sig.block) for c in columns]
+    ring_leads = [pot_lead((g,), sig.order, sig.block)[1] for g in relations]
+    for a, (p, m) in enumerate(leads):
+        for b, (q, n) in enumerate(leads):
+            assert a == b or p != q or not mono_divides(n, m), (b, a)
+        assert not any(mono_divides(g, m) for g in ring_leads), a
+        assert all(ring.reduce(e) == e for e in columns[a]), a
+    for (p, m), (q, n) in zip(leads, leads[1:]):
+        assert p < q or p == q and textbook_compare(m, n, sig.order, sig.block) > 0
 
 
 class RelationColumnTor:

@@ -3,21 +3,23 @@
 `syzygy_entries` takes the syzygies that the engine's generator mode
 collects, enters them in a rank-m table that carries the ring's reduced
 basis in every coordinate (entered once, as the run's relations), and
-reads off that table's reduced basis; an element whose lead is
-lt(g)*e_j for a ring basis element g loses g*e_j.  The reference here
-is the earlier route: one table over the augmented columns (each column
-with a unit tracker below it, an explicit copy of the ring's basis in
-every head coordinate, then the extra relations), which keeps every
-S-pair, its reduced basis elements with a lead in the tracker block,
-and `ring.reduce` on each of their entries, with vectors that vanish in
-the ring and repeats dropped.  The reduced basis of the syzygy module
-is unique for the order, so both routes must return the same vectors in
-the same order: on the columns of the pinned resolutions'
-differentials, and on seeded random columns over quotient rings under
-grevlex, lex and block orders, with and without extra relations.  The
-pinned resolutions' own steps from d_2 on are bases for the order that
-d_1's leads induce (see `tests/test_schreyer_steps.py`), so they must
-span what the augmented table spans.
+reads off that table's reduced basis without the elements led by
+lt(g)*e_j for a ring basis element g, which are the ring's own.  The
+reference here is the earlier route: one table over the augmented
+columns (each column with a unit tracker below it, an explicit copy of
+the ring's basis in every head coordinate, then the extra relations),
+which keeps every S-pair, its reduced basis elements with a lead in the
+tracker block but not led by an lt(g)*e_j, and `ring.reduce` on each of
+their entries, with vectors that vanish in the ring and repeats
+dropped.  The reduced basis of the syzygy module is unique for the
+order, so both routes must return the same vectors in the same order,
+and each must be a reduced basis modulo the ring
+(`helpers.assert_reduced_modulo_ring`): on the columns of the pinned
+resolutions' differentials, and on seeded random columns over quotient
+rings under grevlex, lex and block orders, with and without extra
+relations.  The pinned resolutions' own steps from d_2 on are bases for
+the order that d_1's leads induce (see `tests/test_schreyer_steps.py`),
+so they must span what the augmented table spans.
 """
 
 import random
@@ -39,13 +41,14 @@ from flatcert import (
 from flatcert.cli import bundled_case_text
 from flatcert.modules import syzygy_entries
 from flatcert.script import execute_text
-from helpers import random_poly
+from helpers import assert_reduced_modulo_ring, pot_lead, random_poly
 
 
 def augmented_table_syzygies(columns, nrows, ring, extra_relations=()):
     """The syzygy basis by one augmented table that keeps every pair
     (relation count 0, so even the ring's basis, copied into each head
-    position, forms pairs), reduced modulo the ring entry by entry."""
+    position, forms pairs), without the elements led by lt(g)*e_j,
+    reduced modulo the ring entry by entry."""
     m = len(columns)
     ring_basis = ring.defining_basis() if ring.is_quotient else ()
 
@@ -72,8 +75,12 @@ def augmented_table_syzygies(columns, nrows, ring, extra_relations=()):
             if next(iter(vp)) >= head
         ]
 
+    sig = ring.signature
+    ring_leads = [pot_lead((g,), sig.order, sig.block)[1] for g in ring_basis]
     out = []
     for v in modules._packed_run(ring, run):
+        if pot_lead(v, sig.order, sig.block)[1] in ring_leads:
+            continue  # g*e_j, its tail reduced by the syzygies below it
         v = tuple(ring.reduce(e) for e in v)
         if any(not e.is_zero() for e in v) and v not in out:
             out.append(v)
@@ -92,6 +99,7 @@ def test_the_pinned_differentials_match_the_augmented_table(
 ):
     _, env = execute_text(bundled_case_text(filename), order, declarations_only=True)
     differentials = free_resolution(env[name], length).differentials
+    assert_reduced_modulo_ring(differentials[0], differentials[0].ring)
     for d, following in zip(differentials, differentials[1:]):
         expected = augmented_table_syzygies(d.columns, d.nrows, d.ring)
         rank = following.nrows
@@ -99,7 +107,9 @@ def test_the_pinned_differentials_match_the_augmented_table(
         assert MembershipBasis(d.ring, rank, following).spans(
             PolyMatrix(d.ring, rank, expected)
         )
-        assert list(syzygy_entries(d.columns, d.nrows, d.ring)) == expected
+        got = list(syzygy_entries(d.columns, d.nrows, d.ring))
+        assert_reduced_modulo_ring(got, d.ring)
+        assert got == expected
 
 
 ORDERS = ((GREVLEX, 0), (LEX, 0), (BLOCK, 1), (BLOCK, 2))
@@ -133,6 +143,7 @@ def test_random_columns_match_the_augmented_table(order, block):
         columns = _random_columns(rng, ring, nrows, rng.randint(1, 3))
         extra = _random_columns(rng, ring, nrows, 1) if seed % 2 else []
         got = list(syzygy_entries(columns, nrows, ring, extra))
+        assert_reduced_modulo_ring(got, ring)
         assert got == augmented_table_syzygies(columns, nrows, ring, extra)
         nonempty += bool(got)
     assert nonempty >= 24

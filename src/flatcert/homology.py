@@ -34,6 +34,19 @@ tables about packed columns (`MembershipBasis.spans` and `.outside`),
 so only the witnesses are unpacked.  Tensoring with an N of rank s > 1
 still builds polynomial columns.
 
+Against a cyclic N = R/I at i >= 1 the kernel of d_i tensor N comes
+first.  When it is zero, so is Tor_i.  When positive weights make R's
+reduced relations, I and M homogeneous (M an ideal or a rank-1 module,
+`_grading_weights`) and d_i records the order its columns are a basis
+for, a kernel generator whose weighted degree lies below d_i's frame
+floor (`modules.frame_floor`, read off the Schreyer frame; La Scala and
+Stillman 1998) is outside the image: Tor_i is nonzero with no d_(i+1)
+and no image table (`_graded_nonzero`).  That is skipped when d_i's
+next step is kept already, and then only the image table is left to
+build.  Every other query, including an ungraded one, an N of rank
+above 1, a rank-2 M, i = 0 and a user's relation matrix at i = 1, takes
+the path below, with the kernel already taken.
+
 The verdict comes first: it needs only the kernel generators and the
 image's table.  `tor` builds the witnesses (the table of image +
 kernel, its reduced basis, the elements outside the image, and their
@@ -60,7 +73,8 @@ from __future__ import annotations
 import weakref
 from collections.abc import Callable, Sequence
 from itertools import combinations
-from math import comb
+from math import comb, gcd, lcm
+from operator import mul, sub
 
 from .groebner import IdealHandle
 from .modules import (
@@ -69,6 +83,8 @@ from .modules import (
     ModuleElement,
     PolyMatrix,
     SubmodulePresentation,
+    column_degrees,
+    frame_floor,
     kernel_generators,
     syzygy_entries,
 )
@@ -297,12 +313,16 @@ def homology_witnesses(
 
 
 def _homology(
-    complex_: ChainComplex, i: int, relations: Sequence[Sequence[Entries]]
+    complex_: ChainComplex,
+    i: int,
+    relations: Sequence[Sequence[Entries]],
+    ker: PolyMatrix | None = None,
 ) -> tuple[bool, Callable[[], list[ModuleElement]]]:
     """`homology_witnesses` in two steps: the verdict, from the kernel
     generators and the image's table, and a function that builds the
     witnesses when called: the table of image + kernel, its reduced
-    basis, and the elements of it outside the image."""
+    basis, and the elements of it outside the image.  `ker`, when given,
+    holds the kernel generators at i, which are then not taken again."""
     if not 0 <= i <= complex_.length:
         raise ArgumentError(f"no homology position {i}")
     if relations and len(relations) != len(complex_.ranks):
@@ -311,9 +331,9 @@ def _homology(
     rank_i = complex_.ranks[i]
     if rank_i == 0:
         return True, list
-    if i == 0:
+    if ker is None and i == 0:
         ker = PolyMatrix(ring, rank_i, _standard_basis(ring, rank_i))
-    else:
+    elif ker is None:
         ker = kernel_generators(
             complex_.differential(i), relations[i - 1] if relations else ()
         )
@@ -380,7 +400,11 @@ def tor(i: int, M: ModuleLike, N: ModuleLike) -> TorReport:
     R/I (`PresentedRing.quotient`): s = 1, the entries are projected
     there (`PolyMatrix.projected`, on packed columns), no relation
     columns are needed, and homology is taken over R/I; the witnesses
-    are lifted back to R.
+    are lifted back to R.  At i >= 1 the kernel of d_i tensor R/I comes
+    first: when it is zero, so is Tor; and when no step after d_i is
+    kept yet and `_graded_nonzero` finds one of its generators below
+    every syzygy's degree, Tor is nonzero.  Either way there is no
+    d_(i+1) and no image table.
 
     The verdict is decided here; a nonzero report builds its witnesses
     on the first read of `witness_generators` (see `TorReport`).
@@ -398,13 +422,10 @@ def tor(i: int, M: ModuleLike, N: ModuleLike) -> TorReport:
     # res ends at F_i (at F_1 when i = 0); only d_i and d_(i+1) meet F_i.
     lo = max(i - 1, 0)
     ranks, diffs = res.ranks[lo:], res.differentials[lo:]
-    if i == res.length and i:
-        last = _next_step(diffs[-1], basis=False)
-        if last.ncols:
-            ranks, diffs = ranks + (last.ncols,), diffs + (last,)
     s = other.rank
     if s == 1:
-        base, project = ring.quotient(col[0] for col in other.relations.columns)
+        fiber_gens = [col[0] for col in other.relations.columns]
+        base, project = ring.quotient(fiber_gens)
         n_rels = ()
     else:
         base, n_rels = ring, other.relations.columns
@@ -421,17 +442,35 @@ def tor(i: int, M: ModuleLike, N: ModuleLike) -> TorReport:
                 cols.append(tuple(big))
         return PolyMatrix(base, d.nrows * s, cols)
 
-    relations = [
-        [(zero,) * (pos * s) + rc + (zero,) * ((r - pos - 1) * s)
-         for pos in range(r) for rc in n_rels]
-        for r in ranks
-    ]
-    complex_ = ChainComplex(
-        base, tuple(r * s for r in ranks), tuple(map(tensored, diffs)), False
-    )
-    is_zero, witnesses = _homology(complex_, min(i, 1), relations)
-    if is_zero:
-        return TorReport(i, True, ())
+    fibered = list(map(tensored, diffs))
+    ker = None
+    if s == 1 and i:
+        ker = kernel_generators(fibered[0])
+        if not ker.ncols:
+            return TorReport(i, True, ())
+
+    def homology() -> tuple[bool, Callable[[], list[ModuleElement]]]:
+        rks, mats = ranks, fibered
+        if i == res.length and i:
+            last = _next_step(diffs[-1], basis=False)
+            if last.ncols:
+                rks, mats = rks + (last.ncols,), mats + [tensored(last)]
+        relations = [
+            [(zero,) * (pos * s) + rc + (zero,) * ((r - pos - 1) * s)
+             for pos in range(r) for rc in n_rels]
+            for r in rks
+        ]
+        complex_ = ChainComplex(base, tuple(r * s for r in rks), tuple(mats), False)
+        return _homology(complex_, min(i, 1), relations, ker)
+
+    if ker is not None and _recall(diffs[0]) is None and _graded_nonzero(
+        M, fiber_gens, res, ker
+    ):
+        witnesses = lambda: homology()[1]()  # noqa: E731
+    else:
+        is_zero, witnesses = homology()
+        if is_zero:
+            return TorReport(i, True, ())
 
     def lifted() -> tuple[ModuleElement, ...]:
         # Most witness entries are zero; they share R's zero.  Every entry
@@ -448,3 +487,167 @@ def tor(i: int, M: ModuleLike, N: ModuleLike) -> TorReport:
     return deferred(
         TorReport, lambda _: {"witness_generators": lifted()}, index=i, is_zero=False
     )
+
+
+def _graded_nonzero(
+    M: ModuleLike, fiber_gens: Sequence[Polynomial], res: ChainComplex, ker: PolyMatrix
+) -> bool:
+    """Whether weighted degrees alone show Tor_i(M, R/I) nonzero, where
+    i = res.length >= 1, I is generated by `fiber_gens` and `ker` holds
+    generators of the kernel of d_i tensor R/I over the fiber ring.
+
+    It asks for positive weights for which R's reduced relations, I and
+    M are homogeneous (`_grading_weights`), M an ideal or a rank-1
+    module: F_0 = R^n for an ideal's n generators, e_j of the degree of
+    the j-th, or R of degree 0.  Each step then makes the next free
+    module graded, each basis vector of the degree of its column
+    (`column_degrees`: d_1..d_i, d_i's kernel over R/I and every
+    syzygy of d_i are homogeneous).  Every syzygy of d_i that is
+    nonzero in the ring has degree at least d_i's frame floor
+    (`frame_floor`, which needs d_i to record an order), and so has
+    every nonzero element of the image of d_(i+1) tensor R/I, since the
+    weights are positive.  A kernel generator of a lower degree is
+    nonzero, hence outside the image.  False whenever a condition
+    fails."""
+    ring = res.ring
+    ideal = isinstance(M, IdealHandle)
+    if ideal:
+        gens = M.generators
+    elif isinstance(M, PresentedModule) and M.rank == 1:
+        gens = [col[0] for col in M.relations.columns]
+    else:
+        return False
+    relations = ring.defining_basis() if ring.is_quotient else ()
+    weights = _grading_weights([*relations, *gens, *fiber_gens], ring.signature.nvars)
+    if weights is None:
+        return False
+    # F_0: R^n, e_j of the j-th generator's degree (a term's), or R.
+    degrees = [0]
+    if ideal:
+        degrees = [sum(map(mul, next(iter(g.terms), ()), weights)) for g in gens]
+    for d in res.differentials:
+        degrees = column_degrees(d, weights, degrees)
+    sig, fiber = ring.signature, ker.ring.signature
+    fiber_weights = [weights[sig.index(v)] for v in fiber.variables]
+    least = min(column_degrees(ker, fiber_weights, degrees))
+    floor = frame_floor(res.differentials[-1], weights, degrees, least)
+    return floor is not None and floor > least
+
+
+# The most inequalities `_grading_weights` eliminates over: each
+# Fourier-Motzkin step can square their number.
+_CONE_CAP = 64
+
+
+def _grading_weights(polys: Sequence[Polynomial], nvars: int) -> tuple[int, ...] | None:
+    """Positive integer weights, one per variable, for which every
+    polynomial is homogeneous, or None when there are none or the
+    search outgrows its cap.
+
+    Each term m of a polynomial with first term m0 asks w.(m - m0) = 0.
+    Integer Gauss-Jordan elimination writes each pivot variable's weight
+    through the free ones, w_p = -(sum_f r_f w_f)/r_p with r_p > 0, so
+    w > 0 asks the free weights x for the strict homogeneous inequalities
+    x > 0 and -sum_f r_f x_f > 0.  All free weights 1 is tried first;
+    otherwise `_cone_point` looks for a solution.  Only ints: no
+    Fraction."""
+    pivots: dict[int, list[int]] = {}  # pivot column -> row, reduced by the others
+    for f in polys:
+        if len(f.terms) < 2:
+            continue
+        first, *rest = f.terms
+        for m in rest:
+            row = list(map(sub, m, first))
+            for p, prow in pivots.items():
+                if row[p]:
+                    row = _eliminate(row, prow, p)
+            p = next((k for k, a in enumerate(row) if a), None)
+            if p is None:
+                continue
+            row = _primitive(row, -1 if row[p] < 0 else 1)
+            for q, qrow in pivots.items():
+                if qrow[p]:
+                    pivots[q] = _eliminate(qrow, row, p)
+            pivots[p] = row
+    free = [k for k in range(nvars) if k not in pivots]
+    if not free:
+        return None
+    x = [1] * len(free)
+    if any(sum(row[f] for f in free) >= 0 for row in pivots.values()):
+        cone = [[-row[f] for f in free] for row in pivots.values()]
+        x = _cone_point(cone + [[int(f == g) for g in free] for f in free])
+        if x is None:
+            return None
+    scale = lcm(*(row[p] for p, row in pivots.items()))
+    w = [0] * nvars
+    for f, v in zip(free, x):
+        w[f] = v * scale
+    for p, row in pivots.items():
+        w[p] = -sum(row[f] * w[f] for f in free) // row[p]
+    g = gcd(*w)
+    return tuple(v // g for v in w)
+
+
+def _primitive(row: list[int], sign: int = 1) -> list[int]:
+    """row divided by its content times `sign`; a zero row as it is."""
+    g = gcd(*row) * sign
+    return row if g in (0, 1) else [u // g for u in row]
+
+
+def _eliminate(row: list[int], prow: list[int], p: int) -> list[int]:
+    """row with its entry at p cleared by prow (prow[p] > 0), primitive."""
+    a, b = prow[p], row[p]
+    return _primitive([a * u - b * v for u, v in zip(row, prow)])
+
+
+def _cone_point(cone: list[list[int]]) -> list[int] | None:
+    """An integer point x with c.x > 0 for every c in `cone`, or None
+    when there is none or the elimination outgrows `_CONE_CAP`.
+
+    Fourier-Motzkin elimination: each variable v in turn is removed by
+    adding each inequality with a positive coefficient at v to each with
+    a negative one, scaled to cancel it; an inequality that becomes 0 > 0
+    shows there is no point.  Back-substitution, last variable first,
+    picks x_v strictly between the bounds that v's inequalities set:
+    the integer above the greatest lower bound, after scaling the
+    variables already picked (the system is homogeneous) until the gap
+    to the least upper bound exceeds 1."""
+    if not all(map(any, cone)):
+        return None
+    k = len(cone[0])
+    stages = []
+    rows = cone
+    for v in range(k):
+        pos = [c for c in rows if c[v] > 0]
+        neg = [c for c in rows if c[v] < 0]
+        kept = {tuple(c) for c in rows if not c[v]}
+        for c in pos:
+            for d in neg:
+                row = _primitive([-d[v] * a + c[v] * b for a, b in zip(c, d)])
+                if not any(row):
+                    return None
+                kept.add(tuple(row))
+        if len(kept) > _CONE_CAP:
+            return None
+        stages.append((pos, neg))
+        rows = list(kept)
+    x = [0] * k
+    for v in reversed(range(k)):
+        pos, neg = stages[v]
+        lo = hi = None  # (numerator, positive denominator)
+        for c in pos:
+            b = (-sum(map(mul, c, x)), c[v])
+            if lo is None or b[0] * lo[1] > lo[0] * b[1]:
+                lo = b
+        for c in neg:
+            b = (sum(map(mul, c, x)), -c[v])
+            if hi is None or b[0] * hi[1] < hi[0] * b[1]:
+                hi = b
+        if hi is not None:
+            gap = hi[0] * lo[1] - lo[0] * hi[1]  # over hi[1] * lo[1]
+            if gap <= hi[1] * lo[1]:
+                scale = hi[1] * lo[1] // gap + 1
+                x = [scale * u for u in x]
+                lo = (scale * lo[0], lo[1])
+        x[v] = lo[0] // lo[1] + 1
+    return x

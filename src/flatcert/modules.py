@@ -36,7 +36,10 @@ no Buchberger run.  It records that induced order in turn, so a
 resolution takes the table route once, at its first basis, and Schreyer
 steps after it.  Its terms are packed in an order of their own
 (`_Induced`), which the one normal-form loop reads as it reads any
-packing.
+packing.  The same frame (`_frame`) bounds the weighted degree of d's
+syzygies from below (`frame_floor`), for weights that make d
+homogeneous; `column_degrees` reads a homogeneous column's degree off
+one term.
 
 Inside the engine a term, a (position, monomial) pair, is one packed
 int (`_Packing`, after Monagan and Pearce's packed exponent vectors): a
@@ -106,6 +109,7 @@ import heapq
 from collections.abc import Callable, Iterable, Sequence
 from fractions import Fraction
 from functools import lru_cache, partial
+from math import inf
 from operator import mul
 from struct import Struct
 
@@ -1155,24 +1159,14 @@ def _schreyer(matrix: PolyMatrix, ring: PresentedRing) -> PolyMatrix:
     lead, reduced modulo the ring, as a packed matrix that records F's
     order: e_i's total lead is lt(c_i)'s, its tie rank the rank of (tie
     rank of lt(c_i)'s basis vector, i)."""
-    positions, leads, ranks = matrix._order
+    positions = matrix._order[0]
     ring_basis = ring.defining_basis() if ring.is_quotient else ()
     m = matrix.ncols
 
     def run(pk: _Packing) -> tuple:
         ind = _Induced(pk)
         shift, mask, key = pk.shift, pk.mask, ind.key
-        # d's columns in F_(k-1)'s induced order, and their leads.
-        rows = list(map(ind.basis, positions, pk.packed(leads), ranks))
-        cols = []
-        for vp in matrix._at(pk):
-            col: VecPoly = {}
-            for t, c in vp.items():
-                u = rows[t >> shift] + ind.monomial(t & mask)
-                if u & ind.guards:
-                    raise _Overflow
-                col[u] = c
-            cols.append(col)
+        cols = _induced_columns(matrix, pk, ind)
         lts = [min(col, key=key) for col in cols]
         # F's basis: e_i's total lead is lt(c_i)'s, its rank that of its
         # lead chain, (rank of lt(c_i)'s row, i).
@@ -1198,13 +1192,11 @@ def _schreyer(matrix: PolyMatrix, ring: PresentedRing) -> PolyMatrix:
             tails.append(_tail(vp, rleads[-1]))
         nrel = len(relations)
         buckets = {p: list(range(nrel)) for p in range(npos)}
-        same_row: dict[int, list[int]] = {}  # by lead's rank, in order
         for i, (col, lt) in enumerate(zip(cols, lts)):
             col[basis[i] + block] = 1
             tails.append(_tail(_monic(col, lt), lt))
             rleads.append(lt)
             buckets[lt >> ind.shift].append(nrel + i)
-            same_row.setdefault(ind.rank(lt), []).append(i)
 
         def lift(i: int, q: int, partner: int) -> tuple[VecTerm, VecPoly]:
             """The syzygy of q*(column i) and the reducer `partner` at
@@ -1221,29 +1213,14 @@ def _schreyer(matrix: PolyMatrix, ring: PresentedRing) -> PolyMatrix:
             lead = next(iter(syzygy))
             return lead, _monic(syzygy, lead)
 
-        # The frame: at each e_i, the minimal lcm quotients, smallest
-        # first; a coprime relation's (partner < 0) first among equals.
+        # A coprime relation's frame element, lt(g)*e_i, is g*e_i's lead:
+        # zero in the ring, so it is not lifted.
         rel_leads = [lt & mask for lt in rleads[:nrel]]
-        lifts: list[tuple[VecTerm, VecPoly]] = []
-        for row in same_row.values():
-            for a, i in enumerate(row):
-                lt = lts[i]
-                mi, quotients = lt & mask, []
-                for j in row[a + 1 :]:
-                    d, lcm = pk.lcm(mi, lts[j] & mask)
-                    quotients.append((d, 1, lcm - mi, nrel + j))
-                for g, lg in enumerate(rel_leads):
-                    d, lcm = pk.lcm(mi, lg)
-                    q = lcm - mi
-                    quotients.append((d, int(q != lg), q, g if q != lg else -1 - g))
-                quotients.sort(key=lambda e: e[:2])
-                kept: list[int] = []
-                for _, _, q, partner in quotients:
-                    if any(pk.divides(k, q) for k in kept):
-                        continue
-                    kept.append(q)
-                    if partner >= 0:  # else lt(g)*e_i, of g*e_i: zero in the ring
-                        lifts.append(lift(i, q, partner))
+        lifts = [
+            lift(i, q, partner)
+            for i, q, partner in _frame(pk, ind, lts, rel_leads)
+            if partner >= 0
+        ]
         # Interreduction by increasing lead, modulo the ring.
         lifts.sort(key=lambda e: key(e[0]), reverse=True)
         del tails[nrel:], rleads[nrel:]
@@ -1272,6 +1249,140 @@ def _schreyer(matrix: PolyMatrix, ring: PresentedRing) -> PolyMatrix:
 
     pk, packed, order = _packed_run(ring, run)
     return _packed_matrix(ring, m, [(pk, packed)], order)
+
+
+def _induced_columns(
+    matrix: PolyMatrix, pk: _Packing, ind: _Induced, columns: Iterable[int] | None = None
+) -> list[VecPoly]:
+    """The columns of d = `matrix`, which records an order, packed in the
+    order it induces on F_(k-1) (`_Induced`, at pk's width); only those
+    that `columns` names, in its order, when it is given."""
+    positions, leads, ranks = matrix._order
+    shift, mask, top, guards = pk.shift, pk.mask, ind.top, ind.guards
+    rows = list(map(ind.basis, positions, pk.packed(leads), ranks))
+    vps = matrix._at(pk)
+    cols = []
+    for vp in vps if columns is None else map(vps.__getitem__, columns):
+        col: VecPoly = {}
+        for t, c in vp.items():
+            q = t & mask
+            u = rows[t >> shift] + (q << top) + q  # + ind.monomial(q)
+            if u & guards:
+                raise _Overflow
+            col[u] = c
+        cols.append(col)
+    return cols
+
+
+def _frame(
+    pk: _Packing,
+    ind: _Induced,
+    lts: list[VecTerm],
+    rel_leads: list[int],
+    columns: Iterable[int] | None = None,
+):
+    """The frame of a Schreyer step: for each column c_i of d, the
+    minimal lcm quotients q of its lead m*e against the leads of the
+    later columns at e and the ring relations' leads, smallest first, as
+    (i, q, partner), q packed at position 0.  The partner is nrel + j for
+    column j, g for relation g, and -1 - g when lt(g) is coprime to m:
+    then q = lt(g), and q*e_i is the lead of g*e_i, zero in the ring; it
+    comes first among equals, so it prunes its multiples.  `lts` are the
+    columns' leads in the induced order (`_induced_columns`), `rel_leads`
+    the relations' at position 0.  The columns come by the rank of their
+    leads' basis vectors, or in the order `columns` gives (each column's
+    quotients depend on no other column's).  One rule for `_schreyer`
+    and `frame_floor`."""
+    mask, nrel = pk.mask, len(rel_leads)
+    same_row: dict[int, list[int]] = {}  # by lead's rank, in order
+    for i, lt in enumerate(lts):
+        same_row.setdefault(ind.rank(lt), []).append(i)
+    # Each column's row, and where the later columns in it start.
+    place = {i: (row, a + 1) for row in same_row.values() for a, i in enumerate(row)}
+    for i in place if columns is None else columns:
+        row, after = place[i]
+        mi, quotients = lts[i] & mask, []
+        for j in row[after:]:
+            d, lcm = pk.lcm(mi, lts[j] & mask)
+            quotients.append((d, 1, lcm - mi, nrel + j))
+        for g, lg in enumerate(rel_leads):
+            d, lcm = pk.lcm(mi, lg)
+            q = lcm - mi
+            quotients.append((d, int(q != lg), q, g if q != lg else -1 - g))
+        quotients.sort(key=lambda e: e[:2])
+        kept: list[int] = []
+        for _, _, q, partner in quotients:
+            if not any(pk.divides(k, q) for k in kept):
+                kept.append(q)
+                yield i, q, partner
+
+
+def column_degrees(
+    matrix: PolyMatrix, weights: Sequence[int], row_degrees: Sequence[int]
+) -> list[int]:
+    """The weighted degree of each column, read off one of its terms
+    m*e_p: row_degrees[p] plus the weights' dot product with m.  For
+    columns homogeneous for these weights and row degrees that is the
+    degree of every term; a zero column reads 0."""
+    out = []
+    for pk, data in matrix._segments():
+        for col in data:
+            if pk is None:
+                term = next(((p, m) for p, e in enumerate(col) for m in e.terms), None)
+            else:
+                t = next(iter(col), None)
+                term = None if t is None else (t >> pk.shift, pk.monomial(t))
+            if term is None:
+                out.append(0)
+            else:
+                out.append(row_degrees[term[0]] + sum(map(mul, term[1], weights)))
+    return out
+
+
+def frame_floor(
+    matrix: PolyMatrix, weights: Sequence[int], degrees: Sequence[int], stop: int
+) -> float | None:
+    """A lower bound on the weighted degree of every syzygy of d =
+    `matrix` that is nonzero in the ring, or None when d records no
+    order: the least degree of a frame element q*e_i (`_frame`) whose
+    lead is not a coprime relation's, w.q + degrees[i], with `degrees`
+    the columns' weighted degrees (`column_degrees`); inf when there is
+    none.  For d, the ring's relations and `degrees` homogeneous for
+    positive weights, the lead of such a syzygy, in normal form, is a
+    multiple of one of those frame leads (Schreyer; La Scala and
+    Stillman 1998), and no lower degree.
+
+    Only whether the floor exceeds `stop` is exact.  A frame element of
+    columns i and j is at least as heavy as each, its lead being the lcm
+    of theirs, so the frame of the columns of degree at most `stop`,
+    taken among themselves, has the whole frame's elements at or below
+    `stop`, and no others there.  Only it is scanned, lightest column
+    first, and the scan ends at the first element at or below `stop`,
+    whose degree it returns; otherwise the answer is the least degree it
+    met (inf for none), which exceeds `stop`."""
+    if matrix._order is None:
+        return None
+    ring = matrix.ring
+    ring_basis = ring.defining_basis() if ring.is_quotient else ()
+    light = [i for i, d in enumerate(degrees) if d <= stop]
+    light_degrees = [degrees[i] for i in light]
+    lightest = sorted(range(len(light)), key=light_degrees.__getitem__)
+
+    def run(pk: _Packing) -> float:
+        ind = _Induced(pk)
+        cols = _induced_columns(matrix, pk, ind, light)
+        lts = [min(col, key=ind.key) for col in cols]
+        rel_leads = pk.packed(g.leading_monomial() for g in ring_basis)
+        floor = inf
+        for k, q, partner in _frame(pk, ind, lts, rel_leads, lightest):
+            if partner >= 0:
+                degree = light_degrees[k] + sum(map(mul, pk.monomial(q), weights))
+                floor = min(floor, degree)
+                if floor <= stop:
+                    break
+        return floor
+
+    return _packed_run(ring, run)
 
 
 def syzygy_entries(

@@ -15,6 +15,8 @@ checks a resolution step against the induced order read off its
 definition (`induced_orders`), by naive division on tuple monomials.
 `run_with_deadline` runs a computation that could hang in a child
 process, so a regression fails the suite instead of stalling it.
+`assert_homogeneous` reads every term of a matrix for the weighted
+degree that `tor`'s graded route reads off one term of each column.
 """
 
 from __future__ import annotations
@@ -296,6 +298,23 @@ def assert_reduced_modulo_ring(columns, ring) -> None:
         assert all(ring.reduce(e) == e for e in columns[a]), a
     for (p, m), (q, n) in zip(leads, leads[1:]):
         assert p < q or p == q and textbook_compare(m, n, sig.order, sig.block) > 0
+
+
+def assert_homogeneous(matrix, weights, row_degrees) -> list[int | None]:
+    """Checks that every column of `matrix` is homogeneous for the
+    weights and row degrees: each term m*e_p of a column has weighted
+    degree row_degrees[p] + weights.m, and all terms of a column agree.
+    Returns each column's degree (None for a zero column)."""
+    degrees = []
+    for j, col in enumerate(matrix.columns):
+        found = {
+            row_degrees[p] + sum(w * e for w, e in zip(weights, m))
+            for p, entry in enumerate(col)
+            for m in entry.terms
+        }
+        assert len(found) <= 1, (j, sorted(found))
+        degrees.append(found.pop() if found else None)
+    return degrees
 
 
 class RelationColumnTor:

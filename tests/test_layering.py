@@ -258,3 +258,32 @@ def test_only_a_projection_compacts():
                     and getattr(node.func, "attr", None) == "compact"
                 ]
     assert callers == ["modules.py: PolyMatrix.projected"]
+
+
+def test_homology_reads_no_packed_internals():
+    """`homology` asks about a matrix through `modules`' public functions
+    (`column_degrees`, `frame_floor`, ...): it reads no recorded order
+    (`_order`), no packed columns (`_at`) and no segments (`_segments`)."""
+    names = _read_names(_modules()["homology.py"])
+    assert names & {"_order", "_at", "_segments"} == set()
+
+
+def test_one_function_enumerates_frame_quotients():
+    """One frame rule: `_frame` enumerates a Schreyer step's lcm
+    quotients, which `_schreyer` lifts and `frame_floor` reads degrees
+    off; besides the engine, no other function of `modules` forms an
+    lcm of packed terms."""
+    tree = _modules()["modules.py"]
+
+    def functions(reads):
+        return sorted(
+            top.name
+            for top in tree.body
+            if isinstance(top, ast.FunctionDef) and reads(top)
+        )
+
+    def attributes(node):
+        return {n.attr for n in ast.walk(node) if isinstance(n, ast.Attribute)}
+
+    assert functions(lambda f: "lcm" in attributes(f)) == ["_frame", "_module_buchberger"]
+    assert functions(lambda f: "_frame" in _read_names(f)) == ["_schreyer", "frame_floor"]

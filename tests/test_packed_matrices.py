@@ -27,10 +27,11 @@ two matrices as they are held.  Checked here:
   is unpacked: only the witnesses and the fiber rings' rank-1 bases are;
 - building francia `tor(2, J, L)`'s witnesses runs no `_column`, while
   the public `ModuleElement` constructor still checks;
-- on those queries, a `tor` whose witnesses are not read builds only
-  the image's table and unpacks no column; the first read of
-  `witness_generators` builds the span table and gives the pinned
-  witness text, and a second read does no engine work;
+- on those queries, a `tor` whose witnesses are not read builds no
+  table (weighted degrees answer) and unpacks no column; the first read
+  of `witness_generators` builds the image's table and the span table
+  and gives the pinned witness text, and a second read does no engine
+  work;
 - a report whose witnesses are still to be built equals, hashes and
   prints like the report of its witnesses, and each of those reads
   builds them.
@@ -355,17 +356,18 @@ def test_a_verdict_only_tor_builds_no_span_table(order, monkeypatch):
     monkeypatch.setattr(modules, "_packed_run", run)
     unpacked = _spy_unpacks(monkeypatch)
     reports = [tor(i, M, N) for i, M, N in queries]
-    # Both are nonzero: each built the image's table, and no column of a
-    # matrix was unpacked (only the fiber rings' rank-1 bases were).
+    # Both are nonzero by weighted degrees: no table was built, and no
+    # column of a matrix was unpacked (only the fiber rings' rank-1 bases
+    # were).
     assert [r.is_zero for r in reports] == [False, False]
-    assert len(tables) == 2
+    assert tables == []
     assert all(len(entries) == 1 for entries in unpacked)
     assert all("witness_generators" not in vars(r) for r in reports)
-    # The first read builds one span table per report, of image +
-    # kernel, and gives the pinned witnesses.
+    # The first read builds each report's image table and then its span
+    # table, of image + kernel, and gives the pinned witnesses.
     del unpacked[:]
     witnesses = [r.witness_generators for r in reports]
-    assert len(tables) == 4 and all(new > old for old, new in zip(tables, tables[2:]))
+    assert len(tables) == 4 and tables[1] > tables[0] and tables[3] > tables[2]
     assert sum(len(entries) > 1 for entries in unpacked) == sum(map(len, witnesses))
     assert [str(r) for r in reports] == _golden_tor_text(order)
     # A second read does no engine work.

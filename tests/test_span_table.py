@@ -30,20 +30,21 @@ from test_huge_exponents import _narrowest_packed_run
 
 
 def _homology_questions(calls, monkeypatch):
-    """(complex, position, relations, answer) of every homology that the
-    given Tor calls ask, the answer as `homology_witnesses` gives it:
+    """(complex, position, relations, kernel, answer) of every homology
+    that the given Tor calls ask, the kernel generators `tor` passed in
+    (or None), the answer as `homology_witnesses` gives it:
     each report's witnesses are read inside the patched window, so the
     deferred witnesses of a nonzero homology are built and recorded."""
     asked = []
     real = homology._homology
 
-    def recorded(complex_, i, relations=()):
-        is_zero, later = real(complex_, i, relations)
-        question = [complex_, i, relations, (is_zero, [])]
+    def recorded(complex_, i, relations=(), ker=None):
+        is_zero, later = real(complex_, i, relations, ker)
+        question = [complex_, i, relations, ker, (is_zero, [])]
 
         def built():
-            question[3] = (is_zero, later())
-            return question[3][1]
+            question[4] = (is_zero, later())
+            return question[4][1]
 
         asked.append(question)
         return is_zero, built
@@ -55,11 +56,13 @@ def _homology_questions(calls, monkeypatch):
     return asked
 
 
-def _kernel_and_image(complex_, i, relations):
+def _kernel_and_image(complex_, i, relations, ker):
     """The kernel generators and image columns at position i, as
-    `homology_witnesses` reads them."""
+    `homology_witnesses` reads them, or as `tor` passed them in."""
     ring, rank = complex_.ring, complex_.ranks[i]
-    if i == 0:
+    if ker is not None:
+        ker = list(ker)
+    elif i == 0:
         one, zero = ring.one(), ring.zero()
         ker = [tuple(one if k == j else zero for k in range(rank)) for j in range(rank)]
     else:
@@ -71,8 +74,8 @@ def _kernel_and_image(complex_, i, relations):
     return ring, rank, ker, image_cols
 
 
-def _assert_witnesses_outside_the_image(complex_, i, relations, answer):
-    ring, rank, ker, image_cols = _kernel_and_image(complex_, i, relations)
+def _assert_witnesses_outside_the_image(complex_, i, relations, ker, answer):
+    ring, rank, ker, image_cols = _kernel_and_image(complex_, i, relations, ker)
     image = MembershipBasis(ring, rank, image_cols)
     reduced = MembershipBasis(ring, rank, ker + image_cols).reduced()
     is_zero, found = answer
@@ -88,8 +91,9 @@ def test_witnesses_are_the_span_tables_reduced_elements_outside_the_image(
     calls = [(i, M, N) for i, M, N, _ in _bundled_calls(order)]
     asked = _homology_questions(calls, monkeypatch)
     # Six assertions and the two deep queries; segre-chart's J is
-    # principal, hence free, and its Tor_1 is zero without a homology.
-    assert len(asked) == 7
+    # principal, hence free, and its Tor_1 is zero without a homology,
+    # and so is smooth-chart's, whose tensored kernel is zero.
+    assert len(asked) == 6
     assert sum(not answer[0] for *_, answer in asked) >= 3
     for question in asked:
         _assert_witnesses_outside_the_image(*question)

@@ -30,9 +30,8 @@ from test_huge_exponents import _narrowest_packed_run
 
 
 def _homology_questions(calls, monkeypatch):
-    """(complex, position, relations, kernel, answer) of every homology
-    that the given Tor calls ask, the kernel generators `tor` passed in
-    (or None), the answer as `homology_witnesses` gives it:
+    """(complex, position, relations, answer) of every homology that the
+    given Tor calls ask, the answer as `homology_witnesses` gives it:
     each report's witnesses are read inside the patched window, so the
     deferred witnesses of a nonzero homology are built and recorded."""
     asked = []
@@ -40,11 +39,11 @@ def _homology_questions(calls, monkeypatch):
 
     def recorded(complex_, i, relations=(), ker=None):
         is_zero, later = real(complex_, i, relations, ker)
-        question = [complex_, i, relations, ker, (is_zero, [])]
+        question = [complex_, i, relations, (is_zero, [])]
 
         def built():
-            question[4] = (is_zero, later())
-            return question[4][1]
+            question[3] = (is_zero, later())
+            return question[3][1]
 
         asked.append(question)
         return is_zero, built
@@ -56,13 +55,12 @@ def _homology_questions(calls, monkeypatch):
     return asked
 
 
-def _kernel_and_image(complex_, i, relations, ker):
+def _kernel_and_image(complex_, i, relations):
     """The kernel generators and image columns at position i, as
-    `homology_witnesses` reads them, or as `tor` passed them in."""
+    `homology_witnesses` reads them (taken afresh, also where `tor`
+    passed its own)."""
     ring, rank = complex_.ring, complex_.ranks[i]
-    if ker is not None:
-        ker = list(ker)
-    elif i == 0:
+    if i == 0:
         one, zero = ring.one(), ring.zero()
         ker = [tuple(one if k == j else zero for k in range(rank)) for j in range(rank)]
     else:
@@ -74,8 +72,8 @@ def _kernel_and_image(complex_, i, relations, ker):
     return ring, rank, ker, image_cols
 
 
-def _assert_witnesses_outside_the_image(complex_, i, relations, ker, answer):
-    ring, rank, ker, image_cols = _kernel_and_image(complex_, i, relations, ker)
+def _assert_witnesses_outside_the_image(complex_, i, relations, answer):
+    ring, rank, ker, image_cols = _kernel_and_image(complex_, i, relations)
     image = MembershipBasis(ring, rank, image_cols)
     reduced = MembershipBasis(ring, rank, ker + image_cols).reduced()
     is_zero, found = answer

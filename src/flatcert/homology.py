@@ -41,11 +41,12 @@ reduced relations, I and M homogeneous (M an ideal or a rank-1 module,
 for, a kernel generator whose weighted degree lies below d_i's frame
 floor (`modules.frame_floor`, read off the Schreyer frame; La Scala and
 Stillman 1998) is outside the image: Tor_i is nonzero with no d_(i+1)
-and no image table (`_graded_nonzero`).  That is skipped when d_i's
-next step is kept already, and then only the image table is left to
-build.  Every other query, including an ungraded one, an N of rank
-above 1, a rank-2 M, i = 0 and a user's relation matrix at i = 1, takes
-the path below, with the kernel already taken.
+and no image table (`_graded_nonzero`).  At i >= 2, with d_(i-1)
+ordered and no step kept after it, d_i is built only below that floor,
+read off d_(i-1)'s frame, and never kept.  The check is skipped when
+d_i's next step is kept already.  Every other query, including an
+ungraded one, an N of rank above 1, a rank-2 M, i = 0 and a user's
+relation matrix at i = 1, takes the path below.
 
 The verdict comes first: it needs only the kernel generators and the
 image's table.  `tor` builds the witnesses (the table of image +
@@ -400,11 +401,13 @@ def tor(i: int, M: ModuleLike, N: ModuleLike) -> TorReport:
     R/I (`PresentedRing.quotient`): s = 1, the entries are projected
     there (`PolyMatrix.projected`, on packed columns), no relation
     columns are needed, and homology is taken over R/I; the witnesses
-    are lifted back to R.  At i >= 1 the kernel of d_i tensor R/I comes
-    first: when it is zero, so is Tor; and when no step after d_i is
-    kept yet and `_graded_nonzero` finds one of its generators below
-    every syzygy's degree, Tor is nonzero.  Either way there is no
-    d_(i+1) and no image table.
+    are lifted back to R.  At i >= 2, when no step after d_(i-1) is kept
+    yet, `_graded_nonzero` may show Tor nonzero from d_i's columns below
+    its frame floor alone.  Otherwise, at i >= 1, the kernel of d_i
+    tensor R/I comes first: when it is zero, so is Tor; and when no step
+    after d_i is kept yet and `_graded_nonzero` finds one of its
+    generators below every syzygy's degree, Tor is nonzero.  Either way
+    there is no d_(i+1) and no image table.
 
     The verdict is decided here; a nonzero report builds its witnesses
     on the first read of `witness_generators` (see `TorReport`).
@@ -416,15 +419,28 @@ def tor(i: int, M: ModuleLike, N: ModuleLike) -> TorReport:
     if mod.ring != other.ring:
         raise ArgumentError("modules over different rings")
     ring = mod.ring
+    s = other.rank
+    fiber_gens = [col[0] for col in other.relations.columns]  # I's, for N = R/I
+    shown = None
+    if s == 1 and i >= 2:
+        res = free_resolution(mod, i - 1)
+        if res.length == i - 1 and _recall(res.differentials[-1]) is None:
+            shown = _graded_nonzero(M, fiber_gens, res)
+        if shown:
+            def whole() -> tuple[ModuleElement, ...]:
+                free_resolution(mod, i)  # d_i is kept: this query reads it whole
+                return tor(i, M, N).witness_generators
+
+            return deferred(
+                TorReport, lambda _: {"witness_generators": whole()}, index=i, is_zero=False
+            )
     res = free_resolution(mod, max(i, 1))
     if i > res.length:
         return TorReport(i, True, ())
     # res ends at F_i (at F_1 when i = 0); only d_i and d_(i+1) meet F_i.
     lo = max(i - 1, 0)
     ranks, diffs = res.ranks[lo:], res.differentials[lo:]
-    s = other.rank
     if s == 1:
-        fiber_gens = [col[0] for col in other.relations.columns]
         base, project = ring.quotient(fiber_gens)
         n_rels = ()
     else:
@@ -463,8 +479,8 @@ def tor(i: int, M: ModuleLike, N: ModuleLike) -> TorReport:
         complex_ = ChainComplex(base, tuple(r * s for r in rks), tuple(mats), False)
         return _homology(complex_, min(i, 1), relations, ker)
 
-    if ker is not None and _recall(diffs[0]) is None and _graded_nonzero(
-        M, fiber_gens, res, ker
+    if ker is not None and shown is None and _recall(diffs[0]) is None and (
+        _graded_nonzero(M, fiber_gens, res, ker)
     ):
         witnesses = lambda: homology()[1]()  # noqa: E731
     else:
@@ -490,11 +506,14 @@ def tor(i: int, M: ModuleLike, N: ModuleLike) -> TorReport:
 
 
 def _graded_nonzero(
-    M: ModuleLike, fiber_gens: Sequence[Polynomial], res: ChainComplex, ker: PolyMatrix
-) -> bool:
+    M: ModuleLike, fiber_gens: Sequence[Polynomial], res: ChainComplex, ker=None
+) -> bool | None:
     """Whether weighted degrees alone show Tor_i(M, R/I) nonzero, where
-    i = res.length >= 1, I is generated by `fiber_gens` and `ker` holds
-    generators of the kernel of d_i tensor R/I over the fiber ring.
+    I is generated by `fiber_gens` and `ker` holds generators of the
+    kernel of d_i tensor R/I over the fiber ring, i = res.length.
+    Without `ker`, i = res.length + 1 and d_i is built only below its
+    frame floor F (`syzygy_entries(..., graded=)`), which answers as d_i
+    whole would, their kernels agreeing below F; None if it cannot be.
 
     It asks for positive weights for which R's reduced relations, I and
     M are homogeneous (`_grading_weights`), M an ideal or a rank-1
@@ -527,10 +546,18 @@ def _graded_nonzero(
         degrees = [sum(map(mul, next(iter(g.terms), ()), weights)) for g in gens]
     for d in res.differentials:
         degrees = column_degrees(d, weights, degrees)
+    if ker is None:
+        d = syzygy_entries(d, d.nrows, ring, graded=(weights, degrees))
+        if d is None:
+            return None
+        degrees = column_degrees(d, weights, degrees)
+        ker = kernel_generators(d.projected(*ring.quotient(fiber_gens)))
+        if not ker.ncols:
+            return False
     sig, fiber = ring.signature, ker.ring.signature
     fiber_weights = [weights[sig.index(v)] for v in fiber.variables]
     least = min(column_degrees(ker, fiber_weights, degrees))
-    floor = frame_floor(res.differentials[-1], weights, degrees, least)
+    floor = frame_floor(d, weights, degrees, least)
     return floor is not None and floor > least
 
 

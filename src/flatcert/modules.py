@@ -38,8 +38,10 @@ steps after it.  Its terms are packed in an order of their own
 (`_Induced`), which the one normal-form loop reads as it reads any
 packing.  The same frame (`_frame`) bounds the weighted degree of d's
 syzygies from below (`frame_floor`), for weights that make d
-homogeneous; `column_degrees` reads a homogeneous column's degree off
-one term.
+homogeneous, and since a step's leads are its frame, a step's own floor
+is read off them before any lift: a step capped below it lifts nothing
+above (`syzygy_entries(..., graded=)`).  `column_degrees` reads a
+homogeneous column's degree off one term.
 
 Inside the engine a term, a (position, monomial) pair, is one packed
 int (`_Packing`, after Monagan and Pearce's packed exponent vectors): a
@@ -1054,7 +1056,8 @@ def _syzygies(
     ring: PresentedRing,
     extra_relations: Sequence[Entries],
     generators: bool,
-) -> PolyMatrix:
+    graded: tuple | None = None,
+) -> PolyMatrix | None:
     """The syzygies of `columns` over `ring`, relative to the span of
     `extra_relations` and the defining generators in every coordinate.
     An augmented run in generator mode (see `_module_buchberger`)
@@ -1065,7 +1068,8 @@ def _syzygies(
     for the order.  Both runs enter the ring's reduced defining basis
     first, as their relations.  That basis records position-over-term as
     its order.  A basis asked for of a matrix that records an order,
-    with no extra relations, is a Schreyer step (`_schreyer`) instead.
+    with no extra relations, is a Schreyer step (`_schreyer`) instead,
+    capped by `graded`; capped, any other step is None.
 
     Either way every entry is reduced modulo the ring (it equals
     `ring.reduce` of itself), and no vector is zero in the ring or
@@ -1082,7 +1086,9 @@ def _syzygies(
     if m == 0:
         return PolyMatrix(ring, 0)
     if not (generators or extra_relations) and getattr(columns, "_order", None):
-        return _schreyer(columns, ring)
+        return _schreyer(columns, ring, graded)
+    if graded is not None:
+        return None
     ring_basis = ring.defining_basis() if ring.is_quotient else ()
 
     def run(pk: _Packing) -> tuple[_Packing, list[VecPoly]]:
@@ -1131,7 +1137,7 @@ def _syzygies(
     return _packed_matrix(ring, m, [_packed_run(ring, run)], pot)
 
 
-def _schreyer(matrix: PolyMatrix, ring: PresentedRing) -> PolyMatrix:
+def _schreyer(matrix: PolyMatrix, ring: PresentedRing, graded=None) -> PolyMatrix:
     """The syzygies of d = `matrix`, whose columns c_1..c_m are, with the
     ring's relations in every coordinate, a Groebner basis for the order
     d records (`Order`; a basis the engine made): their module's reduced
@@ -1158,7 +1164,14 @@ def _schreyer(matrix: PolyMatrix, ring: PresentedRing) -> PolyMatrix:
     e_i), one normal form each, as in `_reduced`, and leave by decreasing
     lead, reduced modulo the ring, as a packed matrix that records F's
     order: e_i's total lead is lt(c_i)'s, its tie rank the rank of (tie
-    rank of lt(c_i)'s basis vector, i)."""
+    rank of lt(c_i)'s basis vector, i).
+
+    `graded` (see `syzygy_entries`) caps the step below its own frame
+    floor F: each lift's lead is its frame element q*e_i, of degree
+    degrees[i] + w.q, so F is read off those leads (`_frame_floor`), and
+    only the elements below F are lifted.  A homogeneous lift and its
+    interreduction meet no heavier element, so these are the whole
+    step's columns below F."""
     positions = matrix._order[0]
     ring_basis = ring.defining_basis() if ring.is_quotient else ()
     m = matrix.ncols
@@ -1216,11 +1229,16 @@ def _schreyer(matrix: PolyMatrix, ring: PresentedRing) -> PolyMatrix:
         # A coprime relation's frame element, lt(g)*e_i, is g*e_i's lead:
         # zero in the ring, so it is not lifted.
         rel_leads = [lt & mask for lt in rleads[:nrel]]
-        lifts = [
-            lift(i, q, partner)
-            for i, q, partner in _frame(pk, ind, lts, rel_leads)
-            if partner >= 0
-        ]
+        frame = [e for e in _frame(pk, ind, lts, rel_leads) if e[2] >= 0]
+        if graded is not None:
+            weights, degrees = graded
+            leads = [basis[i] + ind.monomial(q) for i, q, _ in frame]
+            if any(lt & ind.guards for lt in leads):
+                raise _Overflow
+            h = [degrees[i] + sum(map(mul, pk.monomial(q), weights)) for i, q, _ in frame]
+            floor = _frame_floor(pk, ind, leads, rel_leads, h, weights, -1)
+            frame = [e for e, d in zip(frame, h) if d < floor]
+        lifts = [lift(*e) for e in frame]
         # Interreduction by increasing lead, modulo the ring.
         lifts.sort(key=lambda e: key(e[0]), reverse=True)
         del tails[nrel:], rleads[nrel:]
@@ -1366,23 +1384,43 @@ def frame_floor(
     ring_basis = ring.defining_basis() if ring.is_quotient else ()
     light = [i for i, d in enumerate(degrees) if d <= stop]
     light_degrees = [degrees[i] for i in light]
-    lightest = sorted(range(len(light)), key=light_degrees.__getitem__)
 
     def run(pk: _Packing) -> float:
         ind = _Induced(pk)
         cols = _induced_columns(matrix, pk, ind, light)
         lts = [min(col, key=ind.key) for col in cols]
         rel_leads = pk.packed(g.leading_monomial() for g in ring_basis)
-        floor = inf
-        for k, q, partner in _frame(pk, ind, lts, rel_leads, lightest):
-            if partner >= 0:
-                degree = light_degrees[k] + sum(map(mul, pk.monomial(q), weights))
-                floor = min(floor, degree)
-                if floor <= stop:
-                    break
-        return floor
+        return _frame_floor(pk, ind, lts, rel_leads, light_degrees, weights, stop)
 
     return _packed_run(ring, run)
+
+
+def _frame_floor(
+    pk: _Packing,
+    ind: _Induced,
+    lts: list[VecTerm],
+    rel_leads: list[int],
+    degrees: Sequence[int],
+    weights: Sequence[int],
+    stop: float,
+) -> float:
+    """The frame floor of columns with leads `lts` and weighted degrees
+    `degrees`: the least degree of a frame element that is not a coprime
+    relation's (inf for none) when it exceeds `stop`, else the first one
+    met at or below `stop`.  Columns go lightest first, while lighter
+    than the least met less the least weight: an element q*e_i has
+    q != 1, as no lead of a reduced basis divides another at e_i or is a
+    multiple of a relation's lead."""
+    floor, step = inf, min(weights)
+    lightest = sorted(range(len(lts)), key=degrees.__getitem__)
+    for k, q, partner in _frame(pk, ind, lts, rel_leads, lightest):
+        if degrees[k] + step >= floor:
+            break
+        if partner >= 0:
+            floor = min(floor, degrees[k] + sum(map(mul, pk.monomial(q), weights)))
+            if floor <= stop:
+                break
+    return floor
 
 
 def syzygy_entries(
@@ -1390,7 +1428,8 @@ def syzygy_entries(
     nrows: int,
     ring: PresentedRing,
     extra_relations: Sequence[Entries] = (),
-) -> PolyMatrix:
+    graded: tuple[Sequence[int], Sequence[int]] | None = None,
+) -> PolyMatrix | None:
     """Generators of the syzygy module of the given columns over `ring`,
     relative to the span of `extra_relations` (and the defining
     generators in every coordinate): its reduced Groebner basis modulo
@@ -1408,8 +1447,13 @@ def syzygy_entries(
     resolution's ranks and the basis of each free module.  The basis is
     the columns of a matrix with one row per input column, which stays
     packed until they are read; `columns` may be a `PolyMatrix`, whose
-    packed columns enter as they are."""
-    return _syzygies(columns, nrows, ring, extra_relations, generators=False)
+    packed columns enter as they are.
+
+    `graded` = (weights, degrees), for which the columns and the ring's
+    relations are homogeneous, the weights positive, asks for the
+    Schreyer step's columns below its own frame floor (`frame_floor`)
+    alone, with the step's order: None when it is no Schreyer step."""
+    return _syzygies(columns, nrows, ring, extra_relations, False, graded)
 
 
 def syzygy_matrix(matrix: PolyMatrix) -> PolyMatrix:

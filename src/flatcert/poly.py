@@ -431,7 +431,7 @@ class PresentedRing:
     reused by every later call, so sharing a ring between threads is safe.
     """
 
-    __slots__ = ("signature", "defining", "_ideal")
+    __slots__ = ("signature", "defining", "_ideal", "_quotients")
 
     def __init__(self, signature: RingSignature, defining: Iterable[Polynomial] = ()):
         object.__setattr__(self, "signature", signature)
@@ -443,6 +443,7 @@ class PresentedRing:
                 kept.append(p)
         object.__setattr__(self, "defining", tuple(kept))
         object.__setattr__(self, "_ideal", None)
+        object.__setattr__(self, "_quotients", {})
 
     def __setattr__(self, name, value):  # pragma: no cover - guard only
         raise AttributeError("PresentedRing is immutable")
@@ -483,7 +484,9 @@ class PresentedRing:
         remaining variables.  Those keep the restricted order: the same
         grevlex or lex, and for a block order the kept leading-block
         variables form the block.  Projected polynomials are not reduced
-        modulo the quotient's defining ideal."""
+        modulo the quotient's defining ideal.  Equal generators in the
+        same order give the same ring and projection back, so each
+        quotient's defining basis is computed once."""
         sig = self.signature
         gens = tuple(gens)
         dropped = set()
@@ -494,6 +497,9 @@ class PresentedRing:
                 (m,) = g.terms
                 if sum(m) == 1:
                     dropped.add(m.index(1))
+        key = tuple(frozenset(g.terms.items()) for g in gens)
+        if key in self._quotients:
+            return self._quotients[key]
         kept = [i for i in range(sig.nvars) if i not in dropped]
         qsig = RingSignature(
             tuple(sig.variables[i] for i in kept),
@@ -512,7 +518,8 @@ class PresentedRing:
                 qsig, {pick(m): c for m, c in f.terms.items() if not any(gone(m))}
             )
 
-        return PresentedRing(qsig, map(project, gens + self.defining)), project
+        quotient = PresentedRing(qsig, map(project, gens + self.defining))
+        return self._quotients.setdefault(key, (quotient, project))
 
     def zero(self) -> Polynomial:
         return Polynomial.zero(self.signature)

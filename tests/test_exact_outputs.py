@@ -13,7 +13,7 @@ quadric relations), under grevlex and lex, each in a fresh
 environment: for each run of
 `syzygy_entries` and `kernel_generators`, in call order, the number of
 `_vp_normal_form` calls the run makes and a sha256 of its printed
-output, and for each table that `homology_witnesses` builds (`tab`
+output (`cap` for a Schreyer step capped below its frame floor), and for each table that `homology_witnesses` builds (`tab`
 lines, the image's and, when the homology is nonzero, that of kernel +
 image) the number of `_vp_normal_form` calls its build makes.  Each
 query's witnesses are read before the count ends, since a `tor` report
@@ -171,12 +171,14 @@ def _engine_runs(text: str, order: str, query) -> list[str]:
         calls[0] += 1
         return real_nf(*args)
 
-    def counted_syzygies(columns, nrows, ring, extra_relations, generators):
+    def counted_syzygies(columns, nrows, ring, extra_relations, generators, graded=None):
         if ring.is_quotient:
             ring.defining_basis()  # its table's normal forms are not counted
         calls[0] = 0
-        out = real_syzygies(columns, nrows, ring, extra_relations, generators)
-        kind = "ker" if generators else "syz"
+        out = real_syzygies(columns, nrows, ring, extra_relations, generators, graded)
+        if out is None:
+            return out
+        kind = "ker" if generators else "syz" if graded is None else "cap"
         shape = f"{nrows}x{len(columns)}+{len(extra_relations)}"
         lines.append(f"{kind} {shape} nf {calls[0]} {_digest(out)}")
         return out

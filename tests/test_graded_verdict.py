@@ -21,12 +21,24 @@ Tor_i is nonzero without d_(i+1) or the image's table.  Checked here:
   try misses, None on ungraded and infeasible systems, and None at its
   cap on a 12-variable system;
 - a verdict-only `tor` on the benchmark's two deep queries runs no
-  `kernel_generators` over R and builds no table.
+  `kernel_generators` over R, builds no table, and builds d_i only below
+  its frame floor;
+- that capped step against the whole step's columns below its floor, on
+  every bundled step d_2..d_4 and on the Veronese surface's up to d_4;
+- `frame_floor`'s contract against the least degree of a table-route
+  syzygy;
+- the route from d_i below its floor (i >= 2) against the check on d_i
+  whole, on every bundled query at i = 2..4, on Veronese k and on the
+  hypothesis-drawn family: the same queries decided, the same verdicts
+  and witness text;
+- a resolution that ends before i; the memo after a verdict-only query
+  and after its witnesses; one fiber ring per generator tuple.
 """
 
 import time
 from contextlib import contextmanager
 from itertools import product
+from math import inf
 
 import pytest
 from hypothesis import given, settings
@@ -36,9 +48,10 @@ import flatcert as fc
 import flatcert.homology as homology
 from flatcert import GREVLEX, LEX, PolyMatrix, PresentedModule, tor
 from flatcert.cli import REPRO_CHECKS, bundled_case_text
+from flatcert.modules import column_degrees, frame_floor, syzygy_entries
 from flatcert.parse import to_polynomial
 from flatcert.script import AssertFlat, AssertTor, execute_text, parse_script
-from helpers import assert_homogeneous
+from helpers import assert_homogeneous, run_with_deadline
 from test_homology import _veronese_residue_field
 
 
@@ -86,9 +99,9 @@ def _compare(monkeypatch, make, i):
     return taken
 
 
-def _bundled_queries(order):
+def _bundled_queries(order, indices=(1, 2, 3)):
     """(filename, index, make) for every bundled tor and flat query at
-    Tor indices 1 to 3; make() builds M and N in a fresh environment."""
+    the given Tor indices; make() builds M and N in a fresh environment."""
     for filename, _ in REPRO_CHECKS:
         text = bundled_case_text(filename)
         for stmt in parse_script(text).statements:
@@ -109,7 +122,7 @@ def _bundled_queries(order):
 
             else:
                 continue
-            for i in (1, 2, 3):
+            for i in indices:
                 yield filename, i, make
 
 
@@ -352,6 +365,7 @@ def test_a_verdict_only_deep_tor_builds_no_next_step_and_no_table(order, monkeyp
     francia = _francia(order)
     _, neg2 = execute_text(bundled_case_text("neg2_graph.fc"), order, declarations_only=True)
     queries = [(2, francia["J"], francia["L"]), (3, neg2["J"], neg2["K"])]
+    steps = _spy_steps(monkeypatch)
     reports = [tor(i, M, N) for i, M, N in queries]
     assert [r.is_zero for r in reports] == [False, False]
     # Each query took one kernel, over its fiber ring, and no table.
@@ -360,3 +374,265 @@ def test_a_verdict_only_deep_tor_builds_no_next_step_and_no_table(order, monkeyp
         True,
     ]
     assert len(kernels) == 2 and tables == []
+    # d_1..d_(i-1) whole, and d_i only below its frame floor: francia's
+    # d_2 has 9 of its 53 columns there, neg2's d_3 4 of 6 (3 of 6 under
+    # lex).
+    capped = {GREVLEX: [(17, 9), (6, 4)], LEX: [(17, 9), (6, 3)]}[order]
+    assert [shape for shape, graded in steps if graded] == capped
+    assert [graded for _, graded in steps] == [False, True, False, False, True]
+
+
+def _spy_steps(monkeypatch):
+    """Records (rows, columns) of each `syzygy_entries` step `homology`
+    asks for, with whether it was capped below its frame floor."""
+    steps = []
+    real = homology.syzygy_entries
+
+    def spied(columns, nrows, ring, extra_relations=(), graded=None):
+        out = real(columns, nrows, ring, extra_relations, graded)
+        steps.append(((len(columns), out.ncols), graded is not None))
+        return out
+
+    monkeypatch.setattr(homology, "syzygy_entries", spied)
+    return steps
+
+
+def _graded_resolution(M, length):
+    """M's resolution to `length` with weights for which R's relations
+    and M are homogeneous, and each F_k's basis degrees, F_0 first."""
+    ring = M.ring
+    res = fc.free_resolution(M, length)
+    relations = ring.defining_basis() if ring.is_quotient else ()
+    if isinstance(M, fc.IdealHandle):
+        gens = M.generators
+        weights = homology._grading_weights([*relations, *gens], ring.signature.nvars)
+        degrees = [[sum(w * e for w, e in zip(weights, next(iter(g.terms)))) for g in gens]]
+    else:  # a cyclic module, R of degree 0
+        gens = [col[0] for col in M.relations.columns]
+        weights = homology._grading_weights([*relations, *gens], ring.signature.nvars)
+        degrees = [[0]]
+    for d in res.differentials:
+        degrees.append(column_degrees(d, weights, degrees[-1]))
+    return res, weights, degrees
+
+
+def _bundled_ideals(order):
+    """(name, ideal) for every ideal the bundled cases declare."""
+    for filename, _ in REPRO_CHECKS:
+        env = execute_text(bundled_case_text(filename), order, declarations_only=True)[1]
+        for name, value in env.items():
+            if isinstance(value, fc.IdealHandle):
+                yield f"{filename} {name}", value
+
+
+def _capped_steps_agree(M, top):
+    """d_2..d_top capped below their floors against the whole steps'
+    columns below it; the floor is the least degree of the next step's
+    columns, as each is a lift of one frame element.  Returns the
+    (whole, capped) column counts."""
+    res, weights, degrees = _graded_resolution(M, top + 1)
+    counts = []
+    for k in range(2, min(top, res.length) + 1):
+        d, whole = res.differential(k - 1), res.differential(k)
+        capped = syzygy_entries(d, d.nrows, M.ring, graded=(weights, degrees[k - 1]))
+        if d._order is None:  # the user's matrix: d_k is no Schreyer step
+            assert capped is None
+            continue
+        after = res.differentials[k:k + 1]
+        floor = min(degrees[k + 1], default=inf) if after else inf
+        below = [c for c, deg in zip(whole.columns, degrees[k]) if deg < floor]
+        assert capped.columns == tuple(below)
+        assert capped._order == whole._order
+        counts.append((whole.ncols, capped.ncols))
+    return counts
+
+
+@pytest.mark.parametrize("order", [GREVLEX, LEX])
+def test_a_capped_step_is_the_whole_steps_columns_below_its_floor(order):
+    counts = {}
+    for name, J in _bundled_ideals(order):
+        if homology._grading_weights(
+            [*J.ring.defining_basis(), *J.generators], J.ring.signature.nvars
+        ):
+            counts[name] = _capped_steps_agree(J, 4)
+    assert counts["francia.fc J"] == [(53, 9), (160, 10), (480, 10)]
+    k = _veronese_residue_field(2)
+    # A linear resolution: every column lies below the floor.
+    assert _capped_steps_agree(k, 4) == [(64, 64), (192, 192)]
+
+
+def test_a_capped_step_of_a_matrix_that_records_no_order_is_none():
+    k = _veronese_residue_field(2)
+    d1 = fc.free_resolution(k, 1).differential(1)
+    assert syzygy_entries(d1, d1.nrows, k.ring, graded=((1,) * 6, [1] * 6)) is None
+    # So the route leaves Tor_2(k, k) to the check on d_2 whole.
+    with _deciders() as decided:
+        assert not tor(2, k, k).is_zero
+    assert decided == [("route", None), ("whole", True)]
+
+
+def _least_syzygy_degree(d, weights, degrees):
+    """The least weighted degree of a syzygy of d's columns that is
+    nonzero in the ring: that of the table route's reduced basis for
+    position-over-term, built without a frame."""
+    table = syzygy_entries(list(d), d.nrows, d.ring)
+    return min(column_degrees(table, weights, degrees), default=inf)
+
+
+@pytest.mark.parametrize("order", [GREVLEX, LEX])
+def test_frame_floor_exceeds_stop_exactly_when_the_least_syzygy_degree_does(order):
+    francia = _francia(order)["J"]
+    _, neg2 = execute_text(bundled_case_text("neg2_graph.fc"), order, declarations_only=True)
+    cases = [(francia, 4), (neg2["J"], 3), (_veronese_residue_field(2), 4)]
+    firsts = []
+    for M, top in cases:
+        res, weights, degrees = _graded_resolution(M, top)
+        for k, d in enumerate(res.differentials, start=1):
+            if d._order is None:  # the Veronese k's d_1, the user's matrix
+                assert frame_floor(d, weights, degrees[k], 0) is None
+                continue
+            true = _least_syzygy_degree(d, weights, degrees[k])
+            for stop in range(min(degrees[k]) - 1, true + 2):
+                found = frame_floor(d, weights, degrees[k], stop)
+                assert (found > stop) == (true > stop)
+            firsts.append((frame_floor(d, weights, degrees[k], 10**9), true))
+    # With a huge stop the scan ends at the first frame degree it meets,
+    # which need not be the least: francia's d_4 gives 8, its floor is 7.
+    assert firsts[3] == (8, 7)
+    assert all(first >= true for first, true in firsts)
+
+
+@contextmanager
+def _deciders():
+    """Inside, records each `_graded_nonzero` answer as ("route", answer)
+    when it read d_i below its floor, or ("whole", answer)."""
+    decided = []
+    real = homology._graded_nonzero
+
+    def spied(M, fiber_gens, res, ker=None):
+        answer = real(M, fiber_gens, res, ker)
+        decided.append(("whole" if ker is not None else "route", answer))
+        return answer
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(homology, "_graded_nonzero", spied)
+        yield decided
+
+
+@contextmanager
+def _without_the_route():
+    """Inside, `tor` reads d_i whole: the route finds no order to read."""
+    real = homology._graded_nonzero
+
+    def whole_only(M, fiber_gens, res, ker=None):
+        return None if ker is None else real(M, fiber_gens, res, ker)
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(homology, "_graded_nonzero", whole_only)
+        yield
+
+
+def _routes_decide_alike(make, i):
+    """The route from d_i below its floor and the check on d_i whole
+    answer the same query alike: the same verdict and witness text, and
+    the route shows Tor nonzero exactly when the check does.  Returns
+    whether the route showed it."""
+    M, N = make()
+    with _deciders() as decided:
+        text = str(tor(i, M, N))
+    M, N = make()
+    with _without_the_route(), _deciders() as checked:
+        assert str(tor(i, M, N)) == text
+    # Where the route finds no order to read, the check on d_i runs.
+    assert any(answer for _, answer in decided) == any(a for _, a in checked)
+    return any(answer for kind, answer in decided if kind == "route")
+
+
+@pytest.mark.parametrize("order", [GREVLEX, LEX])
+def test_the_route_below_the_floor_decides_as_the_whole_step(order):
+    shown = [
+        (filename, i)
+        for filename, i, make in _bundled_queries(order, (2, 3, 4))
+        if _routes_decide_alike(make, i)
+    ]
+    assert sorted(shown) == sorted(
+        [("francia.fc", i) for i in (2, 3, 4)] + [("neg2_graph.fc", i) for i in (2, 3, 4)]
+    )
+
+
+def test_the_route_below_the_floor_decides_veronese_k_as_the_whole_step():
+    def make():
+        k = _veronese_residue_field(2)
+        return k, k
+
+    # From i = 3 on, d_(i-1) records an order; at i = 2 only the check
+    # on d_2 whole reads a floor.
+    assert [_routes_decide_alike(make, i) for i in range(2, 6)] == [False, True, True, True]
+
+
+@settings(max_examples=30, deadline=None, derandomize=True)
+@given(_graded_queries())
+def test_the_route_below_the_floor_decides_the_drawn_family_as_the_whole_step(query):
+    order, weights, gens, dropped, i = query
+
+    def make():
+        R = fc.ring("x,y,z", order=order)
+        J = fc.ideal(R, *[_polynomial(R, t) for t in gens] or ["x"])
+        return J, PresentedModule.cyclic(R, [R.var(v) for v in dropped])
+
+    _routes_decide_alike(make, i + 1)
+
+
+def _short_resolution():
+    # (x, y) is presented by one syzygy, so its resolution ends at d_1.
+    R = fc.ring("x,y")
+    J = fc.ideal(R, "x", "y")
+    return [tor(i, J, PresentedModule.cyclic(R, [R.var("x")])).is_zero for i in (2, 3)]
+
+
+def test_a_resolution_that_ends_before_i_answers_zero():
+    assert run_with_deadline(30, _short_resolution) == [True, True]
+
+
+def test_a_verdict_only_tor_keeps_no_step_and_its_witnesses_keep_d2():
+    env = _francia()
+    J, L = env["J"], env["L"]
+    d1 = homology.as_presented_module(J).relations
+    report = tor(2, J, L)
+    assert not report.is_zero and homology._recall(d1) is None
+    assert report.witness_generators
+    basis, d2 = homology._recall(d1)
+    assert basis and d2 == syzygy_entries(d1, d1.nrows, d1.ring)
+
+
+def test_one_fiber_ring_per_generator_tuple(monkeypatch):
+    import flatcert.groebner as groebner
+
+    env = _francia()
+    J, K = env["J"], env["K"]
+    fiber_gens = [col[0] for col in K.relations.columns]
+    tables = []
+    real = groebner.MembershipBasis
+
+    def counted(ring, rank, columns):
+        tables.append(ring.signature.variables)
+        return real(ring, rank, columns)
+
+    monkeypatch.setattr(groebner, "MembershipBasis", counted)
+    for _ in range(3):
+        assert tor(1, J, K).is_zero
+    # The fiber QQ[E,G,H,A,B,C]/(six quadrics) is made once, and so is
+    # its defining table.
+    fiber, project = J.ring.quotient(fiber_gens)
+    assert tables.count(fiber.signature.variables) == 1
+    assert J.ring.quotient(list(fiber_gens)) == (fiber, project)
+    assert J.ring.quotient(list(fiber_gens))[0] is fiber
+    # francia Tor_2(J, K), asked first, is not shown nonzero below d_2's
+    # floor: the route's kernel and the whole d_2's take one fiber ring.
+    env = _francia()
+    J, K = env["J"], env["K"]
+    kernels = _spy(monkeypatch, "kernel_generators")
+    assert tor(2, J, K).is_zero
+    fiber = J.ring.quotient(fiber_gens)[0]
+    rings = [args[0].ring for args, _ in kernels if args[0].ring.signature != J.ring.signature]
+    assert len(rings) == 2 and all(ring is fiber for ring in rings)

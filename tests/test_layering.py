@@ -270,9 +270,10 @@ def test_homology_reads_no_packed_internals():
 
 def test_one_function_enumerates_frame_quotients():
     """One frame rule: `_frame` enumerates a Schreyer step's lcm
-    quotients, which `_schreyer` lifts and `frame_floor` reads degrees
-    off; besides the engine, no other function of `modules` forms an
-    lcm of packed terms."""
+    quotients, which `_schreyer` lifts and `_frame_floor` reads degrees
+    off, for `frame_floor` and for a step capped below its own floor;
+    besides the engine, no other function of `modules` forms an lcm of
+    packed terms."""
     tree = _modules()["modules.py"]
 
     def functions(reads):
@@ -286,4 +287,24 @@ def test_one_function_enumerates_frame_quotients():
         return {n.attr for n in ast.walk(node) if isinstance(n, ast.Attribute)}
 
     assert functions(lambda f: "lcm" in attributes(f)) == ["_frame", "_module_buchberger"]
-    assert functions(lambda f: "_frame" in _read_names(f)) == ["_schreyer", "frame_floor"]
+    assert functions(lambda f: "_frame" in _read_names(f)) == ["_frame_floor", "_schreyer"]
+    assert functions(lambda f: "_frame_floor" in _read_names(f)) == [
+        "_schreyer",
+        "frame_floor",
+    ]
+
+
+def test_only_next_step_keeps_a_differential():
+    """The resolution memo holds whole steps only: `_remember` is called
+    by `as_presented_module`, keyed by the ideal or submodule it
+    presents, and by `_next_step`, keyed by a differential, and by no
+    other function, so no step that `tor` builds only below its frame
+    floor is ever kept."""
+    callers = []
+    for top in _modules()["homology.py"].body:
+        callers += [
+            (top.name, ast.unparse(node.args[0]))
+            for node in ast.walk(top)
+            if isinstance(node, ast.Call) and getattr(node.func, "id", None) == "_remember"
+        ]
+    assert callers == [("as_presented_module", "obj"), ("_next_step", "d")]

@@ -190,10 +190,11 @@ def test_a_projection_at_its_own_width_compacts(monkeypatch):
 
 
 def test_a_tor_compacts_each_projected_differential_once(monkeypatch):
-    """francia tor(2, J, L) projects d2 and d3 to the fiber ring, and
-    each is compacted as it is projected: the image's table, the kernel
-    and the span table that the witnesses need read the fiber's packed
-    columns as they are held."""
+    """francia tor(2, J, L) projects d2's columns below its frame floor
+    for the verdict, and d2 and d3 for the witnesses, to the fiber ring,
+    and each is compacted as it is projected: the kernels, the image's
+    table and the span table read the fiber's packed columns as they are
+    held."""
     (i, J, L), _ = _deep_queries(GREVLEX)
     compactions = []
     real = modules._Packing.compact
@@ -203,8 +204,9 @@ def test_a_tor_compacts_each_projected_differential_once(monkeypatch):
         lambda pk, vps, keep: compactions.append(pk.width) or real(pk, vps, keep),
     )
     report = tor(i, J, L)
+    assert compactions == [16]
     assert report.witness_generators
-    assert compactions == [16, 16]
+    assert compactions == [16, 16, 16]
 
 
 def _spy_unpacks(monkeypatch):

@@ -39,19 +39,18 @@ first.  When it is zero, so is Tor_i.  When positive weights make R's
 reduced relations, I and M homogeneous (M an ideal or a rank-1 module,
 `_grading_weights`) and d_i records the order its columns are a basis
 for, a kernel generator whose weighted degree lies below d_i's frame
-floor (`modules.frame_floor`, read off the Schreyer frame; La Scala and
-Stillman 1998) is outside the image: Tor_i is nonzero with no d_(i+1)
-and no image table (`_graded_nonzero`).  At i >= 2, with d_(i-1)
-ordered and no step kept after it, d_i is built only below that floor,
-read off d_(i-1)'s frame, and never kept.  The check is skipped when
-d_i's next step is kept already.  Every other query, including an
-ungraded one, an N of rank above 1, a rank-2 M, i = 0 and a user's
-relation matrix at i = 1, takes the path below.
+floor (read off the Schreyer frame; La Scala and Stillman 1998) is
+outside the image: Tor_i is nonzero with no d_(i+1) and no image table
+(`_graded_nonzero`, on d_i built only below that floor when it can be,
+`modules.capped_step`).  Every other query, including an ungraded one,
+an N of rank above 1, a rank-2 M, i = 0 and a user's relation matrix at
+i = 1, takes the path below.
 
 The verdict comes first: it needs only the kernel generators and the
 image's table.  `tor` builds the witnesses (the table of image +
 kernel, its reduced basis, the elements outside the image, and their
 lift back to R) on the first read of `TorReport.witness_generators`,
+whichever way the verdict was reached, by one builder (`_tensored`),
 so a caller that only asks whether Tor vanishes never builds them: the
 report is a `deferred` record, as a packed `PolyMatrix` is.  Equality,
 hashing, `repr` and `str` of a report read its witnesses.
@@ -73,8 +72,9 @@ from __future__ import annotations
 
 import weakref
 from collections.abc import Callable, Sequence
+from functools import cache
 from itertools import combinations
-from math import comb, gcd, lcm
+from math import comb, gcd, inf, lcm
 from operator import mul, sub
 
 from .groebner import IdealHandle
@@ -84,6 +84,7 @@ from .modules import (
     ModuleElement,
     PolyMatrix,
     SubmodulePresentation,
+    capped_step,
     column_degrees,
     frame_floor,
     kernel_generators,
@@ -389,29 +390,16 @@ def _standard_basis(ring: PresentedRing, rank: int) -> list[Entries]:
 
 
 def tor(i: int, M: ModuleLike, N: ModuleLike) -> TorReport:
-    """Tor_i(M, N) over the common presented ring R.
-
-    Resolves M to length i over R, takes d_i's next step as d_(i+1)
-    (`kernel_generators` unless a syzygy basis is kept under d_i),
-    tensors d_i and d_(i+1) with N and takes homology at F_i (of
-    F_1 -> F_0 when i = 0).  F_k tensor N is N^(rank F_k): each column
-    of a differential is spread over N's s coordinate blocks, and N's
-    relations are imposed in every block.
-    A cyclic N = R/I gives F_k/IF_k, a free module over the fiber ring
-    R/I (`PresentedRing.quotient`): s = 1, the entries are projected
-    there (`PolyMatrix.projected`, on packed columns), no relation
-    columns are needed, and homology is taken over R/I; the witnesses
-    are lifted back to R.  At i >= 2, when no step after d_(i-1) is kept
-    yet, `_graded_nonzero` may show Tor nonzero from d_i's columns below
-    its frame floor alone.  Otherwise, at i >= 1, the kernel of d_i
-    tensor R/I comes first: when it is zero, so is Tor; and when no step
-    after d_i is kept yet and `_graded_nonzero` finds one of its
-    generators below every syzygy's degree, Tor is nonzero.  Either way
-    there is no d_(i+1) and no image table.
-
-    The verdict is decided here; a nonzero report builds its witnesses
-    on the first read of `witness_generators` (see `TorReport`).
-    """
+    """Tor_i(M, N) over the common presented ring R: M resolved to
+    length i, d_i and d_(i+1) tensored with N (`_tensored`), homology at
+    F_i (of F_1 -> F_0 when i = 0).  Against a cyclic N = R/I at i >= 1,
+    an empty kernel of d_i tensor R/I answers zero, and one graded check
+    (`_graded_nonzero`) may answer nonzero before the image is built: at
+    i >= 2, when no step after d_(i-1) is kept yet, on d_i built below
+    its frame floor (`capped_step`), which settles the check; otherwise
+    on d_i whole, when no step after it is kept yet.  A nonzero report
+    builds its witnesses on their first read (see `TorReport`), from
+    `free_resolution(M, i)` through `_tensored`."""
     if i < 0:
         raise ArgumentError("negative Tor index")
     mod = as_presented_module(M)
@@ -419,29 +407,58 @@ def tor(i: int, M: ModuleLike, N: ModuleLike) -> TorReport:
     if mod.ring != other.ring:
         raise ArgumentError("modules over different rings")
     ring = mod.ring
-    s = other.rank
     fiber_gens = [col[0] for col in other.relations.columns]  # I's, for N = R/I
-    shown = None
-    if s == 1 and i >= 2:
+    # Found once, when the check first runs: d_1..d_(i-1) are the same
+    # steps in either `res` below.
+    grading = cache(lambda: _grading(M, fiber_gens, res.differentials[: i - 1]))
+    capped = None  # d_i below its floor, with the floor, once read
+    if other.rank == 1 and i >= 2:
         res = free_resolution(mod, i - 1)
-        if res.length == i - 1 and _recall(res.differentials[-1]) is None:
-            shown = _graded_nonzero(M, fiber_gens, res)
-        if shown:
-            def whole() -> tuple[ModuleElement, ...]:
-                free_resolution(mod, i)  # d_i is kept: this query reads it whole
-                return tor(i, M, N).witness_generators
-
-            return deferred(
-                TorReport, lambda _: {"witness_generators": whole()}, index=i, is_zero=False
-            )
+        d = res.differentials[-1] if res.length == i - 1 else None
+        if d is not None and _recall(d) is None and grading():
+            capped = capped_step(d, *grading())
+        if capped is not None:
+            step, floor = capped
+            ker = kernel_generators(step.projected(*ring.quotient(fiber_gens)))
+            if _graded_nonzero(step, ker, floor, grading()):
+                return _nonzero(i, lambda: _tensored(free_resolution(mod, i), i, other)[1]())
     res = free_resolution(mod, max(i, 1))
     if i > res.length:
         return TorReport(i, True, ())
-    # res ends at F_i (at F_1 when i = 0); only d_i and d_(i+1) meet F_i.
+    ker, homology = _tensored(res, i, other)
+    if ker is not None:
+        if not ker.ncols:
+            return TorReport(i, True, ())
+        d = res.differentials[-1]
+        if capped is None and _recall(d) is None and grading():
+            if _graded_nonzero(d, ker, None, grading()):
+                return _nonzero(i, homology)
+    return TorReport(i, True, ()) if homology()[0] else _nonzero(i, homology)
+
+
+def _nonzero(i: int, homology: Callable) -> TorReport:
+    """Tor_i nonzero, its witnesses built by `homology` (`_tensored`'s)."""
+    return deferred(
+        TorReport, lambda _: {"witness_generators": homology()[1]()}, index=i, is_zero=False
+    )
+
+
+def _tensored(res: ChainComplex, i: int, other: PresentedModule) -> tuple:
+    """d_i and d_(i+1) of `res`, M's resolution to F_i (to F_1 when
+    i = 0), tensored with N = `other`: F_k tensor N is N^(rank F_k), each
+    column spread over N's s coordinate blocks and N's relations imposed
+    in every block; for a cyclic N = R/I, F_k/IF_k, free over the fiber
+    ring R/I, the packed entries projected there (`PolyMatrix.projected`).
+    Returns the kernel of d_i tensor R/I, taken at once (None unless N is
+    cyclic and i >= 1), and a function that computes, once, whether the
+    homology at F_i vanishes (`_homology`, given that kernel) and a
+    function that builds its witnesses lifted to R; d_(i+1) (`_next_step`)
+    is taken when it first runs."""
+    ring, s = res.ring, other.rank
     lo = max(i - 1, 0)
     ranks, diffs = res.ranks[lo:], res.differentials[lo:]
     if s == 1:
-        base, project = ring.quotient(fiber_gens)
+        base, project = ring.quotient([col[0] for col in other.relations.columns])
         n_rels = ()
     else:
         base, n_rels = ring, other.relations.columns
@@ -459,13 +476,10 @@ def tor(i: int, M: ModuleLike, N: ModuleLike) -> TorReport:
         return PolyMatrix(base, d.nrows * s, cols)
 
     fibered = list(map(tensored, diffs))
-    ker = None
-    if s == 1 and i:
-        ker = kernel_generators(fibered[0])
-        if not ker.ncols:
-            return TorReport(i, True, ())
+    ker = kernel_generators(fibered[0]) if s == 1 and i else None
 
-    def homology() -> tuple[bool, Callable[[], list[ModuleElement]]]:
+    @cache
+    def homology() -> tuple[bool, Callable[[], tuple[ModuleElement, ...]]]:
         rks, mats = ranks, fibered
         if i == res.length and i:
             last = _next_step(diffs[-1], basis=False)
@@ -477,87 +491,67 @@ def tor(i: int, M: ModuleLike, N: ModuleLike) -> TorReport:
             for r in rks
         ]
         complex_ = ChainComplex(base, tuple(r * s for r in rks), tuple(mats), False)
-        return _homology(complex_, min(i, 1), relations, ker)
+        is_zero, witnesses = _homology(complex_, min(i, 1), relations, ker)
 
-    if ker is not None and shown is None and _recall(diffs[0]) is None and (
-        _graded_nonzero(M, fiber_gens, res, ker)
-    ):
-        witnesses = lambda: homology()[1]()  # noqa: E731
-    else:
-        is_zero, witnesses = homology()
-        if is_zero:
-            return TorReport(i, True, ())
+        def lifted() -> tuple[ModuleElement, ...]:
+            # Zero entries share R's zero.  Every entry is R's by
+            # construction, so none is checked again.
+            sig, zero = ring.signature, ring.zero()
+            rows = [[transplant(e, sig) if e.terms else zero for e in w.entries]
+                    for w in witnesses()]
+            return tuple(ModuleElement._raw(ring, tuple(row)) for row in rows)
 
-    def lifted() -> tuple[ModuleElement, ...]:
-        # Most witness entries are zero; they share R's zero.  Every entry
-        # is R's by construction, so none is checked again.
-        sig, zero = ring.signature, ring.zero()
-        return tuple(
-            ModuleElement._raw(
-                ring,
-                tuple([transplant(e, sig) if e.terms else zero for e in w.entries]),
-            )
-            for w in witnesses()
-        )
+        return is_zero, lifted
 
-    return deferred(
-        TorReport, lambda _: {"witness_generators": lifted()}, index=i, is_zero=False
-    )
+    return ker, homology
 
 
-def _graded_nonzero(
-    M: ModuleLike, fiber_gens: Sequence[Polynomial], res: ChainComplex, ker=None
-) -> bool | None:
-    """Whether weighted degrees alone show Tor_i(M, R/I) nonzero, where
-    I is generated by `fiber_gens` and `ker` holds generators of the
-    kernel of d_i tensor R/I over the fiber ring, i = res.length.
-    Without `ker`, i = res.length + 1 and d_i is built only below its
-    frame floor F (`syzygy_entries(..., graded=)`), which answers as d_i
-    whole would, their kernels agreeing below F; None if it cannot be.
-
-    It asks for positive weights for which R's reduced relations, I and
-    M are homogeneous (`_grading_weights`), M an ideal or a rank-1
-    module: F_0 = R^n for an ideal's n generators, e_j of the degree of
-    the j-th, or R of degree 0.  Each step then makes the next free
-    module graded, each basis vector of the degree of its column
-    (`column_degrees`: d_1..d_i, d_i's kernel over R/I and every
-    syzygy of d_i are homogeneous).  Every syzygy of d_i that is
-    nonzero in the ring has degree at least d_i's frame floor
-    (`frame_floor`, which needs d_i to record an order), and so has
-    every nonzero element of the image of d_(i+1) tensor R/I, since the
-    weights are positive.  A kernel generator of a lower degree is
-    nonzero, hence outside the image.  False whenever a condition
-    fails."""
-    ring = res.ring
+def _grading(
+    M: ModuleLike, fiber_gens: Sequence[Polynomial], differentials: Sequence[PolyMatrix]
+) -> tuple | None:
+    """Positive weights for which R's reduced relations, I (generated by
+    `fiber_gens`) and M are homogeneous (`_grading_weights`), with the
+    degrees of the free module that M's `differentials` reach: F_0 is R^n
+    for an ideal's n generators, e_j of the degree of the j-th (a term's),
+    or R of degree 0 for a rank-1 module, and each later basis vector has
+    its column's degree.  None for any other M, or without such weights."""
     ideal = isinstance(M, IdealHandle)
     if ideal:
         gens = M.generators
     elif isinstance(M, PresentedModule) and M.rank == 1:
         gens = [col[0] for col in M.relations.columns]
     else:
-        return False
+        return None
+    ring = M.ring
     relations = ring.defining_basis() if ring.is_quotient else ()
     weights = _grading_weights([*relations, *gens, *fiber_gens], ring.signature.nvars)
     if weights is None:
-        return False
-    # F_0: R^n, e_j of the j-th generator's degree (a term's), or R.
+        return None
     degrees = [0]
     if ideal:
         degrees = [sum(map(mul, next(iter(g.terms), ()), weights)) for g in gens]
-    for d in res.differentials:
+    for d in differentials:
         degrees = column_degrees(d, weights, degrees)
-    if ker is None:
-        d = syzygy_entries(d, d.nrows, ring, graded=(weights, degrees))
-        if d is None:
-            return None
-        degrees = column_degrees(d, weights, degrees)
-        ker = kernel_generators(d.projected(*ring.quotient(fiber_gens)))
-        if not ker.ncols:
-            return False
-    sig, fiber = ring.signature, ker.ring.signature
+    return weights, degrees
+
+
+def _graded_nonzero(d: PolyMatrix, ker: PolyMatrix, floor, graded: tuple) -> bool:
+    """Whether weighted degrees alone show Tor_i(M, R/I) nonzero: the
+    least degree of `ker`, generators of the kernel of d tensor R/I over
+    the fiber ring, lies below d's frame floor.  d is d_i, F_(i-1)'s
+    degrees in `graded` (`_grading`), built only below `floor`
+    (`capped_step`), or whole, `floor` None: then the floor is read off
+    d's frame up to that degree (`frame_floor`, None for no order).
+    Every nonzero syzygy of d_i, so every nonzero element of the image of
+    d_(i+1) tensor R/I, has degree at least that floor, which the capped
+    step shares, with d_i's columns and kernel below it."""
+    weights, degrees = graded
+    degrees = column_degrees(d, weights, degrees)
+    sig, fiber = d.ring.signature, ker.ring.signature
     fiber_weights = [weights[sig.index(v)] for v in fiber.variables]
-    least = min(column_degrees(ker, fiber_weights, degrees))
-    floor = frame_floor(d, weights, degrees, least)
+    least = min(column_degrees(ker, fiber_weights, degrees), default=inf)
+    if floor is None:
+        floor = frame_floor(d, weights, degrees, least)
     return floor is not None and floor > least
 
 

@@ -40,8 +40,8 @@ packing.  The same frame (`_frame`) bounds the weighted degree of d's
 syzygies from below (`frame_floor`), for weights that make d
 homogeneous, and since a step's leads are its frame, a step's own floor
 is read off them before any lift: a step capped below it lifts nothing
-above (`syzygy_entries(..., graded=)`).  `column_degrees` reads a
-homogeneous column's degree off one term.
+above, and hands that floor back with it (`capped_step`).
+`column_degrees` reads a homogeneous column's degree off one term.
 
 Inside the engine a term, a (position, monomial) pair, is one packed
 int (`_Packing`, after Monagan and Pearce's packed exponent vectors): a
@@ -1056,8 +1056,7 @@ def _syzygies(
     ring: PresentedRing,
     extra_relations: Sequence[Entries],
     generators: bool,
-    graded: tuple | None = None,
-) -> PolyMatrix | None:
+) -> PolyMatrix:
     """The syzygies of `columns` over `ring`, relative to the span of
     `extra_relations` and the defining generators in every coordinate.
     An augmented run in generator mode (see `_module_buchberger`)
@@ -1068,8 +1067,7 @@ def _syzygies(
     for the order.  Both runs enter the ring's reduced defining basis
     first, as their relations.  That basis records position-over-term as
     its order.  A basis asked for of a matrix that records an order,
-    with no extra relations, is a Schreyer step (`_schreyer`) instead,
-    capped by `graded`; capped, any other step is None.
+    with no extra relations, is a Schreyer step (`_schreyer`) instead.
 
     Either way every entry is reduced modulo the ring (it equals
     `ring.reduce` of itself), and no vector is zero in the ring or
@@ -1086,9 +1084,7 @@ def _syzygies(
     if m == 0:
         return PolyMatrix(ring, 0)
     if not (generators or extra_relations) and getattr(columns, "_order", None):
-        return _schreyer(columns, ring, graded)
-    if graded is not None:
-        return None
+        return _schreyer(columns, ring)[0]
     ring_basis = ring.defining_basis() if ring.is_quotient else ()
 
     def run(pk: _Packing) -> tuple[_Packing, list[VecPoly]]:
@@ -1137,7 +1133,7 @@ def _syzygies(
     return _packed_matrix(ring, m, [_packed_run(ring, run)], pot)
 
 
-def _schreyer(matrix: PolyMatrix, ring: PresentedRing, graded=None) -> PolyMatrix:
+def _schreyer(matrix: PolyMatrix, ring: PresentedRing, graded=None) -> tuple:
     """The syzygies of d = `matrix`, whose columns c_1..c_m are, with the
     ring's relations in every coordinate, a Groebner basis for the order
     d records (`Order`; a basis the engine made): their module's reduced
@@ -1166,12 +1162,8 @@ def _schreyer(matrix: PolyMatrix, ring: PresentedRing, graded=None) -> PolyMatri
     order: e_i's total lead is lt(c_i)'s, its tie rank the rank of (tie
     rank of lt(c_i)'s basis vector, i).
 
-    `graded` (see `syzygy_entries`) caps the step below its own frame
-    floor F: each lift's lead is its frame element q*e_i, of degree
-    degrees[i] + w.q, so F is read off those leads (`_frame_floor`), and
-    only the elements below F are lifted.  A homogeneous lift and its
-    interreduction meet no heavier element, so these are the whole
-    step's columns below F."""
+    Returns the step, with its frame floor F when `graded` caps it below
+    F (see `capped_step`), else with None."""
     positions = matrix._order[0]
     ring_basis = ring.defining_basis() if ring.is_quotient else ()
     m = matrix.ncols
@@ -1230,6 +1222,7 @@ def _schreyer(matrix: PolyMatrix, ring: PresentedRing, graded=None) -> PolyMatri
         # zero in the ring, so it is not lifted.
         rel_leads = [lt & mask for lt in rleads[:nrel]]
         frame = [e for e in _frame(pk, ind, lts, rel_leads) if e[2] >= 0]
+        floor = None
         if graded is not None:
             weights, degrees = graded
             leads = [basis[i] + ind.monomial(q) for i, q, _ in frame]
@@ -1263,10 +1256,10 @@ def _schreyer(matrix: PolyMatrix, ring: PresentedRing, graded=None) -> PolyMatri
             tuple(pk.monomial(ind.lead(lt)) for lt in lts),
             tuple(rank),
         )
-        return pk, packed, order
+        return pk, packed, order, floor
 
-    pk, packed, order = _packed_run(ring, run)
-    return _packed_matrix(ring, m, [(pk, packed)], order)
+    pk, packed, order, floor = _packed_run(ring, run)
+    return _packed_matrix(ring, m, [(pk, packed)], order), floor
 
 
 def _induced_columns(
@@ -1423,13 +1416,30 @@ def _frame_floor(
     return floor
 
 
+def capped_step(
+    matrix: PolyMatrix, weights: Sequence[int], degrees: Sequence[int]
+) -> tuple[PolyMatrix, float] | None:
+    """The Schreyer step after d = `matrix` built only below its frame
+    floor F, with F; None when d records no order.  The positive weights
+    make d's columns, of degrees `degrees`, and the ring's relations
+    homogeneous.  A lift's lead is its frame element q*e_i, of degree
+    degrees[i] + w.q, so F is read off the frame before any lift, and
+    only what lies below F is lifted: the whole step's columns below F,
+    in its order (`_schreyer`).  F is also their own floor: the whole
+    frame's least element pairs two columns below F (a partner's lead
+    properly divides their lcm) or one with a relation, and each of
+    their frame elements is a multiple of one of the whole frame's."""
+    if matrix._order is None:
+        return None
+    return _schreyer(matrix, matrix.ring, (weights, degrees))
+
+
 def syzygy_entries(
     columns: Sequence[Entries],
     nrows: int,
     ring: PresentedRing,
     extra_relations: Sequence[Entries] = (),
-    graded: tuple[Sequence[int], Sequence[int]] | None = None,
-) -> PolyMatrix | None:
+) -> PolyMatrix:
     """Generators of the syzygy module of the given columns over `ring`,
     relative to the span of `extra_relations` (and the defining
     generators in every coordinate): its reduced Groebner basis modulo
@@ -1447,13 +1457,8 @@ def syzygy_entries(
     resolution's ranks and the basis of each free module.  The basis is
     the columns of a matrix with one row per input column, which stays
     packed until they are read; `columns` may be a `PolyMatrix`, whose
-    packed columns enter as they are.
-
-    `graded` = (weights, degrees), for which the columns and the ring's
-    relations are homogeneous, the weights positive, asks for the
-    Schreyer step's columns below its own frame floor (`frame_floor`)
-    alone, with the step's order: None when it is no Schreyer step."""
-    return _syzygies(columns, nrows, ring, extra_relations, False, graded)
+    packed columns enter as they are."""
+    return _syzygies(columns, nrows, ring, extra_relations, False)
 
 
 def syzygy_matrix(matrix: PolyMatrix) -> PolyMatrix:

@@ -11,9 +11,10 @@ every bundled Tor and flat assertion, the two deep queries and
 `tor(4, k, k)` over the cone on the Veronese surface of degree 2 (six
 quadric relations), under grevlex and lex, each in a fresh
 environment: for each run of
-`syzygy_entries` and `kernel_generators`, in call order, the number of
-`_vp_normal_form` calls the run makes and a sha256 of its printed
-output (`cap` for a Schreyer step capped below its frame floor), and for each table that `homology_witnesses` builds (`tab`
+`syzygy_entries`, `kernel_generators` and `capped_step` (`cap`, a
+Schreyer step built only below its frame floor), in call order, the
+number of `_vp_normal_form` calls the run makes and a sha256 of its
+printed output, and for each table that `homology_witnesses` builds (`tab`
 lines, the image's and, when the homology is nonzero, that of kernel +
 image) the number of `_vp_normal_form` calls its build makes.  Each
 query's witnesses are read before the count ends, since a `tor` report
@@ -157,31 +158,45 @@ module k = V^1 / ((m0), (m1), (m2), (m3), (m4), (m5));
 
 
 def _engine_runs(text: str, order: str, query) -> list[str]:
-    """One line per `_syzygies` run of the query over a fresh
-    environment: its kind, shape, normal-form count and the sha256 of its
-    printed output; and one per table that `homology_witnesses` builds:
+    """One line per `_syzygies` run and capped step of the query over a
+    fresh environment: its kind, shape, normal-form count and the sha256
+    of its printed output; and one per table that `homology_witnesses` builds:
     its rank, column count and the normal-form count of its build."""
     _, env = execute_text(text, order, declarations_only=True)
     lines: list[str] = []
     calls = [0]
     real_nf, real_syzygies = modules._vp_normal_form, modules._syzygies
-    real_table = homology.MembershipBasis
+    real_table, real_capped = homology.MembershipBasis, homology.capped_step
 
     def counted_nf(*args):
         calls[0] += 1
         return real_nf(*args)
 
-    def counted_syzygies(columns, nrows, ring, extra_relations, generators, graded=None):
+    def counted_run(kind, ring, shape, run):
         if ring.is_quotient:
             ring.defining_basis()  # its table's normal forms are not counted
         calls[0] = 0
-        out = real_syzygies(columns, nrows, ring, extra_relations, generators, graded)
-        if out is None:
-            return out
-        kind = "ker" if generators else "syz" if graded is None else "cap"
-        shape = f"{nrows}x{len(columns)}+{len(extra_relations)}"
-        lines.append(f"{kind} {shape} nf {calls[0]} {_digest(out)}")
+        out = run()
+        if out is not None:
+            step = out[0] if kind == "cap" else out
+            lines.append(f"{kind} {shape} nf {calls[0]} {_digest(step)}")
         return out
+
+    def counted_syzygies(columns, nrows, ring, extra_relations, generators):
+        return counted_run(
+            "ker" if generators else "syz",
+            ring,
+            f"{nrows}x{len(columns)}+{len(extra_relations)}",
+            lambda: real_syzygies(columns, nrows, ring, extra_relations, generators),
+        )
+
+    def counted_capped(matrix, weights, degrees):
+        return counted_run(
+            "cap",
+            matrix.ring,
+            f"{matrix.nrows}x{matrix.ncols}+0",
+            lambda: real_capped(matrix, weights, degrees),
+        )
 
     def counted_table(ring, rank, columns):
         if ring.is_quotient:
@@ -193,7 +208,7 @@ def _engine_runs(text: str, order: str, query) -> list[str]:
         return table
 
     modules._vp_normal_form, modules._syzygies = counted_nf, counted_syzygies
-    homology.MembershipBasis = counted_table
+    homology.MembershipBasis, homology.capped_step = counted_table, counted_capped
     try:
         if isinstance(query, tuple):
             index, left, right = query
@@ -208,7 +223,7 @@ def _engine_runs(text: str, order: str, query) -> list[str]:
         report.witness_generators
     finally:
         modules._vp_normal_form, modules._syzygies = real_nf, real_syzygies
-        homology.MembershipBasis = real_table
+        homology.MembershipBasis, homology.capped_step = real_table, real_capped
     return lines
 
 

@@ -23,8 +23,10 @@ Tor_i is nonzero without d_(i+1) or the image's table.  Checked here:
 - a verdict-only `tor` on the benchmark's two deep queries runs no
   `kernel_generators` over R, builds no table, and builds d_i only below
   its frame floor;
-- that capped step against the whole step's columns below its floor, on
-  every bundled step d_2..d_4 and on the Veronese surface's up to d_4;
+- that capped step (`capped_step`) against the whole step's columns
+  below its floor, on every bundled step d_2..d_4 and on the Veronese
+  surface's up to d_4, and the floor it hands back against the next
+  step's least degree and the whole step's own `frame_floor`;
 - `frame_floor`'s contract against the least degree of a table-route
   syzygy;
 - the route from d_i below its floor (i >= 2) against the check on d_i
@@ -32,7 +34,8 @@ Tor_i is nonzero without d_(i+1) or the image's table.  Checked here:
   hypothesis-drawn family: the same queries decided, the same verdicts
   and witness text;
 - a resolution that ends before i; the memo after a verdict-only query
-  and after its witnesses; one fiber ring per generator tuple.
+  and after its witnesses, whose read enters `tor` once, scans no frame
+  and gives today's witness text; one fiber ring per generator tuple.
 """
 
 import time
@@ -48,7 +51,7 @@ import flatcert as fc
 import flatcert.homology as homology
 from flatcert import GREVLEX, LEX, PolyMatrix, PresentedModule, tor
 from flatcert.cli import REPRO_CHECKS, bundled_case_text
-from flatcert.modules import column_degrees, frame_floor, syzygy_entries
+from flatcert.modules import capped_step, column_degrees, frame_floor, syzygy_entries
 from flatcert.parse import to_polynomial
 from flatcert.script import AssertFlat, AssertTor, execute_text, parse_script
 from helpers import assert_homogeneous, run_with_deadline
@@ -383,17 +386,24 @@ def test_a_verdict_only_deep_tor_builds_no_next_step_and_no_table(order, monkeyp
 
 
 def _spy_steps(monkeypatch):
-    """Records (rows, columns) of each `syzygy_entries` step `homology`
-    asks for, with whether it was capped below its frame floor."""
+    """Records (rows, columns) of each step `homology` asks for, whole
+    (`syzygy_entries`) or capped below its frame floor (`capped_step`),
+    with whether it was capped."""
     steps = []
-    real = homology.syzygy_entries
+    real, real_capped = homology.syzygy_entries, homology.capped_step
 
-    def spied(columns, nrows, ring, extra_relations=(), graded=None):
-        out = real(columns, nrows, ring, extra_relations, graded)
-        steps.append(((len(columns), out.ncols), graded is not None))
+    def spied(columns, nrows, ring, extra_relations=()):
+        out = real(columns, nrows, ring, extra_relations)
+        steps.append(((len(columns), out.ncols), False))
+        return out
+
+    def capped(matrix, weights, degrees):
+        out = real_capped(matrix, weights, degrees)
+        steps.append(((matrix.ncols, out[0].ncols), True))
         return out
 
     monkeypatch.setattr(homology, "syzygy_entries", spied)
+    monkeypatch.setattr(homology, "capped_step", capped)
     return steps
 
 
@@ -428,22 +438,28 @@ def _bundled_ideals(order):
 def _capped_steps_agree(M, top):
     """d_2..d_top capped below their floors against the whole steps'
     columns below it; the floor is the least degree of the next step's
-    columns, as each is a lift of one frame element.  Returns the
-    (whole, capped) column counts."""
+    columns, as each is a lift of one frame element.  The floor each
+    capped step hands back is that floor, and, when finite, the whole
+    step's own `frame_floor` scanned up to it.  Returns the (whole,
+    capped) column counts."""
     res, weights, degrees = _graded_resolution(M, top + 1)
     counts = []
     for k in range(2, min(top, res.length) + 1):
         d, whole = res.differential(k - 1), res.differential(k)
-        capped = syzygy_entries(d, d.nrows, M.ring, graded=(weights, degrees[k - 1]))
+        capped = capped_step(d, weights, degrees[k - 1])
         if d._order is None:  # the user's matrix: d_k is no Schreyer step
             assert capped is None
             continue
+        step, handed = capped
         after = res.differentials[k:k + 1]
         floor = min(degrees[k + 1], default=inf) if after else inf
         below = [c for c, deg in zip(whole.columns, degrees[k]) if deg < floor]
-        assert capped.columns == tuple(below)
-        assert capped._order == whole._order
-        counts.append((whole.ncols, capped.ncols))
+        assert step.columns == tuple(below)
+        assert step._order == whole._order
+        assert handed == floor
+        if handed < inf:
+            assert frame_floor(whole, weights, degrees[k], handed) == handed
+        counts.append((whole.ncols, step.ncols))
     return counts
 
 
@@ -464,7 +480,7 @@ def test_a_capped_step_is_the_whole_steps_columns_below_its_floor(order):
 def test_a_capped_step_of_a_matrix_that_records_no_order_is_none():
     k = _veronese_residue_field(2)
     d1 = fc.free_resolution(k, 1).differential(1)
-    assert syzygy_entries(d1, d1.nrows, k.ring, graded=((1,) * 6, [1] * 6)) is None
+    assert capped_step(d1, (1,) * 6, [1] * 6) is None
     # So the route leaves Tor_2(k, k) to the check on d_2 whole.
     with _deciders() as decided:
         assert not tor(2, k, k).is_zero
@@ -505,30 +521,34 @@ def test_frame_floor_exceeds_stop_exactly_when_the_least_syzygy_degree_does(orde
 @contextmanager
 def _deciders():
     """Inside, records each `_graded_nonzero` answer as ("route", answer)
-    when it read d_i below its floor, or ("whole", answer)."""
+    when it read d_i below its floor, or ("whole", answer), and a capped
+    step that finds no order to read as ("route", None)."""
     decided = []
-    real = homology._graded_nonzero
+    real, real_capped = homology._graded_nonzero, homology.capped_step
 
-    def spied(M, fiber_gens, res, ker=None):
-        answer = real(M, fiber_gens, res, ker)
-        decided.append(("whole" if ker is not None else "route", answer))
+    def spied(d, ker, floor, graded):
+        answer = real(d, ker, floor, graded)
+        decided.append(("whole" if floor is None else "route", answer))
         return answer
+
+    def capped(matrix, weights, degrees):
+        out = real_capped(matrix, weights, degrees)
+        if out is None:
+            decided.append(("route", None))
+        return out
 
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(homology, "_graded_nonzero", spied)
+        patch.setattr(homology, "capped_step", capped)
         yield decided
 
 
 @contextmanager
 def _without_the_route():
-    """Inside, `tor` reads d_i whole: the route finds no order to read."""
-    real = homology._graded_nonzero
-
-    def whole_only(M, fiber_gens, res, ker=None):
-        return None if ker is None else real(M, fiber_gens, res, ker)
-
+    """Inside, `tor` reads d_i whole: the capped step finds no order to
+    read."""
     with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(homology, "_graded_nonzero", whole_only)
+        patch.setattr(homology, "capped_step", lambda matrix, weights, degrees: None)
         yield
 
 
@@ -594,13 +614,31 @@ def test_a_resolution_that_ends_before_i_answers_zero():
     assert run_with_deadline(30, _short_resolution) == [True, True]
 
 
-def test_a_verdict_only_tor_keeps_no_step_and_its_witnesses_keep_d2():
+def test_a_verdict_only_tor_keeps_no_step_and_its_witnesses_keep_d2(monkeypatch):
+    # The witness text of today's route, which decides by the image table.
+    with _route(monkeypatch, graded=False):
+        env = _francia()
+        expected = str(tor(2, env["J"], env["L"]))
     env = _francia()
     J, L = env["J"], env["L"]
     d1 = homology.as_presented_module(J).relations
-    report = tor(2, J, L)
+    entered = []
+    real = homology.tor
+
+    def counted(i, M, N):
+        entered.append(i)
+        return real(i, M, N)
+
+    monkeypatch.setattr(homology, "tor", counted)
+    floors = _spy(monkeypatch, "frame_floor")
+    report = homology.tor(2, J, L)
     assert not report.is_zero and homology._recall(d1) is None
     assert report.witness_generators
+    # The route decided with the floor its capped step handed back, and
+    # the witness read built d_2 whole and its homology without asking
+    # tor again or scanning a frame.
+    assert entered == [2] and floors == []
+    assert str(report) == expected
     basis, d2 = homology._recall(d1)
     assert basis and d2 == syzygy_entries(d1, d1.nrows, d1.ring)
 

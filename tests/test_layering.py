@@ -308,3 +308,27 @@ def test_only_next_step_keeps_a_differential():
             if isinstance(node, ast.Call) and getattr(node.func, "id", None) == "_remember"
         ]
     assert callers == [("as_presented_module", "obj"), ("_next_step", "d")]
+
+
+def _callers(tree, name):
+    """The module-level functions of `tree` that call `name` by name,
+    nested functions included."""
+    return [
+        top.name
+        for top in tree.body
+        if isinstance(top, ast.FunctionDef)
+        and any(
+            isinstance(node, ast.Call) and getattr(node.func, "id", None) == name
+            for node in ast.walk(top)
+        )
+    ]
+
+
+def test_one_graded_check_and_no_second_tor():
+    """`tor` never asks `tor` again: every nonzero report's witnesses
+    come from one builder.  And one graded check reads a frame floor:
+    exactly one `homology` function calls `frame_floor`, as a capped
+    step hands its own floor back."""
+    tree = _modules()["homology.py"]
+    assert "tor" not in _callers(tree, "tor")
+    assert _callers(tree, "frame_floor") == ["_graded_nonzero"]

@@ -36,11 +36,16 @@ no Buchberger run.  It records that induced order in turn, so a
 resolution takes the table route once, at its first basis, and Schreyer
 steps after it.  Its terms are packed in an order of their own
 (`_Induced`), which the one normal-form loop reads as it reads any
-packing.  The same frame (`_frame`) bounds the weighted degree of d's
-syzygies from below (`frame_floor`), for weights that make d
-homogeneous, and since a step's leads are its frame, a step's own floor
-is read off them before any lift: a step capped below it lifts nothing
-above, and hands that floor back with it (`capped_step`).
+packing.  Each packing owns the one rule, a shift and a mask
+(`bucket`), by which every reducer bucket is built and searched: a
+term's position under `_Packing`, its basis vector (tie rank) under
+`_Induced`, where F_k's basis vectors rank after F_(k-1)'s, so a
+lift's F_k terms meet no reducer.  The same frame (`_frame`) bounds
+the weighted degree of d's syzygies from below (`frame_floor`), for
+weights that make d homogeneous, and since a step's leads are its
+frame, a step's own floor is read off them before any lift: a step
+capped below it lifts nothing above, and hands that floor back with it
+(`capped_step`).
 `column_degrees` reads a homogeneous column's degree off one term.
 
 Inside the engine a term, a (position, monomial) pair, is one packed
@@ -81,7 +86,8 @@ packed, and only what a caller reads is unpacked.
 Every normal form runs through `_vp_normal_form`: its input, a fresh
 dict from every caller, is its work set; it keys each term once, takes
 the top term off a heap of bare keys, so a remainder comes out lead
-first, and reduces by tails, each element's (term, -coefficient) pairs
+first, searches the one bucket its packing's rule gives the term, and
+reduces by tails, each element's (term, -coefficient) pairs
 without its lead.  `MembershipBasis` is the one Groebner table per
 generator set: it gives normal forms, membership (an empty packed normal
 form, never unpacked) and the reduced basis (`_reduced`, which gives
@@ -392,7 +398,7 @@ class _Packing:
 
     __slots__ = ("width", "shift", "value", "guards", "neg", "var_shifts", "groups")
     __slots__ += ("mults", "mask", "nbytes", "fields", "pick")
-    __slots__ += ("var_fields", "var_guards")
+    __slots__ += ("var_fields", "var_guards", "bucket")
 
     def __init__(self, order: str, block: int, nvars: int, width: int):
         # Least significant first: a variable's index, or the slice of
@@ -440,6 +446,7 @@ class _Packing:
         self.pick = picker([count - 1 - s // width for s in self.var_shifts])
         self.var_fields = sum(value << s for s in self.var_shifts)
         self.var_guards = sum(1 << (s + width - 1) for s in self.var_shifts)
+        self.bucket = (self.shift, -1)  # the position
 
     def pack(self, pos: int, m: Monomial) -> int:
         for group in self.groups:
@@ -558,10 +565,12 @@ class _Induced:
         with zero rank fields and each monomial in both blocks
         (`monomial`), reduces every rank, as a relation at position 0
         reduces every position of a table;
-      - t + monomial(q) is q*t, which overflowed if it sets a guard bit.
+      - t + monomial(q) is q*t, which overflowed if it sets a guard bit;
+      - `bucket` reads the rank field r: a term meets only the reducers
+        of its basis vector, with the relations in every bucket.
     """
 
-    __slots__ = ("width", "mask", "value", "top", "shift", "guards", "neg")
+    __slots__ = ("width", "mask", "value", "top", "shift", "guards", "neg", "bucket")
 
     def __init__(self, pk: _Packing):
         width, bits = pk.width, pk.shift
@@ -571,6 +580,7 @@ class _Induced:
         ranks = (1 << (bits + width - 1)) | (1 << (bits + 2 * width - 1))
         self.guards = (pk.guards << self.top) | ranks | pk.guards
         self.neg = (pk.neg << self.top) | pk.neg
+        self.bucket = (self.top - width, self.value)  # the tie rank
 
     def key(self, t: int) -> int:
         return t ^ self.neg
@@ -651,8 +661,9 @@ def _vp_normal_form(
     pk: _Packing,
 ) -> VecPoly:
     """Full normal form against a monic basis given by its tails and
-    leads; first match by insertion order within the lead position's
-    bucket.  `vp` is the work set: pass a dict no one else holds.
+    leads; first match by insertion order within the term's bucket,
+    t >> shift & mask for the packing's rule (shift, mask) = `pk.bucket`.
+    `vp` is the work set: pass a dict no one else holds.
 
     The top term comes off a heap of bare keys `t ^ pk.neg` (`pk.key`),
     each pushed when its term enters the work set.  A term that cancels
@@ -661,7 +672,7 @@ def _vp_normal_form(
     below the one it removes, so the remainder comes out by descending
     term: its first key is its lead.  A product that sets a guard bit
     raises `_Overflow`."""
-    guards, neg, shift = pk.guards, pk.neg, pk.shift
+    guards, neg, (bshift, bmask) = pk.guards, pk.neg, pk.bucket
     heap = [t ^ neg for t in vp]
     heapq.heapify(heap)
     rem: VecPoly = {}
@@ -671,7 +682,7 @@ def _vp_normal_form(
         if not c:
             continue
         tg = t | guards
-        for k in buckets.get(t >> shift, ()):
+        for k in buckets.get(t >> bshift & bmask, ()):
             if (tg - leads[k]) & guards == guards:
                 break
         else:
@@ -758,8 +769,8 @@ def _module_buchberger(
     that reduces to zero in the head leaves its lift's tracker part here.
     Otherwise the run returns the table (tails, leads, buckets).
     """
-    guards, shift, lcm_of, degree = pk.guards, pk.shift, pk.lcm, pk.degree
-    npos = rank if head is None else head >> shift  # positions with relations
+    guards, lcm_of, degree, (bshift, bmask) = pk.guards, pk.lcm, pk.degree, pk.bucket
+    npos = rank if head is None else head >> bshift & bmask  # positions with relations
     tails: list[Tail] = []
     leads: list[VecTerm] = []
     ecarts: list[int] = []  # sugar - deg lead, per element
@@ -784,7 +795,7 @@ def _module_buchberger(
             for p in range(npos):
                 buckets.setdefault(p, []).append(idx)
             return
-        p = lt >> shift
+        p = lt >> bshift & bmask
         bucket = buckets.setdefault(p, [])
         for k in bucket:
             if (k < relations or rank == 1) and not supports[k] & support:
@@ -806,7 +817,7 @@ def _module_buchberger(
         mi, mj = leads[i], leads[j]
         lg = lcm | guards
         skip = False
-        for k in buckets[lcm >> shift]:
+        for k in buckets[lcm >> bshift & bmask]:
             if k == i or k == j or (lg - leads[k]) & guards != guards:
                 continue
             if (k << 32 | i if k > i else i << 32 | k) not in pending and (
@@ -843,17 +854,17 @@ def _reduced(
     built before it: every lead that divides a term below L is a
     multiple of a minimal lead below L, so that is the same normal
     form."""
-    shift, key, divides = pk.shift, pk.key, pk.divides
+    key, divides, (bshift, bmask) = pk.key, pk.divides, pk.bucket
     # (lead, element) at each position, by ascending lead, so that a
     # divisor comes before its multiples.
-    entries = [(leads[k] | p << shift, k) for p, ks in buckets.items() for k in ks]
+    entries = [(leads[k] | p << bshift, k) for p, ks in buckets.items() for k in ks]
     entries.sort(key=lambda e: key(e[0]), reverse=True)
     rtails: list[Tail] = []
     rleads: list[VecTerm] = []
     rbuckets: dict[int, list[int]] = {}
     reduced: list[VecPoly] = []
     for lt, k in entries:
-        same = rbuckets.setdefault(lt >> shift, [])
+        same = rbuckets.setdefault(lt >> bshift & bmask, [])
         if any(divides(rleads[m], lt) for m in same):
             continue
         at = lt - leads[k]  # a relation's position, or 0
@@ -1150,10 +1161,11 @@ def _schreyer(matrix: PolyMatrix, ring: PresentedRing, graded=None) -> tuple:
     holds the minimal ones.  A g coprime to lt c_i gives lt(g)*e_i, the
     lead of g*e_i, which is zero in the ring: it prunes but is not
     lifted.  Each other generator is lifted by reducing its S-pair
-    against the columns, each augmented with its unit e_j in a tracker
-    block below F_0, and the relations; the head reduces to zero and the
-    tracker part is a syzygy with that lead.  One `_Induced` packing
-    holds the head and, shifted into the tracker block, F's terms.
+    against the columns, each augmented with its unit e_j, and the
+    relations; the part in F_(k-1) reduces to zero and the rest is a
+    syzygy with that lead.  One `_Induced` packing holds both: F's basis
+    vectors rank after F_(k-1)'s, so F's terms lie in no reducer's bucket
+    (`bucket`, the tie rank) and are never reduced in a lift.
     So the lifts and the g*e_i span the syzygies plus the relations, and
     their leads are the module's.  The lifts are interreduced by
     increasing lead, modulo the ring too (the relations reduce every
@@ -1164,44 +1176,33 @@ def _schreyer(matrix: PolyMatrix, ring: PresentedRing, graded=None) -> tuple:
 
     Returns the step, with its frame floor F when `graded` caps it below
     F (see `capped_step`), else with None."""
-    positions = matrix._order[0]
     ring_basis = ring.defining_basis() if ring.is_quotient else ()
-    m = matrix.ncols
+    n, m = matrix.nrows, matrix.ncols
 
     def run(pk: _Packing) -> tuple:
         ind = _Induced(pk)
-        shift, mask, key = pk.shift, pk.mask, ind.key
+        shift, mask, key, (bshift, bmask) = pk.shift, pk.mask, ind.key, ind.bucket
         cols = _induced_columns(matrix, pk, ind)
         lts = [min(col, key=key) for col in cols]
-        # F's basis: e_i's total lead is lt(c_i)'s, its rank that of its
-        # lead chain, (rank of lt(c_i)'s row, i).
+        # F's basis: e_i's total lead is lt(c_i)'s, its rank n plus that
+        # of its lead chain, (rank of lt(c_i)'s row, i).
         chain = sorted(range(m), key=lambda i: (ind.rank(lts[i]), i))
-        rank = [0] * m
-        for r, i in enumerate(chain):
-            rank[i] = r
-        basis = [
-            ind.basis(lt >> ind.shift, ind.lead(lt), rank[i]) for i, lt in enumerate(lts)
-        ]
-        # The reducers: the relations, at every F_0 position, then the
-        # columns with their trackers, in a block below F_0.
-        npos = max(positions) + 1
-        block = npos << ind.shift
+        rank = sorted(range(m), key=chain.__getitem__)  # chain's inverse
+        basis = [ind.basis(lt >> ind.shift, ind.lead(lt), n + r) for lt, r in zip(lts, rank)]
+        # The reducers: the relations, in every row's bucket, then the
+        # columns, each with its unit e_i.
         relations = [
-            {ind.monomial(t): c for t, c in vp.items()}
-            for vp in _defining_vps(ring_basis, pk)
+            {ind.monomial(t): c for t, c in vp.items()} for vp in _defining_vps(ring_basis, pk)
         ]
-        tails: list[Tail] = []
-        rleads: list[VecTerm] = []
-        for vp in relations:
-            rleads.append(min(vp, key=key))
-            tails.append(_tail(vp, rleads[-1]))
+        rleads = [min(vp, key=key) for vp in relations]
+        tails = list(map(_tail, relations, rleads))
         nrel = len(relations)
-        buckets = {p: list(range(nrel)) for p in range(npos)}
+        buckets = {r: list(range(nrel)) for r in range(n)}
         for i, (col, lt) in enumerate(zip(cols, lts)):
-            col[basis[i] + block] = 1
+            col[basis[i]] = 1
             tails.append(_tail(_monic(col, lt), lt))
             rleads.append(lt)
-            buckets[lt >> ind.shift].append(nrel + i)
+            buckets[lt >> bshift & bmask].append(nrel + i)
 
         def lift(i: int, q: int, partner: int) -> tuple[VecTerm, VecPoly]:
             """The syzygy of q*(column i) and the reducer `partner` at
@@ -1214,7 +1215,6 @@ def _schreyer(matrix: PolyMatrix, ring: PresentedRing, graded=None) -> tuple:
             if lcm & ind.guards or any(t & ind.guards for t in s):
                 raise _Overflow
             syzygy = _vp_normal_form(s, tails, rleads, buckets, ind)
-            syzygy = {t - block: c for t, c in syzygy.items()}
             lead = next(iter(syzygy))
             return lead, _monic(syzygy, lead)
 
@@ -1235,20 +1235,20 @@ def _schreyer(matrix: PolyMatrix, ring: PresentedRing, graded=None) -> tuple:
         # Interreduction by increasing lead, modulo the ring.
         lifts.sort(key=lambda e: key(e[0]), reverse=True)
         del tails[nrel:], rleads[nrel:]
-        buckets = {p: list(range(nrel)) for p in range(npos)}
+        buckets = {n + r: list(range(nrel)) for r in range(m)}
         out = []
         for lt, vp in lifts:
             del vp[lt]
             nf = _vp_normal_form(vp, tails, rleads, buckets, ind)
-            buckets[lt >> ind.shift].append(len(rleads))
+            buckets[lt >> bshift & bmask].append(len(rleads))
             tails.append(tuple((t, -c) for t, c in nf.items()))
             rleads.append(lt)
             out.append({lt: 1, **nf})
         out.reverse()
-        # Back to the ring's packing, at the rows of F (e_i's rank r
+        # Back to the ring's packing, at the rows of F (e_i's rank n + r
         # is chain[r]'s).
         packed = [
-            {(chain[ind.rank(t)] << shift) + (t & mask): c for t, c in vp.items()}
+            {(chain[ind.rank(t) - n] << shift) + (t & mask): c for t, c in vp.items()}
             for vp in out
         ]
         order = (

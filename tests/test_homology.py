@@ -258,9 +258,10 @@ def _koszul_dual_series(r, terms):
     return inverse
 
 
-def _veronese_residue_field(r):
-    """k = V/(its variables), V_r = QQ[monomials of degree r in e, g, h]:
-    the fiber ring is QQ, so the witnesses of Tor_i(k, k) are a basis."""
+def _veronese_residue_field(r, order=fc.GREVLEX):
+    """k = V/(its variables), V_r = QQ[monomials of degree r in e, g, h],
+    under `order`: the fiber ring is QQ, so the witnesses of Tor_i(k, k)
+    are a basis."""
     monomials = ["*".join(m) for m in combinations_with_replacement("egh", r)]
     names = [f"m{j}" for j in range(len(monomials))]
     text = (
@@ -268,7 +269,7 @@ def _veronese_residue_field(r):
         f"map F : R -> S = {{{', '.join(monomials)}}};\nring V = image F;\n"
         f"module k = V^1 / ({', '.join(f'({n})' for n in names)});\n"
     )
-    report, env = execute_text(text)
+    report, env = execute_text(text, order)
     assert report.status == 0
     return env["k"]
 

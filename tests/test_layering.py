@@ -332,3 +332,95 @@ def test_one_graded_check_and_no_second_tor():
     tree = _modules()["homology.py"]
     assert "tor" not in _callers(tree, "tor")
     assert _callers(tree, "frame_floor") == ["_graded_nonzero"]
+
+
+def _by_rule(expr) -> bool:
+    """Whether `expr` is `term >> bshift & bmask`, a packing's bucket rule."""
+    return (
+        isinstance(expr, ast.BinOp)
+        and isinstance(expr.op, ast.BitAnd)
+        and isinstance(expr.left, ast.BinOp)
+        and isinstance(expr.left.op, ast.RShift)
+        and getattr(expr.left.right, "id", None) == "bshift"
+        and getattr(expr.right, "id", None) == "bmask"
+    )
+
+
+def _shifts(expr) -> bool:
+    return any(
+        isinstance(n, ast.BinOp) and isinstance(n.op, ast.RShift) for n in ast.walk(expr)
+    )
+
+
+def test_every_reducer_bucket_is_keyed_by_its_packings_rule():
+    """One bucket rule, owned by the packing: `_Packing` and `_Induced`
+    each set `bucket`, a (shift, mask) pair (a table's position, a
+    Schreyer step's tie rank), every function that reads `bshift` and
+    `bmask` unpacks them from a `.bucket`, and every key that looks up or
+    files a reducer (`buckets[key]`, `.get(key)`, `.setdefault(key)` on a
+    `*buckets` dict) is `t >> bshift & bmask`, or a name bound to one, or
+    shifts nothing (a position or a rank from a range): no bucket is
+    keyed by `>> shift`."""
+    tree = _modules()["modules.py"]
+    owners = sorted(
+        top.name
+        for top in tree.body
+        if isinstance(top, ast.ClassDef)
+        and any(
+            isinstance(n, ast.Attribute) and n.attr == "bucket" and isinstance(n.ctx, ast.Store)
+            for n in ast.walk(top)
+        )
+    )
+    assert owners == ["_Induced", "_Packing"]
+    offenders, searched = [], set()
+    for top in tree.body:
+        if not isinstance(top, ast.FunctionDef):
+            continue
+        bound: dict[str, list] = {}
+        for node in ast.walk(top):
+            if isinstance(node, ast.Assign):
+                for target in node.targets:
+                    pairs = [(target, node.value)]
+                    while pairs:
+                        t, v = pairs.pop()
+                        if isinstance(t, ast.Tuple) and isinstance(v, ast.Tuple):
+                            pairs += zip(t.elts, v.elts)
+                        elif isinstance(t, ast.Tuple) and "bshift" in ast.unparse(t):
+                            if not (isinstance(v, ast.Attribute) and v.attr == "bucket"):
+                                offenders.append(f"{top.name}: {ast.unparse(node)}")
+                        elif isinstance(t, ast.Name):
+                            bound.setdefault(t.id, []).append(v)
+        keys = []
+        for node in ast.walk(top):
+            if isinstance(node, ast.Subscript) and getattr(node.value, "id", "").endswith(
+                "buckets"
+            ):
+                keys.append(node.slice)
+            elif (
+                isinstance(node, ast.Call)
+                and isinstance(node.func, ast.Attribute)
+                and node.func.attr in ("get", "setdefault")
+                and getattr(node.func.value, "id", "").endswith("buckets")
+            ):
+                keys.append(node.args[0])
+        for key in keys:
+            searched.add(top.name)
+            values = bound.get(key.id, []) if isinstance(key, ast.Name) else [key]
+            offenders += [
+                f"{top.name}: bucket key {ast.unparse(key)} = {ast.unparse(v)}"
+                for v in values
+                if _shifts(v) and not _by_rule(v)
+            ]
+    assert offenders == []
+    assert {"_vp_normal_form", "_module_buchberger", "_reduced", "_schreyer"} <= searched
+
+
+def test_a_schreyer_step_keeps_no_tracker_block():
+    """`_schreyer` files F_k's terms under tie ranks after F_(k-1)'s, so
+    its lifts need no block of positions below F_0: it binds no `npos`,
+    `block` or `positions`."""
+    top = next(t for t in _modules()["modules.py"].body if getattr(t, "name", "") == "_schreyer")
+    stored = {
+        n.id for n in ast.walk(top) if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Store)
+    }
+    assert stored & {"npos", "block", "positions"} == set()

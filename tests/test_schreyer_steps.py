@@ -13,6 +13,7 @@ the table route of `syzygy_entries` gives for d_k's columns.
 
 import pytest
 
+import flatcert.modules as modules
 from flatcert import GREVLEX, LEX, PolyMatrix, free_resolution, kernel_generators
 from flatcert.cli import bundled_case_text
 from flatcert.modules import syzygy_entries
@@ -39,6 +40,41 @@ def test_every_step_is_a_basis_for_the_induced_order(order, filename):
     levels = induced_orders(d, order)
     for k in range(1, len(d)):
         assert schreyer_certificate(d[k - 1], d[k], levels[k], order), k + 1
+
+
+def _spy_schreyer_buckets(monkeypatch) -> list[set[int]]:
+    """For each bucket of each normal form a Schreyer step (`_Induced`)
+    takes, the tie ranks of its reducers other than the ring's relations,
+    which alone have both rank fields zero."""
+    seen, real = [], modules._vp_normal_form
+
+    def spied(vp, tails, leads, buckets, pk):
+        if isinstance(pk, modules._Induced):
+            low, fields = pk.top - 2 * pk.width, (1 << 2 * pk.width) - 1
+            for bucket in buckets.values():
+                seen.append({pk.rank(leads[k]) for k in bucket if leads[k] >> low & fields})
+        return real(vp, tails, leads, buckets, pk)
+
+    monkeypatch.setattr(modules, "_vp_normal_form", spied)
+    return seen
+
+
+@pytest.mark.parametrize("order", [GREVLEX, LEX])
+@pytest.mark.parametrize("case", ["francia", "veronese-2"])
+def test_a_schreyer_bucket_holds_one_basis_vectors_reducers(case, order, monkeypatch):
+    # francia J's d_2..d_4 and the Veronese k's d_3..d_5 are Schreyer
+    # steps whose leads share F_0 positions across tie ranks (k is
+    # cyclic: one position); each lift and interreduction searches one
+    # basis vector's reducers, never another tie rank's.
+    if case == "francia":
+        _, env = execute_text(bundled_case_text("francia.fc"), order, declarations_only=True)
+        module, top = env["J"], 4
+    else:
+        module, top = _veronese_residue_field(2, order), 5
+    seen = _spy_schreyer_buckets(monkeypatch)
+    free_resolution(module, top)
+    assert any(seen), "no Schreyer step reduced"
+    assert all(len(ranks) <= 1 for ranks in seen)
 
 
 def test_a_user_matrix_takes_the_table_route_first():
